@@ -22,22 +22,17 @@ import argparse
 import sys
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import artifacts
 from .base import ExperimentResult
 from .parallel import TrialCache, run_trials
 from .registry import SPECS, get_spec
 
-__all__ = ["EXPERIMENTS", "DEFAULT_CACHE_DIR", "run_experiment", "main"]
+__all__ = ["DEFAULT_CACHE_DIR", "run_experiment", "main"]
 
 #: Default location of the content-addressed trial cache (relative to CWD).
 DEFAULT_CACHE_DIR = ".cm-trial-cache"
-
-#: Legacy name -> ``run`` callable mapping, kept for API compatibility.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    name: spec.run for name, spec in SPECS.items()
-}
 
 
 def run_experiment(

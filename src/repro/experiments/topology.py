@@ -13,9 +13,7 @@ declarative specs compiled through the scenario layer
   studies (Figures 7-10).
 
 :func:`build_testbed` compiles any pair spec into the familiar
-:class:`Testbed` handle; the legacy ``lan_pair`` / ``dummynet_pair`` /
-``wan_pair`` helpers remain as one-liners over it, so existing call sites
-keep working while every experiment's wiring goes through
+:class:`Testbed` handle, so every experiment's wiring goes through
 :func:`repro.scenario.builder.build` — event-for-event identical to the old
 hand-wired path, which keeps the per-seed experiment artifacts
 byte-identical.
@@ -36,9 +34,6 @@ __all__ = [
     "lan_pair_spec",
     "dummynet_pair_spec",
     "wan_pair_spec",
-    "lan_pair",
-    "dummynet_pair",
-    "wan_pair",
 ]
 
 
@@ -161,44 +156,4 @@ def wan_pair_spec(
         loss_rate=loss_rate,
         queue_limit=queue_limit,
         with_costs=with_costs,
-    )
-
-
-def lan_pair(seed: int = 0, with_costs: bool = True) -> Testbed:
-    """Compiled :func:`lan_pair_spec` (kept for existing call sites)."""
-    return build_testbed(lan_pair_spec(with_costs=with_costs), seed=seed)
-
-
-def dummynet_pair(
-    loss_rate: float,
-    rate_bps: float = 10e6,
-    rtt: float = 0.060,
-    queue_limit: int = 50,
-    seed: int = 0,
-    with_costs: bool = True,
-) -> Testbed:
-    """Compiled :func:`dummynet_pair_spec` (kept for existing call sites)."""
-    return build_testbed(
-        dummynet_pair_spec(
-            loss_rate, rate_bps=rate_bps, rtt=rtt, queue_limit=queue_limit, with_costs=with_costs
-        ),
-        seed=seed,
-    )
-
-
-def wan_pair(
-    rate_bps: float = 16e6,
-    rtt: float = 0.075,
-    loss_rate: float = 0.0,
-    queue_limit: int = 60,
-    seed: int = 0,
-    with_costs: bool = True,
-) -> Testbed:
-    """Compiled :func:`wan_pair_spec` (kept for existing call sites)."""
-    return build_testbed(
-        wan_pair_spec(
-            rate_bps=rate_bps, rtt=rtt, loss_rate=loss_rate, queue_limit=queue_limit,
-            with_costs=with_costs
-        ),
-        seed=seed,
     )

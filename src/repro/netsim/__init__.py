@@ -21,7 +21,7 @@ from .packet import (
     UDP_HEADER_BYTES,
     Packet,
 )
-from .trace import PacketTrace, RateTracker, TraceRecord
+from .trace import RateTracker
 
 __all__ = [
     "Channel",
@@ -43,9 +43,7 @@ __all__ = [
     "Host",
     "Router",
     "Packet",
-    "PacketTrace",
     "RateTracker",
-    "TraceRecord",
     "DEFAULT_MSS",
     "DEFAULT_MTU",
     "IP_HEADER_BYTES",

@@ -81,9 +81,7 @@ class Channel:
             aqm=aqm,
             name=f"{host_b.name}->{host_a.name}",
         )
-        # Links hand packets straight to the IP input routine; the
-        # ``receive_from_link`` wrapper stays for ad-hoc callers, but a
-        # per-packet pass-through call is overhead the delivery path skips.
+        # Links hand packets straight to the IP input routine.
         self.forward.attach(host_b.ip.receive)
         self.reverse.attach(host_a.ip.receive)
         host_a.add_route(host_b.addr, self.forward)

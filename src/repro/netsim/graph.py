@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Container, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .engine import Simulator
 from .ingress import IngressSequencer
@@ -80,7 +80,13 @@ def shortest_path_next_hops(
 
 @dataclass
 class GraphNet:
-    """The node and link handles returned by :func:`build_graph`."""
+    """The node and link handles returned by :func:`build_graph`.
+
+    Under a partial build (``local=`` given) ``nodes``, ``hosts``,
+    ``ingress`` hold the local nodes only and ``links`` the directed links
+    whose *source* is local; ``host_addrs``, ``edges`` and ``next_hops``
+    always describe the whole graph.
+    """
 
     #: Every node in declaration order (hosts and routers).
     nodes: Dict[str, Host]
@@ -99,6 +105,9 @@ class GraphNet:
     #: The directed delay-weighted edge set routing was computed from —
     #: kept so mid-run reroutes can recompute the tables incrementally.
     edges: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    #: Every end system's address in declaration order — routes are keyed
+    #: by these, whether or not the destination host is simulated here.
+    host_addrs: Dict[str, str] = field(default_factory=dict)
 
     def link(self, a: str, b: str) -> Link:
         """The directed link from node ``a`` to node ``b``."""
@@ -112,7 +121,9 @@ class GraphNet:
         node's routes (``add_route`` overwrites by destination address, so
         stale next-hops are simply replaced).  Packets already propagating
         keep their old arrival times — the link's no-overtake clamp ensures
-        a shortened wire never reorders them.
+        a shortened wire never reorders them.  Routing is a pure function of
+        the whole edge set, so every partial build replays the same change
+        and reinstalls the routes of its own nodes.
         """
         delay = float(delay)
         for pair in ((a, b), (b, a)):
@@ -121,8 +132,7 @@ class GraphNet:
             if link is not None:
                 link.delay = delay
         self.next_hops = shortest_path_next_hops(self.edges)
-        host_addrs = {name: host.addr for name, host in self.hosts.items()}
-        install_routes(self.nodes, host_addrs, self.links, self.next_hops)
+        install_routes(self.nodes, self.host_addrs, self.links, self.next_hops)
 
 
 def install_routes(
@@ -154,6 +164,10 @@ def build_graph(
     links: Sequence[Mapping[str, Any]],
     seed: int = 0,
     host_costs_factory=None,
+    *,
+    local: Optional[Container[str]] = None,
+    boundary_link: Optional[Callable[..., Link]] = None,
+    next_hops: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> GraphNet:
     """Wire an arbitrary named-node topology with static shortest-path routes.
 
@@ -178,80 +192,83 @@ def build_graph(
     host_costs_factory:
         Factory for per-host CPU ledgers (routers never get one — the
         paper only measures end-system CPU).
+    local:
+        Names of the nodes to simulate in this process (default: all).  A
+        partial build creates only those nodes and the directed links
+        leaving them; everything that identifies an object — default
+        addresses, sequencer ranks, link indices and RNG seeds — still
+        comes from its position in the *full* declaration, so a slice is
+        built exactly as the whole graph would have built it.
+    boundary_link:
+        ``boundary_link(sim, link_index, **link_kwargs)`` builds a link
+        whose source is local and whose destination is not (required when
+        ``local`` cuts a link).
+    next_hops:
+        Precomputed :func:`shortest_path_next_hops` tables of the full
+        graph; computed here when omitted.
     """
-    net_nodes: Dict[str, Host] = {}
-    net_hosts: Dict[str, Host] = {}
-    host_index = 0
+    net = GraphNet(nodes={}, hosts={})
     for spec in nodes:
         name = spec["name"]
-        kind = spec.get("kind", "host")
+        here = local is None or name in local
         addr = spec.get("addr", "")
-        if kind == "router":
-            net_nodes[name] = Router(sim, name, addr)
-        else:
-            if not addr:
-                addr = f"10.{host_index + 1}.0.1"
+        if spec.get("kind", "host") == "router":
+            if here:
+                net.nodes[name] = Router(sim, name, addr)
+            continue
+        if not addr:
+            addr = f"10.{len(net.host_addrs) + 1}.0.1"
+        net.host_addrs[name] = addr
+        if here:
             costs = None
             if spec.get("costs", True) and host_costs_factory is not None:
                 costs = host_costs_factory()
-            host = Host(sim, name, addr, costs=costs)
-            net_nodes[name] = host
-            net_hosts[name] = host
-        if kind == "host":
-            host_index += 1
+            net.nodes[name] = net.hosts[name] = Host(sim, name, addr, costs=costs)
 
-    net = GraphNet(nodes=net_nodes, hosts=net_hosts)
     # Deliveries go through per-node sequencers so that same-timestamp
     # arrivals are processed in content-defined (link, seq) order — the
     # order a sharded run reproduces exactly (see repro.netsim.ingress).
     # Drain ranks are node *declaration* indices; link ports are keyed by
-    # global directed link index (2*i forward, 2*i+1 reverse), matching the
-    # shard build's numbering.
+    # global directed link index (2*i forward, 2*i+1 reverse).
     for rank, spec in enumerate(nodes):
-        name = spec["name"]
-        net.ingress[name] = IngressSequencer(sim, rank, net_nodes[name].ip.receive)
-    edges: Dict[Tuple[str, str], float] = {}
+        node = net.nodes.get(spec["name"])
+        if node is not None:
+            net.ingress[spec["name"]] = IngressSequencer(sim, rank, node.ip.receive)
     for index, spec in enumerate(links):
         a, b = spec["a"], spec["b"]
         delay = float(spec["delay"])
         loss = float(spec.get("loss_rate", 0.0))
         reverse_loss = spec.get("reverse_loss_rate")
         offset = spec.get("seed_offset", 0) or 2 * index
-        # Mapping-valued loss/aqm configs are normalized per Link, so each
-        # direction always owns a fresh (stateful) model instance.
-        forward = Link(
-            sim,
-            rate_bps=spec["rate_bps"],
-            delay=delay,
-            queue_limit=spec.get("queue_limit", 100),
-            loss_rate=loss,
-            ecn_threshold=spec.get("ecn_threshold"),
-            seed=seed + offset,
-            loss_model=spec.get("loss"),
-            aqm=spec.get("aqm"),
-            name=f"{a}->{b}",
+        directions = (
+            (a, b, loss),
+            (b, a, loss if reverse_loss is None else float(reverse_loss)),
         )
-        reverse = Link(
-            sim,
-            rate_bps=spec["rate_bps"],
-            delay=delay,
-            queue_limit=spec.get("queue_limit", 100),
-            loss_rate=loss if reverse_loss is None else float(reverse_loss),
-            ecn_threshold=spec.get("ecn_threshold"),
-            seed=seed + offset + 1,
-            loss_model=spec.get("loss"),
-            aqm=spec.get("aqm"),
-            name=f"{b}->{a}",
-        )
-        forward.attach(net.ingress[b].port(2 * index))
-        reverse.attach(net.ingress[a].port(2 * index + 1))
-        net.links[(a, b)] = forward
-        net.links[(b, a)] = reverse
-        edges[(a, b)] = delay
-        edges[(b, a)] = delay
+        for direction, (src, dst, loss_rate) in enumerate(directions):
+            net.edges[(src, dst)] = delay
+            if src not in net.nodes:
+                continue  # owned, whole, by the process simulating ``src``
+            link_index = 2 * index + direction
+            # Mapping-valued loss/aqm configs are normalized per Link, so
+            # each direction always owns a fresh (stateful) model instance.
+            kwargs = dict(
+                rate_bps=spec["rate_bps"],
+                delay=delay,
+                queue_limit=spec.get("queue_limit", 100),
+                loss_rate=loss_rate,
+                ecn_threshold=spec.get("ecn_threshold"),
+                seed=seed + offset + direction,
+                loss_model=spec.get("loss"),
+                aqm=spec.get("aqm"),
+                name=f"{src}->{dst}",
+            )
+            if dst in net.nodes:
+                link = Link(sim, **kwargs)
+                link.attach(net.ingress[dst].port(link_index))
+            else:
+                link = boundary_link(sim, link_index, **kwargs)
+            net.links[(src, dst)] = link
 
-    net.edges = edges
-    net.next_hops = shortest_path_next_hops(edges)
-    host_addrs = {name: host.addr for name, host in net_hosts.items()}
-    install_routes(net_nodes, host_addrs, net.links, net.next_hops)
+    net.next_hops = shortest_path_next_hops(net.edges) if next_hops is None else next_hops
+    install_routes(net.nodes, net.host_addrs, net.links, net.next_hops)
     return net

@@ -84,10 +84,6 @@ class Host:
         self._next_ephemeral_port += 1
         return port
 
-    def receive_from_link(self, packet) -> None:
-        """Entry point links deliver packets to."""
-        self.ip.receive(packet)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} ({self.addr})>"
 

@@ -1,9 +1,11 @@
 """Conservative-lookahead coordinator and worker processes.
 
 One worker process per shard, each running an ordinary
-:class:`~repro.netsim.engine.Simulator` over its slice of the graph
-(:mod:`.shard`).  The coordinator advances everyone in lockstep windows of
-length ``L`` — the minimum cut-link one-way delay (:mod:`.partition`):
+:class:`~repro.netsim.engine.Simulator` over its slice of the graph — the
+scenario :func:`~repro.scenario.builder.build` compiles under that shard's
+:class:`~.shard.Placement`.  The coordinator advances everyone in lockstep
+windows of length ``L`` — the minimum cut-link one-way delay
+(:mod:`.partition`):
 
 * every event executed in the window ``(s, e]`` has time ``> s``, so a
   packet finishing serialization at ``t`` arrives remotely at
@@ -16,10 +18,12 @@ length ``L`` — the minimum cut-link one-way delay (:mod:`.partition`):
 Determinism: inbound messages are injected in sorted
 ``(deliver_ts, global_link_index, emit_seq)`` order, so the destination
 simulator sees one canonical schedule no matter how pipe traffic
-interleaved.  The stop condition replicates ``run_built`` exactly — the
-``when_apps_done`` predicate and the drained-idle test are evaluated only
-on the same ``check_interval`` grid the single-process loop uses, and the
-final time is forced to a common barrier so every shard's clock agrees.
+interleaved.  The run lifecycle is ``scenario.runner``'s own: each worker
+is ``started`` … ``finish`` around its slice, and the coordinator calls the
+same ``drive`` loop as ``run_built`` with barrier windows as its ``advance``
+— one stop predicate on one ``check_interval`` grid — then hands the
+workers' collected slices to the same ``assemble_result``.  Every window
+ends on a common barrier, so every shard's clock agrees at the end.
 """
 
 from __future__ import annotations
@@ -28,88 +32,80 @@ import json
 import multiprocessing
 import os
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["run_sharded"]
 
 
 # ------------------------------------------------------------------ worker
-def _worker_main(conn, spec_payload, run_seed, shard_index, part_fields,
-                 next_hops, trace_path) -> None:
-    """Worker process entry point: build the shard, then serve commands.
+def _worker_main(conn, spec_payload, run_seed, local, next_hops, trace_path) -> None:
+    """Worker process entry point: build the slice, then serve commands.
 
     Protocol (coordinator → worker / worker → coordinator):
 
     * build → ``("ready", done_states, idle)``
-    * ``("advance", until, want_done, inbox)`` →
-      ``("ok", outbox, idle, done_states_or_None, now)``
+    * ``("advance", until, want_states, inbox)`` →
+      ``("ok", outbox, idle, done_states_or_None)``
     * ``("finish", final_time)`` → ``("result", sections)`` then exit
     * any exception → ``("spec_error", path, str)`` / ``("error", traceback)``
+
+    A coordinator that fails or is cancelled just closes the pipe; the
+    worker then leaves quietly, its trace part closed by ``started``.
     """
+    from ...scenario.builder import build
+    from ...scenario.runner import finish, started
     from ...scenario.spec import ScenarioSpec, SpecError
-    from .partition import Partition
-    from .shard import build_shard, collect_shard
+    from .boundary import BoundaryLink
+    from .shard import Placement
     from .wire import decode_packet
 
     try:
         spec = ScenarioSpec.from_dict(spec_payload)
-        spec.validate()
-        part = Partition(*part_fields)
-        shard = build_shard(spec, run_seed, part, shard_index, next_hops,
-                            trace_path=trace_path)
-        scenario = shard.scenario
-        sim = shard.sim
-        if scenario.telemetry is not None:
-            scenario.telemetry.start()
-        for app in scenario.apps:
-            app.start()
-        for workload in scenario.workloads:
-            workload.start()
-        want_done_states = spec.stop.when_apps_done
+        placement = Placement(frozenset(local), next_hops)
+        scenario = build(spec, seed=run_seed, trace_path=trace_path, placement=placement)
+        sim = scenario.sim
+        outbox = placement.outbox
+        # Inbound dispatch, by global directed link index: the destination
+        # node's sequencer, so injected packets join the same per-timestamp
+        # ordering as local deliveries.
+        ingress = scenario.graph_net.ingress
+        sequencer_of = [ingress.get(name) for link in spec.graph.links
+                        for name in (link.b, link.a)]
 
-        def done_states() -> Optional[List[Tuple[int, Any]]]:
-            if not want_done_states:
-                return None
-            return [(index, app.done()) for index, app in shard.apps]
+        def done_states() -> List[Optional[bool]]:
+            return [app.done() for app in scenario.apps]
 
-        conn.send(("ready", done_states(), sim.idle_except_control()))
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "advance":
-                _, until, want_done, inbox = message
-                for deliver_ts, link_index, seq, wire in inbox:
-                    # Into the destination node's ingress sequencer, with
-                    # the sender's per-link emission seq — exactly the
-                    # (link, seq) key the local arrival would have carried.
-                    shard.receivers[link_index].inject(
-                        deliver_ts, link_index, seq, decode_packet(wire))
-                sim.run(until=until)
-                outbox = shard.outbox[:]
-                shard.outbox.clear()
-                conn.send(("ok", outbox, sim.idle_except_control(),
-                           done_states() if want_done else None, sim.now))
-            elif command == "finish":
-                _, final_time = message
-                if final_time > sim.now:
-                    sim.run(until=final_time)
-                if scenario.telemetry is not None:
-                    scenario.telemetry.stop()
-                for workload in scenario.workloads:
-                    workload.stop()
-                for app in scenario.apps:
-                    app.stop()
-                for link in shard.boundary_links:
-                    link.finalize(final_time)
-                sections = collect_shard(shard, spec, duration=final_time)
-                if scenario.telemetry is not None:
-                    scenario.telemetry.close()
-                conn.send(("result", sections))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown command {command!r}")
+        with started(scenario):
+            conn.send(("ready", done_states(), sim.idle_except_control()))
+            while True:
+                message = conn.recv()
+                command = message[0]
+                if command == "advance":
+                    _, until, want_states, inbox = message
+                    for deliver_ts, link_index, seq, wire in inbox:
+                        # With the sender's per-link emission seq — exactly
+                        # the (link, seq) key the local arrival would have
+                        # carried.
+                        sequencer_of[link_index].inject(
+                            deliver_ts, link_index, seq, decode_packet(wire))
+                    sim.run(until=until)
+                    emitted = outbox[:]
+                    outbox.clear()
+                    conn.send(("ok", emitted, sim.idle_except_control(),
+                               done_states() if want_states else None))
+                elif command == "finish":
+                    _, final_time = message
+                    for link in scenario.graph_net.links.values():
+                        if isinstance(link, BoundaryLink):
+                            link.finalize(final_time)
+                    conn.send(("result", finish(scenario, final_time)))
+                    return
+                else:  # pragma: no cover - protocol misuse
+                    raise RuntimeError(f"unknown command {command!r}")
     except SpecError as exc:
         conn.send(("spec_error", exc.path, str(exc)))
+    except EOFError:
+        pass  # the coordinator hung up mid-run: nobody left to report to
     except BaseException:
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -128,14 +124,13 @@ class _WorkerPool:
         ]
         context = multiprocessing.get_context()
         spec_payload = spec.to_dict()
-        part_fields = (part.shards, dict(part.shard_of), part.cut_pairs, part.lookahead)
         self.pipes = []
         self.processes = []
         for k in range(self.count):
             parent_end, child_end = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(child_end, spec_payload, run_seed, k, part_fields,
+                args=(child_end, spec_payload, run_seed, part.members(k),
                       next_hops, self.trace_paths[k]),
                 daemon=True,
             )
@@ -222,7 +217,7 @@ def run_sharded(spec, seed: Optional[int] = None, *,
     for byte) as ``run(spec, seed)``.  Falls back to the single-process
     runner when the request or the partition collapses to one shard.
     """
-    from ...scenario.runner import ScenarioResult, run_streaming, spec_digest
+    from ...scenario.runner import assemble_result, drive, run_streaming
     from ...scenario.spec import SpecError
     from .partition import partition_graph
 
@@ -249,6 +244,8 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             "(per-shard --trace files are; see docs/parallel_engine.md)")
 
     run_seed = spec.seed if seed is None else int(seed)
+    # Routing is a pure function of the global link set: computed once here
+    # and shipped, never per worker.
     next_hops = spec.graph.routing()
     dest_shard = _dest_shard_of_links(spec, part)
     stop = spec.stop
@@ -259,84 +256,54 @@ def run_sharded(spec, seed: Optional[int] = None, *,
     pool = _WorkerPool(spec, run_seed, part, next_hops, trace_path)
     try:
         pending: List[List[Tuple]] = [[] for _ in range(pool.count)]
-        states: List[Any] = [None] * pool.count
+        states: List[List[Optional[bool]]] = [[] for _ in range(pool.count)]
         idle = [False] * pool.count
-
-        def route(outbox) -> None:
-            for item in outbox:
-                pending[dest_shard[item[1]]].append(item)
-
-        for k, reply in enumerate(pool.recv_all()):   # "ready"
-            _tag, done, worker_idle = reply
+        for k, (_tag, done, worker_idle) in enumerate(pool.recv_all()):   # "ready"
             states[k] = done
             idle[k] = worker_idle
         if progress_cb is not None:
             progress_cb(0.0, horizon)
+        now = 0.0
 
-        def all_apps_done() -> bool:
-            flat = [state for shard_states in states for _i, state in shard_states]
-            return (any(state is not None for state in flat)
-                    and all(state in (None, True) for state in flat))
-
-        def advance_to(target: float, cur: float, want_done: bool) -> float:
-            """Drive every shard from ``cur`` to ``target`` in ≤L windows."""
-            while cur < target:
-                edge = min(target, cur + lookahead)
-                final_window = edge == target
+        def advance(target: float) -> float:
+            """Bring every shard to ``target`` in windows of at most ``lookahead``."""
+            nonlocal now
+            while now < target:
+                edge = min(target, now + lookahead)
+                want_states = stop.when_apps_done and edge == target
                 for k, pipe in enumerate(pool.pipes):
                     # (deliver_ts, link_index, emit_seq) is a unique total
                     # order; never compare the wire payload itself.
                     inbox = sorted(pending[k], key=lambda item: item[:3])
                     pending[k] = []
-                    pipe.send(("advance", edge, want_done and final_window, inbox))
-                for k, reply in enumerate(pool.recv_all()):
-                    _tag, outbox, worker_idle, done, _now = reply
-                    route(outbox)
+                    pipe.send(("advance", edge, want_states, inbox))
+                for k, (_tag, outbox, worker_idle, done) in enumerate(pool.recv_all()):
+                    for item in outbox:
+                        pending[dest_shard[item[1]]].append(item)
                     idle[k] = worker_idle
                     if done is not None:
                         states[k] = done
-                cur = edge
+                now = edge
                 if progress_cb is not None:
-                    progress_cb(cur, horizon)
-            return cur
+                    progress_cb(now, horizon)
+            return now
 
-        now = 0.0
-        if stop.when_apps_done:
-            # Mirror run_built: predicate first, then the drained test, both
-            # only ever at the start/check-grid points; otherwise advance one
-            # check interval (in ≤L sub-windows).
-            while now < horizon:
-                if all_apps_done():
-                    break
-                if all(idle) and not any(pending):
-                    break
-                now = advance_to(min(horizon, now + stop.check_interval),
-                                 now, want_done=True)
-        else:
-            now = advance_to(horizon, now, want_done=False)
-
+        drive(stop, 0.0, advance,
+              lambda: [state for shard_states in states for state in shard_states],
+              lambda: all(idle) and not any(pending))
         pool.send_all(("finish", now))
-        merged: Dict[str, List] = {"apps": [], "links": [], "hosts": [], "workloads": []}
-        for reply in pool.recv_all():
-            _tag, sections = reply
-            for key, entries in sections.items():
-                merged[key].extend(entries)
-        result = ScenarioResult(
-            name=spec.name,
-            seed=run_seed,
-            spec_digest=spec_digest(spec),
-            duration_s=now,
-        )
-        for key in merged:
-            merged[key].sort(key=lambda item: item[0])
-        result.apps = [entry for _key, entry in merged["apps"]]
-        result.links = [entry for _key, entry in merged["links"]]
-        result.hosts = [entry for _key, entry in merged["hosts"]]
-        result.workloads = [entry for _key, entry in merged["workloads"]]
+        result = assemble_result(
+            spec, run_seed, now, [sections for _tag, sections in pool.recv_all()])
         if progress_cb is not None:
             progress_cb(now, horizon)
-    finally:
+    except BaseException:
+        # Joining first lets every worker close its trace part.
         pool.shutdown()
+        for path in pool.trace_paths:
+            if path is not None and os.path.exists(path):
+                os.remove(path)
+        raise
+    pool.shutdown()
     if trace_path:
         _merge_traces(trace_path, pool.trace_paths)
     return result

@@ -1,102 +1,25 @@
-"""Packet and rate tracing helpers (thin facades over ``repro.telemetry``).
+"""Rate tracing helper (a thin facade over ``repro.telemetry``).
 
 Experiments in the paper's evaluation (Figures 8-10) plot transmission rate
 over time; :class:`RateTracker` produces exactly that kind of binned
-time-series from per-packet events, and :class:`PacketTrace` keeps a raw
-event log useful in tests.
-
-Since PR 4 both classes are facades over the bounded recorders in
-:mod:`repro.telemetry.recorders`:
-
-* :class:`RateTracker` *is a* :class:`~repro.telemetry.recorders.FixedBinAccumulator`
-  — same binning semantics as before, but with a hard cap on distinct bins
-  (overflow is folded into the edge bins and counted, never silently
-  dropped, never unbounded).
-* :class:`PacketTrace` keeps its records in a
-  :class:`~repro.telemetry.recorders.RingRecorder` instead of an unbounded
-  Python list.  **Deprecation note:** the old unbounded-list behaviour is
-  gone; a trace longer than ``capacity`` keeps only the newest records and
-  counts the rest in :attr:`PacketTrace.dropped_records`.  New code should
-  subscribe a recorder to the link probes (``packet.enqueue`` /
-  ``packet.drop`` / ``packet.deliver``) through the telemetry layer instead
-  — see ``docs/telemetry.md`` for the migration path.
+time-series from per-packet events.  It *is a*
+:class:`~repro.telemetry.recorders.FixedBinAccumulator` — sparse binning
+with a hard cap on distinct bins (overflow is folded into the edge bins and
+counted, never silently dropped, never unbounded).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..telemetry.recorders import FixedBinAccumulator, RingRecorder
+from ..telemetry.recorders import FixedBinAccumulator
 
-__all__ = ["TraceRecord", "PacketTrace", "RateTracker"]
-
-#: Default bound on a PacketTrace (records kept before the ring recycles).
-DEFAULT_TRACE_CAPACITY = 65_536
+__all__ = ["RateTracker"]
 
 #: Default bound on RateTracker bins; at the default 0.5 s bin width this
 #: covers over nine simulated hours, far past any experiment's horizon, so
 #: existing series are bit-identical to the unbounded implementation.
 DEFAULT_RATE_BINS = 65_536
-
-
-@dataclass
-class TraceRecord:
-    """One logged packet event."""
-
-    time: float
-    event: str  # "send", "recv", "drop", "ack"
-    src: str
-    dst: str
-    size: int
-    info: dict = field(default_factory=dict)
-
-
-class PacketTrace:
-    """Bounded log of packet events (facade over :class:`RingRecorder`).
-
-    The trace is intentionally simple: experiments filter it with Python
-    list comprehensions rather than a query language.  Memory is bounded by
-    ``capacity``; once full, the oldest records are recycled and counted in
-    :attr:`dropped_records`.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
-        self._ring = RingRecorder(capacity)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum records retained."""
-        return self._ring.capacity
-
-    @property
-    def dropped_records(self) -> int:
-        """Records recycled because the trace was full."""
-        return self._ring.dropped
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first."""
-        return self._ring.items()
-
-    def log(self, time: float, event: str, src: str, dst: str, size: int, **info) -> None:
-        """Append one event to the trace."""
-        self._ring.append(TraceRecord(time, event, src, dst, size, dict(info)))
-
-    def events(self, kind: Optional[str] = None) -> List[TraceRecord]:
-        """Return all retained records, optionally restricted to one event kind."""
-        if kind is None:
-            return self._ring.items()
-        return [r for r in self._ring.items() if r.event == kind]
-
-    def bytes_between(self, start: float, end: float, kind: str = "recv") -> int:
-        """Total bytes for ``kind`` events with ``start <= time < end``."""
-        return sum(
-            r.size for r in self._ring.items() if r.event == kind and start <= r.time < end
-        )
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
 
 class RateTracker(FixedBinAccumulator):

@@ -257,11 +257,11 @@ def bench_grant_dispatch(flows: int, requests_per_flow: int, repeats: int) -> Be
 # ====================================================================== #
 def bench_figure3_scenario(transfer_bytes: int, repeats: int) -> BenchResult:
     from ..experiments import figure3
-    from ..experiments.topology import dummynet_pair
+    from ..experiments.topology import build_testbed, dummynet_pair_spec
     from ..transport.tcp import CMTCPSender, TCPListener
 
     def once() -> float:
-        testbed = dummynet_pair(loss_rate=0.01, seed=1)
+        testbed = build_testbed(dummynet_pair_spec(loss_rate=0.01), seed=1)
         TCPListener(testbed.receiver, 5001)
         CongestionManager(testbed.sender)
         sender = CMTCPSender(

@@ -175,6 +175,9 @@ class Application:
     #: The sharded engine keeps such host/peer pairs in the same shard; apps
     #: that only address the peer can talk to it across a shard boundary.
     colocate_peer: ClassVar[bool] = False
+    #: Position in ``spec.apps``, assigned by the builder to declared apps:
+    #: the key result entries are ordered (and sharded slices merged) by.
+    index: Optional[int] = None
 
     def __init__(self, host: Host, peer: Optional[Host], spec: AppSpec, params: Dict[str, Any]):
         if self.needs_cm and host.cm is None:

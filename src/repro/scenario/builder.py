@@ -15,7 +15,14 @@ numbers break heap ties, link RNGs are seeded in creation order):
    (forward) and ``+ 1`` (reverse) — exactly how the hand-wired testbeds of
    the seed repository did it;
 3. Congestion Managers for ``cm``-flagged hosts, in host order;
-4. applications in spec order.
+4. scheduled reroutes, applications, workloads (each in spec order), then
+   the telemetry attach.
+
+A shard of the parallel engine is the same :func:`build` under a
+:class:`~repro.netsim.parallel.shard.Placement` that names its local nodes:
+every step above still walks the full declaration and skips what is placed
+elsewhere, so each object is built exactly as the whole-graph build builds
+it.
 
 With the same spec and seed, :func:`build` therefore produces a simulation
 that is event-for-event identical to the legacy hand-wired construction,
@@ -26,13 +33,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.congestion import AimdWindowController, CongestionController, RateAimdController
 from ..core.manager import CongestionManager
 from ..core.scheduler import RoundRobinScheduler, Scheduler, WeightedRoundRobinScheduler
 from ..hostmodel import HostCosts
-from ..netsim import Channel, Dumbbell, GraphNet, Host, Simulator, build_dumbbell, build_graph
+from ..netsim import Channel, Dumbbell, GraphNet, Host, Link, Simulator, build_dumbbell, build_graph
+from ..netsim.parallel.shard import Placement, RemoteHost
 from .applications import Application, get_application
 from .spec import ScenarioSpec, SpecError, default_addr
 from .telemetry import ScenarioTelemetry
@@ -84,6 +92,38 @@ class Scenario:
     #: the caller asked for a trace file; ``None`` means every probe slot in
     #: the simulation stays a compiled no-op.
     telemetry: Optional[ScenarioTelemetry] = None
+    #: Which nodes of the ``graph:`` block live in this process; ``None``
+    #: (every single-process build) means all of them.  Under a placement,
+    #: ``hosts`` still names every host — the remote ones as address-only
+    #: proxies — while ``apps``/``workloads``/``graph_net`` hold the local
+    #: slice.
+    placement: Optional[Placement] = None
+
+    def is_local(self, node: str) -> bool:
+        """Whether the named node is simulated in this process."""
+        return self.placement is None or node in self.placement.local
+
+    def directed_links(self) -> Iterator[Tuple[int, str, Link]]:
+        """``(declaration index, result name, link)`` of every link simulated here.
+
+        The one walk the result collector, the telemetry wiring and the
+        service's link lookup share.  Indices count directed links over the
+        whole spec (forward ``2*i``, reverse ``2*i + 1``), so the slices of
+        a sharded run interleave back into declaration order.
+        """
+        for index, ((a, b), channel) in enumerate(self.channels.items()):
+            yield 2 * index, f"{a}->{b}", channel.forward
+            yield 2 * index + 1, f"{b}->{a}", channel.reverse
+        if self.dumbbell is not None:
+            yield 0, "bottleneck", self.dumbbell.bottleneck
+            yield 1, "bottleneck-rev", self.dumbbell.bottleneck_reverse
+        if self.graph_net is not None:
+            links = self.graph_net.links
+            for index, link_spec in enumerate(self.spec.graph.links):
+                a, b = link_spec.a, link_spec.b
+                for key, pair in ((2 * index, (a, b)), (2 * index + 1, (b, a))):
+                    if pair in links:
+                        yield key, f"{pair[0]}->{pair[1]}", links[pair]
 
     def host(self, name: str) -> Host:
         """Look up a host by spec name."""
@@ -113,6 +153,7 @@ def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int)
     uses.
     """
     graph_spec = spec.graph
+    placement = scenario.placement
     host_index = 0
     node_payloads = []
     for node in graph_spec.nodes:
@@ -143,39 +184,62 @@ def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int)
         }
         for link in graph_spec.links
     ]
+    slice_inputs = {} if placement is None else {
+        "local": placement.local,
+        "boundary_link": placement.boundary_link,
+        "next_hops": placement.next_hops,
+    }
     net = build_graph(
         scenario.sim, node_payloads, link_payloads,
-        seed=run_seed, host_costs_factory=HostCosts,
+        seed=run_seed, host_costs_factory=HostCosts, **slice_inputs,
     )
     scenario.graph_net = net
-    scenario.hosts.update(net.hosts)
+    # Node declaration order, live hosts and proxies alike: telemetry
+    # sources and the hosts section follow this dict's order.
+    for name, addr in net.host_addrs.items():
+        scenario.hosts[name] = net.hosts[name] if name in net.hosts else RemoteHost(name, addr)
     for node in graph_spec.nodes:
-        if node.cm:
+        if node.cm and node.name in net.hosts:
             _attach_cm(net.hosts[node.name], node)
-    # Reroute events are scheduled at build time (not by the runner) so the
-    # event sequence numbering is identical in the single-process and
-    # sharded engines, which schedule them from the same declaration order.
+    # Reroute events are scheduled at build time (not by the runner), after
+    # CM attach and before the apps, so the event sequence numbering is the
+    # same in every process of either engine.  The partitioner already
+    # bounded the lookahead by each cut link's post-reroute minimum delay.
     for reroute in graph_spec.reroutes:
         scenario.sim.schedule(reroute.time, net.apply_reroute,
                               reroute.a, reroute.b, reroute.delay)
 
 
+def _placed_here(scenario: Scenario, path: str, member_spec, member_cls) -> bool:
+    """Whether this process builds the app/workload declared at ``path``."""
+    if not scenario.is_local(member_spec.host):
+        return False
+    if (member_cls.colocate_peer and member_spec.peer
+            and not scenario.is_local(member_spec.peer)):
+        raise SpecError(  # the partitioner guarantees this; fail loud if not
+            path, f"{member_cls.name!r} needs its peer {member_spec.peer!r} on the same shard")
+    return True
+
+
 def build(spec: ScenarioSpec, seed: Optional[int] = None,
-          trace_path: Optional[str] = None) -> Scenario:
+          trace_path: Optional[str] = None,
+          placement: Optional[Placement] = None) -> Scenario:
     """Validate ``spec`` and wire the simulation it describes.
 
     ``seed`` overrides ``spec.seed``; it feeds every link's loss RNG (offset
     per link) so a multi-seed sweep re-uses one spec.  ``trace_path``
     additionally streams every telemetry event and sample to a JSON-lines
     file (attaching probes even when the spec carries no telemetry block —
-    the result payload is unaffected in that case).
+    the result payload is unaffected in that case).  ``placement`` is the
+    sharded engine's hook (graph specs only): build just the slice it names,
+    cut links emitting into its outbox.
     """
     spec.validate()
     run_seed = spec.seed if seed is None else int(seed)
 
     sim = Simulator()
     hosts: Dict[str, Host] = {}
-    scenario = Scenario(spec=spec, seed=run_seed, sim=sim, hosts=hosts)
+    scenario = Scenario(spec=spec, seed=run_seed, sim=sim, hosts=hosts, placement=placement)
 
     if spec.dumbbell is not None:
         dumbbell_spec = spec.dumbbell
@@ -231,12 +295,17 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
             if host_spec.cm:
                 _attach_cm(hosts[host_spec.name], host_spec)
 
+    # Labels, ``index`` (the result collector's merge key) and workload RNG
+    # streams all come from the position in the *full* declaration.
     for index, app_spec in enumerate(spec.apps):
+        app_cls = get_application(app_spec.app)
+        if placement is not None and not _placed_here(
+                scenario, f"apps[{index}]", app_spec, app_cls):
+            continue
         # spec.validate() above already walked every app's schema and cached
         # the defaults-applied params; reuse them instead of re-validating
         # on the per-trial construction path.
         params = app_spec.normalized_params()
-        app_cls = get_application(app_spec.app)
         peer = hosts[app_spec.peer] if app_spec.peer else None
         try:
             app = app_cls(hosts[app_spec.host], peer, app_spec, params)
@@ -246,6 +315,7 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
             raise SpecError(f"apps[{index}]", f"building {app_spec.app!r} failed: {exc}") from exc
         if not app_spec.label:
             app.label = f"{app_spec.app}[{index}]"
+        app.index = index
         scenario.apps.append(app)
 
     if spec.workloads:
@@ -253,6 +323,9 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
 
         for index, workload_spec in enumerate(spec.workloads):
             workload_cls = get_workload(workload_spec.kind)
+            if placement is not None and not _placed_here(
+                    scenario, f"workloads[{index}]", workload_spec, workload_cls):
+                continue
             # Each generator draws from its own RNG stream (see
             # workload_rng_seed for the shard-invariance contract).
             rng = random.Random(workload_rng_seed(run_seed, workload_spec.seed_offset, index))
@@ -266,6 +339,7 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
                                 f"building {workload_spec.kind!r} failed: {exc}") from exc
             if not workload_spec.label:
                 workload.label = f"{workload_spec.kind}[{index}]"
+            workload.index = index
             scenario.workloads.append(workload)
 
     if spec.telemetry is not None or trace_path is not None:

@@ -12,10 +12,11 @@ inputs — the same determinism contract the experiment artifacts follow.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .builder import Scenario, build
 from .spec import ScenarioSpec, SpecError
@@ -25,6 +26,11 @@ __all__ = [
     "run",
     "run_built",
     "run_streaming",
+    "started",
+    "drive",
+    "apps_done",
+    "finish",
+    "assemble_result",
     "validate_result_payload",
     "DEFAULT_CONTROL_INTERVAL",
 ]
@@ -193,53 +199,136 @@ def _link_metrics(name: str, link) -> Dict[str, Any]:
     }
 
 
-def _collect(scenario: Scenario, duration: float) -> ScenarioResult:
-    spec = scenario.spec
-    result = ScenarioResult(
-        name=spec.name,
-        seed=scenario.seed,
-        spec_digest=spec_digest(spec),
-        duration_s=duration,
-    )
-    groups = set(spec.metrics)
+#: One result section: ``(declaration index, entry)`` pairs.
+Sections = Dict[str, List[Tuple[int, Dict[str, Any]]]]
+
+
+def _collect(scenario: Scenario, duration: float) -> Sections:
+    """Harvest the result entries of everything ``scenario`` simulates.
+
+    Every entry carries its position in the *whole* spec's declaration (app
+    and workload index, directed link index, host index), so the slices of a
+    sharded run merge back into single-process order in
+    :func:`assemble_result` — and one all-local scenario is already there.
+    """
+    groups = set(scenario.spec.metrics)
+    sections: Sections = {"apps": [], "links": [], "hosts": [], "workloads": []}
     if "apps" in groups:
         for app in scenario.apps:
-            result.apps.append({
+            sections["apps"].append((app.index, {
                 "app": app.spec.app,
                 "host": app.spec.host,
                 "label": app.label,
                 "metrics": app.metrics(),
-            })
+            }))
     if "links" in groups:
-        for (a, b), channel in scenario.channels.items():
-            result.links.append(_link_metrics(f"{a}->{b}", channel.forward))
-            result.links.append(_link_metrics(f"{b}->{a}", channel.reverse))
-        if scenario.dumbbell is not None:
-            result.links.append(_link_metrics("bottleneck", scenario.dumbbell.bottleneck))
-            result.links.append(_link_metrics("bottleneck-rev", scenario.dumbbell.bottleneck_reverse))
-        if scenario.graph_net is not None:
-            for (a, b), link in scenario.graph_net.links.items():
-                result.links.append(_link_metrics(f"{a}->{b}", link))
+        for index, name, link in scenario.directed_links():
+            sections["links"].append((index, _link_metrics(name, link)))
     if "hosts" in groups:
-        for name, host in scenario.hosts.items():
+        for index, (name, host) in enumerate(scenario.hosts.items()):
+            if not scenario.is_local(name):
+                continue
             costs = host.costs
             entry: Dict[str, Any] = {"host": name}
             if costs is not None:
                 entry["cpu_total_us"] = costs.total_us
                 entry["cpu_utilization"] = costs.utilization(duration) if duration > 0 else 0.0
                 entry["cpu_by_category_us"] = dict(sorted(costs.ledger.snapshot().items()))
-            result.hosts.append(entry)
+            sections["hosts"].append((index, entry))
     for workload in scenario.workloads:
-        result.workloads.append({
+        sections["workloads"].append((workload.index, {
             "kind": workload.spec.kind,
             "host": workload.spec.host,
             "label": workload.label,
             "metrics": workload.metrics(),
-        })
-    telemetry = scenario.telemetry
-    if telemetry is not None and telemetry.in_result:
-        result.telemetry = telemetry.payload()
+        }))
+    return sections
+
+
+def assemble_result(spec: ScenarioSpec, seed: int, duration: float,
+                    slices: Sequence[Sections]) -> ScenarioResult:
+    """One :class:`ScenarioResult` from the collected slices of a run."""
+    result = ScenarioResult(
+        name=spec.name,
+        seed=seed,
+        spec_digest=spec_digest(spec),
+        duration_s=duration,
+    )
+    for key in ("apps", "links", "hosts", "workloads"):
+        entries = [pair for sections in slices for pair in sections[key]]
+        entries.sort(key=lambda pair: pair[0])
+        setattr(result, key, [entry for _index, entry in entries])
     return result
+
+
+@contextlib.contextmanager
+def started(scenario: Scenario) -> Iterator[None]:
+    """Start sampling, apps and workloads; close the trace however the run ends."""
+    spec = scenario.spec
+    sim = scenario.sim
+    try:
+        for link_spec in spec.links:
+            channel = scenario.channels[(link_spec.a, link_spec.b)]
+            for when, rate_bps in link_spec.rate_schedule:
+                if when > 0.0:
+                    sim.schedule(when, channel.set_rate, rate_bps)
+                else:
+                    channel.set_rate(rate_bps)
+        if scenario.telemetry is not None:
+            # First sample at t=start (apps are constructed, flows opened);
+            # sampling only reads state, so probes-on cannot perturb the run.
+            scenario.telemetry.start()
+        for app in scenario.apps:
+            app.start()
+        for workload in scenario.workloads:
+            workload.start()
+        yield
+    finally:
+        if scenario.telemetry is not None:
+            scenario.telemetry.close()
+
+
+def apps_done(states: Sequence[Optional[bool]]) -> bool:
+    """The ``when_apps_done`` predicate over every app's ``done()`` state.
+
+    ``None`` means "not a finite transfer": such apps never hold a run open,
+    but a run with no finite transfer at all has nothing to finish early on.
+    """
+    return (any(state is not None for state in states)
+            and all(state in (None, True) for state in states))
+
+
+def drive(stop, start: float, advance: Callable[[float], float],
+          done_states: Callable[[], Sequence[Optional[bool]]],
+          drained: Callable[[], bool]) -> float:
+    """Advance a started run to its stop condition; returns the end time.
+
+    ``advance(until)`` brings the whole simulation to ``until`` and returns
+    the time reached — ``sim.run`` in-process, lookahead-bounded barrier
+    windows in the sharded coordinator.  Under ``when_apps_done`` the run
+    is examined only at ``start`` and then every ``check_interval``: first
+    the completion predicate, then whether the simulation has drained.
+    """
+    horizon = start + stop.until
+    if not stop.when_apps_done:
+        return advance(horizon)
+    now = start
+    while now < horizon and not apps_done(done_states()) and not drained():
+        now = advance(min(horizon, now + stop.check_interval))
+    return now
+
+
+def finish(scenario: Scenario, duration: float) -> Sections:
+    """Stop sampling, workloads and apps, then collect the result entries."""
+    if scenario.telemetry is not None:
+        scenario.telemetry.stop()
+    # Workloads stop first: their teardown detaches the apps they spawned
+    # and folds the survivors' counters into the workload metrics.
+    for workload in scenario.workloads:
+        workload.stop()
+    for app in scenario.apps:
+        app.stop()
+    return _collect(scenario, duration)
 
 
 def run_built(scenario: Scenario, *, control_hook=None, progress_cb=None,
@@ -255,76 +344,44 @@ def run_built(scenario: Scenario, *, control_hook=None, progress_cb=None,
     contract the result is byte-identical to an unhooked run of the same
     ``(spec, seed)``.  A hook that raises aborts the run; the exception
     propagates to the caller after telemetry is closed.
+
+    The lifecycle is the four pieces the sharded engine runs too —
+    :func:`started`, :func:`drive`, :func:`finish`, :func:`assemble_result`
+    — here over one all-local scenario with ``sim.run`` as the advance.
     """
     spec = scenario.spec
     sim = scenario.sim
     start = sim.now
+    horizon = start + spec.stop.until
+    with started(scenario):
+        try:
+            if control_hook is not None or progress_cb is not None:
+                def _control_tick() -> None:
+                    if control_hook is not None:
+                        control_hook(scenario)
+                    if progress_cb is not None:
+                        progress_cb(sim.now, horizon)
 
-    for link_spec in spec.links:
-        channel = scenario.channels[(link_spec.a, link_spec.b)]
-        for when, rate_bps in link_spec.rate_schedule:
-            if when > 0.0:
-                sim.schedule(when, channel.set_rate, rate_bps)
-            else:
-                channel.set_rate(rate_bps)
-
-    if scenario.telemetry is not None:
-        # First sample at t=start (apps are constructed, flows opened);
-        # sampling only reads state, so probes-on cannot perturb the run.
-        scenario.telemetry.start()
-
-    for app in scenario.apps:
-        app.start()
-    for workload in scenario.workloads:
-        workload.start()
-
-    stop = spec.stop
-    horizon = start + stop.until
-    hooked = control_hook is not None or progress_cb is not None
-    if hooked:
-        def _control_tick() -> None:
-            if control_hook is not None:
-                control_hook(scenario)
+                sim.start_control(control_interval, _control_tick)
+                if progress_cb is not None:
+                    progress_cb(sim.now, horizon)
+            # The control chain keeps the queue non-empty, so the "has the
+            # simulation drained?" question must ignore it — this is what
+            # keeps hooked and batch runs byte-identical here.
+            drive(spec.stop, start, lambda until: sim.run(until=until),
+                  lambda: [app.done() for app in scenario.apps],
+                  sim.idle_except_control)
+            duration = sim.now - start
+            result = assemble_result(spec, scenario.seed, duration,
+                                     [finish(scenario, duration)])
+            telemetry = scenario.telemetry
+            if telemetry is not None and telemetry.in_result:
+                result.telemetry = telemetry.payload()
             if progress_cb is not None:
                 progress_cb(sim.now, horizon)
-
-        sim.start_control(control_interval, _control_tick)
-        if progress_cb is not None:
-            progress_cb(sim.now, horizon)
-    try:
-        if stop.when_apps_done:
-            while sim.now < horizon:
-                states = [app.done() for app in scenario.apps]
-                if any(state is not None for state in states) and all(
-                    state in (None, True) for state in states
-                ):
-                    break
-                # The control chain keeps the queue non-empty, so the "has
-                # the simulation drained?" question must ignore it — this is
-                # what keeps hooked and batch runs byte-identical here.
-                if sim.idle_except_control():
-                    break
-                sim.run(until=min(horizon, sim.now + stop.check_interval))
-        else:
-            sim.run(until=horizon)
-
-        if scenario.telemetry is not None:
-            scenario.telemetry.stop()
-        # Workloads stop first: their teardown detaches the apps they spawned
-        # and folds the survivors' counters into the workload metrics.
-        for workload in scenario.workloads:
-            workload.stop()
-        for app in scenario.apps:
-            app.stop()
-        result = _collect(scenario, duration=sim.now - start)
-        if progress_cb is not None:
-            progress_cb(sim.now, horizon)
-        return result
-    finally:
-        if hooked:
+            return result
+        finally:
             sim.stop_control()
-        if scenario.telemetry is not None:
-            scenario.telemetry.close()
 
 
 def run_streaming(spec: ScenarioSpec, seed: Optional[int] = None, *,

@@ -19,7 +19,7 @@ Two invariants the CI telemetry-determinism job relies on:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..telemetry import (
     JsonlSink,
@@ -99,16 +99,7 @@ class ScenarioTelemetry:
         """
         hub = self.hub
         groups = set(self._effective.samplers)
-        links: List = []
-        for (a, b), channel in scenario.channels.items():
-            links.append((f"{a}->{b}", channel.forward))
-            links.append((f"{b}->{a}", channel.reverse))
-        if scenario.dumbbell is not None:
-            links.append(("bottleneck", scenario.dumbbell.bottleneck))
-            links.append(("bottleneck-rev", scenario.dumbbell.bottleneck_reverse))
-        if scenario.graph_net is not None:
-            for (a, b), link in scenario.graph_net.links.items():
-                links.append((f"{a}->{b}", link))
+        links = [(label, link) for _index, label, link in scenario.directed_links()]
         for _label, link in links:
             link.attach_telemetry(hub)
         for name, host in scenario.hosts.items():

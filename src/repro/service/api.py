@@ -418,10 +418,11 @@ class ServiceApi:
             raise ApiError(400, "'rate_bps' must be positive")
 
         def patch(scenario):
-            link = _find_link(scenario, link_name)
+            links = {name: link for _index, name, link in scenario.directed_links()}
+            link = links.get(link_name)
             if link is None:
                 raise ApiError(404, f"job {job.id} has no link {link_name!r}; "
-                                    f"have {[name for name, _ in _iter_links(scenario)]}")
+                                    f"have {list(links)}")
 
             def apply() -> None:
                 if rate_bps is not None:
@@ -506,25 +507,3 @@ def _flow_entry(mf, flow) -> Dict[str, Any]:
         "pending_requests": mf.scheduler.pending_requests(flow.flow_id),
         "stats": dataclasses.asdict(flow.stats),
     }
-
-
-def _iter_links(scenario) -> List[Tuple[str, Any]]:
-    """Every (name, Link) pair, the same naming the telemetry layer uses."""
-    links: List[Tuple[str, Any]] = []
-    for (a, b), channel in scenario.channels.items():
-        links.append((f"{a}->{b}", channel.forward))
-        links.append((f"{b}->{a}", channel.reverse))
-    if scenario.dumbbell is not None:
-        links.append(("bottleneck", scenario.dumbbell.bottleneck))
-        links.append(("bottleneck-rev", scenario.dumbbell.bottleneck_reverse))
-    if scenario.graph_net is not None:
-        for (a, b), link in scenario.graph_net.links.items():
-            links.append((f"{a}->{b}", link))
-    return links
-
-
-def _find_link(scenario, name: str):
-    for link_name, link in _iter_links(scenario):
-        if link_name == name:
-            return link
-    return None

@@ -240,9 +240,11 @@ class _AttachedApp:
             self.kind = kind
             self.host = host
 
-    def __init__(self, app, host_name: str, label: str):
+    def __init__(self, app, host_name: str, label: str, index: int):
         self.app = app
         self.label = label
+        #: Result-order key: after every declared workload, in attach order.
+        self.index = index
         self.spec = self._Spec(self.kind, host_name)
         self._stopped = False
 
@@ -292,7 +294,7 @@ def attach_app_in_loop(scenario, app_name: str, host_name: str,
     if scenario.telemetry is not None:
         app.attach_telemetry(scenario.telemetry.hub)
     app.start()
-    scenario.workloads.append(_AttachedApp(app, host_name, label))
+    scenario.workloads.append(_AttachedApp(app, host_name, label, len(scenario.workloads)))
     return {"label": label, "app": app_name, "host": host_name,
             "peer": peer_name or None, "attached_at": scenario.sim.now}
 

@@ -2,8 +2,8 @@
 
 Every recorder in this module holds **bounded** memory no matter how many
 observations are pushed through it — the property that lets a probes-on
-simulation process millions of packet events without the unbounded-list
-growth the old :class:`~repro.netsim.trace.PacketTrace` suffered from.
+simulation process millions of packet events without unbounded-list
+growth.
 Four shapes cover the telemetry layer's needs:
 
 * :class:`FixedBinAccumulator` — sums values into fixed-width time bins,

@@ -68,6 +68,9 @@ class Workload:
     #: than only passing ``peer.addr`` along).  The sharded engine keeps such
     #: host/peer pairs in the same shard.
     colocate_peer: ClassVar[bool] = False
+    #: Position in ``spec.workloads``, assigned by the builder: the key
+    #: result entries are ordered (and sharded slices merged) by.
+    index: Optional[int] = None
 
     def __init__(self, scenario, spec: WorkloadSpec, params: Dict[str, Any],
                  rng: random.Random):

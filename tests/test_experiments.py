@@ -12,7 +12,8 @@ import pytest
 from repro.experiments import figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10, table1
 from repro.experiments import ablations
 from repro.experiments.base import ExperimentResult, format_table
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.registry import SPECS
+from repro.experiments.runner import run_experiment
 
 
 class TestResultContainer:
@@ -138,7 +139,7 @@ class TestAblationsAndRunner:
         assert shared_second < split_second
 
     def test_runner_knows_every_experiment(self):
-        assert set(EXPERIMENTS) == {
+        assert set(SPECS) == {
             "figure3", "figure4", "figure5", "figure6", "table1",
             "figure7", "figure8", "figure9", "figure10", "ablations",
             "aggressiveness", "timeseries", "scale", "hostile", "burstloss",

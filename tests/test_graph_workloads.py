@@ -112,8 +112,8 @@ class TestBuildGraph:
                    {"a": "r", "b": "h1", "rate_bps": 1e6, "delay": 0.001}],
         )
         router = net.nodes["r"]
-        router.receive_from_link(Packet(src="10.9.9.9", dst="10.99.0.1", sport=1,
-                                        dport=1, payload_bytes=10, protocol="udp"))
+        router.ip.receive(Packet(src="10.9.9.9", dst="10.99.0.1", sport=1,
+                                 dport=1, payload_bytes=10, protocol="udp"))
         assert router.ip.forward_drops == 1
         assert router.ip.packets_forwarded == 0
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.netsim import (GilbertElliottLoss, Link, Packet, PacketTrace,
-                          RateTracker, RedQueue, Simulator, make_aqm,
-                          make_loss_model)
+from repro.netsim import (GilbertElliottLoss, Link, Packet, RateTracker,
+                          RedQueue, Simulator, make_aqm, make_loss_model)
 from repro.netsim.packet import (
     DEFAULT_MSS,
     DEFAULT_MTU,
@@ -425,15 +424,6 @@ class TestRedQueue:
 
 
 class TestTrace:
-    def test_packet_trace_filters_by_kind(self):
-        trace = PacketTrace()
-        trace.log(0.0, "send", "a", "b", 100)
-        trace.log(0.1, "recv", "a", "b", 100)
-        trace.log(0.2, "send", "a", "b", 50)
-        assert len(trace) == 3
-        assert len(trace.events("send")) == 2
-        assert trace.bytes_between(0.0, 0.3, kind="recv") == 100
-
     def test_rate_tracker_series(self):
         tracker = RateTracker(bin_width=1.0)
         tracker.record(0.2, 1000)

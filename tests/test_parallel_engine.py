@@ -11,6 +11,8 @@ integration (progress = barrier time, no mailbox on sharded jobs).
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,11 +22,12 @@ from repro.netsim.engine import Simulator
 from repro.netsim.ingress import IngressSequencer
 from repro.netsim.parallel import partition_graph, run_sharded
 from repro.netsim.parallel.boundary import BoundaryLink
+from repro.netsim.parallel.shard import Placement
 from repro.netsim.parallel.wire import decode_packet, encode_packet
 from repro.netsim.packet import Packet, TCPHeader
 from repro.scenario import get_preset
-from repro.scenario.builder import workload_rng_seed
-from repro.scenario.runner import run, spec_digest
+from repro.scenario.builder import build, workload_rng_seed
+from repro.scenario.runner import apps_done, drive, run, run_built, spec_digest
 from repro.scenario.spec import (
     AppSpec,
     EngineSpec,
@@ -118,6 +121,156 @@ class TestShardedByteIdentity:
         spec = get_preset("dumbbell_bulk")
         with pytest.raises(SpecError):
             run(spec, shards=2)
+
+
+# ===================================================================== #
+# One build under a placement: the invariants byte-identity stands on   #
+# ===================================================================== #
+#: (preset, seed) pairs with a checked-in golden result (graph presets).
+GOLDEN_GRAPH_PRESETS = (
+    ("parking_lot_mix", 21),
+    ("star_web_churn", 5),
+    ("mesh_macroflow_sharing", 9),
+    ("gilbert_wireless_bulk", 17),
+    ("red_gateway_sharing", 19),
+    ("flash_crowd_star", 23),
+    ("cm_vs_udp_blast", 27),
+    ("mobile_handoff_reroute", 31),
+)
+
+
+def _placements(spec, shards):
+    """Every shard's placement of ``spec``, as the coordinator derives them."""
+    part = partition_graph(spec, shards)
+    next_hops = spec.graph.routing()
+    return [Placement(frozenset(part.members(k)), next_hops)
+            for k in range(part.shards)]
+
+
+def _identity(scenario):
+    """What a build must derive from global declaration positions only."""
+    return {
+        "nodes": list(scenario.graph_net.nodes),
+        "links": [(index, name, link._rng.getstate())
+                  for index, name, link in scenario.directed_links()],
+        "apps": [(app.index, app.label) for app in scenario.apps],
+        "workloads": [(w.index, w.label) for w in scenario.workloads],
+    }
+
+
+class TestPlacementInvariants:
+    @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_slices_cover_the_all_local_build_exactly_once(self, preset, seed, shards):
+        spec = get_preset(preset)
+        whole = _identity(build(spec, seed=seed))
+        slices = [build(spec, seed=seed, placement=placement)
+                  for placement in _placements(spec, shards)]
+        for key, expected in whole.items():
+            pieces = [item for scenario in slices for item in _identity(scenario)[key]]
+            # Same members with the same global identity, and none built twice.
+            assert sorted(pieces) == sorted(expected), key
+        for scenario in slices:
+            for _index, name, link in scenario.directed_links():
+                # A directed link is owned, whole, by the shard of its source;
+                # it is a boundary stub exactly when its destination is remote.
+                src, dst = name.split("->")
+                assert scenario.is_local(src)
+                assert isinstance(link, BoundaryLink) == (not scenario.is_local(dst))
+
+    @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
+    def test_every_slice_lists_all_hosts_in_declaration_order(self, preset, seed):
+        # Telemetry sources register in ``scenario.hosts`` order, so it must
+        # be the declaration order in every process — never a set's order.
+        spec = get_preset(preset)
+        for placement in _placements(spec, 2):
+            scenario = build(spec, seed=seed, placement=placement)
+            assert list(scenario.hosts) == spec.graph.host_names()
+            assert [name for name in scenario.hosts if scenario.is_local(name)] == [
+                name for name in scenario.graph_net.hosts]
+
+    @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
+    def test_the_all_local_placement_is_the_single_process_run(self, preset, seed):
+        spec = get_preset(preset)
+        plain = build(spec, seed=seed)
+        everything = Placement(frozenset(spec.graph.node_names()), spec.graph.routing())
+        placed = build(spec, seed=seed, placement=everything)
+        assert _identity(placed) == _identity(plain)
+        produced = run_built(placed).to_json()
+        with open(os.path.join(GOLDEN_DIR, f"{preset}.seed{seed}.json"),
+                  encoding="utf-8") as fh:
+            assert produced == fh.read()
+        run_built(plain)
+        assert placed.sim.events_dispatched == plain.sim.events_dispatched
+        assert not everything.outbox
+
+
+# ===================================================================== #
+# The stop-condition driver (shared by run_built and the coordinator)   #
+# ===================================================================== #
+class _FakeRun:
+    """A scripted ``advance``/``done_states``/``drained`` triple that logs calls."""
+
+    def __init__(self, done_at=None, drained_at=None):
+        self.now = 0.0
+        self.calls = []
+        self.done_at = done_at
+        self.drained_at = drained_at
+
+    def advance(self, until):
+        self.calls.append(("advance", until))
+        self.now = until
+        return until
+
+    def done_states(self):
+        self.calls.append(("states", self.now))
+        done = self.done_at is not None and self.now >= self.done_at
+        return [None, done]
+
+    def drained(self):
+        self.calls.append(("drained", self.now))
+        return self.drained_at is not None and self.now >= self.drained_at
+
+
+class TestStopConditionDriver:
+    def test_apps_done_needs_a_finite_transfer_and_all_of_them_finished(self):
+        assert not apps_done([])
+        assert not apps_done([None, None])       # nothing to finish early on
+        assert not apps_done([None, True, False])
+        assert apps_done([None, True, True])
+
+    def test_fixed_horizon_is_one_advance_and_no_polling(self):
+        fake = _FakeRun()
+        end = drive(StopSpec(until=7.5), 2.0, fake.advance, fake.done_states, fake.drained)
+        assert end == 9.5
+        assert fake.calls == [("advance", 9.5)]
+
+    def test_predicate_is_asked_before_drained_and_only_on_the_check_grid(self):
+        fake = _FakeRun(done_at=1.5)
+        stop = StopSpec(until=10.0, when_apps_done=True, check_interval=0.5)
+        end = drive(stop, 0.0, fake.advance, fake.done_states, fake.drained)
+        assert end == 1.5
+        assert fake.calls == [
+            ("states", 0.0), ("drained", 0.0), ("advance", 0.5),
+            ("states", 0.5), ("drained", 0.5), ("advance", 1.0),
+            ("states", 1.0), ("drained", 1.0), ("advance", 1.5),
+            ("states", 1.5),                      # done: drained is not asked
+        ]
+
+    def test_a_drained_simulation_ends_the_run_at_the_grid_point(self):
+        fake = _FakeRun(drained_at=0.5)
+        stop = StopSpec(until=10.0, when_apps_done=True, check_interval=0.5)
+        assert drive(stop, 0.0, fake.advance, fake.done_states, fake.drained) == 0.5
+        assert [call for call in fake.calls if call[0] == "advance"] == [("advance", 0.5)]
+
+    def test_the_last_interval_is_clamped_to_the_horizon(self):
+        fake = _FakeRun()
+        stop = StopSpec(until=1.2, when_apps_done=True, check_interval=0.5)
+        end = drive(stop, 3.0, fake.advance, fake.done_states, fake.drained)
+        assert end == pytest.approx(4.2)
+        targets = [until for kind, until in fake.calls if kind == "advance"]
+        assert targets == [pytest.approx(3.5), pytest.approx(4.0), pytest.approx(4.2)]
+        assert fake.calls[-1][0] == "advance"     # no poll once the horizon is reached
 
 
 # ===================================================================== #
@@ -541,3 +694,54 @@ class TestShardedTraces:
         assert times == sorted(times)
         # No stray per-shard files left behind.
         assert not list(tmp_path.glob("*.shard*"))
+
+    def test_a_cancelled_run_leaves_no_trace_files_behind(self, tmp_path):
+        # The service cancels a sharded job by raising from progress_cb at a
+        # barrier; the workers must still close their parts and the
+        # coordinator remove them.
+        class Cancelled(Exception):
+            pass
+
+        def cancel_mid_run(now, horizon):
+            if now > 0.5:
+                raise Cancelled
+
+        with pytest.raises(Cancelled):
+            run_sharded(get_preset("star_web_churn"), seed=5, shards=2,
+                        trace_path=str(tmp_path / "cancelled.jsonl"),
+                        progress_cb=cancel_mid_run)
+        assert not list(tmp_path.iterdir())
+
+    def test_a_failed_worker_leaves_no_trace_files_behind(self, tmp_path, monkeypatch):
+        # One shard's build fails (forked workers inherit the patch); the
+        # other shard built fine and opened its part, which must go too.
+        import repro.scenario.builder as builder
+
+        spec = get_preset("star_web_churn")
+        unlucky = partition_graph(spec, 2).members(1)[0]
+        real_build = builder.build
+
+        def build_or_fail(spec, seed=None, trace_path=None, placement=None):
+            if placement is not None and unlucky in placement.local:
+                raise SpecError("apps[0]", "injected build failure")
+            return real_build(spec, seed=seed, trace_path=trace_path, placement=placement)
+
+        monkeypatch.setattr(builder, "build", build_or_fail)
+        with pytest.raises(SpecError, match="injected build failure"):
+            run_sharded(spec, seed=5, shards=2, trace_path=str(tmp_path / "failed.jsonl"))
+        assert not list(tmp_path.iterdir())
+
+    def test_trace_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Telemetry sources used to register in set-iteration order in the
+        # shard build, so the merged trace changed with PYTHONHASHSEED.
+        traces = []
+        for hash_seed in ("1", "5"):
+            trace = tmp_path / f"hashseed{hash_seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            subprocess.run(
+                [sys.executable, "-m", "repro.scenario", "run", "mesh_macroflow_sharing",
+                 "--shards", "2", "--trace", str(trace), "--quiet"],
+                check=True, env=env, timeout=300)
+            traces.append(trace.read_bytes())
+        assert traces[0] and traces[0] == traces[1]

@@ -29,10 +29,10 @@ class TestRegistryContract:
         assert specs and all(t.experiment == name for t in specs)
 
     def test_cli_knows_the_new_names(self):
-        from repro.experiments import runner
+        from repro.experiments.registry import SPECS
 
-        assert "hostile" in runner.EXPERIMENTS
-        assert "burstloss" in runner.EXPERIMENTS
+        assert "hostile" in SPECS
+        assert "burstloss" in SPECS
 
 
 class TestHostile:

@@ -84,8 +84,10 @@ class TestRunnerMain:
         meta2 = json.loads((out / "_quick.meta.json").read_text())
         assert meta2["trials_from_cache"] == 2
 
-    def test_legacy_mapping_still_lists_all_experiments(self):
-        assert "figure3" in runner.EXPERIMENTS and "aggressiveness" in runner.EXPERIMENTS
+    def test_registry_lists_the_experiments_the_cli_runs(self):
+        from repro.experiments.registry import SPECS
+
+        assert "figure3" in SPECS and "aggressiveness" in SPECS
 
 
 class TestArtifacts:

@@ -50,14 +50,14 @@ class TestBuild:
         testbed = build_testbed(dummynet_pair_spec(loss_rate=0.0, with_costs=False), seed=1)
         assert testbed.sender.costs is None and testbed.receiver.costs is None
 
-    def test_legacy_wrappers_compile_their_specs(self):
-        from repro.experiments.topology import dummynet_pair, lan_pair, wan_pair
+    def test_each_pair_spec_compiles_to_its_testbed(self):
+        from repro.experiments.topology import wan_pair_spec
 
-        assert lan_pair(seed=2).channel.rate_bps == 100e6
-        dummynet = dummynet_pair(loss_rate=0.02, seed=2)
+        assert build_testbed(lan_pair_spec(), seed=2).channel.rate_bps == 100e6
+        dummynet = build_testbed(dummynet_pair_spec(loss_rate=0.02), seed=2)
         assert dummynet.channel.forward.loss_rate == 0.02
         assert dummynet.channel.reverse.loss_rate == 0.0
-        assert wan_pair(seed=2).channel.rtt == pytest.approx(0.075)
+        assert build_testbed(wan_pair_spec(), seed=2).channel.rtt == pytest.approx(0.075)
 
     def test_cm_attachment_with_named_controller(self):
         spec = ScenarioSpec(

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.netsim import Link, Packet, PacketTrace, RateTracker, Simulator
+from repro.netsim import Link, Packet, RateTracker, Simulator
 from repro.netsim.packet import IP_HEADER_BYTES, UDP_HEADER_BYTES
 
 
@@ -208,15 +208,6 @@ class TestSampler:
 
 
 class TestTraceFacades:
-    def test_packet_trace_is_bounded_with_drop_counter(self):
-        trace = PacketTrace(capacity=4)
-        for i in range(10):
-            trace.log(float(i), "send", "a", "b", 100)
-        assert len(trace) == 4
-        assert trace.dropped_records == 6
-        assert [r.time for r in trace.records] == [6.0, 7.0, 8.0, 9.0]
-        assert trace.bytes_between(6.0, 9.0, kind="send") == 300
-
     def test_rate_tracker_series_matches_legacy_semantics(self):
         tracker = RateTracker(bin_width=0.5)
         tracker.record(0.1, 500)
