@@ -430,7 +430,7 @@ def bench_scenario_build(builds: int, repeats: int) -> BenchResult:
         baseline_wall_s=base,
         notes=(
             "dummynet_pair testbed: declarative ScenarioSpec compile (memoized sealed "
-            "pair specs + content-keyed validation cache + wiring) vs the seed's "
+            "pair specs, whose validate() is a no-op, + wiring) vs the seed's "
             "hand-wired construction; ops = testbeds built"
         ),
     )

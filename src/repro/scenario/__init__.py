@@ -23,7 +23,6 @@ workload blocks (``repro.workloads``) added on top of it.
 
 from .applications import (
     Application,
-    Param,
     describe_applications,
     get_application,
     known_applications,
@@ -41,6 +40,7 @@ from .spec import (
     GraphSpec,
     HostSpec,
     LinkSpec,
+    Param,
     RerouteSpec,
     ScenarioSpec,
     SpecError,

@@ -7,7 +7,9 @@ an :class:`Application` subclass with one common signature:
 * constructed by the builder from a validated :class:`~repro.scenario.spec.AppSpec`
   (host and peer already resolved to :class:`~repro.netsim.node.Host`
   objects, params normalized against the declared :attr:`Application.PARAMS`
-  schema);
+  schema — a table of :class:`~repro.scenario.spec.Param`, walked by the
+  same :func:`~repro.scenario.spec.check_mapping` that checks workload
+  params and the spec blocks' own fields);
 * :meth:`Application.start` begins the workload (the simulator has not run
   yet when it is called);
 * :meth:`Application.done` optionally reports completion for
@@ -23,7 +25,6 @@ Registering a new workload is one subclass plus a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..apps.alfapp import TCP_VARIANTS, TCPApiTestApp, UDP_VARIANTS, UDPApiTestApp
@@ -36,125 +37,23 @@ from ..netsim.node import Host
 from ..netsim.packet import DEFAULT_MSS
 from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
 from ..transport.udp.feedback import AckReflector
-from .spec import AppSpec, SpecError, _kv
+from .spec import AppSpec, Param, SpecError, check_mapping
 
 __all__ = [
-    "Param",
     "Application",
     "register_application",
     "get_application",
     "known_applications",
     "validate_params",
+    "describe_params",
     "describe_applications",
 ]
 
 
-@dataclass(frozen=True)
-class Param:
-    """Typed parameter declaration for an application or workload.
-
-    ``minimum`` bounds numeric parameters (``exclusive_minimum`` makes the
-    bound strict) so values that would hang or crash a generator mid-run —
-    a zero reap interval, a zero-mean think time — fail eagerly at
-    ``spec.validate()`` with a path-qualified message instead.
-    """
-
-    type: type
-    default: Any = None
-    required: bool = False
-    help: str = ""
-    choices: Optional[Tuple[Any, ...]] = None
-    nullable: bool = False
-    minimum: Optional[float] = None
-    exclusive_minimum: bool = False
-
-
-def _coerced(value: Any, param: Param) -> Any:
-    """Accept ints where floats are declared; reject bool-as-int confusion."""
-    if param.type is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    return value
-
-
-#: Memo of successful schema walks, keyed by (app class, frozen params).
-#: The key includes the class object itself, so re-registering a different
-#: class under the same name can never serve stale defaults.
-_PARAMS_CACHE: Dict[tuple, Dict[str, Any]] = {}
-_PARAMS_CACHE_MAX = 1024
-
-
 def validate_params(app_name: str, params: Dict[str, Any], path: str = "params") -> Dict[str, Any]:
     """Validate ``params`` against the app's schema; return defaults-applied dict."""
-    return validate_params_cached(get_application(app_name), app_name, params, path,
-                                  _PARAMS_CACHE, _PARAMS_CACHE_MAX)
-
-
-def validate_params_cached(schema_cls: type, name: str, params: Dict[str, Any], path: str,
-                           cache: Dict[tuple, Dict[str, Any]], cache_max: int) -> Dict[str, Any]:
-    """Memoized schema walk shared by the application and workload registries.
-
-    The key includes the schema class object itself, so re-registering a
-    different class under the same name can never serve stale defaults;
-    hits hand back a copy so callers may mutate their dict freely.
-    """
-    try:
-        key = (schema_cls, tuple(sorted((pname, _kv(value)) for pname, value in params.items())))
-    except TypeError:
-        key = None  # unhashable value; the schema walk below will name it
-    if key is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return dict(cached)
-    normalized = _validate_params_walk(schema_cls, name, params, path)
-    if key is not None:
-        if len(cache) >= cache_max:
-            cache.clear()
-        cache[key] = dict(normalized)
-    return normalized
-
-
-def _validate_params_walk(app_cls: type, app_name: str, params: Dict[str, Any],
-                          path: str) -> Dict[str, Any]:
-    """The full schema walk behind :func:`validate_params`."""
-    schema = app_cls.PARAMS
-    unknown = sorted(set(params) - set(schema))
-    if unknown:
-        raise SpecError(
-            path,
-            f"unknown parameter{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(map(repr, unknown))} for application {app_name!r}; "
-            f"valid parameters: {', '.join(sorted(schema)) or '(none)'}",
-        )
-    normalized: Dict[str, Any] = {}
-    for name, param in schema.items():
-        if name not in params:
-            if param.required:
-                raise SpecError(f"{path}.{name}",
-                                f"required parameter for application {app_name!r} "
-                                f"({param.help or param.type.__name__})")
-            normalized[name] = param.default
-            continue
-        value = _coerced(params[name], param)
-        if value is None:
-            if not param.nullable:
-                raise SpecError(f"{path}.{name}", "may not be null")
-        elif not isinstance(value, param.type) or (param.type is not bool and isinstance(value, bool)):
-            raise SpecError(f"{path}.{name}",
-                            f"expected {param.type.__name__}, got {type(value).__name__} ({value!r})")
-        if param.choices is not None and value not in param.choices:
-            raise SpecError(f"{path}.{name}",
-                            f"must be one of {', '.join(map(repr, param.choices))}, got {value!r}")
-        if (param.minimum is not None and value is not None
-                and isinstance(value, (int, float)) and not isinstance(value, bool)):
-            if param.exclusive_minimum:
-                if value <= param.minimum:
-                    raise SpecError(f"{path}.{name}",
-                                    f"must be > {param.minimum}, got {value!r}")
-            elif value < param.minimum:
-                raise SpecError(f"{path}.{name}",
-                                f"must be >= {param.minimum}, got {value!r}")
-        normalized[name] = value
-    return normalized
+    return check_mapping(get_application(app_name).PARAMS, params, path,
+                         f"application {app_name!r}")
 
 
 class Application:
@@ -257,26 +156,22 @@ def known_applications() -> List[str]:
     return sorted(APPLICATIONS)
 
 
+def describe_params(table: Dict[str, Param]) -> List[str]:
+    """One summary line per parameter of a ``PARAMS`` table (CLI listings)."""
+    lines = []
+    for name, param in sorted(table.items()):
+        bits = [param.type.__name__,
+                "required" if param.required else f"default={param.default!r}"]
+        if param.choices:
+            bits.append(f"one of {'/'.join(map(str, param.choices))}")
+        lines.append(f"{name} ({', '.join(bits)})" + (f": {param.help}" if param.help else ""))
+    return lines
+
+
 def describe_applications() -> List[Tuple[str, str, List[str]]]:
     """(name, description, parameter summaries) rows for the CLI listing."""
-    rows = []
-    for name in known_applications():
-        cls = APPLICATIONS[name]
-        param_lines = []
-        for pname, param in sorted(cls.PARAMS.items()):
-            bits = [param.type.__name__]
-            if param.required:
-                bits.append("required")
-            else:
-                bits.append(f"default={param.default!r}")
-            if param.choices:
-                bits.append(f"one of {'/'.join(map(str, param.choices))}")
-            summary = f"{pname} ({', '.join(bits)})"
-            if param.help:
-                summary += f": {param.help}"
-            param_lines.append(summary)
-        rows.append((name, cls.description, param_lines))
-    return rows
+    return [(name, APPLICATIONS[name].description, describe_params(APPLICATIONS[name].PARAMS))
+            for name in known_applications()]
 
 
 # ====================================================================== #

@@ -13,10 +13,19 @@ objects.
 
 Design rules:
 
-* **Eager validation** — :meth:`ScenarioSpec.validate` checks the whole tree
-  (host references, rate/loss ranges, application names and parameter types
-  against the :mod:`repro.scenario.applications` registry) and raises
-  :class:`SpecError` with a path-qualified, actionable message.
+* **One field table** — every block declares each field once, as a
+  :class:`Param` in its ``FIELDS`` table.  :class:`_Block` derives the
+  dataclass constructor, the type/range checks, ``to_dict``, the strict
+  ``from_dict`` and the ``seal()`` walk from it; application params,
+  workload params and the per-kind ``loss``/``aqm`` mappings are checked by
+  the same :func:`check_value` through :func:`check_mapping`.  Only what
+  relates two fields or two blocks (endpoints name declared hosts, ``loss``
+  excludes ``loss_rate``, ...) is hand-written, in ``check_relations``.
+* **Eager validation** — :meth:`ScenarioSpec.validate` type-checks the whole
+  tree before anything hashes, iterates or compares a field, then checks the
+  relations, and raises :class:`SpecError` with a path-qualified message
+  built only on failure.  The walk is cheap, so nothing memoizes it;
+  :meth:`ScenarioSpec.seal` is the one fast path.
 * **Strict JSON round-trip** — ``spec.to_dict()`` and
   ``ScenarioSpec.from_dict`` are inverses; ``from_dict`` rejects unknown
   keys, naming the offending key and listing the valid ones.
@@ -28,11 +37,20 @@ Design rules:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+import functools
+import sys
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
+
+from ..telemetry.probes import EVENT_NAMES
+from ..telemetry.samplers import SAMPLER_GROUPS
 
 __all__ = [
     "SpecError",
+    "Param",
+    "check_value",
+    "check_mapping",
     "HostSpec",
     "LinkSpec",
     "DumbbellSpec",
@@ -46,38 +64,9 @@ __all__ = [
     "TelemetrySpec",
     "EngineSpec",
     "ScenarioSpec",
-    "CM_CONTROLLERS",
-    "CM_SCHEDULERS",
-    "METRIC_GROUPS",
-    "NODE_KINDS",
-    "TELEMETRY_EVENT_RECORDERS",
-    "LOSS_MODEL_KINDS",
-    "AQM_KINDS",
+    "LOSS_MODELS",
+    "AQMS",
 ]
-
-#: Congestion-controller choices for CM-enabled hosts (see ``repro.core.congestion``).
-CM_CONTROLLERS: Tuple[str, ...] = ("aimd_window", "aimd_rate")
-
-#: Intra-macroflow scheduler choices (see ``repro.core.scheduler``).
-CM_SCHEDULERS: Tuple[str, ...] = ("round_robin", "weighted")
-
-#: Metric groups the runner knows how to collect.
-METRIC_GROUPS: Tuple[str, ...] = ("apps", "links", "hosts")
-
-#: Bounded recorder shapes a telemetry block may route events into.
-TELEMETRY_EVENT_RECORDERS: Tuple[str, ...] = ("ring", "reservoir")
-
-#: Node roles a graph topology may declare.
-NODE_KINDS: Tuple[str, ...] = ("host", "router")
-
-#: Burst-loss models a link's ``loss`` block may select (see
-#: :class:`repro.netsim.link.GilbertElliottLoss`).
-LOSS_MODEL_KINDS: Tuple[str, ...] = ("gilbert_elliott",)
-
-#: Active-queue-management kinds a link's ``aqm`` block may select (see
-#: :class:`repro.netsim.link.RedQueue`).
-AQM_KINDS: Tuple[str, ...] = ("red",)
-
 
 class SpecError(ValueError):
     """A scenario spec failed validation; the message says where and why."""
@@ -98,141 +87,269 @@ def default_addr(index: int) -> str:
     return f"10.{index + 1}.0.1"
 
 
-_T = TypeVar("_T")
+# --------------------------------------------------------------- field table
+@dataclass(frozen=True)
+class Param:
+    """One typed field declaration: a spec-block field, an application or
+    workload parameter, or a key of a ``loss``/``aqm`` mapping.
 
-#: Per-class field-name cache: ``dataclasses.fields`` walks descriptors on
-#: every call, which is measurable on the per-trial ``from_dict``/validate
-#: paths; field sets never change after class definition.
-_FIELD_NAMES: Dict[type, frozenset] = {}
+    ``type`` is a Python type (an ``int`` is accepted where ``float`` is
+    declared; a ``bool`` never passes for a number) or, in a spec block's
+    ``FIELDS`` table, a nested block class; ``many`` makes the field a list
+    of ``type``.  ``default`` is the value — or, for mutable ones, the
+    zero-argument factory (``list``, ``dict``, a block class) — a missing
+    field takes.  ``minimum``/``maximum`` bound numeric values (the
+    ``exclusive_*`` flags make a bound strict) so values that would hang or
+    crash a model mid-run fail eagerly at ``spec.validate()`` with a
+    path-qualified message; every number must also be finite.
+    ``noun`` names what ``choices`` enumerates in the error message.
+    ``omit_if_absent`` drops a ``None``/empty value from ``to_dict`` so
+    specs that predate the field render (and digest) unchanged.
+    """
 
-
-def _field_names(cls: type) -> frozenset:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = frozenset(f.name for f in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
-
-
-def _reject_unknown_keys(cls: type, data: Mapping[str, Any], path: str) -> None:
-    """Raise a path-qualified SpecError for keys no field of ``cls`` matches."""
-    if not isinstance(data, Mapping):
-        raise SpecError(path, f"expected a mapping for {cls.__name__}, got {type(data).__name__}")
-    known = _field_names(cls)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecError(
-            path,
-            f"unknown key{'s' if len(unknown) > 1 else ''} {', '.join(map(repr, unknown))} "
-            f"for {cls.__name__}; valid keys: {', '.join(sorted(known))}",
-        )
-
-
-def _from_mapping(cls: Type[_T], data: Mapping[str, Any], path: str) -> _T:
-    """Build a dataclass from a mapping, rejecting unknown keys."""
-    _reject_unknown_keys(cls, data, path)
-    return cls(**dict(data))  # type: ignore[arg-type]
-
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SpecError(path, message)
+    type: Any
+    default: Any = None
+    required: bool = False
+    help: str = ""
+    choices: Optional[Tuple[Any, ...]] = None
+    nullable: bool = False
+    minimum: Optional[float] = None
+    exclusive_minimum: bool = False
+    maximum: Optional[float] = None
+    exclusive_maximum: bool = False
+    noun: str = "value"
+    many: bool = False
+    omit_if_absent: bool = False
 
 
-def _check_number(value: Any, path: str, minimum: Optional[float] = None,
-                  maximum: Optional[float] = None) -> None:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}, got {value!r}")
-    if maximum is not None:
-        _require(value <= maximum, path, f"must be <= {maximum}, got {value!r}")
+_FLOAT_MAX = sys.float_info.max
 
 
-def _check_block_keys(block: Mapping[str, Any], allowed: Sequence[str],
-                      required: Sequence[str], path: str) -> None:
-    unknown = sorted(set(block) - set(allowed))
-    _require(not unknown, path,
-             f"unknown key{'s' if len(unknown) > 1 else ''} "
-             f"{', '.join(map(repr, unknown))}; valid keys: {', '.join(allowed)}")
-    for name in required:
-        _require(name in block, f"{path}.{name}", "is required")
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def _check_loss_block(loss: Any, path: str) -> None:
-    """Validate a ``loss`` mapping (burst-loss model selection) on a link."""
-    _require(isinstance(loss, Mapping), path,
-             f"expected a mapping with a 'kind' key, got {loss!r}")
-    kind = loss.get("kind")
-    _require(kind in LOSS_MODEL_KINDS, f"{path}.kind",
-             f"unknown loss model {kind!r}; choose from {', '.join(LOSS_MODEL_KINDS)}")
-    _check_block_keys(loss, ("kind", "p_good_bad", "p_bad_good", "loss_good", "loss_bad"),
-                      ("p_good_bad", "p_bad_good"), path)
-    for name in ("p_good_bad", "p_bad_good"):
-        _check_number(loss[name], f"{path}.{name}", maximum=1.0)
-        _require(loss[name] > 0.0, f"{path}.{name}", f"must be > 0, got {loss[name]!r}")
-    if "loss_good" in loss:
-        _check_number(loss["loss_good"], f"{path}.loss_good", minimum=0.0)
-        _require(loss["loss_good"] < 1.0, f"{path}.loss_good",
-                 f"must be < 1, got {loss['loss_good']!r}")
-    if "loss_bad" in loss:
-        _check_number(loss["loss_bad"], f"{path}.loss_bad", minimum=0.0, maximum=1.0)
-
-
-def _check_aqm_block(aqm: Any, path: str) -> None:
-    """Validate an ``aqm`` mapping (active queue management) on a link."""
-    _require(isinstance(aqm, Mapping), path,
-             f"expected a mapping with a 'kind' key, got {aqm!r}")
-    kind = aqm.get("kind")
-    _require(kind in AQM_KINDS, f"{path}.kind",
-             f"unknown aqm {kind!r}; choose from {', '.join(AQM_KINDS)}")
-    _check_block_keys(aqm, ("kind", "min_th", "max_th", "max_p", "w_q", "mean_packet_bytes"),
-                      ("min_th", "max_th"), path)
-    _check_number(aqm["min_th"], f"{path}.min_th", minimum=1)
-    _check_number(aqm["max_th"], f"{path}.max_th")
-    _require(aqm["max_th"] > aqm["min_th"], f"{path}.max_th",
-             f"must be > min_th ({aqm['min_th']!r}), got {aqm['max_th']!r}")
-    if "max_p" in aqm:
-        _check_number(aqm["max_p"], f"{path}.max_p", maximum=1.0)
-        _require(aqm["max_p"] > 0.0, f"{path}.max_p", f"must be > 0, got {aqm['max_p']!r}")
-    if "w_q" in aqm:
-        _check_number(aqm["w_q"], f"{path}.w_q", maximum=1.0)
-        _require(aqm["w_q"] > 0.0, f"{path}.w_q", f"must be > 0, got {aqm['w_q']!r}")
-    if "mean_packet_bytes" in aqm:
-        _check_number(aqm["mean_packet_bytes"], f"{path}.mean_packet_bytes", minimum=1)
-
-
-def _block_key(block: Optional[Mapping[str, Any]]) -> Any:
-    """Hashable validation-cache atom for an optional dict-valued spec block."""
-    if block is None:
-        return None
-    return tuple(sorted((name, _kv(value)) for name, value in block.items()))
-
-
-# ---------------------------------------------------------------------- keys
-# Validation is memoized by spec *content* (see ScenarioSpec.validate): two
-# specs with equal keys pass or fail identically, so re-walking the checks
-# per trial is pure overhead.  ``_kv`` makes the key atoms collision-proof
-# against Python's cross-type equalities (``True == 1``, ``1 == 1.0``):
-# validation treats bools, ints and floats differently (int-only fields
-# reject floats, number fields reject bools), so none of them may share a
-# cache slot with another type.
-_TRUE_KEY = ("bool", True)
-_FALSE_KEY = ("bool", False)
-
-
-def _kv(value: Any) -> Any:
-    if value is True:
-        return _TRUE_KEY
-    if value is False:
-        return _FALSE_KEY
-    if value.__class__ is float:
-        return ("float", value)
+def check_value(param: Param, value: Any, path: str, name: str) -> Any:
+    """Type, range and choice checks for one value; returns it, an ``int``
+    widened to a declared ``float``.  ``path``/``name`` locate the value in
+    the spec and are only joined (like every message) when a check fails."""
+    if value is None:
+        if param.nullable:
+            return None
+        raise SpecError(_join(path, name), "may not be null")
+    kind = param.type
+    cls = value.__class__
+    if cls is not kind and not (kind is float and cls is int) and (
+            cls is bool or not isinstance(value, kind)):
+        expected = ("must be a boolean" if kind is bool else f"expected {kind.__name__}")
+        raise SpecError(_join(path, name), f"{expected}, got {cls.__name__} ({value!r})"
+                        + (f"; {param.help}" if param.help else ""))
+    if kind is float or kind is int:
+        # One comparison pair rejects nan, the infinities and ints too large
+        # to widen: none of them can configure a link, a timer or a counter.
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise SpecError(_join(path, name), f"must be a finite number, got {value!r}")
+        if kind is float and cls is int:
+            value = float(value)
+        low, high = param.minimum, param.maximum
+        if low is not None and (value <= low if param.exclusive_minimum else value < low):
+            raise SpecError(_join(path, name),
+                            f"must be {'>' if param.exclusive_minimum else '>='} {low}, "
+                            f"got {value!r}")
+        if high is not None and (value >= high if param.exclusive_maximum else value > high):
+            raise SpecError(_join(path, name),
+                            f"must be {'<' if param.exclusive_maximum else '<='} {high}, "
+                            f"got {value!r}")
+    if param.choices is not None and value not in param.choices:
+        raise SpecError(_join(path, name),
+                        f"unknown {param.noun} {value!r}; must be one of "
+                        f"{', '.join(map(repr, param.choices))}")
     return value
 
 
-@dataclass
-class HostSpec:
+def _check_list(value: Any, path: str, name: str) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(_join(path, name),
+                        f"expected a list, got {type(value).__name__} ({value!r})")
+
+
+def _reject_unknown(table: Mapping[str, Param], data: Any, path: str,
+                    owner: str, noun: str) -> None:
+    if not isinstance(data, Mapping):
+        raise SpecError(path, f"expected a mapping of {noun}s for {owner}, "
+                              f"got {type(data).__name__} ({data!r})")
+    if not data.keys() <= table.keys():
+        unknown = sorted(repr(key) for key in data if key not in table)
+        raise SpecError(path, f"unknown {noun}{'s' if len(unknown) > 1 else ''} "
+                              f"{', '.join(unknown)} for {owner}; "
+                              f"valid {noun}s: {', '.join(sorted(table)) or '(none)'}")
+
+
+def check_mapping(table: Mapping[str, Param], data: Any, path: str, owner: str,
+                  noun: str = "parameter") -> Dict[str, Any]:
+    """Validate a mapping against a :class:`Param` table; return the
+    defaults-applied copy.  The one walk behind application params, workload
+    params and the ``loss``/``aqm`` blocks: unknown and missing keys, then
+    :func:`check_value` per entry.  ``owner`` (``"application 'vat'"``) and
+    ``noun`` only word the messages."""
+    _reject_unknown(table, data, path, owner, noun)
+    normalized: Dict[str, Any] = {}
+    for name, param in table.items():
+        if name in data:
+            normalized[name] = check_value(param, data[name], path, name)
+        elif param.required:
+            raise SpecError(_join(path, name), "is required" if noun == "key" else
+                            f"required {noun} for {owner} ({param.help or param.type.__name__})")
+        else:
+            normalized[name] = param.default
+    return normalized
+
+
+# --------------------------------------------------------------- block base
+def _plain(value: Any) -> Any:
+    """JSON rendering of one field value (fresh containers all the way down)."""
+    if isinstance(value, _Block):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+class _Block:
+    """Everything a spec block derives from its ``FIELDS`` table."""
+
+    #: name -> declaration, in constructor, ``to_dict`` and check order.
+    FIELDS: ClassVar[Dict[str, Param]] = {}
+    #: ``FIELDS`` split by :func:`_spec_block`: single values, lists of
+    #: values, and nested blocks (one or a list of them).
+    _SCALAR_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
+    _LIST_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
+    _CHILD_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
+    #: True on the frozen variants :meth:`ScenarioSpec.seal` swaps blocks to.
+    _is_sealed: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        # JSON lists of scalars become tuples (``rate_schedule``: of tuples);
+        # anything else is kept for check_fields to report with its path.
+        for name, _param in self._LIST_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (list, tuple)):
+                setattr(self, name, tuple(
+                    tuple(item) if isinstance(item, list) else item for item in value))
+
+    def check_fields(self, path: str) -> None:
+        """Check every declared field of this block and the blocks below it
+        (a required string must also be non-empty)."""
+        for name, param in self._SCALAR_FIELDS:
+            if check_value(param, getattr(self, name), path, name) == "" and param.required:
+                raise SpecError(_join(path, name), "must be a non-empty string")
+        for name, param in self._LIST_FIELDS:
+            value = getattr(self, name)
+            _check_list(value, path, name)
+            for index, item in enumerate(value):
+                check_value(param, item, path, f"{name}[{index}]")
+        for name, param in self._CHILD_FIELDS:
+            value = getattr(self, name)
+            if param.many:
+                _check_list(value, path, name)
+                prefix = _join(path, name)
+                for index, child in enumerate(value):
+                    _check_block(param, child, f"{prefix}[{index}]")
+            elif value is not None:
+                _check_block(param, value, _join(path, name))
+            elif not param.nullable:
+                raise SpecError(_join(path, name), "may not be null")
+
+    def blocks(self) -> Iterator["_Block"]:
+        """Every block nested below this one, children before parents."""
+        for name, param in self._CHILD_FIELDS:
+            value = getattr(self, name)
+            for child in (value if param.many else () if value is None else (value,)):
+                yield from child.blocks()
+                yield child
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-JSON rendering, keys in declaration order;
+        ``from_dict(to_dict(spec)) == spec``."""
+        payload: Dict[str, Any] = {}
+        for name, param in self.FIELDS.items():
+            value = getattr(self, name)
+            if param.omit_if_absent and (value is None or (param.many and not value)):
+                continue
+            payload[name] = _plain(value)
+        return payload
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any], path: str = ""):
+        """Strict inverse of :meth:`to_dict`: unknown keys, missing required
+        ones and a non-list/non-mapping where blocks nest are :class:`SpecError`\\ s."""
+        _reject_unknown(cls.FIELDS, data, path, cls.__name__, "key")
+        kwargs = dict(data)
+        for name, param in cls.FIELDS.items():
+            if param.required and name not in kwargs:
+                raise SpecError(_join(path, name), "is required")
+        for name, _param in cls._LIST_FIELDS:
+            if name in kwargs:
+                _check_list(kwargs[name], path, name)
+        for name, param in cls._CHILD_FIELDS:
+            value = kwargs.get(name)
+            if value is None:
+                kwargs.pop(name, None)  # a null block is an absent one
+            elif param.many:
+                _check_list(value, path, name)
+                prefix = _join(path, name)
+                kwargs[name] = [param.type.from_dict(item, f"{prefix}[{index}]")
+                                for index, item in enumerate(value)]
+            else:
+                kwargs[name] = param.type.from_dict(value, _join(path, name))
+        return cls(**kwargs)
+
+
+def _check_block(param: Param, value: Any, path: str) -> None:
+    if not isinstance(value, param.type):
+        raise SpecError(path, f"expected a {param.type.__name__}, got {type(value).__name__}")
+    value.check_fields(path)
+
+
+def _spec_block(cls):
+    """Class decorator: build the dataclass a ``FIELDS`` table declares."""
+    annotations: Dict[str, Any] = {}
+    scalars, lists, children = [], [], []
+    for name, param in cls.FIELDS.items():
+        is_block = isinstance(param.type, type) and issubclass(param.type, _Block)
+        (children if is_block else lists if param.many else scalars).append((name, param))
+        kind = param.type
+        if param.many:
+            kind = List[kind] if is_block else Tuple[kind, ...]
+        annotations[name] = Optional[kind] if param.nullable else kind
+        if callable(param.default):
+            setattr(cls, name, dataclasses.field(default_factory=param.default))
+        elif not param.required:
+            setattr(cls, name, param.default)
+    cls.__annotations__ = annotations
+    cls._SCALAR_FIELDS, cls._LIST_FIELDS, cls._CHILD_FIELDS = (
+        tuple(scalars), tuple(lists), tuple(children))
+    return dataclass(cls)
+
+
+# -------------------------------------------------------------------- blocks
+_HOST_FIELDS = {
+    "name": Param(str, required=True),
+    "addr": Param(str, default=""),
+    "costs": Param(bool, default=True),
+    "cm": Param(bool, default=False),
+    # The names repro.scenario.builder maps to repro.core controller/scheduler classes.
+    "cm_controller": Param(str, default="aimd_window", choices=("aimd_window", "aimd_rate"),
+                           noun="controller"),
+    "cm_scheduler": Param(str, default="round_robin", choices=("round_robin", "weighted"),
+                          noun="scheduler"),
+}
+
+
+@_spec_block
+class HostSpec(_Block):
     """One end system.
 
     ``addr`` defaults to ``10.<index+1>.0.1`` when left empty.  ``cm``
@@ -242,33 +359,144 @@ class HostSpec:
     one by hand.
     """
 
-    name: str
-    addr: str = ""
-    costs: bool = True
-    cm: bool = False
-    cm_controller: str = "aimd_window"
-    cm_scheduler: str = "round_robin"
-
-    def validate(self, path: str) -> None:
-        _require(isinstance(self.name, str) and bool(self.name), path, "host name must be a non-empty string")
-        _require(isinstance(self.addr, str), f"{path}.addr", "must be a string")
-        _require(isinstance(self.costs, bool), f"{path}.costs", "must be a boolean")
-        _require(isinstance(self.cm, bool), f"{path}.cm", "must be a boolean")
-        _require(self.cm_controller in CM_CONTROLLERS, f"{path}.cm_controller",
-                 f"unknown controller {self.cm_controller!r}; choose from {', '.join(CM_CONTROLLERS)}")
-        _require(self.cm_scheduler in CM_SCHEDULERS, f"{path}.cm_scheduler",
-                 f"unknown scheduler {self.cm_scheduler!r}; choose from {', '.join(CM_SCHEDULERS)}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.addr, _kv(self.costs), _kv(self.cm),
-                self.cm_controller, self.cm_scheduler)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+    FIELDS = _HOST_FIELDS
+    #: Every explicit host is a host-kind node (cf. :class:`GraphNodeSpec`).
+    kind = "host"
 
 
-@dataclass
-class LinkSpec:
+@_spec_block
+class GraphNodeSpec(_Block):
+    """One named node of a graph topology: an end system or a router.
+
+    Hosts carry applications, CPU cost ledgers and (optionally) a Congestion
+    Manager; routers only forward.  ``addr`` defaults to ``10.<i+1>.0.1``
+    where ``i`` counts the *host* nodes declared before this one (routers
+    default to ``router:<name>``, which never appears in a packet header).
+    """
+
+    FIELDS = {
+        "name": _HOST_FIELDS["name"],
+        "kind": Param(str, default="host", choices=("host", "router"), noun="node kind"),
+        **_HOST_FIELDS,
+    }
+
+
+def _check_unique_nodes(nodes, path: str, what: str) -> int:
+    """Names are unique, and so are the hosts' *effective* addresses (an
+    explicit addr must not collide with another host's builder-generated
+    default); returns the number of host-kind nodes."""
+    seen_names: Dict[str, int] = {}
+    seen_addrs: Dict[str, str] = {}
+    for index, node in enumerate(nodes):
+        if node.name in seen_names:
+            raise SpecError(f"{path}[{index}]", f"duplicate {what} name {node.name!r} "
+                                                f"(also {path}[{seen_names[node.name]}])")
+        seen_names[node.name] = index
+        if node.kind == "host":
+            addr = node.addr or default_addr(len(seen_addrs))
+            if addr in seen_addrs:
+                raise SpecError(f"{path}[{index}].addr", f"duplicate address {addr!r} "
+                                                         f"(also used by {seen_addrs[addr]!r})")
+            seen_addrs[addr] = node.name
+    return len(seen_addrs)
+
+
+_TRANSITION = Param(float, required=True, minimum=0.0, exclusive_minimum=True, maximum=1.0)
+
+#: Per-kind key tables of a link's ``loss`` block — the burst-loss models of
+#: :mod:`repro.netsim.link` (ranges match ``GilbertElliottLoss.__init__``).
+LOSS_MODELS: Dict[str, Dict[str, Param]] = {
+    "gilbert_elliott": {
+        "kind": Param(str, required=True),
+        "p_good_bad": _TRANSITION,
+        "p_bad_good": _TRANSITION,
+        "loss_good": Param(float, default=0.0, minimum=0.0, maximum=1.0,
+                           exclusive_maximum=True),
+        "loss_bad": Param(float, default=1.0, minimum=0.0, maximum=1.0),
+    },
+}
+
+#: Per-kind key tables of a link's ``aqm`` block — active queue management
+#: (ranges match ``RedQueue.__init__``; ``max_th > min_th`` is a relation).
+AQMS: Dict[str, Dict[str, Param]] = {
+    "red": {
+        "kind": Param(str, required=True),
+        "min_th": Param(float, required=True, minimum=1),
+        "max_th": Param(float, required=True),
+        "max_p": Param(float, default=0.1, minimum=0.0, exclusive_minimum=True, maximum=1.0),
+        "w_q": Param(float, default=0.002, minimum=0.0, exclusive_minimum=True, maximum=1.0),
+        "mean_packet_bytes": Param(float, default=1000, minimum=1),
+    },
+}
+
+
+def _check_model(tables: Mapping[str, Dict[str, Param]], noun: str,
+                 block: Mapping[str, Any], path: str) -> Dict[str, Any]:
+    """Validate a ``{"kind": ...}`` mapping against its kind's key table."""
+    kind = block.get("kind")
+    table = tables.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise SpecError(f"{path}.kind",
+                        f"unknown {noun} {kind!r}; choose from {', '.join(tables)}")
+    return check_mapping(table, block, path, f"{noun} {kind!r}", noun="key")
+
+
+#: Bernoulli loss probability, as ``Link.__init__`` accepts it: ``[0, 1)``.
+_LOSS_RATE = Param(float, default=0.0, minimum=0.0, maximum=1.0, exclusive_maximum=True)
+
+#: The fields :class:`LinkSpec` and :class:`GraphLinkSpec` share ...
+_LINK_FIELDS = {
+    "a": Param(str, required=True),
+    "b": Param(str, required=True),
+    "rate_bps": Param(float, required=True, minimum=1.0),
+    "delay": Param(float, required=True, minimum=0.0),
+    "queue_limit": Param(int, default=100, nullable=True, minimum=1),
+    "loss_rate": _LOSS_RATE,
+    "reverse_loss_rate": dataclasses.replace(_LOSS_RATE, default=None, nullable=True),
+    "ecn_threshold": Param(int, nullable=True, minimum=1),
+    "seed_offset": Param(int, default=0),
+}
+#: ... and the optional model blocks both end with.
+_LINK_MODEL_FIELDS = {
+    "loss": Param(dict, nullable=True, omit_if_absent=True),
+    "aqm": Param(dict, nullable=True, omit_if_absent=True),
+}
+_SCHEDULE_TIME = Param(float, minimum=0.0)
+
+
+class _LinkBlock(_Block):
+    """The relations :class:`LinkSpec` and :class:`GraphLinkSpec` share."""
+
+    def check_relations(self, path: str, names: Mapping[str, Any], what: str) -> None:
+        """Endpoints are two different declared hosts (or nodes: ``what`` words
+        the message); a model block is well-formed and excludes the knob it
+        replaces."""
+        for end, label in ((self.a, "a"), (self.b, "b")):
+            if end not in names:
+                raise SpecError(f"{path}.{label}", f"unknown {what} {end!r}; declared "
+                                                   f"{what}s: {', '.join(names) or '(none)'}")
+        if self.a == self.b:
+            raise SpecError(path, f"link endpoints must differ, both are {self.a!r}")
+        if self.loss is not None:
+            _check_model(LOSS_MODELS, "loss model", self.loss, f"{path}.loss")
+            if self.loss_rate != 0.0:
+                raise SpecError(f"{path}.loss_rate", "must stay 0 when a loss model is "
+                                "configured (the model replaces the Bernoulli draw)")
+            if self.reverse_loss_rate is not None:
+                raise SpecError(f"{path}.reverse_loss_rate", "must stay unset when a loss "
+                                "model is configured (each direction gets its own instance)")
+        if self.aqm is not None:
+            aqm = _check_model(AQMS, "aqm", self.aqm, f"{path}.aqm")
+            if aqm["max_th"] <= aqm["min_th"]:
+                raise SpecError(f"{path}.aqm.max_th", f"must be > min_th "
+                                f"({aqm['min_th']!r}), got {aqm['max_th']!r}")
+            if self.ecn_threshold is not None:
+                raise SpecError(f"{path}.ecn_threshold", "must stay unset when an aqm is "
+                                "configured (the aqm owns marking)")
+
+
+@_spec_block
+class LinkSpec(_LinkBlock):
     """A bidirectional Dummynet-style channel between two named hosts.
 
     ``delay`` is the one-way propagation delay; ``loss_rate`` applies to the
@@ -291,187 +519,33 @@ class LinkSpec:
     management (currently ``{"kind": "red", "min_th": ..., "max_th": ...,
     "max_p": 0.1, "w_q": 0.002, "mean_packet_bytes": 1000}``), which
     ECN-marks capable packets and drops the rest; it replaces the simple
-    ``ecn_threshold``, which must stay unset.
+    ``ecn_threshold``, which must stay unset.  Both reach the link as the
+    raw mapping; the model constructors apply the defaults.
     """
 
-    a: str
-    b: str
-    rate_bps: float
-    delay: float
-    queue_limit: Optional[int] = 100
-    loss_rate: float = 0.0
-    reverse_loss_rate: Optional[float] = None
-    ecn_threshold: Optional[int] = None
-    seed_offset: int = 0
-    rate_schedule: Tuple[Tuple[float, float], ...] = ()
-    loss: Optional[Dict[str, Any]] = None
-    aqm: Optional[Dict[str, Any]] = None
+    FIELDS = {
+        **_LINK_FIELDS,
+        "rate_schedule": Param(tuple, many=True, default=(),
+                               help="each step is a (time, rate_bps) pair"),
+        **_LINK_MODEL_FIELDS,
+    }
 
-    def __post_init__(self) -> None:
-        # Normalize JSON lists into tuples; malformed steps (including
-        # non-sequence entries) are preserved so validate() can report them
-        # with a path-qualified message rather than a raw TypeError here.
-        self.rate_schedule = tuple(
-            tuple(step) if isinstance(step, (list, tuple)) else (step,)
-            for step in self.rate_schedule
-        )
-
-    def validate(self, path: str, host_names: Sequence[str]) -> None:
-        for end, label in ((self.a, "a"), (self.b, "b")):
-            _require(end in host_names, f"{path}.{label}",
-                     f"unknown host {end!r}; declared hosts: {', '.join(host_names) or '(none)'}")
-        _require(self.a != self.b, path, f"link endpoints must differ, both are {self.a!r}")
-        _check_number(self.rate_bps, f"{path}.rate_bps", minimum=1.0)
-        _check_number(self.delay, f"{path}.delay", minimum=0.0)
-        _check_number(self.loss_rate, f"{path}.loss_rate", minimum=0.0, maximum=1.0)
-        if self.reverse_loss_rate is not None:
-            _check_number(self.reverse_loss_rate, f"{path}.reverse_loss_rate", minimum=0.0, maximum=1.0)
-        if self.queue_limit is not None:
-            _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
-        if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
-        _require(isinstance(self.seed_offset, int), f"{path}.seed_offset", "must be an integer")
+    def check_relations(self, path: str, names: Mapping[str, Any], what: str) -> None:
+        super().check_relations(path, names, what)
         last = -1.0
         for index, step in enumerate(self.rate_schedule):
             step_path = f"{path}.rate_schedule[{index}]"
-            _require(len(step) == 2, step_path, "each step must be a (time, rate_bps) pair")
-            _check_number(step[0], f"{step_path}.time", minimum=0.0)
-            _check_number(step[1], f"{step_path}.rate_bps", minimum=1.0)
-            _require(step[0] > last, step_path, "step times must be strictly increasing")
+            if len(step) != 2:
+                raise SpecError(step_path, "each step must be a (time, rate_bps) pair")
+            check_value(_SCHEDULE_TIME, step[0], step_path, "time")
+            check_value(_LINK_FIELDS["rate_bps"], step[1], step_path, "rate_bps")
+            if step[0] <= last:
+                raise SpecError(step_path, "step times must be strictly increasing")
             last = step[0]
-        if self.loss is not None:
-            _check_loss_block(self.loss, f"{path}.loss")
-            _require(self.loss_rate == 0.0, f"{path}.loss_rate",
-                     "must stay 0 when a loss model is configured (the model replaces "
-                     "the Bernoulli draw)")
-            _require(self.reverse_loss_rate is None, f"{path}.reverse_loss_rate",
-                     "must stay unset when a loss model is configured (each direction "
-                     "gets its own model instance)")
-        if self.aqm is not None:
-            _check_aqm_block(self.aqm, f"{path}.aqm")
-            _require(self.ecn_threshold is None, f"{path}.ecn_threshold",
-                     "must stay unset when an aqm is configured (the aqm owns marking)")
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, _kv(self.rate_bps), _kv(self.delay),
-                _kv(self.queue_limit), _kv(self.loss_rate), _kv(self.reverse_loss_rate),
-                _kv(self.ecn_threshold), _kv(self.seed_offset),
-                tuple(tuple(_kv(v) for v in step) for step in self.rate_schedule),
-                _block_key(self.loss), _block_key(self.aqm))
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["rate_schedule"] = [list(step) for step in self.rate_schedule]
-        # Absent optional blocks are omitted so pre-existing specs render
-        # (and digest) exactly as before the fields were introduced.
-        if self.loss is None:
-            payload.pop("loss")
-        if self.aqm is None:
-            payload.pop("aqm")
-        return payload
 
 
-@dataclass
-class DumbbellSpec:
-    """The classic shared-bottleneck topology, generated instead of listed.
-
-    Builds ``n_pairs`` sender/receiver host pairs (named ``sender0`` /
-    ``receiver0`` ...) around one constrained router-to-router link via
-    :func:`repro.netsim.channel.build_dumbbell`.  ``cm_senders`` lists the
-    sender indices that get a Congestion Manager attached after wiring.
-    """
-
-    n_pairs: int
-    bottleneck_bps: float
-    bottleneck_delay: float
-    access_bps: float = 1e9
-    access_delay: float = 0.1e-3
-    queue_limit: int = 64
-    loss_rate: float = 0.0
-    ecn_threshold: Optional[int] = None
-    with_costs: bool = True
-    cm_senders: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        self.cm_senders = tuple(int(i) for i in self.cm_senders)
-
-    def host_names(self) -> List[str]:
-        """The generated host names, senders first (matching build order)."""
-        names = [f"sender{i}" for i in range(self.n_pairs)]
-        names += [f"receiver{i}" for i in range(self.n_pairs)]
-        return names
-
-    def validate(self, path: str) -> None:
-        _require(isinstance(self.n_pairs, int) and self.n_pairs >= 1, f"{path}.n_pairs",
-                 f"need at least one sender/receiver pair, got {self.n_pairs!r}")
-        _check_number(self.bottleneck_bps, f"{path}.bottleneck_bps", minimum=1.0)
-        _check_number(self.bottleneck_delay, f"{path}.bottleneck_delay", minimum=0.0)
-        _check_number(self.access_bps, f"{path}.access_bps", minimum=1.0)
-        _check_number(self.access_delay, f"{path}.access_delay", minimum=0.0)
-        _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
-        _check_number(self.loss_rate, f"{path}.loss_rate", minimum=0.0, maximum=1.0)
-        if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
-        for index in self.cm_senders:
-            _require(0 <= index < self.n_pairs, f"{path}.cm_senders",
-                     f"sender index {index} out of range 0..{self.n_pairs - 1}")
-
-    def _key(self) -> tuple:
-        return (_kv(self.n_pairs), _kv(self.bottleneck_bps), _kv(self.bottleneck_delay),
-                _kv(self.access_bps), _kv(self.access_delay), _kv(self.queue_limit),
-                _kv(self.loss_rate), _kv(self.ecn_threshold), _kv(self.with_costs),
-                self.cm_senders)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["cm_senders"] = list(self.cm_senders)
-        return payload
-
-
-@dataclass
-class GraphNodeSpec:
-    """One named node of a graph topology: an end system or a router.
-
-    Hosts carry applications, CPU cost ledgers and (optionally) a Congestion
-    Manager; routers only forward.  ``addr`` defaults to ``10.<i+1>.0.1``
-    where ``i`` counts the *host* nodes declared before this one (routers
-    default to ``router:<name>``, which never appears in a packet header).
-    """
-
-    name: str
-    kind: str = "host"
-    addr: str = ""
-    costs: bool = True
-    cm: bool = False
-    cm_controller: str = "aimd_window"
-    cm_scheduler: str = "round_robin"
-
-    def validate(self, path: str) -> None:
-        _require(isinstance(self.name, str) and bool(self.name), path,
-                 "node name must be a non-empty string")
-        _require(self.kind in NODE_KINDS, f"{path}.kind",
-                 f"unknown node kind {self.kind!r}; choose from {', '.join(NODE_KINDS)}")
-        _require(isinstance(self.addr, str), f"{path}.addr", "must be a string")
-        _require(isinstance(self.costs, bool), f"{path}.costs", "must be a boolean")
-        _require(isinstance(self.cm, bool), f"{path}.cm", "must be a boolean")
-        if self.kind == "router":
-            _require(not self.cm, f"{path}.cm",
-                     "routers cannot run a Congestion Manager (the CM is an end-system module)")
-        _require(self.cm_controller in CM_CONTROLLERS, f"{path}.cm_controller",
-                 f"unknown controller {self.cm_controller!r}; choose from {', '.join(CM_CONTROLLERS)}")
-        _require(self.cm_scheduler in CM_SCHEDULERS, f"{path}.cm_scheduler",
-                 f"unknown scheduler {self.cm_scheduler!r}; choose from {', '.join(CM_SCHEDULERS)}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.kind, self.addr, _kv(self.costs), _kv(self.cm),
-                self.cm_controller, self.cm_scheduler)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-@dataclass
-class GraphLinkSpec:
+@_spec_block
+class GraphLinkSpec(_LinkBlock):
     """A bidirectional link between two named graph nodes.
 
     Semantics match :class:`LinkSpec` (one :class:`~repro.netsim.link.Link`
@@ -482,64 +556,47 @@ class GraphLinkSpec:
     direction exactly as on :class:`LinkSpec`.
     """
 
-    a: str
-    b: str
-    rate_bps: float
-    delay: float
-    queue_limit: Optional[int] = 100
-    loss_rate: float = 0.0
-    reverse_loss_rate: Optional[float] = None
-    ecn_threshold: Optional[int] = None
-    seed_offset: int = 0
-    loss: Optional[Dict[str, Any]] = None
-    aqm: Optional[Dict[str, Any]] = None
-
-    def validate(self, path: str, node_names: Sequence[str]) -> None:
-        for end, label in ((self.a, "a"), (self.b, "b")):
-            _require(end in node_names, f"{path}.{label}",
-                     f"unknown node {end!r}; declared nodes: {', '.join(node_names) or '(none)'}")
-        _require(self.a != self.b, path, f"link endpoints must differ, both are {self.a!r}")
-        _check_number(self.rate_bps, f"{path}.rate_bps", minimum=1.0)
-        _check_number(self.delay, f"{path}.delay", minimum=0.0)
-        _check_number(self.loss_rate, f"{path}.loss_rate", minimum=0.0, maximum=1.0)
-        if self.reverse_loss_rate is not None:
-            _check_number(self.reverse_loss_rate, f"{path}.reverse_loss_rate",
-                          minimum=0.0, maximum=1.0)
-        if self.queue_limit is not None:
-            _check_number(self.queue_limit, f"{path}.queue_limit", minimum=1)
-        if self.ecn_threshold is not None:
-            _check_number(self.ecn_threshold, f"{path}.ecn_threshold", minimum=1)
-        _require(isinstance(self.seed_offset, int), f"{path}.seed_offset", "must be an integer")
-        if self.loss is not None:
-            _check_loss_block(self.loss, f"{path}.loss")
-            _require(self.loss_rate == 0.0, f"{path}.loss_rate",
-                     "must stay 0 when a loss model is configured (the model replaces "
-                     "the Bernoulli draw)")
-            _require(self.reverse_loss_rate is None, f"{path}.reverse_loss_rate",
-                     "must stay unset when a loss model is configured (each direction "
-                     "gets its own model instance)")
-        if self.aqm is not None:
-            _check_aqm_block(self.aqm, f"{path}.aqm")
-            _require(self.ecn_threshold is None, f"{path}.ecn_threshold",
-                     "must stay unset when an aqm is configured (the aqm owns marking)")
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, _kv(self.rate_bps), _kv(self.delay),
-                _kv(self.queue_limit), _kv(self.loss_rate), _kv(self.reverse_loss_rate),
-                _kv(self.ecn_threshold), _kv(self.seed_offset),
-                _block_key(self.loss), _block_key(self.aqm))
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        if self.loss is None:
-            payload.pop("loss")
-        if self.aqm is None:
-            payload.pop("aqm")
-        return payload
+    FIELDS = {**_LINK_FIELDS, **_LINK_MODEL_FIELDS}
 
 
-@dataclass
-class RerouteSpec:
+@_spec_block
+class DumbbellSpec(_Block):
+    """The classic shared-bottleneck topology, generated instead of listed.
+
+    Builds ``n_pairs`` sender/receiver host pairs (named ``sender0`` /
+    ``receiver0`` ...) around one constrained router-to-router link via
+    :func:`repro.netsim.channel.build_dumbbell`.  ``cm_senders`` lists the
+    sender indices that get a Congestion Manager attached after wiring.
+    """
+
+    FIELDS = {
+        "n_pairs": Param(int, required=True, minimum=1),
+        "bottleneck_bps": Param(float, required=True, minimum=1.0),
+        "bottleneck_delay": Param(float, required=True, minimum=0.0),
+        "access_bps": Param(float, default=1e9, minimum=1.0),
+        "access_delay": Param(float, default=0.1e-3, minimum=0.0),
+        "queue_limit": Param(int, default=64, minimum=1),
+        "loss_rate": _LOSS_RATE,
+        "ecn_threshold": Param(int, nullable=True, minimum=1),
+        "with_costs": Param(bool, default=True),
+        "cm_senders": Param(int, many=True, default=()),
+    }
+
+    def host_names(self) -> List[str]:
+        """The generated host names, senders first (matching build order)."""
+        names = [f"sender{i}" for i in range(self.n_pairs)]
+        names += [f"receiver{i}" for i in range(self.n_pairs)]
+        return names
+
+    def check_relations(self, path: str) -> None:
+        for index in self.cm_senders:
+            if not 0 <= index < self.n_pairs:
+                raise SpecError(f"{path}.cm_senders",
+                                f"sender index {index} out of range 0..{self.n_pairs - 1}")
+
+
+@_spec_block
+class RerouteSpec(_Block):
     """A scheduled mid-run routing change on one graph link.
 
     At simulated ``time`` the link between ``a`` and ``b`` changes its
@@ -550,28 +607,16 @@ class RerouteSpec:
     mid-run.  ``a``/``b`` must name a declared link (either orientation).
     """
 
-    time: float
-    a: str
-    b: str
-    delay: float
-
-    def validate(self, path: str, link_pairs: Sequence[Tuple[str, str]]) -> None:
-        _check_number(self.time, f"{path}.time", minimum=1e-9)
-        _check_number(self.delay, f"{path}.delay", minimum=0.0)
-        pair = (min(self.a, self.b), max(self.a, self.b))
-        _require(pair in link_pairs, path,
-                 f"no declared link between {self.a!r} and {self.b!r}; reroutes "
-                 "change the cost of an existing link, they do not create one")
-
-    def _key(self) -> tuple:
-        return (_kv(self.time), self.a, self.b, _kv(self.delay))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+    FIELDS = {
+        "time": Param(float, required=True, minimum=1e-9),
+        "a": Param(str, required=True),
+        "b": Param(str, required=True),
+        "delay": Param(float, required=True, minimum=0.0),
+    }
 
 
-@dataclass
-class GraphSpec:
+@_spec_block
+class GraphSpec(_Block):
     """An arbitrary topology: named nodes joined by bidirectional links.
 
     Compiled by the builder through :func:`repro.netsim.graph.build_graph`:
@@ -583,9 +628,11 @@ class GraphSpec:
     on ``host`` nodes.
     """
 
-    nodes: List[GraphNodeSpec] = field(default_factory=list)
-    links: List[GraphLinkSpec] = field(default_factory=list)
-    reroutes: List[RerouteSpec] = field(default_factory=list)
+    FIELDS = {
+        "nodes": Param(GraphNodeSpec, many=True, default=list),
+        "links": Param(GraphLinkSpec, many=True, default=list),
+        "reroutes": Param(RerouteSpec, many=True, default=list, omit_if_absent=True),
+    }
 
     def node_names(self) -> List[str]:
         """Every node name (hosts and routers), in declaration order."""
@@ -609,101 +656,113 @@ class GraphSpec:
             edges[(link.b, link.a)] = link.delay
         return shortest_path_next_hops(edges)
 
-    def validate(self, path: str) -> None:
-        _require(bool(self.nodes), f"{path}.nodes", "a graph needs at least one node")
-        seen: Dict[str, int] = {}
-        seen_addrs: Dict[str, str] = {}
-        host_count = 0
+    def check_relations(self, path: str) -> None:
+        if not self.nodes:
+            raise SpecError(f"{path}.nodes", "a graph needs at least one node")
+        if not _check_unique_nodes(self.nodes, f"{path}.nodes", "node"):
+            raise SpecError(f"{path}.nodes", "a graph needs at least one host node "
+                                             "(routers cannot run applications)")
         for index, node in enumerate(self.nodes):
-            node_path = f"{path}.nodes[{index}]"
-            _require(isinstance(node, GraphNodeSpec), node_path,
-                     f"expected a GraphNodeSpec, got {type(node).__name__}")
-            node.validate(node_path)
-            _require(node.name not in seen, node_path,
-                     f"duplicate node name {node.name!r} (also {path}.nodes[{seen.get(node.name)}])")
-            seen[node.name] = index
-            if node.kind == "host":
-                addr = node.addr or default_addr(host_count)
-                _require(addr not in seen_addrs, f"{node_path}.addr",
-                         f"duplicate address {addr!r} (also used by {seen_addrs.get(addr)!r})")
-                seen_addrs[addr] = node.name
-                host_count += 1
-        _require(host_count >= 1, f"{path}.nodes",
-                 "a graph needs at least one host node (routers cannot run applications)")
-        names = self.node_names()
-        adjacency: Dict[str, List[str]] = {name: [] for name in names}
+            if node.kind == "router" and node.cm:
+                raise SpecError(f"{path}.nodes[{index}].cm", "routers cannot run a "
+                                "Congestion Manager (the CM is an end-system module)")
+        adjacency: Dict[str, List[str]] = {node.name: [] for node in self.nodes}
         seen_pairs: Dict[Tuple[str, str], int] = {}
         for index, link in enumerate(self.links):
-            link_path = f"{path}.links[{index}]"
-            _require(isinstance(link, GraphLinkSpec), link_path,
-                     f"expected a GraphLinkSpec, got {type(link).__name__}")
-            link.validate(link_path, names)
+            link.check_relations(f"{path}.links[{index}]", adjacency, "node")
             pair = (min(link.a, link.b), max(link.a, link.b))
-            _require(pair not in seen_pairs, link_path,
-                     f"duplicate link between {link.a!r} and {link.b!r} "
-                     f"(also {path}.links[{seen_pairs.get(pair)}]); parallel links "
-                     "would make the static routing ambiguous")
+            if pair in seen_pairs:
+                raise SpecError(f"{path}.links[{index}]",
+                                f"duplicate link between {link.a!r} and {link.b!r} "
+                                f"(also {path}.links[{seen_pairs[pair]}]); parallel links "
+                                "would make the static routing ambiguous")
             seen_pairs[pair] = index
             adjacency[link.a].append(link.b)
             adjacency[link.b].append(link.a)
-        if len(names) > 1:
-            # Reject disconnected graphs eagerly: an unreachable destination
-            # would otherwise surface mid-run as a NoRouteError on the first
-            # send, far from the spec mistake that caused it.
-            reached = {names[0]}
-            frontier = [names[0]]
-            while frontier:
-                node = frontier.pop()
-                for neighbour in adjacency[node]:
-                    if neighbour not in reached:
-                        reached.add(neighbour)
-                        frontier.append(neighbour)
-            unreachable = [name for name in names if name not in reached]
-            _require(not unreachable, f"{path}.links",
-                     f"graph is disconnected: no path from {names[0]!r} to "
-                     f"{', '.join(map(repr, unreachable))}")
-        link_pairs = tuple(seen_pairs)
+        # Reject disconnected graphs eagerly: an unreachable destination
+        # would otherwise surface mid-run as a NoRouteError on the first
+        # send, far from the spec mistake that caused it.
+        first = self.nodes[0].name
+        reached = {first}
+        frontier = [first]
+        while frontier:
+            for neighbour in adjacency[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        if len(reached) < len(adjacency):
+            unreachable = [name for name in adjacency if name not in reached]
+            raise SpecError(f"{path}.links", f"graph is disconnected: no path from {first!r} "
+                                             f"to {', '.join(map(repr, unreachable))}")
         last_time = 0.0
         for index, reroute in enumerate(self.reroutes):
-            reroute_path = f"{path}.reroutes[{index}]"
-            _require(isinstance(reroute, RerouteSpec), reroute_path,
-                     f"expected a RerouteSpec, got {type(reroute).__name__}")
-            reroute.validate(reroute_path, link_pairs)
-            _require(reroute.time >= last_time, f"{reroute_path}.time",
-                     "reroute times must be non-decreasing (declaration order is "
-                     "the tie-break for same-instant changes)")
+            if (min(reroute.a, reroute.b), max(reroute.a, reroute.b)) not in seen_pairs:
+                raise SpecError(f"{path}.reroutes[{index}]",
+                                f"no declared link between {reroute.a!r} and {reroute.b!r}; "
+                                "reroutes change the cost of an existing link, they do not "
+                                "create one")
+            if reroute.time < last_time:
+                raise SpecError(f"{path}.reroutes[{index}].time",
+                                "reroute times must be non-decreasing (declaration order is "
+                                "the tie-break for same-instant changes)")
             last_time = reroute.time
 
-    def _key(self) -> tuple:
-        return (tuple(node._key() for node in self.nodes),
-                tuple(link._key() for link in self.links),
-                tuple(reroute._key() for reroute in self.reroutes))
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "nodes": [node.to_dict() for node in self.nodes],
-            "links": [link.to_dict() for link in self.links],
-        }
-        # Omitted when empty so pre-reroute specs render/digest unchanged.
-        if self.reroutes:
-            payload["reroutes"] = [reroute.to_dict() for reroute in self.reroutes]
-        return payload
+@functools.lru_cache(maxsize=None)
+def _registries() -> Dict[str, Mapping[str, type]]:
+    """The live name -> class registries, keyed by the field that names an
+    entry; resolved on first use because both registries import this module."""
+    from ..workloads import WORKLOADS
+    from .applications import APPLICATIONS
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], path: str = "graph") -> "GraphSpec":
-        _reject_unknown_keys(cls, data, path)
-        payload = dict(data)
-        nodes = [_from_mapping(GraphNodeSpec, item, f"{path}.nodes[{i}]")
-                 for i, item in enumerate(payload.pop("nodes", []) or [])]
-        links = [_from_mapping(GraphLinkSpec, item, f"{path}.links[{i}]")
-                 for i, item in enumerate(payload.pop("links", []) or [])]
-        reroutes = [_from_mapping(RerouteSpec, item, f"{path}.reroutes[{i}]")
-                    for i, item in enumerate(payload.pop("reroutes", []) or [])]
-        return cls(nodes=nodes, links=links, reroutes=reroutes)
+    return {"app": APPLICATIONS, "kind": WORKLOADS}
 
 
-@dataclass
-class WorkloadSpec:
+class _PlacedBlock(_Block):
+    """What :class:`AppSpec` and :class:`WorkloadSpec` share: a registry entry
+    placed on a ``host`` (talking to an optional ``peer``) with typed ``params``."""
+
+    #: The field naming the registry entry, and what the messages call one.
+    _ENTRY_FIELD: ClassVar[str]
+    _ENTRY_NOUN: ClassVar[str]
+
+    def normalized_params(self) -> Dict[str, Any]:
+        """The defaults-applied params of the last :meth:`validate` (which
+        ``spec.validate()`` runs), reused by the builder."""
+        cached = getattr(self, "_normalized_params", None)
+        if cached is None:
+            raise SpecError("params", f"{self._ENTRY_NOUN} {getattr(self, self._ENTRY_FIELD)!r} "
+                                      "has not been validated yet")
+        return cached
+
+    def validate(self, path: str, host_names: Mapping[str, Any]) -> Dict[str, Any]:
+        """The one placement check (static ``apps:``/``workloads:`` entries and
+        the service's mid-run attach), for a block whose fields are already
+        checked: the entry is registered, ``host`` and ``peer`` are declared
+        and differ, a needed peer is given, and ``params`` fit the entry's
+        schema.  Caches and returns the normalized (defaults-applied) params."""
+        registry, noun = _registries()[self._ENTRY_FIELD], self._ENTRY_NOUN
+        name = getattr(self, self._ENTRY_FIELD)
+        entry = registry.get(name)
+        if entry is None:
+            raise SpecError(_join(path, self._ENTRY_FIELD),
+                            f"unknown {noun} {name!r}; registered: {', '.join(sorted(registry))}")
+        for role in ("host", "peer") if self.peer else ("host",):
+            if getattr(self, role) not in host_names:
+                raise SpecError(_join(path, role),
+                                f"unknown host {getattr(self, role)!r}; declared hosts: "
+                                f"{', '.join(host_names) or '(none)'}")
+        if self.peer == self.host:
+            raise SpecError(_join(path, "peer"), "peer must differ from host")
+        if entry.needs_peer and not self.peer:
+            raise SpecError(_join(path, "peer"), f"{noun} {name!r} needs a peer host")
+        self._normalized_params = check_mapping(
+            entry.PARAMS, self.params, _join(path, "params"), f"{noun} {name!r}")
+        return self._normalized_params
+
+
+@_spec_block
+class WorkloadSpec(_PlacedBlock):
     """One stochastic traffic generator from the workload registry.
 
     Unlike an :class:`AppSpec` — one application wired at build time — a
@@ -717,79 +776,27 @@ class WorkloadSpec:
     (``0`` auto-staggers by declaration order).
     """
 
-    kind: str
-    host: str
-    peer: str = ""
-    label: str = ""
-    start: float = 0.0
-    stop: Optional[float] = None
-    seed_offset: int = 0
-    params: Dict[str, Any] = field(default_factory=dict)
+    FIELDS = {
+        "kind": Param(str, required=True),
+        "host": Param(str, required=True),
+        "peer": Param(str, default=""),
+        "label": Param(str, default=""),
+        "start": Param(float, default=0.0, minimum=0.0),
+        "stop": Param(float, nullable=True, minimum=0.0),
+        "seed_offset": Param(int, default=0),
+        "params": Param(dict, default=dict),
+    }
+    _ENTRY_FIELD, _ENTRY_NOUN = "kind", "workload"
 
-    def normalized_params(self) -> Dict[str, Any]:
-        """The defaults-applied params cached by the last :meth:`validate`."""
-        cached = getattr(self, "_normalized_params", None)
-        if cached is None:
-            raise SpecError("params", f"workload {self.kind!r} has not been validated yet")
-        return cached
-
-    def validate(self, path: str, host_names: Sequence[str]) -> Dict[str, Any]:
-        """Validate, cache and return the normalized (defaults-applied) params."""
-        from ..workloads import get_workload, known_workloads, validate_workload_params
-
-        _require(isinstance(self.kind, str) and bool(self.kind), f"{path}.kind",
-                 "workload kind must be a non-empty string")
-        try:
-            workload_cls = get_workload(self.kind)
-        except KeyError:
-            raise SpecError(f"{path}.kind",
-                            f"unknown workload {self.kind!r}; registered: "
-                            f"{', '.join(known_workloads())}") from None
-        _require(self.host in host_names, f"{path}.host",
-                 f"unknown host {self.host!r}; declared hosts: {', '.join(host_names) or '(none)'}")
-        if workload_cls.needs_peer:
-            _require(bool(self.peer), f"{path}.peer",
-                     f"workload {self.kind!r} needs a peer host")
-        if self.peer:
-            _require(self.peer in host_names, f"{path}.peer",
-                     f"unknown host {self.peer!r}; declared hosts: {', '.join(host_names) or '(none)'}")
-            _require(self.peer != self.host, f"{path}.peer", "peer must differ from host")
-        _check_number(self.start, f"{path}.start", minimum=0.0)
-        if self.stop is not None:
-            _check_number(self.stop, f"{path}.stop", minimum=0.0)
-            _require(self.stop > self.start, f"{path}.stop",
-                     f"must be later than start ({self.start!r}), got {self.stop!r}")
-        _require(isinstance(self.seed_offset, int), f"{path}.seed_offset", "must be an integer")
-        _require(isinstance(self.params, dict), f"{path}.params", "must be a mapping")
-        normalized = validate_workload_params(self.kind, self.params, path=f"{path}.params")
-        self._normalized_params = normalized
-        return normalized
-
-    def _key(self) -> tuple:
-        # The registered class object joins the key so re-registering a
-        # different generator under the same kind can never serve stale
-        # cached validations (mirrors AppSpec._key).
-        from ..workloads import WORKLOADS
-
-        return (self.kind, WORKLOADS.get(self.kind), self.host, self.peer, self.label,
-                _kv(self.start), _kv(self.stop), _kv(self.seed_offset),
-                tuple(sorted((name, _kv(value)) for name, value in self.params.items())))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "host": self.host,
-            "peer": self.peer,
-            "label": self.label,
-            "start": self.start,
-            "stop": self.stop,
-            "seed_offset": self.seed_offset,
-            "params": dict(self.params),
-        }
+    def validate(self, path: str, host_names: Mapping[str, Any]) -> Dict[str, Any]:
+        if self.stop is not None and self.stop <= self.start:
+            raise SpecError(f"{path}.stop",
+                            f"must be later than start ({self.start!r}), got {self.stop!r}")
+        return super().validate(path, host_names)
 
 
-@dataclass
-class AppSpec:
+@_spec_block
+class AppSpec(_PlacedBlock):
     """One application instance from the registry.
 
     ``host`` is where the application runs; ``peer`` names the remote host
@@ -800,70 +807,18 @@ class AppSpec:
     the same application in the result (defaults to ``app[index]``).
     """
 
-    app: str
-    host: str
-    peer: str = ""
-    label: str = ""
-    params: Dict[str, Any] = field(default_factory=dict)
-
-    def normalized_params(self) -> Dict[str, Any]:
-        """The defaults-applied params cached by the last :meth:`validate`.
-
-        The builder runs once per trial, so it reuses the dict the eager
-        validation pass already produced instead of re-walking the schema.
-        """
-        cached = getattr(self, "_normalized_params", None)
-        if cached is None:
-            raise SpecError("params", f"app {self.app!r} has not been validated yet")
-        return cached
-
-    def validate(self, path: str, host_names: Sequence[str]) -> Dict[str, Any]:
-        """Validate, cache and return the normalized (defaults-applied) params."""
-        from .applications import get_application, known_applications, validate_params
-
-        _require(isinstance(self.app, str) and bool(self.app), f"{path}.app",
-                 "application name must be a non-empty string")
-        try:
-            app_cls = get_application(self.app)
-        except KeyError:
-            raise SpecError(f"{path}.app",
-                            f"unknown application {self.app!r}; registered: "
-                            f"{', '.join(known_applications())}") from None
-        _require(self.host in host_names, f"{path}.host",
-                 f"unknown host {self.host!r}; declared hosts: {', '.join(host_names) or '(none)'}")
-        if app_cls.needs_peer:
-            _require(bool(self.peer), f"{path}.peer",
-                     f"application {self.app!r} needs a peer host")
-        if self.peer:
-            _require(self.peer in host_names, f"{path}.peer",
-                     f"unknown host {self.peer!r}; declared hosts: {', '.join(host_names) or '(none)'}")
-            _require(self.peer != self.host, f"{path}.peer", "peer must differ from host")
-        _require(isinstance(self.params, dict), f"{path}.params", "must be a mapping")
-        normalized = validate_params(self.app, self.params, path=f"{path}.params")
-        self._normalized_params = normalized
-        return normalized
-
-    def _key(self) -> tuple:
-        # The registered class object joins the key so re-registering a
-        # different application under the same name can never serve stale
-        # cached validations (mirrors _PARAMS_CACHE in applications.py).
-        from .applications import APPLICATIONS
-
-        return (self.app, APPLICATIONS.get(self.app), self.host, self.peer, self.label,
-                tuple(sorted((name, _kv(value)) for name, value in self.params.items())))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "app": self.app,
-            "host": self.host,
-            "peer": self.peer,
-            "label": self.label,
-            "params": dict(self.params),
-        }
+    FIELDS = {
+        "app": Param(str, required=True),
+        "host": Param(str, required=True),
+        "peer": Param(str, default=""),
+        "label": Param(str, default=""),
+        "params": Param(dict, default=dict),
+    }
+    _ENTRY_FIELD, _ENTRY_NOUN = "app", "application"
 
 
-@dataclass
-class StopSpec:
+@_spec_block
+class StopSpec(_Block):
     """When the runner stops the simulation.
 
     ``until`` is the hard horizon in simulated seconds.  With
@@ -872,24 +827,15 @@ class StopSpec:
     application that reports a completion state is done.
     """
 
-    until: float = 10.0
-    when_apps_done: bool = False
-    check_interval: float = 1.0
-
-    def validate(self, path: str) -> None:
-        _check_number(self.until, f"{path}.until", minimum=1e-9)
-        _check_number(self.check_interval, f"{path}.check_interval", minimum=1e-9)
-        _require(isinstance(self.when_apps_done, bool), f"{path}.when_apps_done", "must be a boolean")
-
-    def _key(self) -> tuple:
-        return (_kv(self.until), _kv(self.when_apps_done), _kv(self.check_interval))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+    FIELDS = {
+        "until": Param(float, default=10.0, minimum=1e-9),
+        "when_apps_done": Param(bool, default=False),
+        "check_interval": Param(float, default=1.0, minimum=1e-9),
+    }
 
 
-@dataclass
-class TelemetrySpec:
+@_spec_block
+class TelemetrySpec(_Block):
     """What the unified telemetry layer records during the run.
 
     ``samplers`` selects the periodic state samplers (driven by the event
@@ -910,49 +856,21 @@ class TelemetrySpec:
     series, ``ring_capacity`` the event log.
     """
 
-    sample_interval: float = 0.25
-    samplers: Tuple[str, ...] = ("macroflows", "links", "apps")
-    events: Tuple[str, ...] = ()
-    max_samples: int = 4096
-    ring_capacity: int = 4096
-    event_recorder: str = "ring"
-
-    def __post_init__(self) -> None:
-        self.samplers = tuple(self.samplers)
-        self.events = tuple(self.events)
-
-    def validate(self, path: str) -> None:
-        from ..telemetry.probes import EVENT_NAMES
-        from ..telemetry.samplers import SAMPLER_GROUPS
-
-        _check_number(self.sample_interval, f"{path}.sample_interval", minimum=1e-9)
-        for index, group in enumerate(self.samplers):
-            _require(group in SAMPLER_GROUPS, f"{path}.samplers[{index}]",
-                     f"unknown sampler group {group!r}; choose from {', '.join(SAMPLER_GROUPS)}")
-        for index, event in enumerate(self.events):
-            _require(event in EVENT_NAMES, f"{path}.events[{index}]",
-                     f"unknown telemetry event {event!r}; catalog: {', '.join(EVENT_NAMES)}")
-        _require(isinstance(self.max_samples, int) and self.max_samples >= 1,
-                 f"{path}.max_samples", f"must be an integer >= 1, got {self.max_samples!r}")
-        _require(isinstance(self.ring_capacity, int) and self.ring_capacity >= 1,
-                 f"{path}.ring_capacity", f"must be an integer >= 1, got {self.ring_capacity!r}")
-        _require(self.event_recorder in TELEMETRY_EVENT_RECORDERS, f"{path}.event_recorder",
-                 f"unknown event recorder {self.event_recorder!r}; "
-                 f"choose from {', '.join(TELEMETRY_EVENT_RECORDERS)}")
-
-    def _key(self) -> tuple:
-        return (_kv(self.sample_interval), self.samplers, self.events,
-                _kv(self.max_samples), _kv(self.ring_capacity), self.event_recorder)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["samplers"] = list(self.samplers)
-        payload["events"] = list(self.events)
-        return payload
+    FIELDS = {
+        "sample_interval": Param(float, default=0.25, minimum=1e-9),
+        "samplers": Param(str, many=True, default=("macroflows", "links", "apps"),
+                          choices=SAMPLER_GROUPS, noun="sampler group"),
+        "events": Param(str, many=True, default=(), choices=EVENT_NAMES,
+                        noun="telemetry event"),
+        "max_samples": Param(int, default=4096, minimum=1),
+        "ring_capacity": Param(int, default=4096, minimum=1),
+        "event_recorder": Param(str, default="ring", choices=("ring", "reservoir"),
+                                noun="event recorder"),
+    }
 
 
-@dataclass
-class EngineSpec:
+@_spec_block
+class EngineSpec(_Block):
     """How the simulation executes — never *what* it simulates.
 
     ``shards`` > 1 partitions a graph scenario across that many worker
@@ -963,23 +881,7 @@ class EngineSpec:
     identically.
     """
 
-    shards: int = 1
-
-    def validate(self, path: str) -> None:
-        _require(isinstance(self.shards, int) and not isinstance(self.shards, bool)
-                 and self.shards >= 1,
-                 f"{path}.shards", f"must be an integer >= 1, got {self.shards!r}")
-
-    def _key(self) -> tuple:
-        return (_kv(self.shards),)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-#: Sealed (frozen) class variants, created lazily per spec class by
-#: :meth:`ScenarioSpec.seal`.
-_SEALED_VARIANTS: Dict[type, type] = {}
+    FIELDS = {"shards": Param(int, default=1, minimum=1)}
 
 
 def _sealed_setattr(self, name: str, value: Any) -> None:
@@ -988,53 +890,39 @@ def _sealed_setattr(self, name: str, value: Any) -> None:
     )
 
 
-def _sealed_validate(self) -> "ScenarioSpec":
-    # Sealing proved the content valid and the class swap makes mutation
-    # impossible, so re-validation is a no-op (the per-trial fast path).
-    return self
-
-
+@functools.lru_cache(maxsize=None)
 def _sealed_variant(cls: type) -> type:
-    sealed = _SEALED_VARIANTS.get(cls)
-    if sealed is None:
-        namespace: Dict[str, Any] = {"__setattr__": _sealed_setattr, "_is_sealed": True}
-        if cls is ScenarioSpec:
-            namespace["validate"] = _sealed_validate
-        sealed = type(f"Sealed{cls.__name__}", (cls,), namespace)
-        _SEALED_VARIANTS[cls] = sealed
-    return sealed
+    """The frozen subclass :meth:`ScenarioSpec.seal` swaps a block to."""
+    return type(f"Sealed{cls.__name__}", (cls,),
+                {"__setattr__": _sealed_setattr, "_is_sealed": True})
 
 
-@dataclass
-class ScenarioSpec:
-    """The root of the declarative scenario tree."""
+@_spec_block
+class ScenarioSpec(_Block):
+    """The root of the declarative scenario tree.
 
-    name: str
-    description: str = ""
-    hosts: List[HostSpec] = field(default_factory=list)
-    links: List[LinkSpec] = field(default_factory=list)
-    dumbbell: Optional[DumbbellSpec] = None
-    graph: Optional[GraphSpec] = None
-    apps: List[AppSpec] = field(default_factory=list)
-    workloads: List[WorkloadSpec] = field(default_factory=list)
-    stop: StopSpec = field(default_factory=StopSpec)
-    telemetry: Optional[TelemetrySpec] = None
-    engine: Optional[EngineSpec] = None
-    metrics: Tuple[str, ...] = ("apps",)
-    seed: int = 0
+    ``graph``, ``workloads``, ``telemetry`` and ``engine`` render in
+    ``to_dict`` only when configured, so specs without them render (and
+    digest) exactly as they did before the blocks existed.
+    """
 
-    #: Content-keyed memo of successful validations.  Two specs with equal
-    #: keys pass or fail identically (the key captures every validated
-    #: field, with bools disambiguated from numbers), so per-trial re-runs
-    #: of ``validate`` collapse to one dict probe; the stored value is the
-    #: defaults-applied params of each app, re-attached on a hit.
-    _VALIDATION_CACHE: ClassVar[Dict[tuple, Tuple[tuple, tuple]]] = {}
-    _VALIDATION_CACHE_MAX: ClassVar[int] = 512
+    FIELDS = {
+        "name": Param(str, required=True),
+        "description": Param(str, default=""),
+        "hosts": Param(HostSpec, many=True, default=list),
+        "links": Param(LinkSpec, many=True, default=list),
+        "dumbbell": Param(DumbbellSpec, nullable=True),
+        "apps": Param(AppSpec, many=True, default=list),
+        "stop": Param(StopSpec, default=StopSpec),
+        "metrics": Param(str, many=True, default=("apps",),
+                         choices=("apps", "links", "hosts"), noun="metric group"),
+        "seed": Param(int, default=0),
+        "graph": Param(GraphSpec, nullable=True, omit_if_absent=True),
+        "workloads": Param(WorkloadSpec, many=True, default=list, omit_if_absent=True),
+        "telemetry": Param(TelemetrySpec, nullable=True, omit_if_absent=True),
+        "engine": Param(EngineSpec, nullable=True, omit_if_absent=True),
+    }
 
-    def __post_init__(self) -> None:
-        self.metrics = tuple(self.metrics)
-
-    # ------------------------------------------------------------ validation
     def host_names(self) -> List[str]:
         """All host names the apps/links may reference, in build order."""
         if self.dumbbell is not None:
@@ -1043,118 +931,53 @@ class ScenarioSpec:
             return self.graph.host_names()
         return [host.name for host in self.hosts]
 
-    def _key(self) -> tuple:
-        # Every validated field must appear here: the validation memo serves
-        # cached results for equal keys, so a field the key omits would let
-        # two different specs collide (the workload/graph regression test in
-        # tests/test_scenario_spec.py guards exactly that).
-        dumbbell = self.dumbbell
-        graph = self.graph
-        telemetry = self.telemetry
-        engine = self.engine
-        return (self.name, self.description,
-                tuple(host._key() for host in self.hosts),
-                tuple(link._key() for link in self.links),
-                dumbbell._key() if dumbbell is not None else None,
-                graph._key() if graph is not None else None,
-                tuple(app._key() for app in self.apps),
-                tuple(workload._key() for workload in self.workloads),
-                self.stop._key(),
-                telemetry._key() if telemetry is not None else None,
-                engine._key() if engine is not None else None,
-                self.metrics, _kv(self.seed))
-
     def validate(self) -> "ScenarioSpec":
         """Validate the whole tree eagerly; returns ``self`` for chaining.
 
-        Successful validations are memoized by content (see
-        ``_VALIDATION_CACHE``); an equal spec seen before skips straight to
-        re-attaching the cached defaults-applied app params.
+        First every field against its table entry (so nothing below ever
+        hashes or compares a wrong-typed value), then the relations between
+        fields and blocks.  A sealed spec was proved valid and cannot have
+        changed, so this is a no-op on it (the per-trial fast path).
         """
-        cache = ScenarioSpec._VALIDATION_CACHE
-        try:
-            key = self._key()
-        except TypeError:
-            # Unhashable garbage in some field; the full walk will name it.
-            key = None
-        if key is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                app_params, workload_params = cached
-                for app, params in zip(self.apps, app_params):
-                    app._normalized_params = dict(params)
-                for workload, params in zip(self.workloads, workload_params):
-                    workload._normalized_params = dict(params)
-                return self
-        _require(isinstance(self.name, str) and bool(self.name), "name",
-                 "scenario name must be a non-empty string")
-        _require(isinstance(self.seed, int), "seed", "must be an integer")
+        if self._is_sealed:
+            return self
+        self.check_fields("")
         if self.dumbbell is not None:
-            _require(not self.hosts and not self.links, "dumbbell",
-                     "a dumbbell scenario generates its hosts; drop the explicit hosts/links")
-            _require(self.graph is None, "graph",
-                     "a scenario declares either a dumbbell or a graph, not both")
-            self.dumbbell.validate("dumbbell")
+            if self.hosts or self.links:
+                raise SpecError("dumbbell", "a dumbbell scenario generates its hosts; "
+                                            "drop the explicit hosts/links")
+            if self.graph is not None:
+                raise SpecError("graph", "a scenario declares either a dumbbell or a graph, "
+                                         "not both")
+            self.dumbbell.check_relations("dumbbell")
         elif self.graph is not None:
-            _require(not self.hosts and not self.links, "graph",
-                     "a graph scenario declares its nodes/links inside the graph block; "
-                     "drop the explicit hosts/links")
-            self.graph.validate("graph")
+            if self.hosts or self.links:
+                raise SpecError("graph", "a graph scenario declares its nodes/links inside "
+                                         "the graph block; drop the explicit hosts/links")
+            self.graph.check_relations("graph")
         else:
-            _require(bool(self.hosts), "hosts", "need at least one host (or a dumbbell)")
-            seen_names: Dict[str, int] = {}
-            seen_addrs: Dict[str, str] = {}
-            for index, host in enumerate(self.hosts):
-                path = f"hosts[{index}]"
-                host.validate(path)
-                _require(host.name not in seen_names, path,
-                         f"duplicate host name {host.name!r} (also hosts[{seen_names.get(host.name)}])")
-                seen_names[host.name] = index
-                # Check the *effective* address: an explicit addr must not
-                # collide with another host's builder-generated default.
-                addr = host.addr or default_addr(index)
-                _require(addr not in seen_addrs, f"{path}.addr",
-                         f"duplicate address {addr!r} (also used by {seen_addrs.get(addr)!r})")
-                seen_addrs[addr] = host.name
-        names = self.host_names()
+            if not self.hosts:
+                raise SpecError("hosts", "need at least one host (or a dumbbell)")
+            _check_unique_nodes(self.hosts, "hosts", "host")
+        names = dict.fromkeys(self.host_names())
         for index, link in enumerate(self.links):
-            link.validate(f"links[{index}]", names)
-        seen_labels: Dict[str, int] = {}
-        for index, app in enumerate(self.apps):
-            app.validate(f"apps[{index}]", names)
-            if app.label:
-                _require(app.label not in seen_labels, f"apps[{index}].label",
-                         f"duplicate label {app.label!r} (also apps[{seen_labels.get(app.label)}]); "
-                         "labels address app entries in the result, so they must be unique")
-                seen_labels[app.label] = index
-        seen_workload_labels: Dict[str, int] = {}
-        for index, workload in enumerate(self.workloads):
-            workload.validate(f"workloads[{index}]", names)
-            if workload.label:
-                _require(workload.label not in seen_workload_labels, f"workloads[{index}].label",
-                         f"duplicate label {workload.label!r} "
-                         f"(also workloads[{seen_workload_labels.get(workload.label)}]); "
-                         "labels address workload entries in the result, so they must be unique")
-                seen_workload_labels[workload.label] = index
-        self.stop.validate("stop")
-        if self.telemetry is not None:
-            self.telemetry.validate("telemetry")
-        if self.engine is not None:
-            self.engine.validate("engine")
-            if self.engine.shards > 1:
-                _require(self.graph is not None, "engine.shards",
-                         "sharded execution needs a graph topology "
-                         "(hosts/links and dumbbell scenarios run single-process)")
-        for metric in self.metrics:
-            _require(metric in METRIC_GROUPS, "metrics",
-                     f"unknown metric group {metric!r}; choose from {', '.join(METRIC_GROUPS)}")
-        if key is not None:
-            if len(cache) >= ScenarioSpec._VALIDATION_CACHE_MAX:
-                cache.clear()
-            cache[key] = (
-                tuple(dict(app._normalized_params) for app in self.apps),
-                tuple(dict(workload._normalized_params) for workload in self.workloads),
-            )
+            link.check_relations(f"links[{index}]", names, "host")
+        for section, members in (("apps", self.apps), ("workloads", self.workloads)):
+            seen_labels: Dict[str, int] = {}
+            for index, member in enumerate(members):
+                member.validate(f"{section}[{index}]", names)
+                if member.label:
+                    if member.label in seen_labels:
+                        raise SpecError(
+                            f"{section}[{index}].label",
+                            f"duplicate label {member.label!r} (also "
+                            f"{section}[{seen_labels[member.label]}]); labels address "
+                            f"{section} entries in the result, so they must be unique")
+                    seen_labels[member.label] = index
+        if self.engine is not None and self.engine.shards > 1 and self.graph is None:
+            raise SpecError("engine.shards", "sharded execution needs a graph topology "
+                                             "(hosts/links and dumbbell scenarios run "
+                                             "single-process)")
         return self
 
     def seal(self) -> "ScenarioSpec":
@@ -1167,102 +990,8 @@ class ScenarioSpec:
         changes ``type(spec)``, so sealed and unsealed specs with equal
         content compare unequal under the dataclass ``__eq__``.
         """
-        if getattr(self, "_is_sealed", False):
-            return self
-        self.validate()
-        children: List[Any] = [*self.hosts, *self.links, *self.apps, *self.workloads, self.stop]
-        if self.dumbbell is not None:
-            children.append(self.dumbbell)
-        if self.graph is not None:
-            children.extend([*self.graph.nodes, *self.graph.links,
-                             *self.graph.reroutes, self.graph])
-        if self.telemetry is not None:
-            children.append(self.telemetry)
-        if self.engine is not None:
-            children.append(self.engine)
-        for child in children:
-            child.__class__ = _sealed_variant(child.__class__)
-        self.__class__ = _sealed_variant(ScenarioSpec)
+        if not self._is_sealed:
+            self.validate()
+            for block in (*self.blocks(), self):
+                block.__class__ = _sealed_variant(block.__class__)
         return self
-
-    # --------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON rendering; ``from_dict(to_dict(spec))`` == ``spec``.
-
-        The ``telemetry``, ``graph``, ``workloads`` and ``engine`` keys are
-        only present when the corresponding block is configured, so specs
-        without them render (and digest) exactly as they did before the
-        blocks existed.
-        """
-        payload = {
-            "name": self.name,
-            "description": self.description,
-            "hosts": [host.to_dict() for host in self.hosts],
-            "links": [link.to_dict() for link in self.links],
-            "dumbbell": self.dumbbell.to_dict() if self.dumbbell is not None else None,
-            "apps": [app.to_dict() for app in self.apps],
-            "stop": self.stop.to_dict(),
-            "metrics": list(self.metrics),
-            "seed": self.seed,
-        }
-        if self.graph is not None:
-            payload["graph"] = self.graph.to_dict()
-        if self.workloads:
-            payload["workloads"] = [workload.to_dict() for workload in self.workloads]
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry.to_dict()
-        if self.engine is not None:
-            payload["engine"] = self.engine.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Strict inverse of :meth:`to_dict`; unknown keys raise :class:`SpecError`."""
-        _reject_unknown_keys(cls, data, "")
-        payload = dict(data)
-        hosts = [_from_mapping(HostSpec, item, f"hosts[{i}]")
-                 for i, item in enumerate(payload.pop("hosts", []) or [])]
-        links_data = payload.pop("links", []) or []
-        links: List[LinkSpec] = []
-        for i, item in enumerate(links_data):
-            link = _from_mapping(LinkSpec, dict(item), f"links[{i}]")
-            links.append(link)
-        dumbbell_data = payload.pop("dumbbell", None)
-        dumbbell = (_from_mapping(DumbbellSpec, dumbbell_data, "dumbbell")
-                    if dumbbell_data is not None else None)
-        graph_data = payload.pop("graph", None)
-        graph = GraphSpec.from_dict(graph_data, "graph") if graph_data is not None else None
-        apps = [_from_mapping(AppSpec, item, f"apps[{i}]")
-                for i, item in enumerate(payload.pop("apps", []) or [])]
-        workloads = [_from_mapping(WorkloadSpec, item, f"workloads[{i}]")
-                     for i, item in enumerate(payload.pop("workloads", []) or [])]
-        stop_data = payload.pop("stop", None)
-        stop = _from_mapping(StopSpec, stop_data, "stop") if stop_data is not None else StopSpec()
-        telemetry_data = payload.pop("telemetry", None)
-        telemetry = (_from_mapping(TelemetrySpec, telemetry_data, "telemetry")
-                     if telemetry_data is not None else None)
-        engine_data = payload.pop("engine", None)
-        engine = (_from_mapping(EngineSpec, engine_data, "engine")
-                  if engine_data is not None else None)
-        metrics_data = payload.pop("metrics", ("apps",))
-        if not isinstance(metrics_data, (list, tuple)):
-            # tuple("apps") would silently explode a string into characters.
-            raise SpecError("metrics",
-                            f"expected a list of metric groups, got {type(metrics_data).__name__} "
-                            f"({metrics_data!r})")
-        metrics = tuple(metrics_data)
-        return cls(
-            name=payload.pop("name", ""),
-            description=payload.pop("description", ""),
-            hosts=hosts,
-            links=links,
-            dumbbell=dumbbell,
-            graph=graph,
-            apps=apps,
-            workloads=workloads,
-            stop=stop,
-            telemetry=telemetry,
-            engine=engine,
-            metrics=metrics,
-            seed=payload.pop("seed", 0),
-        )

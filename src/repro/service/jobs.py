@@ -263,33 +263,27 @@ def attach_app_in_loop(scenario, app_name: str, host_name: str,
                        params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Attach a registry application to a live host (event-loop context only).
 
-    This reuses the runtime attach path the stochastic workload generators
-    use: registry lookup, schema-validated params, construction against live
-    hosts, telemetry binding, ``start()``.  The instance is recorded as a
-    ``service_attach`` entry in the result's ``workloads`` section.
+    The request is checked exactly like a static ``apps:`` entry (field
+    types, then :meth:`AppSpec.validate`: registered app, declared host and
+    peer, peer != host, schema-validated params) and then follows the
+    runtime attach path the stochastic workload generators use: construction
+    against live hosts, telemetry binding, ``start()``.  The instance is
+    recorded as a ``service_attach`` entry in the result's ``workloads``
+    section.
     """
-    from ..scenario.applications import get_application, validate_params
+    from ..scenario.applications import get_application
     from ..scenario.spec import AppSpec
 
-    if host_name not in scenario.hosts:
-        raise SpecError("host", f"unknown host {host_name!r}; have {sorted(scenario.hosts)}")
-    if peer_name and peer_name not in scenario.hosts:
-        raise SpecError("peer", f"unknown peer {peer_name!r}; have {sorted(scenario.hosts)}")
-    try:
-        app_cls = get_application(app_name)
-    except KeyError as exc:
-        raise SpecError("app", str(exc.args[0])) from exc
-    if app_cls.needs_peer and not peer_name:
-        raise SpecError("peer", f"application {app_name!r} requires a peer host")
     attach_index = sum(1 for w in scenario.workloads if isinstance(w, _AttachedApp))
-    if not label:
-        label = f"service:{app_name}[{attach_index}]"
+    app_spec = AppSpec(app=app_name, host=host_name, peer=peer_name,
+                       label=label or f"service:{app_name}[{attach_index}]",
+                       params=dict(params or {}))
+    app_spec.check_fields("")
+    normalized = app_spec.validate("", scenario.hosts)
+    label = app_spec.label
     host = scenario.hosts[host_name]
     peer = scenario.hosts[peer_name] if peer_name else None
-    app_spec = AppSpec(app=app_name, host=host_name, peer=peer_name,
-                       label=label, params=dict(params or {}))
-    normalized = validate_params(app_name, app_spec.params, path=f"{label}.params")
-    app = app_cls(host, peer, app_spec, normalized)
+    app = get_application(app_name)(host, peer, app_spec, normalized)
     app.label = label
     if scenario.telemetry is not None:
         app.attach_telemetry(scenario.telemetry.hub)

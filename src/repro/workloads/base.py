@@ -1,11 +1,12 @@
 """The workload registry and the :class:`Workload` base class.
 
 Mirrors :mod:`repro.scenario.applications`: a generator declares a typed
-``PARAMS`` schema (reusing :class:`~repro.scenario.applications.Param`),
+``PARAMS`` schema (a table of :class:`~repro.scenario.spec.Param`),
 registers under a kind name, and the spec validator / builder / CLI all
-resolve it from here.  The schema walk and its memo are shared with the
-application registry so both layers reject bad parameters with identical,
-path-qualified messages.
+resolve it from here.  ``WorkloadSpec`` validates ``params`` against that
+table through the same :func:`~repro.scenario.spec.check_mapping` walk the
+application registry uses, so both layers reject bad parameters with
+identical, path-qualified messages.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from __future__ import annotations
 import random
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
-# Param and the memoized schema walk are deliberately shared with the
-# application registry: one validation dialect for both "apps" and
-# "workloads" blocks, one memo implementation to fix in one place.
-from ..scenario.applications import Param, validate_params_cached
-from ..scenario.spec import SpecError, WorkloadSpec
+from ..scenario.applications import describe_params
+from ..scenario.spec import Param, SpecError, WorkloadSpec, check_mapping
 
 __all__ = [
     "Workload",
@@ -28,12 +26,6 @@ __all__ = [
     "describe_workloads",
     "validate_workload_params",
 ]
-
-#: Memo of successful schema walks, keyed by (workload class, frozen params);
-#: the class object in the key protects against re-registration serving
-#: stale defaults (same contract as applications._PARAMS_CACHE).
-_PARAMS_CACHE: Dict[tuple, Dict[str, Any]] = {}
-_PARAMS_CACHE_MAX = 1024
 
 
 class Workload:
@@ -197,27 +189,10 @@ def known_workloads() -> List[str]:
 def validate_workload_params(kind: str, params: Dict[str, Any],
                              path: str = "params") -> Dict[str, Any]:
     """Validate ``params`` against the workload's schema; return defaults-applied dict."""
-    return validate_params_cached(get_workload(kind), kind, params, path,
-                                  _PARAMS_CACHE, _PARAMS_CACHE_MAX)
+    return check_mapping(get_workload(kind).PARAMS, params, path, f"workload {kind!r}")
 
 
 def describe_workloads() -> List[Tuple[str, str, List[str]]]:
     """(kind, description, parameter summaries) rows for the CLI listing."""
-    rows = []
-    for name in known_workloads():
-        cls = WORKLOADS[name]
-        param_lines = []
-        for pname, param in sorted(cls.PARAMS.items()):
-            bits = [param.type.__name__]
-            if param.required:
-                bits.append("required")
-            else:
-                bits.append(f"default={param.default!r}")
-            if param.choices:
-                bits.append(f"one of {'/'.join(map(str, param.choices))}")
-            summary = f"{pname} ({', '.join(bits)})"
-            if param.help:
-                summary += f": {param.help}"
-            param_lines.append(summary)
-        rows.append((name, cls.description, param_lines))
-    return rows
+    return [(name, WORKLOADS[name].description, describe_params(WORKLOADS[name].PARAMS))
+            for name in known_workloads()]

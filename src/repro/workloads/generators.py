@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..scenario.applications import Param
+from ..scenario.spec import Param
 from ..transport.udp.socket import UDPSocket
 from .arrivals import ARRIVAL_PROCESSES, bounded_pareto, geometric, make_interarrival
 from .base import Workload, register_workload
@@ -23,8 +23,6 @@ __all__ = ["TcpFlowChurn", "WebSessionChurn", "VatOnOffBurst", "UdpBlast"]
 #: Shared arrival-process parameter declarations.  Every numeric knob
 #: carries a range bound: a value that would hang the reap loop or crash a
 #: distribution mid-run must fail at spec validation, not at arrival time.
-#: (``diurnal_depth``'s ``< 1`` upper bound lives in ``make_interarrival``;
-#: the Param schema only expresses lower bounds.)
 _ARRIVAL_PARAMS = {
     "arrival": Param(str, default="poisson", choices=ARRIVAL_PROCESSES,
                      help="inter-arrival process"),
@@ -40,7 +38,7 @@ _ARRIVAL_PARAMS = {
                          help="Gaussian width of the surge in seconds (arrival=flash_crowd)"),
     "diurnal_period": Param(float, default=20.0, minimum=0.0, exclusive_minimum=True,
                             help="seconds per sinusoidal rate cycle when arrival=diurnal"),
-    "diurnal_depth": Param(float, default=0.5, minimum=0.0,
+    "diurnal_depth": Param(float, default=0.5, minimum=0.0, maximum=1.0, exclusive_maximum=True,
                            help="fractional rate swing in [0, 1) when arrival=diurnal"),
 }
 

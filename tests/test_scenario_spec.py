@@ -73,7 +73,7 @@ class TestValidation:
 
     def test_loss_rate_range_checked(self):
         spec = minimal_spec(links=[LinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01, loss_rate=1.5)])
-        with pytest.raises(SpecError, match=r"loss_rate: must be <= 1"):
+        with pytest.raises(SpecError, match=r"loss_rate: must be < 1"):
             spec.validate()
 
     def test_rate_schedule_must_increase(self):
@@ -338,6 +338,135 @@ class TestRoundTrip:
         )
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone.links[0].rate_schedule == ((1.0, 2e6), (2.0, 3e6))
+
+
+def graph_dict(**graph_overrides):
+    """A two-node graph scenario as a JSON dict (for malformed-input cases)."""
+    graph = {
+        "nodes": [{"name": "a"}, {"name": "b"}],
+        "links": [{"a": "a", "b": "b", "rate_bps": 1e6, "delay": 0.01}],
+    }
+    graph.update(graph_overrides)
+    return {"name": "g", "graph": graph, "stop": {"until": 1.0}}
+
+
+def load(data):
+    return ScenarioSpec.from_dict(data).validate()
+
+
+class TestMalformedInput:
+    """Wrong-shaped input is a path-qualified SpecError, never a raw
+    TypeError / AttributeError / ValueError (which the service would turn
+    into a 500): every field is type-checked from its table entry before
+    anything hashes, iterates or compares it."""
+
+    @pytest.mark.parametrize("bad", [[1], {"x": 1}, [[1]]])
+    @pytest.mark.parametrize("trail", [
+        ("name",), ("description",), ("seed",), ("hosts", 0, "name"), ("hosts", 0, "addr"),
+        ("links", 0, "a"), ("links", 0, "rate_bps"), ("links", 0, "queue_limit"),
+        ("stop", "until"), ("apps", 0, "app"), ("apps", 0, "host"), ("apps", 0, "label"),
+    ])
+    def test_container_in_a_scalar_field(self, trail, bad):
+        data = minimal_spec(apps=[AppSpec(app="tcp_listener", host="b",
+                                          params={"port": 80})]).to_dict()
+        target = data
+        for step in trail[:-1]:
+            target = target[step]
+        target[trail[-1]] = bad
+        with pytest.raises(SpecError) as caught:
+            load(data)
+        assert str(trail[-1]) in caught.value.path
+
+    @pytest.mark.parametrize("key", ["hosts", "links", "apps", "workloads"])
+    @pytest.mark.parametrize("bad", [5, "abc", True, {"x": 1}])
+    def test_non_list_where_a_list_of_blocks_is_expected(self, key, bad):
+        data = minimal_spec().to_dict()
+        data[key] = bad
+        with pytest.raises(SpecError, match=f"^{key}: expected a list"):
+            load(data)
+
+    @pytest.mark.parametrize("key", ["nodes", "links", "reroutes"])
+    def test_non_list_inside_a_graph_block(self, key):
+        with pytest.raises(SpecError, match=rf"^graph\.{key}: expected a list"):
+            load(graph_dict(**{key: "abc"}))
+
+    def test_non_mapping_where_a_block_is_expected(self):
+        data = minimal_spec().to_dict()
+        data["hosts"][0] = 5
+        with pytest.raises(SpecError, match=r"^hosts\[0\]: expected a mapping"):
+            load(data)
+        data = minimal_spec().to_dict()
+        data["stop"] = [1.0]
+        with pytest.raises(SpecError, match="^stop: expected a mapping"):
+            load(data)
+
+    def test_non_mapping_params(self):
+        data = minimal_spec(apps=[AppSpec(app="tcp_listener", host="b")]).to_dict()
+        data["apps"][0]["params"] = 5
+        with pytest.raises(SpecError, match=r"^apps\[0\]\.params: expected dict"):
+            load(data)
+
+    def test_non_string_reroute_endpoints(self):
+        reroute = {"time": 1.0, "a": 5, "b": ["b"], "delay": 0.02}
+        with pytest.raises(SpecError, match=r"^graph\.reroutes\[0\]\.a: expected str"):
+            load(graph_dict(reroutes=[reroute]))
+
+    def test_bare_string_is_not_exploded_into_characters(self):
+        data = minimal_spec().to_dict()
+        data["telemetry"] = {"samplers": "links"}
+        with pytest.raises(SpecError, match=r"^telemetry\.samplers: expected a list"):
+            load(data)
+        data["telemetry"] = {"events": "packet.drop"}
+        with pytest.raises(SpecError, match=r"^telemetry\.events: expected a list"):
+            load(data)
+        bell = {"name": "bell", "dumbbell": {"n_pairs": 2, "bottleneck_bps": 1e6,
+                                             "bottleneck_delay": 0.01, "cm_senders": "01"}}
+        with pytest.raises(SpecError, match=r"^dumbbell\.cm_senders: expected a list"):
+            load(bell)
+
+    def test_missing_required_key_names_it(self):
+        data = minimal_spec().to_dict()
+        del data["links"][0]["rate_bps"]
+        with pytest.raises(SpecError, match=r"^links\[0\]\.rate_bps: is required"):
+            ScenarioSpec.from_dict(data)
+
+    def test_python_built_specs_get_the_same_checks(self):
+        with pytest.raises(SpecError, match=r"^hosts\[0\]\.name: expected str"):
+            minimal_spec(hosts=[HostSpec(name=["a"]), HostSpec(name="b")]).validate()
+        with pytest.raises(SpecError, match="^apps: expected a list"):
+            minimal_spec(apps=5).validate()
+        with pytest.raises(SpecError, match=r"^links\[0\]: expected a LinkSpec"):
+            minimal_spec(links=[{"a": "a", "b": "b"}]).validate()
+
+
+class TestRangesMatchTheConstructors:
+    """What validates must build: the table's ranges are the model
+    constructors' ranges, and no numeric field takes a non-finite value."""
+
+    def test_loss_rate_one_is_rejected_like_link_does(self):
+        # Link.__init__ wants [0, 1); 1.0 used to validate and then escape
+        # build() as a bare ValueError.
+        for field in ("loss_rate", "reverse_loss_rate"):
+            spec = minimal_spec(links=[realism_link(**{field: 1.0})])
+            with pytest.raises(SpecError, match=rf"links\[0\]\.{field}: must be < 1"):
+                spec.validate()
+        with pytest.raises(SpecError, match=r"graph\.links\[0\]\.loss_rate: must be < 1"):
+            load(graph_dict(links=[{"a": "a", "b": "b", "rate_bps": 1e6, "delay": 0.01,
+                                    "loss_rate": 1.0}]))
+        bell = DumbbellSpec(n_pairs=1, bottleneck_bps=1e6, bottleneck_delay=0.01, loss_rate=1.0)
+        with pytest.raises(SpecError, match=r"dumbbell\.loss_rate: must be < 1"):
+            ScenarioSpec(name="bell", dumbbell=bell).validate()
+        minimal_spec(links=[realism_link(loss_rate=0.999)]).validate()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 10 ** 400],
+                             ids=["inf", "-inf", "nan", "10**400"])
+    def test_non_finite_numbers_are_rejected(self, bad):
+        with pytest.raises(SpecError, match="stop.until: must be a finite number"):
+            minimal_spec(stop=StopSpec(until=bad)).validate()
+        with pytest.raises(SpecError, match=r"aqm\.max_th: must be a finite number"):
+            minimal_spec(links=[realism_link(aqm=red_aqm(max_th=bad))]).validate()
+        with pytest.raises(SpecError, match="start_at: must be a finite number"):
+            validate_params("tcp_sender", {"port": 1, "transfer_bytes": 1, "start_at": bad})
 
 
 class TestValidationCacheSoundness:

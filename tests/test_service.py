@@ -354,6 +354,19 @@ class TestServiceApi:
         body = response.json()
         assert "error" in body and "path" in body
 
+    def test_submit_malformed_spec_is_400_not_500(self, api):
+        # Wrong-shaped input used to escape from_dict/validate as a raw
+        # TypeError, which the router reports as a 500.
+        for mutate, path in (
+            (lambda spec: spec.update(apps=5), "apps"),
+            (lambda spec: spec.update(hosts=[{"name": ["a"]}]), "hosts[0].name"),
+        ):
+            spec = tiny_transfer_spec().to_dict()
+            mutate(spec)
+            response = submit(api, {"spec": spec})
+            assert response.status == 400, response.json()
+            assert response.json()["path"] == path
+
     def test_submit_unknown_key_is_400(self, api):
         response = submit(api, {"spec": {"name": "x", "bogus": 1}})
         assert response.status == 400
@@ -495,6 +508,15 @@ class TestLiveInspection:
             json.dumps({"app": "bulk", "peer": "receiver"}).encode())
         assert bad_params.status == 400
         assert "nbuffers" in bad_params.json()["path"]
+        # The placement rules are the static ``apps:`` block's, peer != host
+        # included (the hand-copied check used to miss it).
+        self_peer = api.dispatch(
+            "POST", f"/v1/jobs/{live_job.id}/hosts/sender/apps",
+            json.dumps({"app": "bulk", "peer": "sender",
+                        "params": {"nbuffers": 10}}).encode())
+        assert self_peer.status == 400
+        assert self_peer.json()["path"] == "peer"
+        assert "differ" in self_peer.json()["error"]
 
     def test_patch_link(self, api, live_job):
         patched = api.dispatch(
