@@ -288,8 +288,7 @@ class TCPApiTestApp:
         # The application writes one packet-sized buffer per send call.
         for _ in range(self.npackets):
             if costs is not None:
-                costs.syscall("send_call", category="app")
-                costs.charge_copy(self.packet_size, category="app")
+                costs.syscall_copy("send_call", self.packet_size, "app")
             self.sender.send(self.packet_size)
         sim.run(until=start + timeout)
         duration = max((self.sender.complete_time or sim.now) - start, 1e-9)

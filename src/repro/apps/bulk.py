@@ -92,8 +92,7 @@ class BulkTransferApp:
         # call plus a copy into the kernel (ttcp's inner loop).
         for _ in range(nbuffers):
             if costs is not None:
-                costs.syscall("send_call", category="app")
-                costs.charge_copy(self.buffer_size, category="app")
+                costs.syscall_copy("send_call", self.buffer_size, "app")
             self.sender.send(self.buffer_size)
 
     def collect(self, sim: Simulator) -> BulkResult:

@@ -49,6 +49,11 @@ class NotificationChannel:
         """Deliver a network-conditions-changed notification for ``flow``."""
         raise NotImplementedError
 
+    def wants_status_updates(self, flow_id: int) -> bool:
+        """Whether a client keeping its callbacks outside the kernel flow
+        record is listening for rate callbacks on ``flow_id`` right now."""
+        return False
+
 
 class DirectChannel(NotificationChannel):
     """Same-address-space callbacks for in-kernel clients.
@@ -116,7 +121,8 @@ class Flow:
         self.dport = dport
         self.protocol = protocol
         self.channel = channel
-        self.state = self.STATE_OPEN
+        #: True until ``cm_close`` is called for this flow.
+        self.is_open = True
         self.macroflow: Optional["Macroflow"] = None
 
         self.send_callback: Optional[SendCallback] = None
@@ -137,9 +143,16 @@ class Flow:
 
     # ------------------------------------------------------------------ state
     @property
-    def is_open(self) -> bool:
-        """True until ``cm_close`` is called for this flow."""
-        return self.state == self.STATE_OPEN
+    def state(self) -> str:
+        """``"open"`` until ``cm_close`` is called for this flow, then ``"closed"``."""
+        return self.STATE_OPEN if self.is_open else self.STATE_CLOSED
+
+    @property
+    def may_receive_updates(self) -> bool:
+        """Whether a rate callback could be owed to this flow: ``cmapp_update``
+        is registered with the kernel, or the client is in user space and its
+        channel is asked on every update."""
+        return self.update_callback is not None or not self.channel.requires_send_callback
 
     @property
     def key(self) -> tuple:
@@ -148,7 +161,7 @@ class Flow:
 
     def close(self) -> None:
         """Mark the flow closed; the manager handles all detachment."""
-        self.state = self.STATE_CLOSED
+        self.is_open = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

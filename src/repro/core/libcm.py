@@ -29,7 +29,6 @@ loop by calling :meth:`LibCM.poll`).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
 from .flow import Flow, NotificationChannel
@@ -59,7 +58,7 @@ class ControlSocketChannel(NotificationChannel):
 
     def wants_status_updates(self, flow_id: int) -> bool:
         """The CM asks this before generating rate callbacks for the flow."""
-        return self._libcm.has_update_callback(flow_id)
+        return flow_id in self._libcm._update_callbacks
 
 
 class LibCM:
@@ -95,7 +94,7 @@ class LibCM:
         self._send_callbacks: Dict[int, Callable[[int], None]] = {}
         self._update_callbacks: Dict[int, Callable[[int, QueryResult], None]] = {}
         #: Flows with undelivered send grants (flow id -> number of grants).
-        self._sendable: "OrderedDict[int, int]" = OrderedDict()
+        self._sendable: Dict[int, int] = {}
         #: Latest undelivered status per flow (older ones are overwritten).
         self._pending_status: Dict[int, QueryResult] = {}
         self._dispatch_scheduled = False
@@ -242,14 +241,15 @@ class LibCM:
 
     def _drain(self) -> int:
         delivered = 0
-        self.stats["dispatches"] += 1
+        stats = self.stats
+        costs = self.costs
+        stats["dispatches"] += 1
         if self._sendable:
             # One ioctl returns the full list of sendable flows, however many
             # became ready — this is the batching §2.2.2 argues for.
             self._charge_ioctl()
-            ready = list(self._sendable.items())
-            self._sendable.clear()
-            for flow_id, grants in ready:
+            ready, self._sendable = self._sendable, {}
+            for flow_id, grants in ready.items():
                 callback = self._send_callbacks.get(flow_id)
                 if callback is None:
                     # The application never registered; return the grants so
@@ -258,20 +258,21 @@ class LibCM:
                         self.cm.cm_notify(flow_id, 0)
                     continue
                 for _ in range(grants):
-                    self._charge("libcm_dispatch")
-                    self.stats["send_callbacks"] += 1
+                    if costs is not None:
+                        costs.charge_operation("libcm_dispatch", 1, "libcm")
+                    stats["send_callbacks"] += 1
                     callback(flow_id)
                     delivered += 1
         if self._pending_status:
             self._charge_ioctl()
-            statuses = list(self._pending_status.items())
-            self._pending_status.clear()
-            for flow_id, status in statuses:
+            statuses, self._pending_status = self._pending_status, {}
+            for flow_id, status in statuses.items():
                 callback = self._update_callbacks.get(flow_id)
                 if callback is None:
                     continue
-                self._charge("libcm_dispatch")
-                self.stats["update_callbacks"] += 1
+                if costs is not None:
+                    costs.charge_operation("libcm_dispatch", 1, "libcm")
+                stats["update_callbacks"] += 1
                 callback(flow_id, status)
                 delivered += 1
         return delivered
@@ -281,14 +282,13 @@ class LibCM:
     # ====================================================================== #
     def _charge(self, operation: str) -> None:
         if self.costs is not None:
-            self.costs.charge_operation(operation, category="libcm")
+            self.costs.charge_operation(operation, 1, "libcm")
 
     def _charge_ioctl(self) -> None:
         if self.costs is not None:
-            self.costs.charge_operation("syscall", category="libcm")
-            self.costs.charge_operation("ioctl", category="libcm")
+            self.costs.syscall("ioctl", "libcm")
         self.stats["ioctls"] += 1
 
     def _charge_syscall(self, flavour: str) -> None:
         if self.costs is not None:
-            self.costs.syscall(flavour, category="libcm")
+            self.costs.syscall(flavour, "libcm")

@@ -57,9 +57,19 @@ class Macroflow:
         self.key = key
         self.mtu = mtu
         self.controller = controller
+        #: Rate-based controllers take the shared srtt for their rate<->window
+        #: conversion; window controllers have no such hook (None).
+        self._observe_rtt = getattr(controller, "observe_rtt", None)
         self.scheduler = scheduler
         self.rtt = RttEstimator()
         self.flows: Dict[int, Flow] = {}
+        #: How many of ``flows`` may be owed a rate callback
+        #: (:attr:`Flow.may_receive_updates`).  Kept by ``add_flow``,
+        #: ``remove_flow`` and ``cm_register_update``, the only places the
+        #: answer can change; while zero, feedback skips the callback walk.
+        self.update_listeners = 0
+        #: Feedback watchdog timer, bound by the manager when enabled.
+        self.watchdog = None
 
         #: Bytes transmitted (per cm_notify) and not yet covered by feedback.
         self.outstanding_bytes: float = 0.0
@@ -90,11 +100,14 @@ class Macroflow:
         """Attach a flow to this macroflow."""
         self.flows[flow.flow_id] = flow
         flow.macroflow = self
+        if flow.may_receive_updates:
+            self.update_listeners += 1
 
     def remove_flow(self, flow: Flow) -> None:
         """Detach a flow; its in-flight bytes are forgotten (they will never
         be acknowledged through the CM once the client is gone)."""
-        self.flows.pop(flow.flow_id, None)
+        if self.flows.pop(flow.flow_id, None) is not None and flow.may_receive_updates:
+            self.update_listeners -= 1
         self.scheduler.remove_flow(flow.flow_id)
         self.outstanding_bytes = max(0.0, self.outstanding_bytes - flow.outstanding_bytes)
         self.reserved_bytes = max(0.0, self.reserved_bytes - flow.granted_unnotified * self.mtu)
@@ -177,9 +190,8 @@ class Macroflow:
         )
         if rtt > 0:
             self.rtt.sample(rtt)
-            observe = getattr(self.controller, "observe_rtt", None)
-            if observe is not None:
-                observe(self.rtt.smoothed_rtt())
+            if self._observe_rtt is not None:
+                self._observe_rtt(self.rtt.smoothed_rtt())
         if nsent > 0:
             released = min(float(nsent), self.outstanding_bytes)
             self.outstanding_bytes -= released
@@ -227,14 +239,11 @@ class Macroflow:
 
     def status(self) -> QueryResult:
         """Snapshot of the shared network-state estimate for this macroflow."""
-        return QueryResult(
-            rate=self.rate(),
-            srtt=self.rtt.smoothed_rtt(),
-            rttvar=self.rtt.deviation(),
-            loss_rate=self.loss_rate,
-            cwnd_bytes=self.controller.cwnd,
-            mtu=self.mtu,
-        )
+        rtt = self.rtt
+        srtt = rtt.smoothed_rtt()
+        # Field order: rate, srtt, rttvar, loss_rate, cwnd_bytes, mtu.
+        return QueryResult(self.controller.rate_estimate(srtt), srtt, rtt.deviation(),
+                           self.loss_rate, self.controller.cwnd, self.mtu)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

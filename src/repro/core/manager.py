@@ -103,6 +103,9 @@ class CongestionManager:
         self.host = host
         self.sim: Simulator = host.sim
         self.mtu: int = host.mtu
+        #: The host's CPU cost facade, or None (a compiled no-op) on hosts
+        #: built without CPU accounting.
+        self._costs = host.costs
         self.controller_factory = controller_factory or (lambda mtu: AimdWindowController(mtu))
         self.scheduler_factory = scheduler_factory or RoundRobinScheduler
         self.macroflow_idle_timeout = macroflow_idle_timeout
@@ -114,7 +117,6 @@ class CongestionManager:
         self._macroflows: Dict[int, Macroflow] = {}
         self._macroflows_by_key: Dict = {}
         self._expiry_events: Dict[int, object] = {}
-        self._watchdogs: Dict[int, Timer] = {}
 
         self._next_flow_id = 1
         self._next_macroflow_id = 1
@@ -215,7 +217,10 @@ class CongestionManager:
     def cm_register_update(self, flow_id: int, callback) -> None:
         """Register the ``cmapp_update(flow_id, status)`` rate callback."""
         flow = self._get_flow(flow_id)
+        macroflow = flow.macroflow
+        macroflow.update_listeners -= flow.may_receive_updates
         flow.update_callback = callback
+        macroflow.update_listeners += flow.may_receive_updates
 
     def cm_thresh(self, flow_id: int, down: float, up: float) -> None:
         """Set rate-change factors that trigger ``cmapp_update``.
@@ -378,16 +383,18 @@ class CongestionManager:
         time are honoured, which is what connected vs unconnected UDP
         sockets differ on in the API-overhead study.
         """
-        for key in (
-            (src, dst, sport, dport, protocol),
-            (src, dst, sport, 0, protocol),
-            (src, dst, 0, dport, protocol),
-            (src, dst, 0, 0, protocol),
-        ):
-            flow_id = self._flows_by_key.get(key)
-            if flow_id is not None:
-                return flow_id
-        return None
+        by_key = self._flows_by_key
+        flow_id = by_key.get((src, dst, sport, dport, protocol))
+        if flow_id is None:
+            for key in (
+                (src, dst, sport, 0, protocol),
+                (src, dst, 0, dport, protocol),
+                (src, dst, 0, 0, protocol),
+            ):
+                flow_id = by_key.get(key)
+                if flow_id is not None:
+                    break
+        return flow_id
 
     def flow(self, flow_id: int) -> Flow:
         """Return the :class:`Flow` record (primarily for tests/experiments)."""
@@ -410,14 +417,13 @@ class CongestionManager:
         flow = self._flows.get(flow_id)
         if flow is None:
             raise UnknownFlowError(f"unknown cm_flowid {flow_id}")
-        if not flow.is_open and not allow_closed:
+        if not (flow.is_open or allow_closed):
             raise FlowClosedError(f"cm_flowid {flow_id} is closed")
         return flow
 
     def _charge_kernel_op(self) -> None:
-        costs = getattr(self.host, "costs", None)
-        if costs is not None:
-            costs.charge_operation("cm_kernel_op", category="cm")
+        if self._costs is not None:
+            self._costs.charge_operation("cm_kernel_op", 1, "cm")
 
     # ------------------------------------------------------------ macroflows
     def _macroflow_for_destination(self, dst: str) -> Macroflow:
@@ -437,6 +443,8 @@ class CongestionManager:
         )
         self._next_macroflow_id += 1
         self._macroflows[macroflow.macroflow_id] = macroflow
+        if self.feedback_watchdog_enabled:
+            macroflow.watchdog = Timer(self.sim, self._watchdog_fired, macroflow)
         if self._telemetry_hub is not None:
             macroflow._probe_congestion = self._telemetry_hub.probe("cm.congestion")
         return macroflow
@@ -445,9 +453,8 @@ class CongestionManager:
         self._macroflows.pop(macroflow.macroflow_id, None)
         if macroflow.key is not None and self._macroflows_by_key.get(macroflow.key) is macroflow:
             self._macroflows_by_key.pop(macroflow.key, None)
-        watchdog = self._watchdogs.pop(macroflow.macroflow_id, None)
-        if watchdog is not None:
-            watchdog.cancel()
+        if macroflow.watchdog is not None:
+            macroflow.watchdog.cancel()
         event = self._expiry_events.pop(macroflow.macroflow_id, None)
         if event is not None and event.pending:
             event.cancel()
@@ -520,49 +527,34 @@ class CongestionManager:
 
     # ------------------------------------------------------- rate callbacks
     def _dispatch_rate_callbacks(self, macroflow: Macroflow) -> None:
-        status = macroflow.status()
+        if not macroflow.update_listeners:
+            return
+        status = None
         for flow in list(macroflow.flows.values()):
-            if flow.update_callback is None and flow.channel.requires_send_callback:
-                continue
-            if flow.update_callback is None and not self._channel_wants_updates(flow):
-                continue
+            if flow.update_callback is None:
+                # User-space flows keep their callbacks in libcm, so the
+                # kernel-side record may be empty; the control socket decides
+                # whether anyone is listening.
+                channel = flow.channel
+                if channel.requires_send_callback or not channel.wants_status_updates(flow.flow_id):
+                    continue
+            if status is None:
+                status = macroflow.status()
+            rate = status.rate
             last = flow.last_notified_rate
-            if last is None or last <= 0:
-                should_notify = True
-            else:
-                should_notify = (
-                    status.rate <= last / flow.thresh_down
-                    or status.rate >= last * flow.thresh_up
-                )
-            if should_notify:
-                flow.last_notified_rate = status.rate
+            if (last is None or last <= 0
+                    or rate <= last / flow.thresh_down or rate >= last * flow.thresh_up):
+                flow.last_notified_rate = rate
                 flow.stats.rate_callbacks += 1
                 flow.channel.post_status_update(flow, status)
 
-    @staticmethod
-    def _channel_wants_updates(flow: Flow) -> bool:
-        """User-space flows keep their callbacks in libcm, so the kernel-side
-        record may be empty; the control socket decides whether anyone is
-        listening."""
-        wants = getattr(flow.channel, "wants_status_updates", None)
-        if wants is None:
-            return False
-        return wants(flow.flow_id)
-
     # --------------------------------------------------------------- watchdog
     def _arm_watchdog(self, macroflow: Macroflow) -> None:
-        if not self.feedback_watchdog_enabled:
-            return
-        watchdog = self._watchdogs.get(macroflow.macroflow_id)
-        if watchdog is None:
-            watchdog = Timer(self.sim, self._watchdog_fired, macroflow)
-            self._watchdogs[macroflow.macroflow_id] = watchdog
-        if watchdog.pending:
-            # Cheap path: the watchdog checks staleness itself when it fires,
-            # so there is no need to push the timer back on every packet.
-            return
-        interval = max(4.0 * macroflow.rtt.rto(), 3.0)
-        watchdog.restart(interval)
+        watchdog = macroflow.watchdog
+        # The watchdog checks staleness itself when it fires, so an armed
+        # timer is never pushed back per packet.
+        if watchdog is not None and not watchdog.pending:
+            watchdog.restart(max(4.0 * macroflow.rtt.rto(), 3.0))
 
     def _watchdog_fired(self, macroflow: Macroflow) -> None:
         """Timer-driven error handling (§2 "background tasks and error handling").

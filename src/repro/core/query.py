@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["QueryResult"]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """What the CM currently believes about a flow's network path.
+
+    Immutable; built once per ``cm_query`` and per dispatched rate callback,
+    so it is a named tuple rather than a frozen dataclass (whose constructor
+    pays one ``object.__setattr__`` per field).
 
     This is the information the paper's ``cm_query()`` exposes so that a
     server can "make an informed decision about the data encoding to

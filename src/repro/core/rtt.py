@@ -55,15 +55,11 @@ class RttEstimator:
 
     def smoothed_rtt(self) -> float:
         """Best current RTT estimate (falls back to the configured initial RTT)."""
-        if self.has_samples:
-            return self.srtt
-        return self._initial_rtt
+        return self.srtt if self.samples > 0 else self._initial_rtt
 
     def deviation(self) -> float:
         """Current RTT deviation estimate."""
-        if self.has_samples:
-            return self.rttvar
-        return self._initial_rtt / 2.0
+        return self.rttvar if self.samples > 0 else self._initial_rtt / 2.0
 
     def rto(self) -> float:
         """Retransmission timeout: ``srtt + 4 * rttvar``, clamped."""

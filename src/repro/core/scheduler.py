@@ -137,6 +137,10 @@ class RoundRobinScheduler(Scheduler):
             return self._pending.get(flow_id, 0)
         return sum(self._pending.values())
 
+    def has_pending(self) -> bool:
+        # A flow is in the ring only while its count is >= 1.
+        return bool(self._pending)
+
     def remove_flow(self, flow_id: int) -> None:
         self._pending.pop(flow_id, None)
 
@@ -257,6 +261,10 @@ class WeightedRoundRobinScheduler(Scheduler):
         if flow_id is not None:
             return self._queues.get(flow_id, 0)
         return sum(self._queues.values())
+
+    def has_pending(self) -> bool:
+        # A queue entry exists only while its count is >= 1.
+        return bool(self._queues)
 
     def remove_flow(self, flow_id: int) -> None:
         self._queues.pop(flow_id, None)

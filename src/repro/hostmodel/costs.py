@@ -18,8 +18,17 @@ numbers are not meaningful beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict
 
 __all__ = ["CostModel", "OPERATIONS"]
+
+
+class _PriceTable(dict):
+    """Operation name -> microseconds; a miss is an unknown operation."""
+
+    def __missing__(self, operation):
+        raise KeyError(f"unknown host operation: {operation!r}")
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class CostModel:
     """Per-operation CPU prices, in microseconds of a circa-2000 host CPU.
 
     Attributes correspond to the operation names accepted by
-    :meth:`repro.hostmodel.ledger.CpuLedger.charge_operation`.
+    :meth:`repro.hostmodel.ledger.HostCosts.charge_operation`.
     """
 
     #: Base cost of trapping into the kernel for any system call.
@@ -68,12 +77,18 @@ class CostModel:
     #: allocation); used by the connection-setup microbenchmark.
     connection_setup: float = 120.0
 
+    @cached_property
+    def prices(self) -> Dict[str, float]:
+        """The price table: every name in :data:`OPERATIONS`, and nothing else.
+
+        Built on first use and kept on the (immutable) model, so every host
+        charging through this model shares one table.
+        """
+        return _PriceTable((name, getattr(self, name)) for name in OPERATIONS)
+
     def price(self, operation: str) -> float:
         """Return the cost of a named operation in microseconds."""
-        try:
-            return getattr(self, operation)
-        except AttributeError as exc:
-            raise KeyError(f"unknown host operation: {operation!r}") from exc
+        return self.prices[operation]
 
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every price multiplied by ``factor``.

@@ -16,6 +16,8 @@ from .costs import CostModel
 
 __all__ = ["CpuLedger", "HostCosts"]
 
+_NEGATIVE_CHARGE = "cannot charge negative CPU time"
+
 
 class CpuLedger:
     """Accumulates CPU microseconds by category.
@@ -33,7 +35,7 @@ class CpuLedger:
     def charge(self, category: str, microseconds: float) -> None:
         """Add ``microseconds`` of busy time under ``category``."""
         if microseconds < 0:
-            raise ValueError("cannot charge negative CPU time")
+            raise ValueError(_NEGATIVE_CHARGE)
         self.busy_us_by_category[category] += microseconds
         self.total_us += microseconds
 
@@ -58,57 +60,123 @@ class CpuLedger:
         self.total_us = 0.0
 
 
+#: What a host charges by unless given its own model.  Immutable, so every
+#: default host shares it and its price table.
+_DEFAULT_MODEL = CostModel()
+
+def _kernel_path(operation: str, direction: str):
+    """Build ``kernel_tx`` / ``kernel_rx``: the fixed per-packet price, then the checksum."""
+
+    def charge(self, nbytes: int) -> float:
+        fixed = self._prices[operation]
+        checksum = self.model.checksum_per_kb * (nbytes / 1024.0)
+        if fixed < 0 or checksum < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        busy = ledger.busy_us_by_category
+        busy["kernel"] = (busy["kernel"] + fixed) + checksum
+        ledger.total_us = (ledger.total_us + fixed) + checksum
+        ledger.operation_counts[operation] += 1
+        return fixed + checksum
+
+    charge.__doc__ = f"Charge the in-kernel {direction} path for one packet of ``nbytes``."
+    return charge
+
+
 class HostCosts:
     """Convenience facade bundling a :class:`CostModel` and a :class:`CpuLedger`.
 
     Each simulated :class:`~repro.netsim.node.Host` owns one of these; the
     IP layer, transports, the CM and libcm charge through it.
+
+    Every method is one frame over the ledger's accumulators.  A composite
+    stands for a fixed sequence of primitive charges and performs *that
+    sequence's additions, one at a time, in that order* — ``(x + a) + b``,
+    never ``x + (a + b)``: 0.4, 0.8 and the per-kB prices are not exact
+    binary fractions, and the accumulated floats are in every result digest
+    (``docs/cm_api_path.md``).  A charge that would be negative or names an
+    unknown operation raises before anything is added or counted.
     """
 
     def __init__(self, model: Optional[CostModel] = None, ledger: Optional[CpuLedger] = None):
-        self.model = model or CostModel()
+        self.model = model or _DEFAULT_MODEL
         self.ledger = ledger or CpuLedger()
+        self._prices = self.model.prices
 
     # ------------------------------------------------------------ primitives
     def charge_operation(self, operation: str, count: int = 1, category: Optional[str] = None) -> float:
         """Charge ``count`` occurrences of a named operation; returns µs charged."""
-        microseconds = self.model.price(operation) * count
-        self.ledger.charge(category or operation, microseconds)
-        self.ledger.count(operation, count)
+        microseconds = self._prices[operation] * count
+        if microseconds < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        ledger.busy_us_by_category[category or operation] += microseconds
+        ledger.total_us += microseconds
+        ledger.operation_counts[operation] += count
         return microseconds
 
     def charge_copy(self, nbytes: int, category: str = "copy") -> float:
         """Charge a kernel<->user data copy of ``nbytes`` bytes."""
         microseconds = self.model.copy_per_kb * (nbytes / 1024.0)
-        self.ledger.charge(category, microseconds)
-        self.ledger.count("copy_bytes", nbytes)
+        if microseconds < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        ledger.busy_us_by_category[category] += microseconds
+        ledger.total_us += microseconds
+        ledger.operation_counts["copy_bytes"] += nbytes
         return microseconds
 
     def charge_checksum(self, nbytes: int, category: str = "checksum") -> float:
         """Charge computing an Internet checksum over ``nbytes`` bytes."""
         microseconds = self.model.checksum_per_kb * (nbytes / 1024.0)
-        self.ledger.charge(category, microseconds)
+        if microseconds < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        ledger.busy_us_by_category[category] += microseconds
+        ledger.total_us += microseconds
         return microseconds
 
     # ----------------------------------------------------- common composites
     def syscall(self, operation: str = "syscall", category: Optional[str] = None) -> float:
         """Charge a system call of the given flavour (trap plus the op itself)."""
-        total = self.charge_operation("syscall", category=category)
-        if operation != "syscall":
-            total += self.charge_operation(operation, category=category)
-        return total
+        if operation == "syscall":
+            return self.charge_operation("syscall", 1, category)
+        trap = self._prices["syscall"]
+        call = self._prices[operation]
+        if trap < 0 or call < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        busy = ledger.busy_us_by_category
+        if category:
+            busy[category] = (busy[category] + trap) + call
+        else:
+            busy["syscall"] += trap
+            busy[operation] += call
+        ledger.total_us = (ledger.total_us + trap) + call
+        counts = ledger.operation_counts
+        counts["syscall"] += 1
+        counts[operation] += 1
+        return trap + call
 
-    def kernel_tx(self, nbytes: int) -> float:
-        """Charge the in-kernel transmit path for one packet of ``nbytes``."""
-        total = self.charge_operation("kernel_tx_packet", category="kernel")
-        total += self.charge_checksum(nbytes, category="kernel")
-        return total
+    def syscall_copy(self, operation: str, nbytes: int, category: str) -> float:
+        """Charge a data-moving system call: trap, the call, then the copy of ``nbytes``."""
+        trap = self._prices["syscall"]
+        call = self._prices[operation]
+        copy = self.model.copy_per_kb * (nbytes / 1024.0)
+        if trap < 0 or call < 0 or copy < 0:
+            raise ValueError(_NEGATIVE_CHARGE)
+        ledger = self.ledger
+        busy = ledger.busy_us_by_category
+        busy[category] = ((busy[category] + trap) + call) + copy
+        ledger.total_us = ((ledger.total_us + trap) + call) + copy
+        counts = ledger.operation_counts
+        counts["syscall"] += 1
+        counts[operation] += 1
+        counts["copy_bytes"] += nbytes
+        return (trap + call) + copy
 
-    def kernel_rx(self, nbytes: int) -> float:
-        """Charge the in-kernel receive path for one packet of ``nbytes``."""
-        total = self.charge_operation("kernel_rx_packet", category="kernel")
-        total += self.charge_checksum(nbytes, category="kernel")
-        return total
+    kernel_tx = _kernel_path("kernel_tx_packet", "transmit")
+    kernel_rx = _kernel_path("kernel_rx_packet", "receive")
 
     # ------------------------------------------------------------ inspection
     @property

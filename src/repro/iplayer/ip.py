@@ -39,6 +39,9 @@ class IPLayer:
 
     def __init__(self, host) -> None:
         self.host = host
+        #: The host's CPU cost facade, or None (a compiled no-op) on hosts
+        #: built without CPU accounting.
+        self._costs = host.costs
         #: Transport handlers keyed by ``(protocol, local_port)``; port 0 is
         #: a wildcard matched when no exact entry exists.
         self._handlers: Dict[Tuple[str, int], Callable[[Packet], None]] = {}
@@ -69,21 +72,23 @@ class IPLayer:
         for CM-managed flows, resolves the route, and hands the packet to
         the outgoing link.  Returns ``True`` if the link accepted it.
         """
-        sim = self.host.sim
+        host = self.host
+        sim = host.sim
         packet.created_at = sim.now
         # Stamp a per-simulator id: construction-time ids come from a
         # process-global counter (so unsent packets still get unique ids),
         # but anything that reaches the wire must carry an id that is
         # reproducible run-to-run regardless of process history.
         packet.packet_id = sim.next_packet_id()
-        if self.host.costs is not None:
-            self.host.costs.kernel_tx(packet.size)
+        costs = self._costs
+        if costs is not None:
+            costs.kernel_tx(packet.size)
 
         self._cm_notify_hook(packet)
 
-        link = self.host.route_for(packet.dst)
+        link = host.route_for(packet.dst)
         if link is None:
-            raise NoRouteError(f"{self.host.name}: no route to {packet.dst}")
+            raise NoRouteError(f"{host.name}: no route to {packet.dst}")
         accepted = link.send(packet)
         if accepted:
             self.packets_sent += 1
@@ -99,10 +104,8 @@ class IPLayer:
         arguments" in the paper); unconnected sockets whose packets cannot
         be matched are the clients that must call ``cm_notify`` explicitly.
         """
-        cm = getattr(self.host, "cm", None)
-        if cm is None:
-            return
-        if not packet.cm_matchable:
+        cm = self.host.cm
+        if cm is None or not packet.cm_matchable:
             return
         flow_id = cm.lookup_flow(packet.src, packet.dst, packet.sport, packet.dport, packet.protocol)
         if flow_id is None:
@@ -129,8 +132,9 @@ class IPLayer:
                 # behaviour) and recycle it.
                 host.sim.packet_pool.release(packet)
             return
-        if host.costs is not None:
-            host.costs.kernel_rx(packet.size)
+        costs = self._costs
+        if costs is not None:
+            costs.kernel_rx(packet.size)
         self.packets_received += 1
         handler = self._handlers.get((packet.protocol, packet.dport))
         if handler is None:

@@ -27,6 +27,7 @@ on distinct instances) — a pooled object's field values are transient.
 from __future__ import annotations
 
 import itertools
+from operator import methodcaller
 from typing import Any, Dict, List, Optional
 
 __all__ = [
@@ -53,6 +54,8 @@ PROTO_UDP = "udp"
 IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 32  # 20 bytes base + 12 bytes of RFC 1323 timestamp options
 UDP_HEADER_BYTES = 8
+_TCP_WIRE_HEADER_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES
+_UDP_WIRE_HEADER_BYTES = IP_HEADER_BYTES + UDP_HEADER_BYTES
 
 #: Default link MTU (Ethernet) and the TCP MSS it yields.
 DEFAULT_MTU = 1500
@@ -119,14 +122,14 @@ class UDPHeader(dict):
     __slots__ = ()
 
     #: Data direction: per-datagram sequence number and send timestamp.
-    seq = property(lambda self: self.get("seq"))
-    ts = property(lambda self: self.get("ts"))
+    seq = property(methodcaller("get", "seq"))
+    ts = property(methodcaller("get", "ts"))
     #: Feedback direction: the echoed acknowledgement fields.
-    ack_seq = property(lambda self: self.get("ack_seq"))
-    ts_echo = property(lambda self: self.get("ts_echo"))
-    acked_packets = property(lambda self: self.get("acked_packets"))
-    acked_bytes = property(lambda self: self.get("acked_bytes"))
-    total_received = property(lambda self: self.get("total_received"))
+    ack_seq = property(methodcaller("get", "ack_seq"))
+    ts_echo = property(methodcaller("get", "ts_echo"))
+    acked_packets = property(methodcaller("get", "acked_packets"))
+    acked_bytes = property(methodcaller("get", "acked_bytes"))
+    total_received = property(methodcaller("get", "total_received"))
 
 
 class Packet:
@@ -204,14 +207,14 @@ class Packet:
     @property
     def header_bytes(self) -> int:
         """Total network + transport header bytes for this packet."""
-        if self.protocol == PROTO_TCP:
-            return IP_HEADER_BYTES + TCP_HEADER_BYTES
-        return IP_HEADER_BYTES + UDP_HEADER_BYTES
+        return _TCP_WIRE_HEADER_BYTES if self.protocol == PROTO_TCP else _UDP_WIRE_HEADER_BYTES
 
     @property
     def size(self) -> int:
         """Total on-the-wire size in bytes (headers plus payload)."""
-        return self.header_bytes + self.payload_bytes
+        if self.protocol == PROTO_TCP:
+            return _TCP_WIRE_HEADER_BYTES + self.payload_bytes
+        return _UDP_WIRE_HEADER_BYTES + self.payload_bytes
 
     @property
     def flow_key(self) -> tuple:

@@ -645,8 +645,7 @@ class TcpApiApp(Application):
         costs = self.host.costs
         for _ in range(self.params["npackets"]):
             if costs is not None:
-                costs.syscall("send_call", category="app")
-                costs.charge_copy(self.params["packet_size"], category="app")
+                costs.syscall_copy("send_call", self.params["packet_size"], "app")
             self.app.sender.send(self.params["packet_size"])
 
     def done(self) -> Optional[bool]:

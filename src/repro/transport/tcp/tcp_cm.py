@@ -170,7 +170,7 @@ class CMTCPSender(TCPSenderBase):
     def _on_close(self) -> None:
         try:
             self.cm.cm_close(self.flow_id)
-        except Exception:
+        except (UnknownFlowError, FlowClosedError):
             # The flow may already have been closed by an explicit caller.
             pass
 
@@ -178,7 +178,9 @@ class CMTCPSender(TCPSenderBase):
         """Use the macroflow's shared smoothed RTT for loss recovery (§3.2)."""
         try:
             status = self.cm.cm_query(self.flow_id)
-        except Exception:
+        except (UnknownFlowError, FlowClosedError):
+            # A segment can be timed after close() retired the flow; fall
+            # back on the connection's own estimate.
             return super()._current_rto()
         shared_rto = max(status.rto, 0.2)
         local_rto = self.rtt.rto() if self.rtt.has_samples else shared_rto

@@ -19,7 +19,7 @@ Two pieces are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ...core.constants import CM_NO_CONGESTION, CM_PERSISTENT_CONGESTION, CM_TRANSIENT_CONGESTION
 from ...netsim.engine import Timer
@@ -136,29 +136,13 @@ class AckReflector:
         self._unacked_bytes = 0
 
 
-class FeedbackReport(tuple):
+class FeedbackReport(NamedTuple):
     """``(nsent, nrecd, lossmode, rtt)`` — exactly the cm_update arguments."""
 
-    __slots__ = ()
-
-    def __new__(cls, nsent: int, nrecd: int, lossmode: str, rtt: float):
-        return super().__new__(cls, (nsent, nrecd, lossmode, rtt))
-
-    @property
-    def nsent(self) -> int:
-        return self[0]
-
-    @property
-    def nrecd(self) -> int:
-        return self[1]
-
-    @property
-    def lossmode(self) -> str:
-        return self[2]
-
-    @property
-    def rtt(self) -> float:
-        return self[3]
+    nsent: int
+    nrecd: int
+    lossmode: str
+    rtt: float
 
 
 class AppFeedbackTracker:
@@ -177,6 +161,10 @@ class AppFeedbackTracker:
     def __init__(self) -> None:
         #: Outstanding transmissions: seq -> payload bytes.
         self._in_flight: Dict[int, int] = {}
+        #: True while ``_in_flight`` (insertion-ordered) is also in sequence
+        #: order, which spares the per-ACK sort; ``_newest_seq`` is its maximum.
+        self._ascending = True
+        self._newest_seq = 0
         self._highest_acked_seq: Optional[int] = None
         self.bytes_reported_sent = 0
         self.bytes_reported_received = 0
@@ -189,7 +177,27 @@ class AppFeedbackTracker:
 
     def on_sent(self, seq: int, nbytes: int) -> None:
         """Record a transmission awaiting acknowledgement."""
-        self._in_flight[seq] = nbytes
+        in_flight = self._in_flight
+        if not in_flight:
+            self._ascending, self._newest_seq = True, seq
+        elif seq > self._newest_seq:
+            self._newest_seq = seq
+        elif seq not in in_flight:
+            self._ascending = False
+        in_flight[seq] = nbytes
+
+    def _resolve_through(self, limit: Optional[int]) -> List[Tuple[int, int]]:
+        """Remove and return, in sequence order, the ``(seq, nbytes)`` in
+        flight numbered up to ``limit`` (all of them for ``None``)."""
+        in_flight = self._in_flight
+        resolved = []
+        for seq in (in_flight if self._ascending else sorted(in_flight)):
+            if limit is not None and seq > limit:
+                break
+            resolved.append((seq, in_flight[seq]))
+        for seq, _nbytes in resolved:
+            del in_flight[seq]
+        return resolved
 
     def on_ack(self, ack_seq: int, ts_echo: Optional[float], now: float) -> Optional[FeedbackReport]:
         """Process an acknowledgement for ``ack_seq`` (and everything below it).
@@ -206,10 +214,7 @@ class AppFeedbackTracker:
         lost_bytes = 0
         lost_packets = 0
         received_packets = 0
-        for seq in sorted(list(self._in_flight)):
-            if seq > ack_seq:
-                break
-            nbytes = self._in_flight.pop(seq)
+        for seq, nbytes in self._resolve_through(ack_seq):
             if seq == ack_seq:
                 received_bytes += nbytes
                 received_packets += 1
@@ -254,15 +259,13 @@ class AppFeedbackTracker:
         """
         if acked_packets <= 0:
             return None
-        resolved_bytes = 0
-        resolved_packets = 0
-        for seq in sorted(list(self._in_flight)):
-            if highest_seq is not None and seq > highest_seq:
-                break
-            resolved_bytes += self._in_flight.pop(seq)
-            resolved_packets += 1
-        if resolved_packets == 0:
+        resolved = self._resolve_through(highest_seq)
+        if not resolved:
             return None
+        resolved_packets = len(resolved)
+        resolved_bytes = 0
+        for _seq, nbytes in resolved:
+            resolved_bytes += nbytes
         received_bytes = min(acked_bytes, resolved_bytes)
         lost_packets = max(0, resolved_packets - acked_packets)
         rtt = max(0.0, now - ts_echo) if ts_echo is not None else 0.0

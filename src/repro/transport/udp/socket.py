@@ -35,7 +35,9 @@ class UDPSocket:
         self.host = host
         self.sim = host.sim
         self.local_port = local_port if local_port is not None else host.allocate_port()
-        self.charge_costs = charge_costs
+        #: Where sendto/recvfrom crossings are charged; None (a compiled
+        #: no-op) for ``charge_costs=False`` and on hosts without CPU accounting.
+        self._costs = host.costs if charge_costs else None
         self.remote_addr: Optional[str] = None
         self.remote_port: Optional[int] = None
         self.on_receive: Optional[Callable[[Packet], None]] = None
@@ -79,7 +81,9 @@ class UDPSocket:
             raise RuntimeError("socket is closed")
         if payload_bytes < 0:
             raise ValueError("payload size cannot be negative")
-        self._charge_send(payload_bytes)
+        costs = self._costs
+        if costs is not None:
+            costs.syscall_copy("send_call", payload_bytes, "app")
         packet = Packet(
             src=self.host.addr,
             dst=addr,
@@ -93,7 +97,7 @@ class UDPSocket:
             headers=UDPHeader(headers) if headers else UDPHeader(),
             # Only connected sockets can be matched to their CM flow by the
             # kernel; unconnected senders must cm_notify themselves.
-            cm_matchable=self.is_connected,
+            cm_matchable=self.remote_addr is not None,
         )
         self.host.ip.send(packet)
         self.packets_sent += 1
@@ -106,17 +110,8 @@ class UDPSocket:
             return
         self.packets_received += 1
         self.bytes_received += packet.payload_bytes
-        self._charge_recv(packet.payload_bytes)
+        costs = self._costs
+        if costs is not None:
+            costs.syscall_copy("recv_call", packet.payload_bytes, "app")
         if self.on_receive is not None:
             self.on_receive(packet)
-
-    # -------------------------------------------------------------- cost hooks
-    def _charge_send(self, nbytes: int) -> None:
-        if self.charge_costs and self.host.costs is not None:
-            self.host.costs.syscall("send_call", category="app")
-            self.host.costs.charge_copy(nbytes, category="app")
-
-    def _charge_recv(self, nbytes: int) -> None:
-        if self.charge_costs and self.host.costs is not None:
-            self.host.costs.syscall("recv_call", category="app")
-            self.host.costs.charge_copy(nbytes, category="app")

@@ -98,7 +98,9 @@ class CMUDPSocket(UDPSocket):
             raise RuntimeError("CMUDPSocket must be connected before sending")
         if addr != self.remote_addr or port != self.remote_port:
             raise ValueError("CM UDP sockets can only send to their connected destination")
-        self._charge_send(payload_bytes)
+        costs = self._costs
+        if costs is not None:
+            costs.syscall_copy("send_call", payload_bytes, "app")
         if len(self._queue) >= self.max_queue_packets:
             self.queue_drops += 1
             return None

@@ -1,0 +1,301 @@
+"""Equivalence tests for the O(1) CM entry points (``docs/cm_api_path.md``).
+
+Each shortcut on the per-packet path is pinned against the plain walk it
+replaced: the schedulers' ``has_pending`` against the summed count, the
+rate-callback dispatch against the full walk of the macroflow's flows, and
+the feedback tracker's insertion-order resolution against the sorted one.
+"""
+
+import itertools
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CongestionManager, HostCosts
+from repro.core import (
+    CM_NO_CONGESTION,
+    CM_PERSISTENT_CONGESTION,
+    CM_TRANSIENT_CONGESTION,
+    RoundRobinScheduler,
+    WeightedRoundRobinScheduler,
+)
+from repro.core.flow import DirectChannel
+from repro.core.libcm import ControlSocketChannel, LibCM
+from repro.netsim import Host, Simulator
+from repro.transport.udp.feedback import AppFeedbackTracker, FeedbackReport
+
+# --------------------------------------------------------------------------- #
+# (i) has_pending() is the O(1) form of pending_requests() > 0                 #
+# --------------------------------------------------------------------------- #
+_FLOW = st.integers(min_value=1, max_value=6)
+_SCHEDULER_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("enqueue"), _FLOW),
+    st.tuples(st.just("enqueue"), _FLOW),
+    st.tuples(st.just("next_flow")),
+    st.tuples(st.just("next_batch"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("remove_flow"), _FLOW),
+    st.tuples(st.just("set_weight"), _FLOW, st.integers(min_value=1, max_value=4)),
+), max_size=80)
+
+
+@pytest.mark.parametrize("factory", [RoundRobinScheduler, WeightedRoundRobinScheduler,
+                                     lambda: WeightedRoundRobinScheduler(default_weight=3)])
+@settings(max_examples=120, deadline=None)
+@given(steps=_SCHEDULER_STEPS)
+def test_has_pending_agrees_with_the_summed_count_after_every_step(factory, steps):
+    scheduler = factory()
+    assert not scheduler.has_pending()
+    for name, *args in steps:
+        if name == "set_weight" and not hasattr(scheduler, "set_weight"):
+            continue
+        getattr(scheduler, name)(*args)
+        assert scheduler.has_pending() == (scheduler.pending_requests() > 0), (name, args)
+
+
+# --------------------------------------------------------------------------- #
+# (ii) rate-callback dispatch == the full walk                                 #
+# --------------------------------------------------------------------------- #
+def _full_walk(macroflow):
+    """The dispatch as it was: a status per call, every flow visited, pure."""
+    status = macroflow.status()
+    posts = []
+    for flow in list(macroflow.flows.values()):
+        if flow.update_callback is None and flow.channel.requires_send_callback:
+            continue
+        if flow.update_callback is None:
+            wants = getattr(flow.channel, "wants_status_updates", None)
+            if wants is None or not wants(flow.flow_id):
+                continue
+        last = flow.last_notified_rate
+        if (last is None or last <= 0 or status.rate <= last / flow.thresh_down
+                or status.rate >= last * flow.thresh_up):
+            posts.append((flow.flow_id, status))
+    return posts
+
+
+class _Bed:
+    """A CM whose every rate-callback dispatch is compared with ``_full_walk``."""
+
+    def __init__(self, stack: ExitStack):
+        self.sim = Simulator()
+        self.host = Host(self.sim, "sender", "10.0.0.1", costs=HostCosts())
+        self.cm = CongestionManager(self.host)
+        self.libcm = LibCM(self.host)
+        self.flows = []
+        self.port = itertools.count(1000).__next__
+        self.posted = []
+        self.dispatches = 0
+        self.delivered = []
+        for channel in (DirectChannel, ControlSocketChannel):
+            stack.enter_context(mock.patch.object(
+                channel, "post_status_update", self._recording(channel.post_status_update)))
+        real = self.cm._dispatch_rate_callbacks
+
+        def checked(macroflow):
+            expected = _full_walk(macroflow)
+            del self.posted[:]
+            real(macroflow)
+            assert self.posted == expected
+            self.dispatches += 1
+
+        self.cm._dispatch_rate_callbacks = checked
+
+    def _recording(self, original):
+        def post(channel, flow, status):
+            self.posted.append((flow.flow_id, status))
+            original(channel, flow, status)
+        return post
+
+    def on_update(self, flow_id, status):
+        self.delivered.append((flow_id, status))
+
+    def check_listener_counts(self):
+        for macroflow in self.cm.macroflows:
+            assert macroflow.update_listeners == sum(
+                flow.may_receive_updates for flow in macroflow.flows.values())
+
+    def pick(self, index):
+        return self.flows[index % len(self.flows)] if self.flows else None
+
+
+_INDEX = st.integers(min_value=0, max_value=30)
+_DISPATCH_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("open_kernel"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("open_libcm"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("register_kernel"), _INDEX, st.booleans()),
+    st.tuples(st.just("register_libcm"), _INDEX),
+    st.tuples(st.just("thresh"), _INDEX, st.sampled_from([1.0, 1.25, 2.0])),
+    st.tuples(st.just("split"), _INDEX),
+    st.tuples(st.just("merge"), _INDEX, _INDEX),
+    st.tuples(st.just("close"), _INDEX),
+    st.tuples(st.just("update"), _INDEX, st.sampled_from([0, 1448, 5000]),
+              st.sampled_from([CM_NO_CONGESTION, CM_TRANSIENT_CONGESTION]),
+              st.sampled_from([0.0, 0.02, 0.3])),
+    st.tuples(st.just("update"), _INDEX, st.just(1448), st.just(CM_NO_CONGESTION), st.just(0.05)),
+    st.tuples(st.just("update"), _INDEX, st.just(1448), st.just(CM_NO_CONGESTION), st.just(0.05)),
+), min_size=8, max_size=50)
+#: Every history starts from two in-kernel and two libcm flows to one destination.
+_PRELUDE = [("open_kernel", 0), ("open_libcm", 0), ("open_kernel", 0), ("open_libcm", 0)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=_DISPATCH_STEPS)
+def test_rate_callbacks_equal_the_full_walk_under_churn(steps):
+    with ExitStack() as stack:
+        bed = _Bed(stack)
+        cm, libcm = bed.cm, bed.libcm
+        for name, *args in _PRELUDE + steps:
+            flow_id = bed.pick(args[0]) if name not in ("open_kernel", "open_libcm") else None
+            if name == "open_kernel":
+                bed.flows.append(cm.cm_open("10.0.0.1", f"10.0.1.{args[0]}", bed.port(), 80, "tcp"))
+            elif name == "open_libcm":
+                bed.flows.append(libcm.cm_open("10.0.0.1", f"10.0.1.{args[0]}", bed.port(), 9000))
+            elif flow_id is None:
+                continue
+            elif name == "register_kernel":
+                # Also on libcm flows: the kernel record then says "listening"
+                # while the library has no callback to deliver to.
+                cm.cm_register_update(flow_id, bed.on_update if args[1] else None)
+            elif name == "register_libcm":
+                if isinstance(cm.flow(flow_id).channel, ControlSocketChannel):
+                    libcm.cm_register_update(flow_id, bed.on_update)
+            elif name == "thresh":
+                cm.cm_thresh(flow_id, args[1], args[1])
+            elif name == "split":
+                cm.cm_split(flow_id)
+            elif name == "merge":
+                cm.cm_merge(flow_id, bed.pick(args[1]))
+            elif name == "close":
+                bed.flows.remove(flow_id)
+                if isinstance(cm.flow(flow_id).channel, ControlSocketChannel):
+                    libcm.cm_close(flow_id)
+                else:
+                    cm.cm_close(flow_id)
+            elif name == "update":
+                _, nsent, lossmode, rtt = args
+                nrecd = nsent if lossmode == CM_NO_CONGESTION else 0
+                before = bed.dispatches
+                cm.cm_update(flow_id, nsent, nrecd, lossmode, rtt)
+                assert bed.dispatches == before + 1
+                bed.sim.run(until=bed.sim.now + 0.001)  # deliver what was posted
+            bed.check_listener_counts()
+
+
+def test_a_macroflow_nobody_listens_to_builds_no_status(cm_pair, monkeypatch):
+    cm = cm_pair.cm
+    flows = [cm.cm_open("10.0.0.1", "10.0.0.2", 1000 + i, 80, "tcp") for i in range(8)]
+    macroflow = cm.macroflow_of(flows[0])
+    assert macroflow.update_listeners == 0
+    monkeypatch.setattr(macroflow, "status", lambda: pytest.fail("status built for nobody"))
+    for flow_id in flows:
+        cm.cm_update(flow_id, 1448, 1448, CM_NO_CONGESTION, 0.05)
+    monkeypatch.undo()
+    seen = []
+    cm.cm_register_update(flows[3], lambda flow_id, status: seen.append((flow_id, status)))
+    assert macroflow.update_listeners == 1
+    cm.cm_update(flows[0], 1448, 1448, CM_NO_CONGESTION, 0.05)
+    cm_pair.sim.run(until=0.001)
+    assert seen == [(flows[3], macroflow.status())]
+    cm.cm_register_update(flows[3], None)
+    assert macroflow.update_listeners == 0
+
+
+# --------------------------------------------------------------------------- #
+# (iii) the feedback tracker resolves in sequence order without sorting        #
+# --------------------------------------------------------------------------- #
+class _SortedTracker:
+    """The tracker as it was: one ``sorted(list(in_flight))`` per acknowledgement."""
+
+    def __init__(self):
+        self.in_flight = {}
+        self.highest_acked = None
+        self.loss_events = 0
+        self.sent = self.received = 0
+
+    def on_sent(self, seq, nbytes):
+        self.in_flight[seq] = nbytes
+
+    def _report(self, nsent, nrecd, lost, ok, ts_echo, now):
+        if lost == 0:
+            mode = CM_NO_CONGESTION
+        else:
+            mode = CM_PERSISTENT_CONGESTION if lost > max(1, ok) else CM_TRANSIENT_CONGESTION
+            self.loss_events += 1
+        self.sent += nsent
+        self.received += nrecd
+        rtt = max(0.0, now - ts_echo) if ts_echo is not None else 0.0
+        return FeedbackReport(nsent, nrecd, mode, rtt)
+
+    def on_ack(self, ack_seq, ts_echo, now):
+        if ack_seq is None or (self.highest_acked is not None and ack_seq <= self.highest_acked):
+            return None
+        self.highest_acked = ack_seq
+        received = lost = lost_packets = received_packets = 0
+        for seq in sorted(list(self.in_flight)):
+            if seq > ack_seq:
+                break
+            nbytes = self.in_flight.pop(seq)
+            if seq == ack_seq:
+                received += nbytes
+                received_packets += 1
+            else:
+                lost += nbytes
+                lost_packets += 1
+        if received == 0 and lost == 0:
+            return None
+        return self._report(received + lost, received, lost_packets, received_packets, ts_echo, now)
+
+    def on_cumulative_ack(self, acked_packets, acked_bytes, ts_echo, now, highest_seq=None):
+        if acked_packets <= 0:
+            return None
+        resolved_bytes = resolved_packets = 0
+        for seq in sorted(list(self.in_flight)):
+            if highest_seq is not None and seq > highest_seq:
+                break
+            resolved_bytes += self.in_flight.pop(seq)
+            resolved_packets += 1
+        if resolved_packets == 0:
+            return None
+        return self._report(resolved_bytes, min(acked_bytes, resolved_bytes),
+                            max(0, resolved_packets - acked_packets), acked_packets, ts_echo, now)
+
+
+_SEQ = st.integers(min_value=0, max_value=40)
+_TRACKER_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("on_sent"), _SEQ, st.sampled_from([100, 1000, 1400])),
+    st.tuples(st.just("next"), st.sampled_from([100, 1400])),
+    st.tuples(st.just("next"), st.sampled_from([100, 1400])),
+    st.tuples(st.just("on_ack"), st.one_of(st.none(), _SEQ), st.sampled_from([None, 0.5])),
+    st.tuples(st.just("on_cumulative_ack"), st.integers(min_value=0, max_value=6),
+              st.sampled_from([0, 1400, 9000]), st.sampled_from([None, 0.5]),
+              st.one_of(st.none(), _SEQ)),
+), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_TRACKER_STEPS)
+def test_tracker_reports_equal_the_sorted_reference(steps):
+    """In-order (``next``), out-of-order and duplicate-``seq`` send histories."""
+    tracker, reference = AppFeedbackTracker(), _SortedTracker()
+    next_seq = 0
+    for name, *args in steps:
+        if name == "next":
+            args, name = [next_seq, args[0]], "on_sent"
+        if name == "on_sent":
+            next_seq = max(next_seq, args[0] + 1)
+            tracker.on_sent(*args)
+            reference.on_sent(*args)
+            continue
+        if name == "on_ack":
+            args = [args[0], args[1], 1.0]
+        else:
+            args = [args[0], args[1], args[2], 1.0, args[3]]
+        assert getattr(tracker, name)(*args) == getattr(reference, name)(*args), (name, args)
+        assert tracker.in_flight_packets == len(reference.in_flight)
+        assert sorted(tracker._in_flight.items()) == sorted(reference.in_flight.items())
+    assert tracker.loss_events == reference.loss_events
+    assert (tracker.bytes_reported_sent, tracker.bytes_reported_received) == (
+        reference.sent, reference.received)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
+from repro.transport.tcp.sender import TCPSenderBase
 
 
 def run_transfer(pair, variant, nbytes, port=80, timeout=600.0, **sender_kwargs):
@@ -153,6 +154,30 @@ class TestCMTCP:
         pair.sim.run()  # must not raise UnknownFlowError
         assert sender.declined_grants >= 1
         listener.close()
+
+    def test_only_the_after_close_race_is_tolerated_on_query_and_close(self, make_pair, monkeypatch):
+        """`_current_rto` (one cm_query per transmitted segment) and `_on_close`
+        tolerate a flow the CM has already retired, and nothing else: a
+        programming error inside the CM must not read as "use the local RTO"."""
+        pair = make_pair(with_cm=True)
+        sender = CMTCPSender(pair.sender, pair.receiver.addr, 80)
+        local_rto = TCPSenderBase._current_rto(sender)
+
+        def broken(_flow_id):
+            raise ZeroDivisionError("bug inside the CM")
+
+        monkeypatch.setattr(pair.cm, "cm_query", broken)
+        with pytest.raises(ZeroDivisionError):
+            sender._current_rto()
+        monkeypatch.setattr(pair.cm, "cm_close", broken)
+        with pytest.raises(ZeroDivisionError):
+            sender._on_close()
+        monkeypatch.undo()
+
+        pair.cm.cm_close(sender.flow_id)  # an explicit caller got there first
+        assert sender._current_rto() == local_rto
+        sender.close()  # _on_close meets the unknown flow id and carries on
+        assert sender.closed
 
     def test_sequential_connections_share_congestion_state(self, make_pair):
         """The Figure 7 mechanism: the second connection skips slow start."""
