@@ -21,6 +21,7 @@ All window quantities are in **bytes**.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Optional
 
 from .constants import (
@@ -171,9 +172,9 @@ class AimdWindowController(CongestionController):
         self.ssthresh = max(self._cwnd, 2.0 * self.mtu)
 
     # ---------------------------------------------------------------- queries
-    @property
-    def cwnd(self) -> float:
-        return self._cwnd
+    #: Read on every grant decision and every feedback report, so the getter
+    #: is a C-level ``attrgetter`` over the stored window, not a Python frame.
+    cwnd = property(attrgetter("_cwnd"), doc="Current congestion window in bytes.")
 
     def rate_estimate(self, srtt: float) -> float:
         srtt = srtt if srtt > 0 else DEFAULT_RTT_SECONDS

@@ -163,7 +163,8 @@ class Macroflow:
         """Account a transmission reported via ``cm_notify``."""
         if flow.granted_unnotified > 0:
             flow.granted_unnotified -= 1
-            self.reserved_bytes = max(0.0, self.reserved_bytes - self.mtu)
+            reserved = self.reserved_bytes - self.mtu
+            self.reserved_bytes = reserved if reserved > 0.0 else 0.0
         if nbytes > 0:
             self.outstanding_bytes += nbytes
             flow.outstanding_bytes += nbytes

@@ -243,18 +243,25 @@ class CongestionManager:
         """
         if count < 1:
             raise ValueError("cm_request count must be >= 1")
-        flow = self._get_flow(flow_id)
-        if flow.channel.requires_send_callback and flow.send_callback is None:
+        flow = self._flows.get(flow_id)
+        if flow is None or not flow.is_open:
+            flow = self._get_flow(flow_id)  # raises the precise error
+        if flow.send_callback is None and flow.channel.requires_send_callback:
             raise NotRegisteredError(
                 f"flow {flow_id}: cm_request before cm_register_send"
             )
-        self._charge_kernel_op()
+        costs = self._costs
+        if costs is not None:
+            costs.charge_operation("cm_kernel_op", 1, "cm")
         macroflow = flow.macroflow
+        flow.stats.requests += count
+        enqueue = macroflow.scheduler.enqueue
         for _ in range(count):
-            flow.stats.requests += 1
-            macroflow.scheduler.enqueue(flow_id)
+            enqueue(flow_id)
         self._maybe_grant(macroflow)
-        self._arm_watchdog(macroflow)
+        watchdog = macroflow.watchdog
+        if watchdog is not None and watchdog.expires_at is None:
+            self._arm_watchdog(macroflow)
 
     def cm_bulk_request(self, flow_ids: Iterable[int]) -> None:
         """Batched ``cm_request`` for many flows in one kernel crossing (§5)."""
@@ -287,12 +294,18 @@ class CongestionManager:
         """
         if nsent < 0:
             raise ValueError("cm_notify byte count cannot be negative")
-        flow = self._get_flow(flow_id)
-        self._charge_kernel_op()
+        flow = self._flows.get(flow_id)
+        if flow is None or not flow.is_open:
+            flow = self._get_flow(flow_id)  # raises the precise error
+        costs = self._costs
+        if costs is not None:
+            costs.charge_operation("cm_kernel_op", 1, "cm")
         macroflow = flow.macroflow
         macroflow.charge_transmission(flow, nsent, self.sim.now)
         self._maybe_grant(macroflow)
-        self._arm_watchdog(macroflow)
+        watchdog = macroflow.watchdog
+        if watchdog is not None and watchdog.expires_at is None:
+            self._arm_watchdog(macroflow)
 
     def cm_update(self, flow_id: int, nsent: int, nrecd: int, lossmode: str, rtt: float) -> None:
         """Report receiver feedback for a flow.
@@ -316,21 +329,31 @@ class CongestionManager:
             raise ValueError("cm_update byte counts cannot be negative")
         if nrecd > nsent:
             raise ValueError("cm_update cannot report more bytes received than sent")
-        flow = self._get_flow(flow_id)
-        self._charge_kernel_op()
+        flow = self._flows.get(flow_id)
+        if flow is None or not flow.is_open:
+            flow = self._get_flow(flow_id)  # raises the precise error
+        costs = self._costs
+        if costs is not None:
+            costs.charge_operation("cm_kernel_op", 1, "cm")
         macroflow = flow.macroflow
         macroflow.apply_feedback(flow, nsent, nrecd, lossmode, rtt, self.sim.now)
         self._maybe_grant(macroflow)
         self._dispatch_rate_callbacks(macroflow)
-        self._arm_watchdog(macroflow)
+        watchdog = macroflow.watchdog
+        if watchdog is not None and watchdog.expires_at is None:
+            self._arm_watchdog(macroflow)
 
     # ====================================================================== #
     # Querying                                                               #
     # ====================================================================== #
     def cm_query(self, flow_id: int) -> QueryResult:
         """Return the CM's current estimate of the flow's path conditions."""
-        flow = self._get_flow(flow_id)
-        self._charge_kernel_op()
+        flow = self._flows.get(flow_id)
+        if flow is None or not flow.is_open:
+            flow = self._get_flow(flow_id)  # raises the precise error
+        costs = self._costs
+        if costs is not None:
+            costs.charge_operation("cm_kernel_op", 1, "cm")
         return flow.macroflow.status()
 
     # ====================================================================== #
@@ -491,6 +514,7 @@ class CongestionManager:
         flows = self._flows
         mtu = macroflow.mtu
         batch_cap = self.grant_batch_size
+        probe = self._probe_grant
         while True:
             allowance = macroflow.grant_allowance(batch_cap)
             if allowance <= 0:
@@ -498,31 +522,26 @@ class CongestionManager:
             batch = scheduler.next_batch(allowance)
             if not batch:
                 break
-            granted = []
-            append = granted.append
+            granted = 0
             for flow_id in batch:
                 flow = flows.get(flow_id)
                 if flow is None or not flow.is_open or flow.macroflow is not macroflow:
                     # Stale entry (flow closed or moved); it consumes no window.
                     continue
+                granted += 1
                 flow.granted_unnotified += 1
                 flow.stats.grants += 1
-                append(flow)
-            if granted:
-                macroflow.reserved_bytes += len(granted) * mtu
-                probe = self._probe_grant
+                macroflow.reserved_bytes += mtu
                 if probe is not None:
-                    now = self.sim.now
-                    mf_id = macroflow.macroflow_id
-                    for flow in granted:
-                        probe(now, {"macroflow": mf_id, "flow": flow.flow_id})
+                    probe(self.sim.now, {"macroflow": macroflow.macroflow_id, "flow": flow_id})
                 # Both channel kinds defer delivery (call_soon / control-socket
-                # queue), so posting after the batch bookkeeping cannot recurse
-                # into the grant path and preserves the per-grant ordering.
-                for flow in granted:
-                    flow.channel.post_send_grant(flow)
-            if len(batch) < allowance:
-                # The scheduler ran dry before the window did.
+                # queue), so posting inside the walk cannot recurse into the
+                # grant path or see the rest of the batch's bookkeeping.
+                flow.channel.post_send_grant(flow)
+            if len(batch) < allowance or granted == allowance < batch_cap:
+                # The scheduler ran dry before the window did — or the window
+                # is what capped the allowance and every entry consumed its
+                # MTU of it, so the next allowance is zero by construction.
                 break
 
     # ------------------------------------------------------- rate callbacks

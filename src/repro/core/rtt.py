@@ -63,7 +63,10 @@ class RttEstimator:
 
     def rto(self) -> float:
         """Retransmission timeout: ``srtt + 4 * rttvar``, clamped."""
-        value = self.smoothed_rtt() + 4.0 * self.deviation()
+        if self.samples > 0:
+            value = self.srtt + 4.0 * self.rttvar
+        else:
+            value = self._initial_rtt + 4.0 * (self._initial_rtt / 2.0)
         return min(MAX_RTO_SECONDS, max(MIN_RTO_SECONDS, value))
 
     def reset(self) -> None:

@@ -71,47 +71,45 @@ class IPLayer:
         Charges the in-kernel transmit cost, performs the ``cm_notify`` hook
         for CM-managed flows, resolves the route, and hands the packet to
         the outgoing link.  Returns ``True`` if the link accepted it.
+
+        One frame per packet: the id stamp, the CM hook and the route lookup
+        are written out here rather than called.
         """
         host = self.host
         sim = host.sim
-        packet.created_at = sim.now
+        packet.created_at = sim._now
         # Stamp a per-simulator id: construction-time ids come from a
         # process-global counter (so unsent packets still get unique ids),
         # but anything that reaches the wire must carry an id that is
         # reproducible run-to-run regardless of process history.
-        packet.packet_id = sim.next_packet_id()
+        packet_id = sim._packet_seq + 1
+        sim._packet_seq = packet_id
+        packet.packet_id = packet_id
         costs = self._costs
         if costs is not None:
             costs.kernel_tx(packet.size)
 
-        self._cm_notify_hook(packet)
+        # The cm_notify hook.  The kernel looks up the CM flow from the
+        # packet's addressing tuple (the "well-defined CM interface that
+        # takes the flow parameters as arguments" in the paper); unconnected
+        # sockets whose packets cannot be matched are the clients that must
+        # call ``cm_notify`` explicitly.
+        cm = host.cm
+        if cm is not None and packet.cm_matchable:
+            flow_id = cm.lookup_flow(packet.src, packet.dst, packet.sport, packet.dport,
+                                     packet.protocol)
+            if flow_id is not None:
+                packet.flow_id = flow_id
+                cm.cm_notify(flow_id, packet.payload_bytes)
 
-        link = host.route_for(packet.dst)
+        link = host._routes.get(packet.dst, host._default_route)
         if link is None:
             raise NoRouteError(f"{host.name}: no route to {packet.dst}")
-        accepted = link.send(packet)
-        if accepted:
+        if link.send(packet):
             self.packets_sent += 1
-        else:
-            self.send_failures += 1
-        return accepted
-
-    def _cm_notify_hook(self, packet: Packet) -> None:
-        """Notify the host's CM of a transmission on one of its flows.
-
-        The kernel looks up the CM flow from the packet's addressing tuple
-        (the "well-defined CM interface that takes the flow parameters as
-        arguments" in the paper); unconnected sockets whose packets cannot
-        be matched are the clients that must call ``cm_notify`` explicitly.
-        """
-        cm = self.host.cm
-        if cm is None or not packet.cm_matchable:
-            return
-        flow_id = cm.lookup_flow(packet.src, packet.dst, packet.sport, packet.dport, packet.protocol)
-        if flow_id is None:
-            return
-        packet.flow_id = flow_id
-        cm.cm_notify(flow_id, packet.payload_bytes)
+            return True
+        self.send_failures += 1
+        return False
 
     # ------------------------------------------------------------------ input
     def receive(self, packet: Packet) -> None:
@@ -148,14 +146,15 @@ class IPLayer:
 
     def _forward(self, packet: Packet) -> None:
         """Router path: look up the next hop and retransmit unchanged."""
-        link = self.host.route_for(packet.dst)
+        host = self.host
+        link = host._routes.get(packet.dst, host._default_route)
         if link is None:
             # Routers drop unroutable packets rather than raising: end hosts
             # probing a dead path should see loss, not a simulator crash.
             # The counter is the debugging handle for mis-routed graphs.
             self.forward_drops += 1
             if packet._pool_state == 1:
-                self.host.sim.packet_pool.release(packet)
+                host.sim.packet_pool.release(packet)
             return
         self.packets_forwarded += 1
         link.send(packet)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, List, Optional
 
 # Bound once at import: the hot paths call these thousands of times per
@@ -198,6 +199,8 @@ class Simulator:
         self._dead = 0
         self._running = False
         self._stopped = False
+        #: Last per-simulator packet id handed out; the IP output path
+        #: stamps ``_packet_seq + 1`` on everything that reaches a wire.
         self._packet_seq = 0
         # Control-tick chain (see start_control): a background callback the
         # service layer uses to drain cross-thread mailboxes from *inside*
@@ -212,22 +215,9 @@ class Simulator:
         self.packet_pool = None
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------ identifiers
-    def next_packet_id(self) -> int:
-        """Allocate the next per-simulator packet id (1, 2, 3, ...).
-
-        Packet ids are stamped by the IP output path so that traces and
-        telemetry payloads are a function of the simulation alone, never of
-        how many other simulations ran earlier in the process.
-        """
-        pid = self._packet_seq + 1
-        self._packet_seq = pid
-        return pid
+    #: Read on every packet by every layer, so the getter is a C-level
+    #: ``attrgetter`` rather than a Python frame.
+    now = property(attrgetter("_now"), doc="Current simulated time in seconds.")
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Event:
@@ -647,10 +637,11 @@ class Timer:
         """True if the timer is armed and has not yet fired."""
         return self._deadline is not None
 
-    @property
-    def expires_at(self) -> Optional[float]:
-        """Absolute expiry time, or ``None`` when the timer is not armed."""
-        return self._deadline
+    #: ``timer.expires_at is None`` is the frame-free spelling of
+    #: ``not timer.pending`` for per-packet callers.
+    expires_at = property(
+        attrgetter("_deadline"),
+        doc="Absolute expiry time, or ``None`` when the timer is not armed.")
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now; restarts if already armed."""

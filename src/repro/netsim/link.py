@@ -337,16 +337,17 @@ class Link:
         """
         if self._receiver is None:
             raise RuntimeError(f"{self.name}: no receiver attached")
+        stats = self.stats
 
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.stats.dropped_random += 1
+            stats.dropped_random += 1
             self._notify_drop(packet, "random")
             if packet._pool_state == 1:
                 self.sim.packet_pool.release(packet)
             return False
 
         if self.loss_model is not None and self.loss_model.should_drop(self._rng):
-            self.stats.dropped_random += 1
+            stats.dropped_random += 1
             self._notify_drop(packet, "burst")
             if packet._pool_state == 1:
                 self.sim.packet_pool.release(packet)
@@ -359,38 +360,39 @@ class Link:
         # (see the class docstring), so an idle link accepts even at
         # ``queue_limit=0``: the ``_busy`` test keeps the limit a bound on
         # *waiting* packets only.
-        if (self.queue_limit is not None and self._busy
-                and self.queue_length >= self.queue_limit):
-            self.stats.dropped_overflow += 1
+        queue = self._queue
+        busy = self._busy
+        if self.queue_limit is not None and busy and len(queue) >= self.queue_limit:
+            stats.dropped_overflow += 1
             self._notify_drop(packet, "overflow")
             if packet._pool_state == 1:
                 self.sim.packet_pool.release(packet)
             return False
 
+        now = self.sim._now
         if self.aqm is not None:
-            occupancy = len(self._queue) + (1 if self._busy else 0)
-            if self.aqm.should_gate(self._rng, occupancy, self.sim.now,
-                                    self.rate_bps):
+            occupancy = len(queue) + (1 if busy else 0)
+            if self.aqm.should_gate(self._rng, occupancy, now, self.rate_bps):
                 if packet.ecn_capable:
                     packet.ecn_marked = True
-                    self.stats.ecn_marked += 1
+                    stats.ecn_marked += 1
                 else:
-                    self.stats.dropped_random += 1
+                    stats.dropped_random += 1
                     self._notify_drop(packet, "red")
                     if packet._pool_state == 1:
                         self.sim.packet_pool.release(packet)
                     return False
-        elif self.ecn_threshold is not None and packet.ecn_capable and self.queue_length >= self.ecn_threshold:
+        elif (self.ecn_threshold is not None and packet.ecn_capable
+              and len(queue) >= self.ecn_threshold):
             packet.ecn_marked = True
-            self.stats.ecn_marked += 1
+            stats.ecn_marked += 1
 
-        self.stats.enqueued_packets += 1
-        self._queue.append((packet, self.sim.now))
+        stats.enqueued_packets += 1
+        queue.append((packet, now))
         probe = self._probe_enqueue
         if probe is not None:
-            probe(self.sim.now, {"link": self.name, "size": packet.size,
-                                 "queue": len(self._queue)})
-        if not self._busy:
+            probe(now, {"link": self.name, "size": packet.size, "queue": len(queue)})
+        if not busy:
             self._start_next()
         return True
 
@@ -435,14 +437,14 @@ class Link:
         stats.delivered_bytes += packet.size
         probe = self._probe_deliver
         if probe is not None:
-            probe(self.sim.now, {"link": self.name, "size": packet.size})
+            probe(self.sim._now, {"link": self.name, "size": packet.size})
         self._receiver(packet)
 
     def _notify_drop(self, packet: Packet, reason: str) -> None:
         probe = self._probe_drop
         if probe is not None:
-            probe(self.sim.now, {"link": self.name, "size": packet.size,
-                                 "reason": reason})
+            probe(self.sim._now, {"link": self.name, "size": packet.size,
+                                  "reason": reason})
         if self._drop_hook is not None:
             self._drop_hook(packet, reason)
 

@@ -27,7 +27,7 @@ on distinct instances) — a pooled object's field values are transient.
 from __future__ import annotations
 
 import itertools
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Any, Dict, List, Optional
 
 __all__ = [
@@ -158,8 +158,8 @@ class Packet:
         belonging to CM-managed flows.
     """
 
-    __slots__ = ("src", "dst", "sport", "dport", "protocol", "payload_bytes",
-                 "headers", "ecn_capable", "ecn_marked", "flow_id",
+    __slots__ = ("src", "dst", "sport", "dport", "protocol", "_payload_bytes",
+                 "size", "headers", "ecn_capable", "ecn_marked", "flow_id",
                  "cm_matchable", "created_at", "packet_id", "_pool_state")
 
     def __init__(
@@ -183,7 +183,13 @@ class Packet:
         self.sport = sport
         self.dport = dport
         self.protocol = protocol
-        self.payload_bytes = payload_bytes
+        self._payload_bytes = payload_bytes
+        #: Total on-the-wire size in bytes (headers plus payload).  Stored,
+        #: not computed: both hosts' kernel paths and every link hop read it.
+        #: ``payload_bytes`` is the only thing it can change with, and its
+        #: setter keeps the two in step.
+        self.size = payload_bytes + (
+            _TCP_WIRE_HEADER_BYTES if protocol == PROTO_TCP else _UDP_WIRE_HEADER_BYTES)
         #: A fresh dict per packet when none is supplied (pinned by tests:
         #: mutating one packet's default headers must not leak to another).
         self.headers = headers if headers is not None else {}
@@ -209,12 +215,13 @@ class Packet:
         """Total network + transport header bytes for this packet."""
         return _TCP_WIRE_HEADER_BYTES if self.protocol == PROTO_TCP else _UDP_WIRE_HEADER_BYTES
 
-    @property
-    def size(self) -> int:
-        """Total on-the-wire size in bytes (headers plus payload)."""
-        if self.protocol == PROTO_TCP:
-            return _TCP_WIRE_HEADER_BYTES + self.payload_bytes
-        return _UDP_WIRE_HEADER_BYTES + self.payload_bytes
+    def _set_payload_bytes(self, payload_bytes: int) -> None:
+        self._payload_bytes = payload_bytes
+        self.size = self.header_bytes + payload_bytes
+
+    payload_bytes = property(
+        attrgetter("_payload_bytes"), _set_payload_bytes,
+        doc="Application bytes carried; assigning it re-derives :attr:`size`.")
 
     @property
     def flow_key(self) -> tuple:
@@ -319,7 +326,8 @@ class PacketPool:
             packet.dst = dst
             packet.sport = sport
             packet.dport = dport
-            packet.payload_bytes = payload_bytes
+            packet._payload_bytes = payload_bytes
+            packet.size = _TCP_WIRE_HEADER_BYTES + payload_bytes
             packet.ecn_capable = ecn_capable
             packet.ecn_marked = False
             packet.flow_id = None

@@ -70,13 +70,8 @@ class ScenarioTelemetry:
                 self._event_log = ReservoirRecorder(effective.ring_capacity, seed=seed)
             else:
                 self._event_log = RingRecorder(effective.ring_capacity)
-            log = self._event_log
-
-            def keep(event: str, time: float, fields: Dict[str, Any]) -> None:
-                log.append((time, event, fields))
-
             for event in effective.events:
-                self.hub.subscribe(event, keep)
+                self.hub.subscribe(event, self._event_log.record_event)
         if self.sink is not None:
             # The trace file gets every event in the catalog, whether or not
             # the result keeps it.

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "FixedBinAccumulator",
@@ -36,6 +39,12 @@ __all__ = [
     "SeriesRecorder",
     "JsonlSink",
 ]
+
+#: The canonical rendering of a trace value: what :class:`JsonlSink` falls
+#: back on for anything its line templates do not encode themselves.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
 class FixedBinAccumulator:
@@ -111,35 +120,36 @@ class FixedBinAccumulator:
 class RingRecorder:
     """Keep the last ``capacity`` records pushed into it."""
 
-    __slots__ = ("capacity", "dropped", "_buffer", "_next")
+    __slots__ = ("capacity", "seen", "_buffer")
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        #: Records overwritten because the ring was full.
-        self.dropped = 0
-        self._buffer: List[Any] = []
-        self._next = 0
+        #: Total records offered (kept or since overwritten).
+        self.seen = 0
+        self._buffer: Deque[Any] = deque(maxlen=self.capacity)
 
     def append(self, record: Any) -> None:
-        buffer = self._buffer
-        if len(buffer) < self.capacity:
-            buffer.append(record)
-        else:
-            buffer[self._next] = record
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
+        self.seen += 1
+        self._buffer.append(record)
+
+    def record_event(self, event: str, time: float, fields: Dict[str, Any]) -> None:
+        """:meth:`append` in the shape of a probe sink: keeps ``(time, event, fields)``."""
+        self.seen += 1
+        self._buffer.append((time, event, fields))
+
+    @property
+    def dropped(self) -> int:
+        """Records overwritten because the ring was full."""
+        return max(0, self.seen - self.capacity)
 
     def __len__(self) -> int:
         return len(self._buffer)
 
     def items(self) -> List[Any]:
         """Records in arrival order (oldest kept first)."""
-        buffer = self._buffer
-        if len(buffer) < self.capacity:
-            return list(buffer)
-        return buffer[self._next:] + buffer[: self._next]
+        return list(self._buffer)
 
 
 class ReservoirRecorder:
@@ -172,6 +182,10 @@ class ReservoirRecorder:
         slot = self._rng.randint(0, index)
         if slot < self.capacity:
             kept[slot] = (index, record)
+
+    def record_event(self, event: str, time: float, fields: Dict[str, Any]) -> None:
+        """:meth:`append` in the shape of a probe sink: offers ``(time, event, fields)``."""
+        self.append((time, event, fields))
 
     @property
     def dropped(self) -> int:
@@ -225,31 +239,87 @@ class JsonlSink:
     keys, compact separators, ``allow_nan=False`` — so identical simulations
     produce byte-identical trace files (the CI determinism check ``cmp``\\ s
     two of them).  Memory is O(1); the bound is the file system's problem.
+
+    A line is rendered from a *template* compiled once per record shape
+    ``(event, field names)``: the keys sorted and quoted, the event's value
+    rendered, one ``%s`` per remaining value.  Per record only the values
+    are encoded — every line equals, byte for byte, what
+    ``json.dumps({"t": time, "event": event, **fields}, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)`` gives.  ``t`` and ``event``
+    are the record's own keys: a field of either name is a ``ValueError``.
+    Lines go through the file object's buffer as they are produced (nothing
+    is held back here), which is what lets the service tail a live trace.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.lines_written = 0
         self._handle = open(path, "w", encoding="utf-8")
+        self._write = self._handle.write
+        #: ``(event, *field names)`` -> ``(line template, value order)``; one
+        #: entry per shape ever written, a handful for the in-tree probes.
+        self._templates: Dict[Tuple[str, ...], Tuple[str, Tuple[Optional[str], ...]]] = {}
 
     def __call__(self, event: str, time: float, fields: Dict[str, Any]) -> None:
-        payload = {"t": time, "event": event}
-        payload.update(fields)
-        self._write(payload)
+        shape = self._templates.get((event, *fields))
+        if shape is None:
+            shape = self._compile(event, tuple(fields))
+        template, order = shape
+        encoded = []
+        append = encoded.append
+        for name in order:
+            value = time if name is None else fields[name]
+            kind = type(value)
+            if kind is float and isfinite(value):
+                append(_float_repr(value))
+            elif kind is int:
+                append(_int_repr(value))
+            elif kind is str:
+                append(_quote(value))
+            elif value is True:
+                append("true")
+            elif value is False:
+                append("false")
+            elif value is None:
+                append("null")
+            else:
+                # Containers, subclasses of the types above, and nan/inf
+                # (a ValueError, raised before anything is written).
+                append(_canonical(value))
+        self._write(template % tuple(encoded))
+        self.lines_written += 1
 
     def write_sample(self, time: float, series: str, value: float) -> None:
-        self._write({"t": time, "event": "sample", "series": series, "value": value})
+        self("sample", time, {"series": series, "value": value})
 
-    def _write(self, payload: Dict[str, Any]) -> None:
-        self._handle.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-        )
-        self.lines_written += 1
+    def _compile(self, event: str, names: Tuple[str, ...]):
+        """Build and cache the line template of one record shape.
+
+        The template holds one ``%s`` per value, in sorted-key order;
+        ``order`` names the field each one takes (``None``: the time).
+        """
+        for name in names:
+            if type(name) is not str:
+                raise TypeError(f"telemetry event {event!r}: field name {name!r} is not a str")
+            if name in ("t", "event"):
+                raise ValueError(
+                    f"telemetry event {event!r}: field {name!r} would overwrite "
+                    "the record's own key")
+        members, order = [], []
+        for key in sorted([*names, "t", "event"]):
+            if key == "event":
+                members.append(f'"event":{_quote(event)}'.replace("%", "%%"))
+            else:
+                members.append(_quote(key).replace("%", "%%") + ":%s")
+                order.append(None if key == "t" else key)
+        shape = ("{" + ",".join(members) + "}\n", tuple(order))
+        self._templates[(event, *names)] = shape
+        return shape
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
-            self._handle = None
+            self._handle = self._write = None
 
     def __enter__(self) -> "JsonlSink":
         return self

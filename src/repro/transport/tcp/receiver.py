@@ -71,33 +71,33 @@ class TCPReceiverConnection:
         headers = packet.headers
         if headers.fin:
             self.fin_received = True
-            self._send_ack(immediate=True, ecn_echo=packet.ecn_marked)
+            self._send_ack(packet.ecn_marked)
             return
         seq = headers.seq
         length = headers.len
         if seq is None or length <= 0:
             return
-        ts = headers.ts
 
         if seq == self.rcv_nxt:
             # In-order arrival: deliver it and anything contiguous behind it.
             self._deliver(length)
-            self._last_ts = ts
-            while self.rcv_nxt in self._out_of_order:
-                buffered = self._out_of_order.pop(self.rcv_nxt)
-                self._deliver(buffered)
+            self._last_ts = headers.ts
+            out_of_order = self._out_of_order
+            if out_of_order:
+                while self.rcv_nxt in out_of_order:
+                    self._deliver(out_of_order.pop(self.rcv_nxt))
             self._segments_since_ack += 1
             must_ack_now = (
                 not self.delayed_acks
                 or self._segments_since_ack >= 2
-                or bool(self._out_of_order)
+                or bool(out_of_order)
                 or packet.ecn_marked
                 or self._quickack_remaining > 0
             )
             if self._quickack_remaining > 0:
                 self._quickack_remaining -= 1
             if must_ack_now:
-                self._send_ack(immediate=True, ecn_echo=packet.ecn_marked)
+                self._send_ack(packet.ecn_marked)
             else:
                 # Per-segment refresh; the deadline always moves later, so
                 # the coalescing Timer makes this free of heap operations.
@@ -105,12 +105,12 @@ class TCPReceiverConnection:
         elif seq < self.rcv_nxt:
             # Duplicate of already-delivered data (a spurious retransmission);
             # re-acknowledge so the sender can move on.
-            self._send_ack(immediate=True, ecn_echo=packet.ecn_marked)
+            self._send_ack(packet.ecn_marked)
         else:
             # A hole: buffer the segment and emit an immediate duplicate ACK.
             self._out_of_order[seq] = length
             self.dup_acks_sent += 1
-            self._send_ack(immediate=True, ecn_echo=packet.ecn_marked)
+            self._send_ack(packet.ecn_marked)
 
     def _deliver(self, length: int) -> None:
         self.rcv_nxt += length
@@ -121,23 +121,16 @@ class TCPReceiverConnection:
     # ------------------------------------------------------------------- acks
     def _delayed_ack_expired(self) -> None:
         if self._segments_since_ack > 0:
-            self._send_ack(immediate=True)
+            self._send_ack()
 
-    def _send_ack(self, immediate: bool, ecn_echo: bool = False) -> None:
+    def _send_ack(self, ecn_echo: bool = False) -> None:
+        """Acknowledge everything below ``rcv_nxt`` now (never deferred)."""
         self._delack_timer.cancel()
         self._segments_since_ack = 0
-        ack = ack_segment(
-            src=self.host.addr,
-            dst=self.peer_addr,
-            sport=self.local_port,
-            dport=self.peer_port,
-            ack=self.rcv_nxt,
-            ts_echo=self._last_ts,
-            ecn_echo=ecn_echo,
-            pool=self._pool,
-        )
+        host = self.host
         self.acks_sent += 1
-        self.host.ip.send(ack)
+        host.ip.send(ack_segment(host.addr, self.peer_addr, self.local_port, self.peer_port,
+                                 self.rcv_nxt, self._last_ts, ecn_echo, self._pool))
 
 
 class TCPListener:

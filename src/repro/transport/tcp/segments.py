@@ -54,7 +54,12 @@ def data_segment(
     pool: Optional[PacketPool] = None,
 ) -> Packet:
     """Build a data-bearing segment starting at byte ``seq``."""
-    packet = _blank_segment(src, dst, sport, dport, length, ecn_capable, pool)
+    # The two per-packet builders acquire from the pool themselves: one
+    # frame fewer than going through ``_blank_segment``.
+    if pool is not None:
+        packet = pool.acquire(src, dst, sport, dport, length, ecn_capable)
+    else:
+        packet = _blank_segment(src, dst, sport, dport, length, ecn_capable, None)
     header = packet.headers
     header.seq = seq
     header.len = length
@@ -79,7 +84,10 @@ def ack_segment(
     pool: Optional[PacketPool] = None,
 ) -> Packet:
     """Build a pure acknowledgement for all bytes below ``ack``."""
-    packet = _blank_segment(src, dst, sport, dport, 0, False, pool)
+    if pool is not None:
+        packet = pool.acquire(src, dst, sport, dport, 0, False)
+    else:
+        packet = _blank_segment(src, dst, sport, dport, 0, False, None)
     header = packet.headers
     header.seq = None
     header.len = 0

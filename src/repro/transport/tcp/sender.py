@@ -220,35 +220,22 @@ class TCPSenderBase:
     # ====================================================================== #
     def _transmit_segment(self, seq: int, length: int, retransmission: bool) -> None:
         """Emit one data segment and make sure the RTO is running."""
-        packet = data_segment(
-            src=self.host.addr,
-            dst=self.dst,
-            sport=self.sport,
-            dport=self.dport,
-            seq=seq,
-            length=length,
-            timestamp=self.sim.now,
-            retransmission=retransmission,
-            ecn_capable=self.ecn,
-            pool=self._pool,
-        )
-        self.host.ip.send(packet)
+        host = self.host
+        now = self.sim.now
+        host.ip.send(data_segment(host.addr, self.dst, self.sport, self.dport, seq, length,
+                                  now, retransmission, self.ecn, self._pool))
         self.data_packets_sent += 1
         self.bytes_transmitted += length
         if retransmission:
             self.retransmissions += 1
         probe = self._probe_transmit
         if probe is not None:
-            probe(self.sim.now, {"dst": self.dst, "seq": seq, "size": length,
-                                 "retransmission": retransmission})
+            probe(now, {"dst": self.dst, "seq": seq, "size": length,
+                        "retransmission": retransmission})
         if self.on_transmit is not None:
-            self.on_transmit(seq, length, self.sim.now)
-        if not self._rto_timer.pending:
+            self.on_transmit(seq, length, now)
+        if self._rto_timer.expires_at is None:
             self._rto_timer.start(self._current_rto())
-
-    def _usable_window_bytes(self) -> int:
-        """New bytes the peer's receive window still permits."""
-        return max(0, self.snd_una + self.receive_window - self.snd_nxt)
 
     def _next_new_segment_length(self) -> int:
         """Length of the next brand-new segment, honouring buffer and rwnd.
@@ -259,15 +246,19 @@ class TCPSenderBase:
         in the middle of a stream leaves an odd trailing segment whose ACK
         is delayed by the receiver's delayed-ACK timer.)
         """
-        remaining = self.app_limit - self.snd_nxt
-        if remaining <= 0:
+        snd_nxt = self.snd_nxt
+        desired = self.app_limit - snd_nxt
+        if desired <= 0:
             return 0
-        desired = min(self.mss, remaining)
-        usable = self._usable_window_bytes()
+        if desired > self.mss:
+            desired = self.mss
+        snd_una = self.snd_una
+        usable = snd_una + self.receive_window - snd_nxt
         if usable >= desired:
             return desired
-        if self.flight_size == 0:
-            return min(desired, usable)
+        if snd_nxt == snd_una:
+            # Nothing in flight: a runt (possibly empty) is all there is.
+            return usable if usable > 0 else 0
         return 0
 
     # ====================================================================== #
@@ -311,43 +302,45 @@ class TCPSenderBase:
 
     def _handle_ack(self, headers: TCPHeader) -> None:
         ack = headers.ack
-        ts_echo = headers.ts_echo
-        ecn_echo = headers.ecn_echo
         self.acks_received += 1
+        snd_una = self.snd_una
 
-        if ack > self.snd_una:
-            bytes_acked = ack - self.snd_una
+        if ack > snd_una:
+            bytes_acked = ack - snd_una
             self.snd_una = ack
-            if self.snd_nxt < self.snd_una:
+            if self.snd_nxt < ack:
                 # After a go-back-N timeout the receiver may acknowledge data
                 # it had buffered out of order, moving the cumulative ACK past
                 # our (rewound) send point; never send below snd_una again.
-                self.snd_nxt = self.snd_una
+                self.snd_nxt = ack
             self.dupacks = 0
             self._backoff = 1.0
             rtt_sample = 0.0
+            ts_echo = headers.ts_echo
             if ts_echo is not None:
-                rtt_sample = max(0.0, self.sim.now - ts_echo)
+                rtt_sample = self.sim.now - ts_echo
+                if rtt_sample < 0.0:
+                    rtt_sample = 0.0
                 self.rtt.sample(rtt_sample)
-            if self.flight_size > 0:
+            if self.snd_nxt > ack:
                 # Refreshed on every ACK that advances the window.  The RTO
                 # deadline only ever moves later here, so the Timer coalesces
                 # this into a deadline update with no heap traffic.
                 self._rto_timer.restart(self._current_rto())
             else:
                 self._rto_timer.cancel()
-            self._on_new_ack(bytes_acked, rtt_sample, ecn_echo)
+            self._on_new_ack(bytes_acked, rtt_sample, headers.ecn_echo)
             if self.on_progress is not None:
                 self.on_progress(self.snd_una)
             self._check_complete()
             if not self.closed:
                 self._on_send_opportunity()
-        elif ack == self.snd_una and self.flight_size > 0:
+        elif ack == snd_una and self.snd_nxt > snd_una:
             self.dupacks += 1
-            self._on_dupack(self.dupacks, ecn_echo)
+            self._on_dupack(self.dupacks, headers.ecn_echo)
 
     def _check_complete(self) -> None:
-        if self.complete_time is None and self.done:
+        if self.complete_time is None and 0 < self.app_limit <= self.snd_una:
             self.complete_time = self.sim.now
             self._rto_timer.cancel()
             if self.on_complete is not None:

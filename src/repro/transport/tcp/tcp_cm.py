@@ -6,10 +6,12 @@ This follows §3.2 of the paper closely:
   flow (joining the per-destination macroflow); from then on the pacing of
   outgoing data is controlled by the CM.
 * **Transmission** — when data is queued the sender calls ``cm_request``;
-  the CM's ``cmapp_send`` callback then transmits either a pending
-  retransmission or up to one MSS of new data.  The IP output routine's
-  ``cm_notify`` hook charges the transmission to the macroflow
-  automatically.
+  the CM's ``cmapp_send`` callback then transmits up to one MSS of new
+  data (or declines the grant when there is none).  Loss recovery does not
+  wait for a grant: the segment at ``snd_una`` is resent at once by
+  ``_fast_retransmit_head``, because its bytes were already reported
+  resolved to the CM.  The IP output routine's ``cm_notify`` hook charges
+  every transmission to the macroflow automatically.
 * **Feedback** — new cumulative ACKs become ``cm_update`` reports of
   successfully received bytes (with the RTT sample); the third duplicate
   ACK reports transient congestion; later duplicate ACKs report a segment
@@ -26,7 +28,7 @@ bookkeeping, which is what Figure 5 measures.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ...core.constants import (
     CM_ECN_CONGESTION,
@@ -75,8 +77,6 @@ class CMTCPSender(TCPSenderBase):
 
         #: Requests issued to the CM that have not yet produced a callback.
         self._requests_outstanding = 0
-        #: Segments queued for retransmission: (seq, length) pairs.
-        self._retransmit_queue: List[Tuple[int, int]] = []
         #: Bytes already reported to the CM through duplicate-ACK updates and
         #: not yet covered by a cumulative ACK; the next cumulative report is
         #: reduced by this amount so the same bytes are never counted twice.
@@ -127,8 +127,7 @@ class CMTCPSender(TCPSenderBase):
     def _on_dupack(self, count: int, ecn_echo: bool) -> None:
         if count == 3 and not self.in_recovery:
             # A single segment was lost somewhere in the window: transient
-            # congestion.  Queue the retransmission and ask the CM for
-            # permission to send it.
+            # congestion.
             self.fast_retransmits += 1
             self.in_recovery = True
             self._recover_point = self.snd_nxt
@@ -165,7 +164,6 @@ class CMTCPSender(TCPSenderBase):
         # re-sent and re-reported, so forget the duplicate-ACK compensation.
         self._dupack_reported_bytes = 0
         self.in_recovery = False
-        self._retransmit_queue.clear()
 
     def _on_close(self) -> None:
         try:
@@ -183,34 +181,35 @@ class CMTCPSender(TCPSenderBase):
             # back on the connection's own estimate.
             return super()._current_rto()
         shared_rto = max(status.rto, 0.2)
-        local_rto = self.rtt.rto() if self.rtt.has_samples else shared_rto
+        local_rto = self.rtt.rto() if self.rtt.samples > 0 else shared_rto
         return min(MAX_BACKOFF * 60.0, max(shared_rto, local_rto) * self._backoff)
 
     # ====================================================================== #
     # CM interaction                                                         #
     # ====================================================================== #
-    def _segments_wanted(self) -> int:
-        """How many MSS-sized transmission opportunities we could use now."""
-        wanted = len(self._retransmit_queue)
-        sendable_new = min(self.app_limit - self.snd_nxt, self._usable_window_bytes())
-        if sendable_new > 0:
-            wanted += -(-sendable_new // self.mss)  # ceil division
-        return wanted
-
     def _request_transmissions(self) -> None:
-        wanted = min(self._segments_wanted(), MAX_PENDING_REQUESTS)
-        needed = wanted - self._requests_outstanding
-        for _ in range(needed):
-            self._requests_outstanding += 1
-            self.cm.cm_request(self.flow_id)
+        """Keep one ``cm_request`` pending per MSS of new data sendable now.
 
-    def _queue_head_retransmission(self) -> None:
-        length = min(self.mss, self.app_limit - self.snd_una)
-        if length <= 0:
+        That is the buffered data the peer's receive window permits, in
+        segments (rounded up), capped at ``MAX_PENDING_REQUESTS``.
+        """
+        snd_nxt = self.snd_nxt
+        sendable = self.app_limit - snd_nxt
+        window = self.snd_una + self.receive_window - snd_nxt
+        if window < sendable:
+            sendable = window
+        if sendable <= 0:
             return
-        entry = (self.snd_una, length)
-        if entry not in self._retransmit_queue:
-            self._retransmit_queue.append(entry)
+        wanted = -(-sendable // self.mss)  # ceil division
+        if wanted > MAX_PENDING_REQUESTS:
+            wanted = MAX_PENDING_REQUESTS
+        needed = wanted - self._requests_outstanding
+        if needed > 0:
+            cm_request = self.cm.cm_request
+            flow_id = self.flow_id
+            for _ in range(needed):
+                self._requests_outstanding += 1
+                cm_request(flow_id)
 
     def _fast_retransmit_head(self) -> None:
         """Immediately resend the segment at ``snd_una`` (loss recovery)."""
@@ -236,23 +235,20 @@ class CMTCPSender(TCPSenderBase):
             pass
 
     def _cmapp_send(self, flow_id: int) -> None:
-        """CM grant: transmit a retransmission first, otherwise new data."""
-        self._requests_outstanding = max(0, self._requests_outstanding - 1)
+        """CM grant: transmit up to one MSS of new data, or give it back.
+
+        Retransmissions never come through here — loss recovery resends the
+        head segment directly (:meth:`_fast_retransmit_head`) and a timeout
+        rewinds ``snd_nxt``, after which the rewound bytes are new data again.
+        """
+        if self._requests_outstanding > 0:
+            self._requests_outstanding -= 1
         if self.closed or not self.connected:
             self._decline_grant(flow_id)
             return
-        if self._retransmit_queue:
-            seq, length = self._retransmit_queue.pop(0)
-            if seq < self.snd_una:
-                # The data was acknowledged while the grant was in flight.
-                length = 0
-            if length > 0:
-                self._transmit_segment(seq, length, retransmission=True)
-                self._request_transmissions()
-                return
         length = self._next_new_segment_length()
         if length > 0:
-            self._transmit_segment(self.snd_nxt, length, retransmission=False)
+            self._transmit_segment(self.snd_nxt, length, False)
             self.snd_nxt += length
             self._request_transmissions()
             return

@@ -4,8 +4,15 @@ Each shortcut on the per-packet path is pinned against the plain walk it
 replaced: the schedulers' ``has_pending`` against the summed count, the
 rate-callback dispatch against the full walk of the macroflow's flows, and
 the feedback tracker's insertion-order resolution against the sorted one.
+
+Round two (the frame-lean TCP/CM segment path) is pinned by what a run leaves
+behind: the charges it made and their order, the events it scheduled, the
+packet ids it delivered, the random numbers it drew.  The pinned values were
+taken at the commit before that rewrite; helper frames may come and go, these
+may not move.
 """
 
+import hashlib
 import itertools
 from contextlib import ExitStack
 from unittest import mock
@@ -13,6 +20,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_hostmodel import _flat, _hex_state
 
 from repro import CongestionManager, HostCosts
 from repro.core import (
@@ -24,7 +33,10 @@ from repro.core import (
 )
 from repro.core.flow import DirectChannel
 from repro.core.libcm import ControlSocketChannel, LibCM
+from repro.hostmodel import CpuLedger
 from repro.netsim import Host, Simulator
+from repro.scenario import build, get_preset, run_built
+from repro.transport.tcp import CMTCPSender, TCPListener
 from repro.transport.udp.feedback import AppFeedbackTracker, FeedbackReport
 
 # --------------------------------------------------------------------------- #
@@ -299,3 +311,159 @@ def test_tracker_reports_equal_the_sorted_reference(steps):
     assert tracker.loss_events == reference.loss_events
     assert (tracker.bytes_reported_sent, tracker.bytes_reported_received) == (
         reference.sent, reference.received)
+
+
+# --------------------------------------------------------------------------- #
+# (iv) the segment path: same charges, same events, same random draws          #
+# --------------------------------------------------------------------------- #
+def _digest(items) -> str:
+    return hashlib.sha256(repr(list(items)).encode()).hexdigest()[:16]
+
+
+class _LoggedCosts(HostCosts):
+    """A host ledger that also lists, in order, every charge it was asked for."""
+
+    def __init__(self, who, log):
+        super().__init__()
+        self._who, self._log = who, log
+
+    def charge_operation(self, operation, count=1, category=None):
+        self._log.append((self._who, "charge_operation", operation, count, category))
+        return super().charge_operation(operation, count, category)
+
+    def kernel_tx(self, nbytes):
+        self._log.append((self._who, "kernel_tx", nbytes))
+        return super().kernel_tx(nbytes)
+
+    def kernel_rx(self, nbytes):
+        self._log.append((self._who, "kernel_rx", nbytes))
+        return super().kernel_rx(nbytes)
+
+
+def _lossy_tcp_cm_transfer(make_pair):
+    """300 kB of TCP/CM over a 5 %-loss link, every host charge logged."""
+    pair = make_pair(with_cm=False, loss_rate=0.05, one_way_delay=0.01, seed=6)
+    log = []
+    for host in (pair.sender, pair.receiver):
+        host.costs = host.ip._costs = _LoggedCosts(host.name, log)
+    cm = CongestionManager(pair.sender)
+    listener = TCPListener(pair.receiver, 80)
+    sender = CMTCPSender(pair.sender, pair.receiver.addr, 80)
+    sender.send(300_000)
+    pair.sim.run(until=120.0)
+    assert sender.done and listener.total_bytes_received == 300_000
+    # Fast retransmit, go-back-N after a timeout and declined grants are all
+    # on the path being pinned.
+    assert sender.fast_retransmits and sender.timeouts and sender.declined_grants
+    return pair, cm, sender, log
+
+
+def test_tcp_cm_charges_are_the_same_and_in_the_same_order(make_pair):
+    """*Same charges, same order.*  The log is the parent commit's, call for
+    call — ``_current_rto``'s ``cm_query`` included: it is a priced kernel
+    operation and may be inlined, never cached or skipped — and replaying it
+    through a flat ledger, one addition at a time, gives the very floats the
+    hosts accumulated."""
+    pair, _cm, sender, log = _lossy_tcp_cm_transfer(make_pair)
+    assert (len(log), _digest(log)) == (1329, "8d4b3d3d1a0a6272")
+    reference = {"sender": CpuLedger(), "receiver": CpuLedger()}
+    model = pair.sender.costs.model
+    for who, *step in log:
+        charges, counts = _flat(model, tuple(step))
+        for category, microseconds in charges:
+            reference[who].charge(category, microseconds)
+        for operation, times in counts:
+            reference[who].count(operation, times)
+    for host in (pair.sender, pair.receiver):
+        assert _hex_state(host.costs.ledger) == _hex_state(reference[host.name])
+    assert pair.sender.costs.total_us.hex() == "0x1.8237cccccccb6p+12"
+    assert pair.receiver.costs.total_us.hex() == "0x1.5c60cccccccdbp+12"
+    kernel_ops = sum(1 for entry in log if entry[2:] == ("cm_kernel_op", 1, "cm"))
+    assert kernel_ops == 645
+    assert (sender.data_packets_sent, sender.retransmissions, sender.timeouts) == (218, 9, 1)
+
+
+def test_tcp_cm_draws_the_same_random_numbers(make_pair):
+    """*Same RNG draws.*  One ``Link.send`` more or fewer on a lossy link and
+    every later loss decision of the run moves."""
+    pair, _cm, _sender, _log = _lossy_tcp_cm_transfer(make_pair)
+    states = [_digest(link._rng.getstate()) for link in (pair.channel.forward,
+                                                            pair.channel.reverse)]
+    assert states == ["fbfd7b488e40926f", "5c34476fb0dd61fc"]
+    stats = pair.channel.forward.stats
+    assert (stats.enqueued_packets, stats.dropped_random) == (209, 10)
+
+
+def _event_order(preset: str, until: float):
+    """What the engine did, and which packet ids each link delivered, in order."""
+    spec = get_preset(preset)
+    spec.stop.until = until
+    scenario = build(spec, seed=spec.seed)
+    delivered = []
+    for _index, name, link in scenario.directed_links():
+        def tap(packet, name=name, receive=link._receiver):
+            delivered.append((name, packet.packet_id))
+            receive(packet)
+        link.attach(tap)
+    run_built(scenario)
+    sim = scenario.sim
+    return sim.events_dispatched, sim._seq, len(delivered), _digest(delivered)
+
+
+@pytest.mark.parametrize("preset, until, expected", [
+    ("bulk_macroflow_sharing", 10.0, (10290, 11601, 3806, "aadd3b51063fb8b0")),
+    ("dumbbell_bulk", 10.0, (30873, 32264, 4572, "8ae394d8dcd405db")),
+])
+def test_the_engine_sees_the_same_events_in_the_same_order(preset, until, expected):
+    """*Same events, same order.*  Same-time events dispatch in scheduling
+    order, so one ``call_soon`` or ``_push`` moved is a different run: the
+    dispatch count, the number of events ever scheduled and the id of every
+    delivered packet, link by link, are the parent commit's."""
+    assert _event_order(preset, until) == expected
+
+
+# --------------------------------------------------------------------------- #
+# (v) the one-walk grant loop == the seed's one-grant-at-a-time loop           #
+# --------------------------------------------------------------------------- #
+def _grant_state(grant, cwnd_mtus, batch_size, entries, committed_mtus, closed):
+    """Run one grant pass over a prepared macroflow; return everything it left."""
+    sim = Simulator()
+    host = Host(sim, "host", "10.0.0.1", costs=HostCosts())
+    cm = CongestionManager(host, grant_batch_size=batch_size, feedback_watchdog=False)
+    log = []
+    flow_ids = []
+    for index in range(4):
+        flow_id = cm.cm_open("10.0.0.1", "10.0.0.2", 20_000 + index, 80, "tcp")
+        cm.cm_register_send(flow_id, log.append)
+        flow_ids.append(flow_id)
+    macroflow = cm.macroflow_of(flow_ids[0])
+    macroflow.controller._cwnd = cwnd_mtus * cm.mtu
+    macroflow.outstanding_bytes = committed_mtus * cm.mtu
+    for entry in entries:  # 0..3: a flow; 4: an id nobody holds
+        macroflow.scheduler.enqueue(flow_ids[entry] if entry < 4 else 999)
+    if closed is not None:  # a flow that moved away keeps its queued entries
+        cm.cm_split(flow_ids[closed])
+        for entry in entries:
+            if entry == closed:
+                macroflow.scheduler.enqueue(flow_ids[closed])
+    grant(cm, macroflow)
+    sim.run()
+    flows = [(cm.flow(f).granted_unnotified, cm.flow(f).stats.grants) for f in flow_ids]
+    return log, macroflow.reserved_bytes, macroflow.scheduler.pending_requests(), flows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cwnd_mtus=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.75, 8.0, 40.0]),
+    batch_size=st.sampled_from([1, 2, 3, 8, 32]),
+    entries=st.lists(st.integers(min_value=0, max_value=4), max_size=24),
+    committed_mtus=st.sampled_from([0.0, 0.5, 1.0, 2.5, 6.0]),
+    closed=st.sampled_from([None, None, 0, 2]),
+)
+def test_one_walk_grant_loop_equals_the_seed_loop(cwnd_mtus, batch_size, entries,
+                                                   committed_mtus, closed):
+    from repro.perf.legacy import unbatched_maybe_grant
+
+    args = (cwnd_mtus, batch_size, entries, committed_mtus, closed)
+    assert (_grant_state(CongestionManager._maybe_grant, *args)
+            == _grant_state(unbatched_maybe_grant, *args))

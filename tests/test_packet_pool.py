@@ -29,6 +29,26 @@ class TestPoolStateMachine:
         assert (again.src, again.dst, again.payload_bytes) == ("c", "d", 200)
         assert again.ecn_marked is False and again.flow_id is None
 
+    def test_stored_size_tracks_payload_through_reuse_and_reassignment(self):
+        # ``size`` is a stored field (both kernels and every hop read it); it
+        # must agree with header_bytes + payload_bytes whenever either is
+        # looked at: fresh, recycled with another payload, and reassigned.
+        pool = PacketPool()
+        segment = pool.acquire("a", "b", 1, 2, 1448)
+        assert segment.size == segment.header_bytes + segment.payload_bytes == 52 + 1448
+        pool.release(segment)
+        ack = pool.acquire("b", "a", 2, 1)
+        assert ack is segment
+        assert ack.size == ack.header_bytes + ack.payload_bytes == 52
+        ack.payload_bytes = 700
+        assert ack.payload_bytes == 700
+        assert ack.size == ack.header_bytes + ack.payload_bytes == 752
+        datagram = Packet(src="a", dst="b", sport=1, dport=2, protocol="udp", payload_bytes=172)
+        assert datagram.size == datagram.header_bytes + datagram.payload_bytes == 28 + 172
+        datagram.payload_bytes = 0
+        assert datagram.size == datagram.header_bytes == 28
+        assert Packet(src="a", dst="b", sport=1, dport=2, protocol="tcp").size == 52
+
     def test_release_of_unmanaged_packet_is_noop(self):
         pool = PacketPool()
         packet = Packet(src="a", dst="b", sport=1, dport=2, protocol="tcp")

@@ -1,9 +1,14 @@
 """Integration tests for TCP: the Reno baseline and TCP/CM."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import CongestionManager, HostCosts
+from repro.netsim import Host, Simulator
 from repro.transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
 from repro.transport.tcp.sender import TCPSenderBase
+from repro.transport.tcp.tcp_cm import MAX_PENDING_REQUESTS
 
 
 def run_transfer(pair, variant, nbytes, port=80, timeout=600.0, **sender_kwargs):
@@ -255,3 +260,65 @@ class TestReceiver:
         pair.sim.run(until=30.0)
         assert sum(seen) == 50_000
         del listener
+
+
+# --------------------------------------------------------------------------- #
+# The sender's window arithmetic, written out inline on the segment path, is   #
+# the helper chain it replaced (``docs/cm_api_path.md``, round two).           #
+# --------------------------------------------------------------------------- #
+def _usable_window_bytes(sender):
+    return max(0, sender.snd_una + sender.receive_window - sender.snd_nxt)
+
+
+def _next_new_segment_length(sender):
+    """``TCPSenderBase._next_new_segment_length`` as it was, helper by helper."""
+    remaining = sender.app_limit - sender.snd_nxt
+    if remaining <= 0:
+        return 0
+    desired = min(sender.mss, remaining)
+    usable = _usable_window_bytes(sender)
+    if usable >= desired:
+        return desired
+    if sender.flight_size == 0:
+        return min(desired, usable)
+    return 0
+
+
+def _requests_needed(sender):
+    """What ``_segments_wanted`` / ``_request_transmissions`` asked the CM for."""
+    wanted = 0
+    sendable_new = min(sender.app_limit - sender.snd_nxt, _usable_window_bytes(sender))
+    if sendable_new > 0:
+        wanted += -(-sendable_new // sender.mss)
+    return max(0, min(wanted, MAX_PENDING_REQUESTS) - sender._requests_outstanding)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    snd_una=st.integers(min_value=0, max_value=200_000),
+    flight=st.integers(min_value=-3000, max_value=70_000),
+    backlog=st.integers(min_value=-3000, max_value=200_000),
+    receive_window=st.sampled_from([0, 1, 536, 1448, 4000, 8192, 65_535, 1 << 20]),
+    mss=st.sampled_from([1, 536, 1448]),
+    outstanding=st.integers(min_value=0, max_value=MAX_PENDING_REQUESTS + 2),
+)
+def test_inlined_window_arithmetic_equals_the_helper_chain(
+        snd_una, flight, backlog, receive_window, mss, outstanding):
+    sim = Simulator()
+    host = Host(sim, "sender", "10.0.0.1", costs=HostCosts())
+    CongestionManager(host)
+    sender = CMTCPSender(host, "10.0.0.2", 80, mss=mss, receive_window=receive_window)
+    sender.snd_una = snd_una
+    sender.snd_nxt = snd_una + flight
+    sender.app_limit = sender.snd_nxt + backlog
+    sender._requests_outstanding = outstanding
+    assert sender._next_new_segment_length() == _next_new_segment_length(sender)
+
+    needed = _requests_needed(sender)
+    asked = []
+    sender.cm.cm_request = lambda flow_id: asked.append(
+        (flow_id, sender._requests_outstanding))
+    sender._request_transmissions()
+    # One cm_request per missing request, the counter raised before each call.
+    assert asked == [(sender.flow_id, outstanding + k) for k in range(1, needed + 1)]
+    assert sender._requests_outstanding == outstanding + needed

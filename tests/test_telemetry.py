@@ -11,8 +11,11 @@ Pins down the PR-4 contracts:
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import Link, Packet, RateTracker, Simulator
 from repro.netsim.packet import IP_HEADER_BYTES, UDP_HEADER_BYTES
@@ -101,6 +104,166 @@ class TestRecorders:
             "t": 2.0, "event": "sample", "series": "cm.h.mf1.cwnd", "value": 1500.0
         }
         assert sink.lines_written == 2
+
+
+def reference_line(event, time, fields):
+    """What the sink wrote before it compiled its lines: one ``json.dumps`` of
+    the merged record.  The template path must reproduce it byte for byte."""
+    return json.dumps({"t": time, "event": event, **fields}, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False) + "\n"
+
+
+class ReferenceSink(JsonlSink):
+    """:class:`JsonlSink` with every line rendered by :func:`reference_line`."""
+
+    def __call__(self, event, time, fields):
+        self._write(reference_line(event, time, fields))
+        self.lines_written += 1
+
+
+def written(tmp_path, records, name="trace.jsonl"):
+    path = tmp_path / name
+    with JsonlSink(str(path)) as sink:
+        for record in records:
+            sink(*record)
+    return path.read_text(encoding="utf-8")
+
+
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-7, 1e22, 1e16, 1e-5, 5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1 + 0.2]),
+)
+_texts = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "a\"b", "\n\t\x00\x1f", "\x7f", "é", "日本", "\U0001f600",
+                     "\ud800", "100%", "%s", "%(x)s", "%%"]),
+)
+_scalars = st.one_of(
+    _finite_floats,
+    st.integers(),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 200, 0, -1]),
+    st.booleans(),
+    st.none(),
+    _texts,
+)
+#: Values the templates do not encode themselves: containers go to the
+#: canonical encoder (the fallback), nested scalars and all.
+_nested = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+_field_names = _texts.filter(lambda name: name not in ("t", "event"))
+_fields = st.dictionaries(_field_names, st.one_of(_scalars, _nested), max_size=5)
+
+
+class TestJsonlSinkLineTemplates:
+    """The compiled line equals the reference rendering, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(EVENT_NAMES), _finite_floats, _fields),
+                    min_size=1, max_size=6))
+    def test_lines_equal_the_reference_rendering(self, tmp_path_factory, records):
+        text = written(tmp_path_factory.mktemp("sink"), records)
+        assert text == "".join(reference_line(*record) for record in records)
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (False, "false"), (1, "1"), (0, "0"), (None, "null"),
+        (1.0, "1.0"), (-0.0, "-0.0"), (1e22, "1e+22"), (1e-7, "1e-07"),
+        (5e-324, "5e-324"), (2 ** 64, "18446744073709551616"),
+    ])
+    def test_bools_are_not_rendered_as_ints_nor_ints_as_floats(self, tmp_path, value, text):
+        line = written(tmp_path, [("cm.grant", 0.5, {"v": value})])
+        assert line == '{"event":"cm.grant","t":0.5,"v":%s}\n' % text
+        assert line == reference_line("cm.grant", 0.5, {"v": value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["time", "field", "nested"])
+    def test_non_finite_floats_raise_and_write_nothing(self, tmp_path, bad, where):
+        record = {
+            "time": ("packet.drop", bad, {"link": "a->b"}),
+            "field": ("packet.drop", 1.0, {"link": "a->b", "cwnd": bad}),
+            "nested": ("packet.drop", 1.0, {"link": "a->b", "extra": {"deep": [1, bad]}}),
+        }[where]
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path)) as sink:
+            sink("packet.drop", 0.5, {"link": "a->b"})
+            with pytest.raises(ValueError, match="Out of range float"):
+                sink(*record)
+            with pytest.raises(ValueError, match="Out of range float"):
+                reference_line(*record)
+            assert sink.lines_written == 1
+        assert path.read_text() == reference_line("packet.drop", 0.5, {"link": "a->b"})
+
+    @pytest.mark.parametrize("key", ["t", "event"])
+    def test_a_field_may_not_overwrite_the_records_own_keys(self, tmp_path, key):
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path)) as sink:
+            for _ in range(2):  # the refusal is not a cached shape either
+                with pytest.raises(ValueError) as raised:
+                    sink("tcp.transmit", 1.0, {"seq": 1, key: 2.0})
+                assert "'tcp.transmit'" in str(raised.value) and repr(key) in str(raised.value)
+            assert sink.lines_written == 0
+            assert sink._templates == {}
+        assert path.read_text() == ""
+
+    def test_field_names_must_be_strings(self, tmp_path):
+        with JsonlSink(str(tmp_path / "trace.jsonl")) as sink:
+            with pytest.raises(TypeError, match="not a str"):
+                sink("cm.grant", 1.0, {7: "flow"})
+            assert sink.lines_written == 0
+
+    def test_one_template_per_shape_however_many_lines(self, tmp_path):
+        """The cache is keyed by (event, field names): bounded by the probe
+        sites in the tree, not by the run length or the values seen."""
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path)) as sink:
+            for index in range(5000):
+                sink("packet.enqueue", index * 0.001,
+                     {"link": f"l{index % 7}", "size": 40 + index, "queue": index % 100})
+                sink("packet.drop", index * 0.001, {"link": "a->b", "reason": "overflow"})
+                sink("packet.drop", index * 0.001,
+                     {"link": "a->b", "reason": "red", "size": float(index)})
+                sink.write_sample(index * 0.001, f"link.l{index}.queue", float(index))
+            assert sink.lines_written == 20_000
+            assert sorted(sink._templates) == [
+                ("packet.drop", "link", "reason"),
+                ("packet.drop", "link", "reason", "size"),
+                ("packet.enqueue", "link", "size", "queue"),
+                ("sample", "series", "value"),
+            ]
+        assert path.read_text().count("\n") == 20_000
+
+    def test_field_order_is_part_of_the_shape_but_not_of_the_line(self, tmp_path):
+        a = {"link": "a->b", "size": 100}
+        b = {"size": 100, "link": "a->b"}
+        text = written(tmp_path, [("packet.deliver", 1.0, a), ("packet.deliver", 1.0, b)])
+        first, second = text.splitlines()
+        assert first == second == '{"event":"packet.deliver","link":"a->b","size":100,"t":1.0}'
+
+    def test_a_whole_probed_run_equals_the_reference_sink(self, tmp_path, monkeypatch):
+        """Every in-tree probe site and sampler, through the scenario wiring:
+        the trace file is the reference sink's, byte for byte."""
+        from repro.scenario import get_preset, run
+        from repro.scenario import telemetry as wiring
+
+        def trace(name):
+            spec = get_preset("dumbbell_bulk")
+            spec.stop.until = 6.0
+            path = tmp_path / name
+            result = run(spec, seed=spec.seed, trace_path=str(path))
+            return result.to_json(), path.read_bytes()
+
+        result, compiled = trace("compiled.jsonl")
+        monkeypatch.setattr(wiring, "JsonlSink", ReferenceSink)
+        reference_result, reference = trace("reference.jsonl")
+        assert compiled == reference and compiled.count(b"\n") > 2000
+        assert result == reference_result
+        events = {json.loads(line)["event"] for line in compiled.splitlines()}
+        assert {"sample", "cm.grant", "cm.congestion", "tcp.transmit", "packet.enqueue",
+                "packet.deliver", "packet.drop"} <= events
 
 
 class TestHub:
