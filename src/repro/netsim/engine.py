@@ -12,19 +12,17 @@ the Congestion Manager generates:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.at` push events onto the
   queue and return an :class:`Event` handle that can be cancelled.
-* The pending set is split into **two lanes**: an append-only *tail* (a
-  deque that stays sorted because entries are only appended when they are
-  not earlier than its last element) and a binary *heap* for the rare
-  out-of-order pushes.  Simulated hardware schedules overwhelmingly in
-  non-decreasing time order — links chain serialisations forward, timers
-  re-arm ahead of now — so in steady state nearly every push is an O(1)
-  ``append`` and nearly every pop an O(1) ``popleft`` plus one list
-  comparison against the heap head, instead of paying O(log n) sift work
-  per event.  Dispatch order is still *exactly* global ``(time, seq)``
-  order: the two lanes are merged head-to-head on every pop.
+* The pending set is **one binary heap** of entries ordered by
+  ``(time, seq)``: one C-level ``heappush`` per schedule and one ``heappop``
+  per dispatch, so dispatch order is exactly global ``(time, seq)`` order by
+  construction.  There is deliberately no sorted side lane for in-order
+  pushes: links interleave ``now + tx`` with ``now + delay`` and
+  ``call_soon`` is earlier than both, so on real workloads a third to a
+  half of the pushes would miss it and pay a Python frame on top of the
+  heap (measured in docs/cm_api_path.md).
 * Queue entries are plain mutable lists, not the :class:`Event` handles
   themselves; cancellation is *lazy* — it flips a state slot in O(1) and the
-  dead entry is discarded when it surfaces at the front of a lane (with a
+  dead entry is discarded when it surfaces at the top of the heap (with a
   periodic compaction so a cancel-heavy workload cannot bloat the queue).
 * :meth:`Simulator.run` pops events in time order and invokes their
   callbacks until the horizon, an event budget, or :meth:`Simulator.stop`,
@@ -39,7 +37,6 @@ the Congestion Manager generates:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from operator import attrgetter
 from typing import Any, Callable, List, Optional
 
@@ -139,20 +136,7 @@ class Event(list):
                 f"cannot cancel event at t={self[_TIME]:.6f}: it has already been dispatched"
             )
         if state == _PENDING:
-            self[_STATE] = _CANCELLED
-            sim = self[_SIM]
-            tail = sim._tail
-            if tail and tail[-1] is self:
-                # Retracted-timeout fast path: an entry cancelled while it is
-                # still the newest thing scheduled is removed outright, so it
-                # neither rots in the lane nor forces later in-order pushes
-                # through the slow path.
-                tail.pop()
-                return
-            dead = sim._dead + 1
-            sim._dead = dead
-            if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(sim._heap) + len(tail):
-                sim._compact()
+            self[_SIM]._kill_entry(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("pending", "cancelled", "done")[self[_STATE]]
@@ -176,7 +160,6 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_tail",
         "_seq",
         "_dead",
         "_running",
@@ -192,9 +175,6 @@ class Simulator:
     def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._heap: List[list] = []
-        #: Sorted fast lane: only ever appended to when the new entry is not
-        #: earlier than its last element, so it stays sorted by (time, seq).
-        self._tail: deque = deque()
         self._seq = 0
         self._dead = 0
         self._running = False
@@ -232,15 +212,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = Event((self._now + delay, seq, _PENDING, callback, args, self))
-        # Two-lane push: in-order entries (the overwhelming common case for
-        # link serialisation chains and re-armed timers) go on the sorted
-        # tail for O(1); out-of-order ones reclaim the tail's right end or
-        # fall back to the heap (see _enqueue_slow).
-        tail = self._tail
-        if not tail or entry[0] >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            self._enqueue_slow(entry)
+        _heappush(self._heap, entry)
         return entry
 
     def at(self, time: float, callback: Callable, *args: Any) -> Event:
@@ -252,11 +224,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = Event((time, seq, _PENDING, callback, args, self))
-        tail = self._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            self._enqueue_slow(entry)
+        _heappush(self._heap, entry)
         return entry
 
     def call_soon(self, callback: Callable, *args: Any) -> Event:
@@ -264,11 +232,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = Event((self._now, seq, _PENDING, callback, args, self))
-        tail = self._tail
-        if not tail or self._now >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            self._enqueue_slow(entry)
+        _heappush(self._heap, entry)
         return entry
 
     # ------------------------------------------------------- entry management
@@ -277,11 +241,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = [time, seq, _PENDING, callback, args]
-        tail = self._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            self._enqueue_slow(entry)
+        _heappush(self._heap, entry)
         return entry
 
     def push_late(self, time: float, rank: int, callback: Callable, args: tuple = ()) -> list:
@@ -293,11 +253,6 @@ class Simulator:
         sequencers to run per-node end-of-timestamp drains in a
         content-defined order, independent of event-scheduling history —
         the hook that lets sharded runs reproduce single-process bytes.
-
-        Late entries always go to the heap lane: the tail's append fast
-        path checks time only, so a huge-seq entry sitting at the tail's
-        right end would let a subsequent same-time normal append break the
-        (time, seq) sortedness the pop-side merge relies on.
         """
         if time < self._now:
             raise SimulationError(
@@ -306,37 +261,6 @@ class Simulator:
         entry = [time, _LATE_SEQ_BASE + rank, _PENDING, callback, args]
         _heappush(self._heap, entry)
         return entry
-
-    def _enqueue_slow(self, entry: list) -> None:
-        """Place an out-of-order entry (earlier than the tail's last element).
-
-        The tail's right end often holds just-cancelled far-future entries
-        (a retracted timeout scheduled past everything else) — those are
-        dropped outright, which is cheaper than letting them rot in the
-        heap.  Up to a few *live* entries are demoted tail→heap to make
-        room; each entry can be demoted at most once, so the amortised cost
-        stays O(1) and a long sorted tail can never be dismantled wholesale
-        by one early push (past the budget the new entry itself takes the
-        heap).
-        """
-        tail = self._tail
-        heap = self._heap
-        time = entry[_TIME]
-        budget = 8
-        while tail:
-            last = tail[-1]
-            if time >= last[_TIME]:
-                break
-            if last[_STATE] == _CANCELLED:
-                tail.pop()
-                self._dead -= 1
-                continue
-            if budget == 0:
-                _heappush(heap, entry)
-                return
-            budget -= 1
-            _heappush(heap, tail.pop())
-        tail.append(entry)
 
     def _kill_entry(self, entry: list) -> None:
         """Lazily cancel a pending entry.
@@ -347,25 +271,19 @@ class Simulator:
         """
         entry[_STATE] = _CANCELLED
         self._dead += 1
-        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap) + len(self._tail):
+        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild both lanes without dead entries (amortised by the threshold).
+        """Rebuild the heap without dead entries (amortised by the threshold).
 
-        In place, never rebinding ``self._heap`` or ``self._tail``: the
-        dispatch loop in :meth:`run` works on local aliases of the lane
-        containers, and compaction can trigger from a callback in the middle
-        of that loop.  Filtering the tail preserves its order, so its
-        sortedness invariant survives.
+        In place, never rebinding ``self._heap``: the dispatch loop in
+        :meth:`run` works on a local alias of it, and compaction can trigger
+        from a callback in the middle of that loop.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if entry[_STATE] == _PENDING]
         heapq.heapify(heap)
-        tail = self._tail
-        live = [entry for entry in tail if entry[_STATE] == _PENDING]
-        tail.clear()
-        tail.extend(live)
         self._dead = 0
 
     # ---------------------------------------------------------------- running
@@ -428,47 +346,25 @@ class Simulator:
         for entry in self._heap:
             if entry[_STATE] == _PENDING and entry is not control:
                 return False
-        for entry in self._tail:
-            if entry[_STATE] == _PENDING and entry is not control:
-                return False
         return True
 
     def _pop_next(self) -> Optional[list]:
-        """Pop the earliest live entry across both lanes (``None`` if drained)."""
+        """Pop the earliest live entry (``None`` if drained)."""
         heap = self._heap
-        tail = self._tail
-        while True:
-            if tail:
-                if heap and heap[0] < tail[0]:
-                    entry = _heappop(heap)
-                else:
-                    entry = tail.popleft()
-            elif heap:
-                entry = _heappop(heap)
-            else:
-                return None
-            if entry[_STATE] != _PENDING:
-                self._dead -= 1
-                continue
-            return entry
+        while heap:
+            entry = _heappop(heap)
+            if entry[_STATE] == _PENDING:
+                return entry
+            self._dead -= 1
+        return None
 
     def peek(self) -> Optional[float]:
         """Return the time of the next pending event, or ``None`` if the queue is empty."""
         heap = self._heap
-        tail = self._tail
         while heap and heap[0][_STATE] != _PENDING:
             _heappop(heap)
             self._dead -= 1
-        while tail and tail[0][_STATE] != _PENDING:
-            tail.popleft()
-            self._dead -= 1
-        if tail:
-            if heap and heap[0] < tail[0]:
-                return heap[0][_TIME]
-            return tail[0][_TIME]
-        if heap:
-            return heap[0][_TIME]
-        return None
+        return heap[0][_TIME] if heap else None
 
     def step(self) -> bool:
         """Dispatch the single next pending event.
@@ -507,16 +403,12 @@ class Simulator:
             raise SimulationError(f"horizon {until} is before current time {self._now}")
         self._running = True
         self._stopped = False
-        # The dispatch loops work on local bindings (the two lanes, heappop,
-        # the budget) and unpack entries by index instead of going through
-        # Event attribute lookups.  Entries are popped straight off the
-        # lanes, merged head-to-head by one C-level list comparison; the one
-        # that overshoots the horizon is pushed back onto the tail's front
-        # (it was the global minimum, so sortedness is preserved), which
-        # trades a rare extra push for never peeking before every pop.
+        # The dispatch loops work on local bindings (the heap, heappop, the
+        # budget) and unpack entries by index instead of going through Event
+        # attribute lookups.  The entry that overshoots the horizon is pushed
+        # back, which trades a rare extra push for never peeking before
+        # every pop.
         heap = self._heap
-        tail = self._tail
-        popleft = tail.popleft
         heappop = _heappop
         dispatched = 0
         try:
@@ -524,16 +416,8 @@ class Simulator:
                 # Dominant case (drain, no horizon, no budget): tightest loop.
                 # Literal entry indices (see the slot layout at module top):
                 # global constant lookups are measurable at this call rate.
-                while not self._stopped:
-                    if tail:
-                        if heap and heap[0] < tail[0]:
-                            entry = heappop(heap)
-                        else:
-                            entry = popleft()
-                    elif heap:
-                        entry = heappop(heap)
-                    else:
-                        break
+                while heap and not self._stopped:
+                    entry = heappop(heap)
                     if entry[2]:
                         self._dead -= 1
                         continue
@@ -549,28 +433,14 @@ class Simulator:
                         entry[3]()
             else:
                 remaining = -1 if max_events is None else max_events
-                while not self._stopped and remaining != 0:
-                    if tail:
-                        if heap and heap[0] < tail[0]:
-                            entry = heappop(heap)
-                        else:
-                            entry = popleft()
-                    elif heap:
-                        entry = heappop(heap)
-                    else:
-                        break
+                while heap and not self._stopped and remaining != 0:
+                    entry = heappop(heap)
                     if entry[2]:
                         self._dead -= 1
                         continue
                     event_time = entry[0]
                     if until is not None and event_time > until:
-                        # Late entries (push_late) must never sit in the
-                        # tail — a same-time normal append behind one would
-                        # break the tail's (time, seq) sortedness.
-                        if entry[1] >= _LATE_SEQ_BASE:
-                            _heappush(heap, entry)
-                        else:
-                            tail.appendleft(entry)
+                        _heappush(heap, entry)
                         self._now = until
                         break
                     self._now = event_time
@@ -598,7 +468,7 @@ class Simulator:
         return self.run(until=None, max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        pending = len(self._heap) + len(self._tail) - self._dead
+        pending = len(self._heap) - self._dead
         return f"<Simulator t={self._now:.6f} pending={pending}>"
 
 

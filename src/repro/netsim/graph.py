@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .engine import Simulator
 from .ingress import IngressSequencer
@@ -37,17 +37,29 @@ __all__ = ["GraphNet", "shortest_path_next_hops", "build_graph", "install_routes
 
 def shortest_path_next_hops(
     edges: Mapping[Tuple[str, str], float],
+    sources: Optional[Iterable[str]] = None,
 ) -> Dict[str, Dict[str, str]]:
     """Static next-hop tables for a directed, delay-weighted edge set.
 
     ``edges`` maps ``(a, b)`` to the one-way propagation delay of the
     directed link from ``a`` to ``b``.  Returns ``table[src][dst] ->
     next_hop_name`` for every reachable ``dst != src``; unreachable
-    destinations are simply absent.
+    destinations are simply absent.  ``sources`` restricts the result to
+    the rows a caller owns (names without an edge are skipped); a row is a
+    function of ``(edges, source)`` alone, so a restricted call returns
+    exactly the rows the whole table holds.
 
-    Deterministic and declaration-order independent: nodes and neighbours
-    are visited in sorted-name order and path ties break on
+    Deterministic and declaration-order independent: neighbours are
+    visited in sorted-name order and path ties break on
     ``(delay, hops, lexicographic path)``.
+
+    Only nodes with a choice are searched.  Every path out of a node with
+    one out-neighbour ``v`` starts ``(node, v)``, and a common prefix
+    preserves the preference order of what follows it, so such a *leaf*
+    routes everything ``v`` can reach via ``v`` and its row is read off
+    ``v``'s — searched once per call however many leaves hang off it.
+    (Exact wherever path delays add exactly, and short of two candidate
+    paths within one rounding of each other everywhere else.)
     """
     adjacency: Dict[str, List[Tuple[str, float]]] = {}
     for (a, b), delay in edges.items():
@@ -56,25 +68,43 @@ def shortest_path_next_hops(
     for neighbours in adjacency.values():
         neighbours.sort()
 
-    table: Dict[str, Dict[str, str]] = {}
-    for source in sorted(adjacency):
+    searched: Dict[str, Dict[str, str]] = {}
+
+    def search(source: str) -> Dict[str, str]:
         # Dijkstra keyed by the full (delay, hops, path-names) triple: the
         # heap order *is* the path preference order, so the first time a
         # node is popped its best path is final.
-        best: Dict[str, Tuple[float, int, Tuple[str, ...]]] = {}
+        row = searched.get(source)
+        if row is not None:
+            return row
+        best: Dict[str, Tuple[str, ...]] = {}
         heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (source,))]
         while heap:
             delay, hops, path = heapq.heappop(heap)
             node = path[-1]
             if node in best:
                 continue
-            best[node] = (delay, hops, path)
-            for neighbour, edge_delay in adjacency.get(node, ()):
+            best[node] = path
+            for neighbour, edge_delay in adjacency[node]:
                 if neighbour not in best:
                     heapq.heappush(heap, (delay + edge_delay, hops + 1, path + (neighbour,)))
-        table[source] = {
-            dst: path[1] for dst, (_delay, _hops, path) in best.items() if dst != source
-        }
+        del best[source]
+        row = searched[source] = {dst: path[1] for dst, path in best.items()}
+        return row
+
+    table: Dict[str, Dict[str, str]] = {}
+    for source in sorted(adjacency) if sources is None else sources:
+        neighbours = adjacency.get(source)
+        if neighbours is None:
+            continue
+        if len(neighbours) == 1:
+            via = neighbours[0][0]
+            row = {via: via}
+            row.update(dict.fromkeys(search(via), via))
+            row.pop(source, None)
+        else:
+            row = search(source)
+        table[source] = row
     return table
 
 
@@ -83,9 +113,9 @@ class GraphNet:
     """The node and link handles returned by :func:`build_graph`.
 
     Under a partial build (``local=`` given) ``nodes``, ``hosts``,
-    ``ingress`` hold the local nodes only and ``links`` the directed links
-    whose *source* is local; ``host_addrs``, ``edges`` and ``next_hops``
-    always describe the whole graph.
+    ``ingress`` hold the local nodes only, ``links`` the directed links
+    whose *source* is local and ``next_hops`` the local nodes' rows;
+    ``host_addrs`` and ``edges`` always describe the whole graph.
     """
 
     #: Every node in declaration order (hosts and routers).
@@ -95,8 +125,9 @@ class GraphNet:
     #: Directed links, keyed ``(from, to)``, in declaration order
     #: (forward then reverse per declared link).
     links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
-    #: ``next_hops[node][dst_node] -> neighbour`` (name level, for tests
-    #: and debugging; the installed routes are keyed by address).
+    #: ``next_hops[node][dst_node] -> neighbour`` for every node in
+    #: ``nodes`` (name level, for tests and debugging; the installed routes
+    #: are keyed by address).
     next_hops: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Per-node ingress sequencers (same-timestamp delivery ordering; see
     #: :mod:`repro.netsim.ingress`).  Links deliver through these, not
@@ -117,13 +148,13 @@ class GraphNet:
         """Change the cost of the ``a <-> b`` link mid-run and re-route.
 
         Sets both directions' propagation delay to ``delay``, recomputes the
-        shortest-path tables over the updated edge set and reinstalls every
-        node's routes (``add_route`` overwrites by destination address, so
-        stale next-hops are simply replaced).  Packets already propagating
-        keep their old arrival times — the link's no-overtake clamp ensures
-        a shortened wire never reorders them.  Routing is a pure function of
-        the whole edge set, so every partial build replays the same change
-        and reinstalls the routes of its own nodes.
+        shortest-path rows of this build's nodes over the updated edge set
+        and reinstalls their routes (a route overwrites by destination
+        address, so stale next-hops are simply replaced).  Packets already
+        propagating keep their old arrival times — the link's no-overtake
+        clamp ensures a shortened wire never reorders them.  A row is a pure
+        function of the whole edge set, so every partial build replays the
+        same change and reinstalls the routes of its own nodes.
         """
         delay = float(delay)
         for pair in ((a, b), (b, a)):
@@ -131,7 +162,7 @@ class GraphNet:
             link = self.links.get(pair)
             if link is not None:
                 link.delay = delay
-        self.next_hops = shortest_path_next_hops(self.edges)
+        self.next_hops = shortest_path_next_hops(self.edges, sources=self.nodes)
         install_routes(self.nodes, self.host_addrs, self.links, self.next_hops)
 
 
@@ -146,16 +177,34 @@ def install_routes(
     Only end systems are packet destinations, so router names absent from
     ``host_addrs`` are skipped.  ``links`` may be a partial view (a shard
     holds only its local nodes' outgoing links); a missing link means the
-    route belongs to another process and is skipped.
+    route belongs to another process and is skipped.  Each node's table is
+    built whole and merged in one ``add_routes`` — the same entries, in the
+    same order, as one ``add_route`` per destination.
     """
+    outgoing: Dict[str, Dict[str, Link]] = {}
+    for (src, via), link in links.items():
+        outgoing.setdefault(src, {})[via] = link
+    addr_of = host_addrs.get
     for name, node in nodes.items():
-        for dst_name, via in next_hops.get(name, {}).items():
-            addr = host_addrs.get(dst_name)
-            if addr is None:
+        row = next_hops.get(name)
+        out = outgoing.get(name)
+        if not row or not out:
+            continue
+        vias = set(row.values())
+        if len(vias) == 1:
+            # One way out (every leaf of a big graph): no per-entry work.
+            link = out.get(vias.pop())
+            if link is None:
                 continue
-            link = links.get((name, via))
-            if link is not None:
-                node.add_route(addr, link)
+            # (filter, not a popped None key: one non-string key would turn
+            # the table into a general-keyed dict for good — a third larger
+            # and slower on every per-packet lookup.)
+            routes = dict.fromkeys(filter(None, map(addr_of, row)), link)
+        else:
+            routes = {addr: link for dst, via in row.items()
+                      if (addr := addr_of(dst)) is not None
+                      and (link := out.get(via)) is not None}
+        node.add_routes(routes)
 
 
 def build_graph(
@@ -167,7 +216,6 @@ def build_graph(
     *,
     local: Optional[Container[str]] = None,
     boundary_link: Optional[Callable[..., Link]] = None,
-    next_hops: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> GraphNet:
     """Wire an arbitrary named-node topology with static shortest-path routes.
 
@@ -203,9 +251,6 @@ def build_graph(
         ``boundary_link(sim, link_index, **link_kwargs)`` builds a link
         whose source is local and whose destination is not (required when
         ``local`` cuts a link).
-    next_hops:
-        Precomputed :func:`shortest_path_next_hops` tables of the full
-        graph; computed here when omitted.
     """
     net = GraphNet(nodes={}, hosts={})
     for spec in nodes:
@@ -228,7 +273,7 @@ def build_graph(
     # Deliveries go through per-node sequencers so that same-timestamp
     # arrivals are processed in content-defined (link, seq) order — the
     # order a sharded run reproduces exactly (see repro.netsim.ingress).
-    # Drain ranks are node *declaration* indices; link ports are keyed by
+    # Drain ranks are node *declaration* indices; links are ranked by
     # global directed link index (2*i forward, 2*i+1 reverse).
     for rank, spec in enumerate(nodes):
         node = net.nodes.get(spec["name"])
@@ -264,11 +309,13 @@ def build_graph(
             )
             if dst in net.nodes:
                 link = Link(sim, **kwargs)
-                link.attach(net.ingress[dst].port(link_index))
+                link.attach_sequencer(net.ingress[dst], link_index)
             else:
                 link = boundary_link(sim, link_index, **kwargs)
             net.links[(src, dst)] = link
 
-    net.next_hops = shortest_path_next_hops(net.edges) if next_hops is None else next_hops
+    # Only the rows of the nodes built here: a slice of a big graph never
+    # pays for (or holds) the routes of nodes simulated elsewhere.
+    net.next_hops = shortest_path_next_hops(net.edges, sources=net.nodes)
     install_routes(net.nodes, net.host_addrs, net.links, net.next_hops)
     return net

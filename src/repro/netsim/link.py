@@ -19,7 +19,7 @@ import random
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from .engine import Simulator
 from .packet import Packet
@@ -280,6 +280,8 @@ class Link:
         #: completion events need not carry the packet: the callbacks are
         #: bound once here and scheduled argument-free, which removes the
         #: two per-hop closure/argument allocations from the hot path.
+        #: (A graph link's propagating packets wait in its sequencer instead;
+        #: :meth:`propagating` answers for both.)
         self._tx_packet: Optional[Packet] = None
         self._in_flight: Deque[Packet] = deque()
         #: Latest delivery timestamp handed out so far.  ``delay`` may be
@@ -292,6 +294,12 @@ class Link:
         self._finish_cb = self._finish_transmission
         self._deliver_cb = self._deliver
         self._receiver: Optional[Callable[[Packet], None]] = None
+        #: Graph builds only (see :meth:`attach_sequencer`): the destination
+        #: node's :class:`~repro.netsim.ingress.IngressSequencer`, this
+        #: link's global directed index and its per-link arrival counter.
+        self._sequencer = None
+        self._link_rank = 0
+        self._arrival_seq = 0
         self._drop_hook: Optional[Callable[[Packet, str], None]] = None
         # Telemetry probe slots (see repro.telemetry.probes): None is the
         # compiled no-op — the hot paths below pay one identity test each.
@@ -303,6 +311,21 @@ class Link:
     def attach(self, receiver: Callable[[Packet], None]) -> None:
         """Set the callable that receives packets at the far end of the link."""
         self._receiver = receiver
+
+    def attach_sequencer(self, sequencer, link_rank: int) -> None:
+        """Deliver into a graph node's ingress sequencer instead of a receiver.
+
+        The sequencer re-orders same-instant arrivals by content
+        ``(link_rank, arrival seq)`` and runs them from an end-of-timestamp
+        drain, so a delivery event of this link's own would carry no
+        information: a finished transmission is handed straight to the
+        sequencer, keyed by its arrival time, and the drain counts the
+        delivery and fires the ``packet.deliver`` probe just before the
+        node receives the packet.
+        """
+        self._receiver = sequencer.receiver
+        self._sequencer = sequencer
+        self._link_rank = link_rank
 
     def attach_telemetry(self, hub) -> None:
         """Bind this link's packet probes to a :class:`~repro.telemetry.TelemetryHub`.
@@ -323,6 +346,12 @@ class Link:
     def queue_length(self) -> int:
         """Number of packets waiting (not counting the one in transmission)."""
         return len(self._queue)
+
+    def propagating(self) -> List[Packet]:
+        """Packets past serialisation that have not reached the far end yet."""
+        if self._sequencer is None:
+            return list(self._in_flight)
+        return self._sequencer.buffered(self)
 
     def transmission_time(self, packet: Packet) -> float:
         """Serialisation delay for ``packet`` on this link."""
@@ -398,9 +427,7 @@ class Link:
 
     # -------------------------------------------------------------- internals
     def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+        # Callers guarantee a non-empty queue.
         self._busy = True
         sim = self.sim
         packet, enqueue_time = self._queue.popleft()
@@ -421,14 +448,23 @@ class Link:
         # on, and a *lowered* delay must not let a later packet overtake an
         # earlier one already on the wire: clamp each delivery time to the
         # latest one scheduled so far, keeping the pipeline strictly FIFO.
-        self._in_flight.append(self._tx_packet)
         sim = self.sim
         deliver_ts = sim._now + self.delay
         if deliver_ts < self._last_deliver_ts:
             deliver_ts = self._last_deliver_ts
         self._last_deliver_ts = deliver_ts
-        sim._push(deliver_ts, self._deliver_cb, ())
-        self._start_next()
+        sequencer = self._sequencer
+        if sequencer is None:
+            self._in_flight.append(self._tx_packet)
+            sim._push(deliver_ts, self._deliver_cb, ())
+        else:
+            seq = self._arrival_seq
+            self._arrival_seq = seq + 1
+            sequencer.inject(deliver_ts, self._link_rank, seq, self._tx_packet, self)
+        if self._queue:
+            self._start_next()
+        else:
+            self._busy = False
 
     def _deliver(self) -> None:
         packet = self._in_flight.popleft()

@@ -8,7 +8,7 @@ experiments never measure router CPU, only end systems.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..hostmodel import HostCosts
 from ..iplayer import IPLayer
@@ -63,6 +63,10 @@ class Host:
     def add_route(self, dst_addr: str, link: Link) -> None:
         """Send packets for ``dst_addr`` out of ``link``."""
         self._routes[dst_addr] = link
+
+    def add_routes(self, routes: Mapping[str, Link]) -> None:
+        """Merge a whole table: one :meth:`add_route` per entry, in its order."""
+        self._routes.update(routes)
 
     def set_default_route(self, link: Link) -> None:
         """Fallback link for destinations without a specific route."""

@@ -71,7 +71,10 @@ class BoundaryLink(Link):
         # destination-side receiver releases its own decoded copy's no-op).
         if packet._pool_state == 1:
             sim.packet_pool.release(packet)
-        self._start_next()
+        if self._queue:
+            self._start_next()
+        else:
+            self._busy = False
 
     def finalize(self, end_time: float) -> None:
         """Back out emissions whose delivery time lies beyond ``end_time``.

@@ -38,7 +38,7 @@ __all__ = ["run_sharded"]
 
 
 # ------------------------------------------------------------------ worker
-def _worker_main(conn, spec_payload, run_seed, local, next_hops, trace_path) -> None:
+def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
     """Worker process entry point: build the slice, then serve commands.
 
     Protocol (coordinator → worker / worker → coordinator):
@@ -61,7 +61,7 @@ def _worker_main(conn, spec_payload, run_seed, local, next_hops, trace_path) -> 
 
     try:
         spec = ScenarioSpec.from_dict(spec_payload)
-        placement = Placement(frozenset(local), next_hops)
+        placement = Placement(frozenset(local))
         scenario = build(spec, seed=run_seed, trace_path=trace_path, placement=placement)
         sim = scenario.sim
         outbox = placement.outbox
@@ -116,7 +116,7 @@ def _worker_main(conn, spec_payload, run_seed, local, next_hops, trace_path) -> 
 class _WorkerPool:
     """The coordinator's handle on its shard worker processes."""
 
-    def __init__(self, spec, run_seed: int, part, next_hops, trace_path):
+    def __init__(self, spec, run_seed: int, part, trace_path):
         self.count = part.shards
         self.trace_paths = [
             f"{trace_path}.shard{k}" if trace_path else None
@@ -126,18 +126,26 @@ class _WorkerPool:
         spec_payload = spec.to_dict()
         self.pipes = []
         self.processes = []
-        for k in range(self.count):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child_end, spec_payload, run_seed, part.members(k),
-                      next_hops, self.trace_paths[k]),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self.pipes.append(parent_end)
-            self.processes.append(process)
+        try:
+            for k in range(self.count):
+                parent_end, child_end = context.Pipe()
+                self.pipes.append(parent_end)
+                process = context.Process(
+                    target=_worker_main,
+                    args=(child_end, spec_payload, run_seed, part.members(k),
+                          self.trace_paths[k]),
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    child_end.close()
+                self.processes.append(process)
+        except BaseException:
+            # A partial start must not strand the shards already running on
+            # open pipes: nobody else holds this pool yet.
+            self.shutdown()
+            raise
 
     def recv(self, shard_index: int):
         from ...scenario.spec import SpecError
@@ -244,16 +252,16 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             "(per-shard --trace files are; see docs/parallel_engine.md)")
 
     run_seed = spec.seed if seed is None else int(seed)
-    # Routing is a pure function of the global link set: computed once here
-    # and shipped, never per worker.
-    next_hops = spec.graph.routing()
     dest_shard = _dest_shard_of_links(spec, part)
     stop = spec.stop
     horizon = stop.until
     lookahead = part.lookahead
-    assert lookahead is not None and lookahead > 0.0
+    if lookahead is None or not lookahead > 0.0:
+        raise RuntimeError(
+            f"partition into {part.shards} shards has no positive lookahead "
+            f"({lookahead!r}); the barrier windows could not advance")
 
-    pool = _WorkerPool(spec, run_seed, part, next_hops, trace_path)
+    pool = _WorkerPool(spec, run_seed, part, trace_path)
     try:
         pending: List[List[Tuple]] = [[] for _ in range(pool.count)]
         states: List[List[Optional[bool]]] = [[] for _ in range(pool.count)]

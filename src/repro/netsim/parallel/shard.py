@@ -19,7 +19,7 @@ by the partitioner, or the build fails loudly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .boundary import BoundaryLink
 
@@ -44,9 +44,6 @@ class Placement:
 
     #: Names of the nodes simulated here.
     local: FrozenSet[str]
-    #: Full-graph next-hop tables, computed once per run by the coordinator
-    #: (routing is a pure function of the global link set).
-    next_hops: Dict[str, Dict[str, str]]
     #: Cut-link emissions accumulated during a window:
     #: ``(deliver_ts, global_link_index, emit_seq, wire_tuple)``.
     outbox: List[Tuple] = field(default_factory=list)

@@ -187,7 +187,6 @@ def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int)
     slice_inputs = {} if placement is None else {
         "local": placement.local,
         "boundary_link": placement.boundary_link,
-        "next_hops": placement.next_hops,
     }
     net = build_graph(
         scenario.sim, node_payloads, link_payloads,

@@ -25,21 +25,37 @@ import pytest
 
 import repro
 import repro.analysis  # noqa: F401  (a collector imports it lazily: not inside the count)
+from repro.netsim.parallel import partition_graph
+from repro.netsim.parallel.shard import Placement
 from repro.scenario import build, get_preset, run_built
+from repro.scenario.spec import GraphLinkSpec, GraphNodeSpec, GraphSpec, ScenarioSpec, StopSpec
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 #: row -> (preset, simulated seconds, probes on?, budget in calls per delivered
-#: packet).  Each budget is the measured value + 5 %: 53.20, 43.09 and 52.57
-#: when the segment path was trimmed (``docs/cm_api_path.md``, round two).  The
-#: commit before that measured 77.24, 72.94 and 91.39 — not counting the seven
-#: ``json`` frames per trace line outside ``src/repro`` — and the one before
-#: round one 147.03 and 107.42.
+#: packet).  Each budget is the measured value + 5 %: 51.48, 41.50 and 50.96
+#: now that the engine is one heap (no ``_enqueue_slow`` frame per out-of-order
+#: push) and a link that finishes with an empty queue does not call
+#: ``_start_next`` to learn so.  Before that 53.20, 43.09 and 52.57 (the
+#: segment path trimmed, ``docs/cm_api_path.md`` round two); the commit before
+#: that 77.24, 72.94 and 91.39 — not counting the seven ``json`` frames per
+#: trace line outside ``src/repro`` — and the one before round one 147.03 and
+#: 107.42.
 BUDGETS = {
-    "libcm_select_streaming": ("libcm_select_streaming", 3.0, False, 55.9),
-    "bulk_macroflow_sharing": ("bulk_macroflow_sharing", 6.0, False, 45.2),
-    "bulk_macroflow_sharing+trace": ("bulk_macroflow_sharing", 6.0, True, 55.2),
+    "libcm_select_streaming": ("libcm_select_streaming", 3.0, False, 54.1),
+    "bulk_macroflow_sharing": ("bulk_macroflow_sharing", 6.0, False, 43.6),
+    "bulk_macroflow_sharing+trace": ("bulk_macroflow_sharing", 6.0, True, 53.6),
 }
+
+
+def _calls_by_module(profiler: cProfile.Profile) -> Counter:
+    """Python calls into ``src/repro`` a profiler saw, keyed by module."""
+    by_module: Counter = Counter()
+    for (filename, _line, name), (primitive, *_rest) in pstats.Stats(profiler).stats.items():
+        if filename.startswith(_SRC) and not name.endswith("comp>"):
+            module = filename[len(_SRC):].replace(os.sep, ".")[:-len(".py")]
+            by_module[module] += primitive
+    return by_module
 
 
 def calls_per_packet(preset: str, until: float, trace_path=None):
@@ -51,11 +67,7 @@ def calls_per_packet(preset: str, until: float, trace_path=None):
     profiler.enable()
     result = run_built(scenario)
     profiler.disable()
-    by_module: Counter = Counter()
-    for (filename, _line, name), (primitive, *_rest) in pstats.Stats(profiler).stats.items():
-        if filename.startswith(_SRC) and not name.endswith("comp>"):
-            module = filename[len(_SRC):].replace(os.sep, ".")[:-len(".py")]
-            by_module[module] += primitive
+    by_module = _calls_by_module(profiler)
     packets = sum(link["delivered_packets"] for link in result.payload()["links"])
     assert packets > 500, "the horizon is too small to mean anything"
     return sum(by_module.values()) / packets, by_module
@@ -86,9 +98,60 @@ def test_calls_per_packet_repeat_exactly_and_stay_under_budget(row, tmp_path):
         + _split(by_module))
 
 
+# ------------------------------------------------------------ graph build
+def _barbell(hosts_per_cluster: int):
+    """Two routers joined by a trunk, ``hosts_per_cluster`` leaf hosts on each."""
+    nodes = [GraphNodeSpec(name="r0", kind="router"), GraphNodeSpec(name="r1", kind="router")]
+    links = [GraphLinkSpec(a="r0", b="r1", rate_bps=100e6, delay=0.01)]
+    for cluster in range(2):
+        for i in range(hosts_per_cluster):
+            nodes.append(GraphNodeSpec(name=f"c{cluster}h{i}", costs=False))
+            links.append(GraphLinkSpec(a=f"c{cluster}h{i}", b=f"r{cluster}",
+                                       rate_bps=50e6, delay=0.002))
+    spec = ScenarioSpec(name="barbell", graph=GraphSpec(nodes=nodes, links=links),
+                        stop=StopSpec(until=1.0))
+    spec.validate()
+    return spec
+
+
+def build_calls(spec, placement=None) -> int:
+    """Python calls into ``src/repro`` made by one ``build`` of ``spec``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    build(spec, seed=1, placement=placement)
+    profiler.disable()
+    return sum(_calls_by_module(profiler).values())
+
+
+def _barbell_build_calls(row: str) -> int:
+    spec = _barbell(64)
+    if row == "whole":
+        return build_calls(spec)
+    return build_calls(spec, Placement(frozenset(partition_graph(spec, 2).members(0))))
+
+
+#: Calls per ``build`` of a 2 x 64-host barbell, whole and as one of two
+#: slices: measured (3,920 and 3,338) + 5 %.  A big graph pays for what it
+#: uses — the commit before routing went leaf-aware and routes installed in
+#: bulk made 20,430 and 11,591 (the slice's table computed elsewhere and
+#: shipped to it), one ``add_route`` frame per (node, destination) among
+#: them, which is what grows with the square of the graph.
+BUILD_BUDGETS = {"whole": 4116, "slice": 3505}
+
+
+@pytest.mark.parametrize("row", sorted(BUILD_BUDGETS))
+def test_build_calls_of_a_barbell_repeat_exactly_and_stay_under_budget(row):
+    first, second = _barbell_build_calls(row), _barbell_build_calls(row)
+    assert first == second
+    assert first <= BUILD_BUDGETS[row], f"{row}: {first} calls, budget {BUILD_BUDGETS[row]}"
+
+
 if __name__ == "__main__":
     import tempfile
 
+    for name in sorted(BUILD_BUDGETS):
+        print(f"barbell build, {name}: {_barbell_build_calls(name)} calls "
+              f"(budget {BUILD_BUDGETS[name]})")
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(BUDGETS):
             measured, modules = _measure(name, scratch)

@@ -6,16 +6,22 @@ Three contracts the graph/workload subsystem promises:
   (canonical JSON equality, not just ``==``);
 * unknown keys are rejected *by name* at every nesting level;
 * the static routing tables are a pure function of the link set —
-  permuting the declaration order of nodes and links changes nothing.
+  permuting the declaration order of nodes and links changes nothing;
+* the leaf-aware, per-source ``shortest_path_next_hops`` and the bulk
+  ``install_routes`` return exactly what the all-pairs search and the
+  ``add_route`` loop they replaced returned (kept here as the oracles).
 """
 
+import heapq
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.graph import shortest_path_next_hops
+from repro.netsim.engine import Simulator
+from repro.netsim.graph import install_routes, shortest_path_next_hops
+from repro.netsim.node import Host, Router
 from repro.scenario import (
     GraphLinkSpec,
     GraphNodeSpec,
@@ -253,3 +259,161 @@ class TestShortestPathProperties:
         forward = shortest_path_next_hops(edges)
         reversed_insertion = dict(reversed(list(edges.items())))
         assert shortest_path_next_hops(reversed_insertion) == forward
+
+
+# ------------------------------------------------- routing equivalence oracles
+
+
+def _reference_next_hops(edges):
+    """The all-pairs routine ``shortest_path_next_hops`` replaced, verbatim:
+    one path-tuple Dijkstra per node, leaves included."""
+    adjacency = {}
+    for (a, b), delay in edges.items():
+        adjacency.setdefault(a, []).append((b, float(delay)))
+        adjacency.setdefault(b, [])
+    for neighbours in adjacency.values():
+        neighbours.sort()
+
+    table = {}
+    for source in sorted(adjacency):
+        # Dijkstra keyed by the full (delay, hops, path-names) triple: the
+        # heap order *is* the path preference order, so the first time a
+        # node is popped its best path is final.
+        best = {}
+        heap = [(0.0, 0, (source,))]
+        while heap:
+            delay, hops, path = heapq.heappop(heap)
+            node = path[-1]
+            if node in best:
+                continue
+            best[node] = (delay, hops, path)
+            for neighbour, edge_delay in adjacency.get(node, ()):
+                if neighbour not in best:
+                    heapq.heappush(heap, (delay + edge_delay, hops + 1, path + (neighbour,)))
+        table[source] = {
+            dst: path[1] for dst, (_delay, _hops, path) in best.items() if dst != source
+        }
+    return table
+
+
+def _reference_install_routes(nodes, host_addrs, links, next_hops):
+    """The ``add_route``-per-entry loop ``install_routes`` replaced, verbatim."""
+    for name, node in nodes.items():
+        for dst_name, via in next_hops.get(name, {}).items():
+            addr = host_addrs.get(dst_name)
+            if addr is None:
+                continue
+            link = links.get((name, via))
+            if link is not None:
+                node.add_route(addr, link)
+
+
+@st.composite
+def directed_edge_sets(draw):
+    """Directed delay-weighted edge sets shaped like what routing must survive.
+
+    A base shape — star, chain, equal-delay mesh (every tie breaks on hops
+    and names), or nothing — then leaves hung off arbitrary nodes (so off
+    hubs, off chain ends and off other leaves' neighbours), then one-way
+    edges (out-degree 1 with in-degree > 1, out-degree 0) and a second,
+    disconnected component.  Delays are multiples of 1/64: path sums are
+    exact, which is where the leaf rule is exact too (see the docstring of
+    ``shortest_path_next_hops``).
+    """
+    delay = st.integers(min_value=0, max_value=6).map(lambda k: k / 64.0)
+    edges = {}
+
+    def both(a, b, d):
+        edges[(a, b)] = d
+        edges[(b, a)] = d
+
+    shape = draw(st.sampled_from(["star", "chain", "mesh", "none"]))
+    n = draw(st.integers(min_value=2, max_value=6))
+    core = [f"c{i}" for i in range(n)]
+    if shape == "star":
+        for name in core[1:]:
+            both(core[0], name, draw(delay))
+    elif shape == "chain":
+        for a, b in zip(core, core[1:]):
+            both(a, b, draw(delay))
+    elif shape == "mesh":
+        d = draw(delay)
+        for i, a in enumerate(core):
+            for b in core[i + 1:]:
+                if draw(st.booleans()):
+                    both(a, b, d)
+    names = core + [f"x{i}" for i in range(4)]
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        both(f"leaf{i}", draw(st.sampled_from(names + [f"leaf{j}" for j in range(i)])),
+             draw(delay))
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names + ["sink"]))
+        if a != b:
+            edges[(a, b)] = draw(delay)
+    if draw(st.booleans()):
+        both("island0", "island1", draw(delay))
+        if draw(st.booleans()):
+            both("island1", "island2", draw(delay))
+    return edges
+
+
+class TestLeafAwareRoutingEquivalence:
+    @given(directed_edge_sets())
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_whole_table_equals_the_all_pairs_search(self, edges):
+        reference = _reference_next_hops(edges)
+        produced = shortest_path_next_hops(edges)
+        assert produced == reference
+        # Same rows in the same destination order: routes install in it.
+        assert {s: list(row) for s, row in produced.items()} == {
+            s: list(row) for s, row in reference.items()}
+
+    @given(directed_edge_sets(), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_restricted_call_returns_exactly_the_owned_rows(self, edges, rnd):
+        reference = _reference_next_hops(edges)
+        owned = [name for name in reference if rnd.random() < 0.5]
+        rnd.shuffle(owned)
+        assert shortest_path_next_hops(edges, sources=owned) == {
+            name: reference[name] for name in owned}
+        # A name without an edge has no row, restricted or not.
+        assert shortest_path_next_hops(edges, sources=owned + ["nowhere"]) == {
+            name: reference[name] for name in owned}
+
+    def test_rows_never_alias_each_other(self):
+        # Two leaves on one hub read their rows off the same searched row;
+        # they must still own them (a caller may edit one).
+        edges = {}
+        for leaf in ("a", "b"):
+            edges[(leaf, "hub")] = edges[("hub", leaf)] = 0.25
+        edges[("hub", "far")] = edges[("far", "hub")] = 0.5
+        table = shortest_path_next_hops(edges)
+        assert table["a"] == {"hub": "hub", "b": "hub", "far": "hub"}
+        assert len({id(row) for row in table.values()}) == len(table)
+
+    @given(directed_edge_sets(), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_bulk_install_leaves_the_routes_the_add_route_loop_left(self, edges, rnd):
+        next_hops = _reference_next_hops(edges)
+        names = sorted(next_hops)
+        # Routers have no entry in host_addrs; links may be a partial view.
+        routers = {name for name in names if rnd.random() < 0.3}
+        host_addrs = {name: f"10.0.0.{i}" for i, name in enumerate(names)
+                      if name not in routers}
+        links = {pair: f"link:{pair[0]}->{pair[1]}" for pair in edges
+                 if rnd.random() < 0.8}
+        kept = [name for name in names if rnd.random() < 0.9]
+        expected, produced = (
+            {name: (Router(sim, name) if name in routers
+                    else Host(sim, name, host_addrs[name])) for name in kept}
+            for sim in (Simulator(), Simulator()))
+        for nodes in (expected, produced):
+            for node in nodes.values():
+                node.add_route("10.0.0.0", "stale")   # a reinstall overwrites in place
+        _reference_install_routes(expected, host_addrs, links, next_hops)
+        install_routes(produced, host_addrs, links, next_hops)
+        for name, node in expected.items():
+            assert list(produced[name]._routes.items()) == list(node._routes.items()), name

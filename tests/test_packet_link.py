@@ -264,6 +264,37 @@ class TestLink:
         assert arrivals[-1][0] == pytest.approx(0.011 + 0.002, abs=1e-6)
 
 
+    def test_pair_link_delivers_from_its_own_event_and_reports_what_propagates(self):
+        # Only graph builds hand off to an ingress sequencer; a link with a
+        # plain receiver keeps one delivery event per packet (three events a
+        # hop: the two transmission ends here plus two deliveries = 4).
+        sim = Simulator()
+        link, received = self.make_link(sim, rate_bps=8e6, delay=0.01)
+        first, second = make_packet(972), make_packet(972)
+        link.send(first)
+        link.send(second)
+        sim.run(until=0.0015)
+        assert link.propagating() == [first] and link._tx_packet is second
+        sim.run(until=0.0025)
+        assert link.propagating() == [first, second] and not link._busy
+        assert link.stats.delivered_packets == 0
+        sim.run()
+        assert received == [first, second] and link.propagating() == []
+        assert sim.events_dispatched == 4
+
+    def test_link_goes_idle_exactly_when_its_queue_runs_dry(self):
+        sim = Simulator()
+        link, _ = self.make_link(sim, queue_limit=10)
+        busy = []
+        for _ in range(3):
+            link.send(make_packet(972))             # 1 ms each
+        for when in (0.0005, 0.0015, 0.0025, 0.0035):
+            sim.at(when, lambda: busy.append((link._busy, link.queue_length)))
+        sim.run()
+        assert busy == [(True, 2), (True, 1), (True, 0), (False, 0)]
+        assert link.stats.dequeued_packets == 3
+
+
 class TestGilbertElliott:
     def make_link(self, sim, **kwargs):
         received = []

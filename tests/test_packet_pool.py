@@ -147,7 +147,7 @@ class TestPoolLeaks:
         for link in links:
             queued = [packet for packet, _ in link._queue]
             serialising = [link._tx_packet] if link._busy else []
-            for packet in queued + serialising + list(link._in_flight):
+            for packet in queued + serialising + link.propagating():
                 if packet._pool_state == 1:
                     in_links += 1
         assert pool.live_count == in_links

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.netsim.engine import Simulator
 from repro.netsim.ingress import IngressSequencer
+from repro.netsim.link import Link
 from repro.netsim.parallel import partition_graph, run_sharded
 from repro.netsim.parallel.boundary import BoundaryLink
 from repro.netsim.parallel.shard import Placement
@@ -142,9 +143,7 @@ GOLDEN_GRAPH_PRESETS = (
 def _placements(spec, shards):
     """Every shard's placement of ``spec``, as the coordinator derives them."""
     part = partition_graph(spec, shards)
-    next_hops = spec.graph.routing()
-    return [Placement(frozenset(part.members(k)), next_hops)
-            for k in range(part.shards)]
+    return [Placement(frozenset(part.members(k))) for k in range(part.shards)]
 
 
 def _identity(scenario):
@@ -179,6 +178,32 @@ class TestPlacementInvariants:
                 assert isinstance(link, BoundaryLink) == (not scenario.is_local(dst))
 
     @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_a_slice_routes_its_own_rows_exactly_as_the_whole_graph_does(
+            self, preset, seed, shards):
+        # Routing is derived per worker from the spec, never shipped: each
+        # slice must hold precisely its local rows of the whole table and
+        # install the routes the single-process build installs on those nodes.
+        spec = get_preset(preset)
+        whole = build(spec, seed=seed).graph_net
+        assert whole.next_hops == spec.graph.routing()
+        slices = [build(spec, seed=seed, placement=placement).graph_net
+                  for placement in _placements(spec, shards)]
+
+        def agree():
+            for net in slices:
+                assert net.next_hops == {name: whole.next_hops[name] for name in net.nodes}
+                for name, node in net.nodes.items():
+                    assert [(addr, link.name) for addr, link in node._routes.items()] == [
+                        (addr, link.name) for addr, link in whole.nodes[name]._routes.items()]
+
+        agree()
+        for reroute in spec.graph.reroutes:      # every process replays the change
+            for net in [whole] + slices:
+                net.apply_reroute(reroute.a, reroute.b, reroute.delay)
+            agree()
+
+    @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
     def test_every_slice_lists_all_hosts_in_declaration_order(self, preset, seed):
         # Telemetry sources register in ``scenario.hosts`` order, so it must
         # be the declaration order in every process — never a set's order.
@@ -193,7 +218,7 @@ class TestPlacementInvariants:
     def test_the_all_local_placement_is_the_single_process_run(self, preset, seed):
         spec = get_preset(preset)
         plain = build(spec, seed=seed)
-        everything = Placement(frozenset(spec.graph.node_names()), spec.graph.routing())
+        everything = Placement(frozenset(spec.graph.node_names()))
         placed = build(spec, seed=seed, placement=everything)
         assert _identity(placed) == _identity(plain)
         produced = run_built(placed).to_json()
@@ -454,10 +479,9 @@ class TestPushLate:
         with pytest.raises(Exception):
             sim.push_late(0.5, 0, lambda: None)
 
-    def test_horizon_overshoot_keeps_the_late_entry_out_of_the_tail(self):
-        # A late entry pushed back at the horizon must not poison the tail:
-        # a subsequent same-time normal push would otherwise dispatch after
-        # it, violating (time, seq) order.
+    def test_horizon_overshoot_keeps_the_late_entry_behind_normal_pushes(self):
+        # A late entry popped and pushed back at the horizon must still sort
+        # after a same-time normal event scheduled later on.
         sim = Simulator()
         order = []
         sim.push_late(2.0, 1, order.append, ("late",))
@@ -467,39 +491,148 @@ class TestPushLate:
         assert order == ["normal", "late"]
 
 
+def _graph_link(sim, sequencer, link_rank, delay=0.001):
+    """A 8 Mbit/s link handing off to ``sequencer`` (1000-byte packet = 1 ms)."""
+    link = Link(sim, rate_bps=8e6, delay=delay, name=f"l{link_rank}")
+    link.attach_sequencer(sequencer, link_rank)
+    return link
+
+
+def _udp(tag):
+    return Packet("a", "b", 1, tag, protocol="udp", payload_bytes=1000 - 28)
+
+
 class TestIngressSequencer:
     def test_same_instant_deliveries_drain_in_link_then_seq_order(self):
         sim = Simulator()
         got = []
+        seq = IngressSequencer(sim, rank=0, receiver=lambda p: got.append(p.dport))
+        # Hand-off order disagrees with link order on purpose: the high link
+        # finishes its transmission first, both arrive at the same instant.
+        hi = _graph_link(sim, seq, 9, delay=0.002)
+        lo = _graph_link(sim, seq, 3, delay=0.001)
+        sim.at(0.0, hi.send, _udp(90))
+        sim.at(0.001, lo.send, _udp(30))
+        sim.run()
+        assert got == [30, 90]
+        assert hi.stats.delivered_packets == lo.stats.delivered_packets == 1
+
+    def test_injected_entries_drain_in_link_then_seq_order(self):
+        sim = Simulator()
+        got = []
         seq = IngressSequencer(sim, rank=0, receiver=got.append)
-        port_hi = seq.port(9)
-        port_lo = seq.port(3)
-        # Arrival order disagrees with link order on purpose.
-        sim.at(1.0, port_hi, "hi-0")
-        sim.at(1.0, port_lo, "lo-0")
-        sim.at(1.0, port_hi, "hi-1")
+        seq.inject(1.0, 9, 1, "hi-1")
+        seq.inject(1.0, 3, 0, "lo-0")
+        seq.inject(1.0, 9, 0, "hi-0")
         sim.run()
         assert got == ["lo-0", "hi-0", "hi-1"]
 
     def test_distinct_instants_stay_separate(self):
         sim = Simulator()
         got = []
-        seq = IngressSequencer(sim, rank=0, receiver=got.append)
-        port = seq.port(0)
-        sim.at(1.0, port, "t1")
-        sim.at(2.0, port, "t2")
+        seq = IngressSequencer(sim, rank=0, receiver=lambda p: got.append((sim.now, p.dport)))
+        link = _graph_link(sim, seq, 0)
+        sim.at(0.0, link.send, _udp(1))
+        sim.at(0.0, link.send, _udp(2))
         sim.run()
-        assert got == ["t1", "t2"]
+        assert got == [(0.002, 1), (0.003, 2)]
 
     def test_injection_joins_the_same_instant_ordering(self):
         sim = Simulator()
         got = []
-        seq = IngressSequencer(sim, rank=0, receiver=got.append)
-        port = seq.port(6)
-        seq.inject(1.0, 2, 0, "injected")  # lower link index than the port
-        sim.at(1.0, port, "local")
+        seq = IngressSequencer(sim, rank=0,
+                               receiver=lambda p: got.append(getattr(p, "dport", p)))
+        link = _graph_link(sim, seq, 6)
+        seq.inject(0.002, 2, 0, "injected")  # lower link index than the link
+        sim.at(0.0, link.send, _udp(6))
         sim.run()
-        assert got == ["injected", "local"]
+        assert got == ["injected", 6]
+
+
+# ===================================================================== #
+# The graph hop is finish -> drain: no delivery event of the link's own #
+# ===================================================================== #
+class TestSequencerHandOff:
+    def test_zero_delay_link_delivers_after_every_normal_event_of_its_instant(self):
+        sim = Simulator()
+        order = []
+        seq = IngressSequencer(sim, rank=0, receiver=lambda p: order.append("deliver"))
+        link = _graph_link(sim, seq, 0, delay=0.0)
+        sim.at(0.0, link.send, _udp(1))
+        # Scheduled after the send, so after the transmission end at 1 ms.
+        sim.at(0.0005, lambda: sim.at(0.001, order.append, "normal"))
+        sim.run()
+        assert order == ["normal", "deliver"]
+        assert sim.now == 0.001
+
+    def test_arrival_past_the_horizon_is_neither_counted_nor_received(self):
+        sim = Simulator()
+        got = []
+        seq = IngressSequencer(sim, rank=0, receiver=got.append)
+        link = _graph_link(sim, seq, 0, delay=0.010)
+        packet = _udp(1)
+        sim.at(0.0, link.send, packet)
+        sim.run(until=0.005)
+        assert got == [] and link.stats.delivered_packets == 0
+        assert link.stats.dequeued_packets == 1
+        assert link.propagating() == [packet]
+        sim.run(until=0.011)          # exactly the arrival instant: delivered
+        assert got == [packet] and link.propagating() == []
+        assert (link.stats.delivered_packets, link.stats.delivered_bytes) == (1, 1000)
+
+    def test_simulation_is_not_idle_while_a_packet_propagates(self):
+        sim = Simulator()
+        seq = IngressSequencer(sim, rank=0, receiver=lambda p: None)
+        link = _graph_link(sim, seq, 0, delay=0.010)
+        sim.start_control(0.004, lambda: None)
+        sim.at(0.0, link.send, _udp(1))
+        sim.run(until=0.005)
+        assert link.propagating() and not sim.idle_except_control()
+        sim.run(until=0.012)
+        assert sim.idle_except_control()
+        sim.stop_control()
+
+    def test_lowered_delay_never_reorders_one_links_arrivals(self):
+        sim = Simulator()
+        got = []
+        seq = IngressSequencer(sim, rank=0, receiver=lambda p: got.append((sim.now, p.dport)))
+        link = _graph_link(sim, seq, 0, delay=0.010)
+        sim.at(0.0, link.send, _udp(1))
+        sim.at(0.0, link.send, _udp(2))
+        sim.at(0.0015, setattr, link, "delay", 0.001)   # second packet's wire is shorter
+        sim.run()
+        assert got == [(0.011, 1), (0.011, 2)]
+
+
+#: ``(events_dispatched, Simulator._seq)`` of each golden graph preset at the
+#: commit before graph links stopped scheduling a delivery event.
+EVENTS_WITH_A_DELIVER_EVENT_PER_HOP = {
+    "parking_lot_mix": (36880, 26499),
+    "star_web_churn": (29898, 22520),
+    "mesh_macroflow_sharing": (69193, 49168),
+    "gilbert_wireless_bulk": (7586, 5438),
+    "red_gateway_sharing": (45943, 32808),
+    "flash_crowd_star": (22832, 17015),
+    "cm_vs_udp_blast": (61308, 43258),
+    "mobile_handoff_reroute": (28178, 21149),
+}
+
+
+class TestOneEventFewerPerHop:
+    @pytest.mark.parametrize("preset,seed", GOLDEN_GRAPH_PRESETS)
+    def test_exactly_the_delivery_events_are_gone(self, preset, seed):
+        # The result bytes are the golden's (checked elsewhere); what moved is
+        # one dispatch per delivered packet-hop and one sequence number per
+        # packet that entered propagation — nothing else was an event.
+        scenario = build(get_preset(preset), seed=seed)
+        run_built(scenario)
+        links = list(scenario.graph_net.links.values())
+        delivered = sum(link.stats.delivered_packets for link in links)
+        entered_propagation = delivered + sum(len(link.propagating()) for link in links)
+        events_before, seq_before = EVENTS_WITH_A_DELIVER_EVENT_PER_HOP[preset]
+        assert delivered > 1000
+        assert events_before - scenario.sim.events_dispatched == delivered
+        assert seq_before - scenario.sim._seq == entered_propagation
 
 
 # ===================================================================== #
@@ -680,6 +813,44 @@ class TestServiceSharding:
                           control_hook=lambda scenario: None)
 
 
+class TestWorkerPoolStart:
+    def test_a_partial_start_leaves_no_worker_behind(self, monkeypatch):
+        # Shard 0 starts, shard 1 cannot: the constructor must take shard 0
+        # down again instead of stranding it on an open pipe.
+        import multiprocessing
+        from multiprocessing.process import BaseProcess
+
+        real_start = BaseProcess.start
+        started = []
+
+        def start_once(process):
+            if started:
+                raise OSError("cannot fork")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start_once)
+        with pytest.raises(OSError, match="cannot fork"):
+            run_sharded(get_preset("star_web_churn"), seed=5, shards=2)
+        assert len(started) == 1
+        started[0].join(timeout=10.0)
+        assert not started[0].is_alive()
+        assert multiprocessing.active_children() == []
+
+    def test_a_partition_without_lookahead_is_an_error_not_an_assert(self, monkeypatch):
+        import repro.netsim.parallel.partition as partition
+
+        real = partition.partition_graph
+
+        def no_lookahead(spec, shards):
+            part = real(spec, shards)
+            return type(part)(part.shards, part.shard_of, part.cut_pairs, None)
+
+        monkeypatch.setattr(partition, "partition_graph", no_lookahead)
+        with pytest.raises(RuntimeError, match="lookahead"):
+            run_sharded(get_preset("star_web_churn"), seed=5, shards=2)
+
+
 # ===================================================================== #
 # Per-shard traces                                                      #
 # ===================================================================== #
@@ -731,7 +902,8 @@ class TestShardedTraces:
             run_sharded(spec, seed=5, shards=2, trace_path=str(tmp_path / "failed.jsonl"))
         assert not list(tmp_path.iterdir())
 
-    def test_trace_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_trace_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, shards):
         # Telemetry sources used to register in set-iteration order in the
         # shard build, so the merged trace changed with PYTHONHASHSEED.
         traces = []
@@ -741,7 +913,32 @@ class TestShardedTraces:
                        PYTHONPATH=os.pathsep.join(sys.path))
             subprocess.run(
                 [sys.executable, "-m", "repro.scenario", "run", "mesh_macroflow_sharing",
-                 "--shards", "2", "--trace", str(trace), "--quiet"],
+                 "--shards", str(shards), "--trace", str(trace), "--quiet"],
                 check=True, env=env, timeout=300)
             traces.append(trace.read_bytes())
         assert traces[0] and traces[0] == traces[1]
+
+    @pytest.mark.parametrize("preset,seed,shards,lines,digest", [
+        ("mesh_macroflow_sharing", 9, 1, 52608,
+         "d5f2281467bab285d1bd60dddf6fbde2d101a14414e70a1073bf461a6c61e7f9"),
+        ("mesh_macroflow_sharing", 9, 2, 41958,
+         "bb08336b40be837395bcced853ad366bf9fe90604e03689d3a45f125460c5ca7"),
+        ("mobile_handoff_reroute", 31, 1, 23202,
+         "e71170513a16d66c42bf45fe3407b37b94df594fe5ae16209cf346cd2ab9c2cf"),
+        ("mobile_handoff_reroute", 31, 2, 14777,
+         "974f6f6c7368e0cd98f43eea1da125c664d7254b31e78c21ed47aa28aa203cb1"),
+    ])
+    def test_every_instant_holds_the_lines_it_held_with_a_deliver_event(
+            self, tmp_path, preset, seed, shards, lines, digest):
+        # A ``packet.deliver`` line is now written from the node's drain, so
+        # within one instant it follows content order instead of scheduling
+        # history; per timestamp the *multiset* of lines is what it was.  The
+        # digests are of the trace sorted by (t, line) at the commit before.
+        import hashlib
+
+        trace = tmp_path / "trace.jsonl"
+        run(get_preset(preset), seed=seed, shards=shards, trace_path=str(trace))
+        produced = trace.read_text(encoding="utf-8").splitlines(True)
+        produced.sort(key=lambda line: (json.loads(line).get("t", 0.0), line))
+        assert len(produced) == lines
+        assert hashlib.sha256("".join(produced).encode()).hexdigest() == digest
