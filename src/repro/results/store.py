@@ -21,13 +21,14 @@ batch (fleet ingestion must survive one torn artifact).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .labels import current_pr_label, sort_labels
 
@@ -204,8 +205,11 @@ class ResultStore:
         directory = os.path.dirname(os.path.abspath(path)) if path != ":memory:" else None
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._db = sqlite3.connect(path)
+        # The store does no locking of its own either way; a caller that
+        # shares one across threads (the service's job manager) serialises.
+        self._db = sqlite3.connect(path, check_same_thread=False)
         self._db.row_factory = sqlite3.Row
+        self._in_transaction = False
         self._db.executescript(_SCHEMA)
         self._db.execute(
             "INSERT OR IGNORE INTO store_meta (key, value) VALUES ('schema_version', ?)",
@@ -226,6 +230,24 @@ class ResultStore:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+    def _commit(self) -> None:
+        if not self._in_transaction:
+            self._db.commit()
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator["ResultStore"]:
+        """Make the ingests inside one commit (one fsync), or none of them."""
+        self._in_transaction = True
+        try:
+            yield self
+        except BaseException:
+            self._db.rollback()
+            raise
+        else:
+            self._db.commit()
+        finally:
+            self._in_transaction = False
 
     # ------------------------------------------------------------------ #
     # ingestion                                                          #
@@ -310,7 +332,7 @@ class ResultStore:
                 ),
             )
             outcome.rows += 1
-        self._db.commit()
+        self._commit()
         outcome.ingested += 1
         return outcome
 
@@ -353,7 +375,7 @@ class ResultStore:
                 provenance.get("trials_from_cache"), provenance.get("wall_clock_s"),
             ),
         )
-        self._db.commit()
+        self._commit()
         outcome.ingested += 1
         outcome.rows += len(payload.get("rows") or [])
         return outcome
@@ -405,7 +427,7 @@ class ResultStore:
                              str(metric), float(value)),
                         )
                         outcome.rows += 1
-        self._db.commit()
+        self._commit()
         outcome.ingested += 1
         return outcome
 
@@ -466,7 +488,7 @@ class ResultStore:
                 (json.dumps({"bad_lines": bad_lines}), run_id),
             )
             outcome.errors.append(f"{path}: {bad_lines} unparseable line(s) skipped")
-        self._db.commit()
+        self._commit()
         outcome.ingested += 1
         return outcome
 
@@ -616,10 +638,14 @@ class ResultStore:
         return decoded
 
     def scenario_results(
-        self, name: Optional[str] = None, seed: Optional[int] = None
+        self, name: Optional[str] = None, seed: Optional[int] = None,
+        source: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
         """Scenario result rows; ``payload`` is the decoded result document."""
         clauses, params = [], []
+        if source is not None:
+            clauses.append("r.source = ?")
+            params.append(source)
         if name is not None:
             clauses.append("s.name = ?")
             params.append(name)

@@ -14,16 +14,17 @@ managers.
 Layering:
 
 * :mod:`~repro.service.jobs` — job lifecycle (queued → running →
-  done/failed/cancelled), worker threads, the cross-thread **mailbox**
-  contract, result-store integration;
+  done/failed/cancelled), the slot worker processes and their supervisors,
+  the cross-process **op** contract, result-store integration;
 * :mod:`~repro.service.api` — a socket-free JSON router exposing the
-  ``/v1`` endpoints (drives directly in tests, no HTTP required);
+  ``/v1`` endpoints (drives directly in tests, no HTTP required) and the
+  table of ops a running job can be asked;
 * :mod:`~repro.service.server` — the stdlib HTTP front end;
 * :mod:`~repro.service.client` — a urllib client used by the CLI;
 * :mod:`~repro.service.cli` — ``python -m repro.service``
-  (serve/submit/status/result/watch/cancel/shutdown).
+  (serve/submit/status/result/watch/cancel/health/shutdown).
 
-See ``docs/service.md`` for the API reference and the threading contract.
+See ``docs/service.md`` for the API reference and the op contract.
 """
 
 from .api import ApiError, Response, Router, ServiceApi

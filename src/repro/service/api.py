@@ -7,16 +7,19 @@ socket (the same pattern the flow-manager tests use).  The stdlib HTTP
 front end in :mod:`repro.service.server` is a thin adapter on top.
 
 Every live-inspection and mutation endpoint goes through
-:meth:`Job.request` — the mailbox the simulation's control tick drains —
-so handlers here never touch engine objects from the HTTP thread.  The
-closures passed to the mailbox run inside the event loop and may raise
-:class:`ApiError` / :class:`SpecError`; both surface as structured JSON
+:meth:`Job.request` — a named op and its JSON arguments, sent down the pipe
+the simulation's control tick drains — because the engine objects live in
+the job's slot process, not here.  The ops are the :data:`OPS` table at the
+end of this module: plain functions ``op(scenario, **json_args) -> json``
+that run inside the slot's event loop and may raise :class:`ApiError` /
+:class:`SpecError`; both cross the pipe and surface as structured JSON
 errors with the right status code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -25,9 +28,9 @@ from urllib.parse import unquote
 
 from ..scenario.presets import get_preset
 from ..scenario.spec import ScenarioSpec, SpecError
-from .jobs import Job, JobManager, JobNotLive, JobState, attach_app_in_loop
+from .jobs import Job, JobManager, JobNotLive, JobState
 
-__all__ = ["ApiError", "Response", "Router", "ServiceApi"]
+__all__ = ["ApiError", "OPS", "Response", "Router", "ServiceApi"]
 
 #: Telemetry streams poll the trace file at this wall-clock period.
 STREAM_POLL_S = 0.05
@@ -42,6 +45,10 @@ class ApiError(Exception):
         super().__init__(message)
         self.status = status
         self.payload = {"error": message, **extra}
+
+    def __reduce__(self):  # raised by ops in a slot process, caught here
+        extra = {key: value for key, value in self.payload.items() if key != "error"}
+        return functools.partial(ApiError, **extra), (self.status, self.payload["error"])
 
 
 class Response:
@@ -112,18 +119,18 @@ class Router:
 class ServiceApi:
     """The ``/v1`` endpoint surface over one :class:`JobManager`."""
 
-    #: How long a mailbox request may wait for a control tick before the
-    #: endpoint reports 504 (the job is wedged or between events).
+    #: How long an op may wait for a control tick before the endpoint
+    #: reports 504 (the job is wedged or between events).
     INSPECT_TIMEOUT_S = 10.0
 
     def __init__(self, manager: JobManager,
                  on_shutdown: Optional[Callable[[], None]] = None):
         self.manager = manager
         self.on_shutdown = on_shutdown
-        self.started_at = time.time()
         self.router = Router()
         add = self.router.add
         add("GET", "/", self._handle_index)
+        add("GET", "/v1/health", self._handle_health)
         add("POST", "/v1/jobs", self._handle_submit)
         add("GET", "/v1/jobs", self._handle_list)
         add("GET", "/v1/jobs/<id>", self._handle_status)
@@ -189,24 +196,24 @@ class ServiceApi:
         except ValueError:
             raise ApiError(400, f"job id must be an integer, got {params['id']!r}")
 
-    def _inspect(self, job: Job, fn: Callable) -> Any:
-        """Run ``fn(scenario)`` inside the job's event loop (mailbox hop)."""
-        return job.request(fn, timeout=self.INSPECT_TIMEOUT_S)
+    def _inspect(self, job: Job, op: str, **args: Any) -> Any:
+        """Run ``OPS[op](scenario, **args)`` inside the job's event loop."""
+        return job.request(op, timeout=self.INSPECT_TIMEOUT_S, **args)
 
     # -------------------------------------------------------------- handlers
     def _handle_index(self, params, payload) -> Response:
-        jobs = self.manager.jobs()
+        health = self.manager.health()
         return Response(200, {
             "service": "repro.service",
             "slots": self.manager.slots,
             "store": self.manager.store_path,
-            "uptime_s": time.time() - self.started_at,
-            "jobs": {
-                state: sum(1 for job in jobs if job.state == state)
-                for state in (JobState.QUEUED, JobState.RUNNING, JobState.DONE,
-                              JobState.FAILED, JobState.CANCELLED)
-            },
+            "uptime_s": health["uptime_s"],
+            "jobs": health["jobs"],
         })
+
+    def _handle_health(self, params, payload) -> Response:
+        # Supervisor-owned scalars only: this answers while every slot is busy.
+        return Response(200, self.manager.health())
 
     def _handle_submit(self, params, payload) -> Response:
         if ("preset" in payload) == ("spec" in payload):
@@ -279,8 +286,9 @@ class ServiceApi:
             raise ApiError(409, f"job {job.id} is {job.state}; no result yet")
         if job.state != JobState.DONE:
             raise ApiError(409, f"job {job.id} {job.state}: {job.error}")
-        # ScenarioResult.to_json() — byte-identical to the batch CLI's file
-        # for the same (spec, seed); the smoke test in CI compares them.
+        # The slot's ScenarioResult.to_json(), verbatim — byte-identical to
+        # the batch CLI's file for the same (spec, seed); the smoke test in
+        # CI compares them.
         return Response(200, body=job.result.to_json().encode("utf-8"))
 
     def _handle_telemetry(self, params, payload) -> Response:
@@ -293,8 +301,8 @@ class ServiceApi:
     def _tail_trace(self, job: Job) -> Iterator[bytes]:
         """Yield trace lines as they land, until the job finishes and EOF.
 
-        Pure wall-clock file tailing — the sink writes from the worker
-        thread, we read the file; no shared state beyond ``job.finished``.
+        Pure wall-clock file tailing — the sink writes from the slot
+        process, we read the file; no shared state beyond ``job.finished``.
         """
         deadline = time.time() + STREAM_MAX_WALL_S
         while not os.path.exists(job.trace_path):
@@ -317,45 +325,13 @@ class ServiceApi:
                     return
                 time.sleep(STREAM_POLL_S)
 
-    # ------------------------------------------------------- live inspection
+    # ------------------------------------------- live inspection and mutation
     def _handle_hosts(self, params, payload) -> Response:
-        job = self._job(params)
-
-        def snapshot(scenario):
-            hosts = []
-            for name in sorted(scenario.hosts):
-                host = scenario.hosts[name]
-                entry: Dict[str, Any] = {
-                    "host": name,
-                    "addr": host.addr,
-                    "cm": host.cm is not None,
-                }
-                if host.cm is not None:
-                    entry["open_flows"] = host.cm.open_flow_count
-                    entry["macroflows"] = len(host.cm.macroflows)
-                hosts.append(entry)
-            return {"sim_time": scenario.sim.now, "hosts": hosts}
-
-        return Response(200, self._inspect(job, snapshot))
+        return Response(200, self._inspect(self._job(params), "hosts"))
 
     def _handle_macroflows(self, params, payload) -> Response:
-        job = self._job(params)
-        host_name = params["host"]
-
-        def snapshot(scenario):
-            if host_name not in scenario.hosts:
-                raise ApiError(404, f"job {job.id} has no host {host_name!r}; "
-                                    f"have {sorted(scenario.hosts)}")
-            host = scenario.hosts[host_name]
-            if host.cm is None:
-                raise ApiError(409, f"host {host_name!r} has no Congestion Manager")
-            return {
-                "sim_time": scenario.sim.now,
-                "host": host_name,
-                "macroflows": [_macroflow_entry(mf) for mf in host.cm.macroflows],
-            }
-
-        return Response(200, self._inspect(job, snapshot))
+        return Response(200, self._inspect(self._job(params), "macroflows",
+                                           host=params["host"]))
 
     def _handle_flows(self, params, payload) -> Response:
         job = self._job(params)
@@ -363,48 +339,23 @@ class ServiceApi:
             mf_id = int(params["mfid"])
         except ValueError:
             raise ApiError(400, f"macroflow id must be an integer, got {params['mfid']!r}")
+        return Response(200, self._inspect(job, "flows", macroflow_id=mf_id))
 
-        def snapshot(scenario):
-            for name in sorted(scenario.hosts):
-                cm = scenario.hosts[name].cm
-                if cm is None:
-                    continue
-                for mf in cm.macroflows:
-                    if mf.macroflow_id == mf_id:
-                        return {
-                            "sim_time": scenario.sim.now,
-                            "host": name,
-                            "macroflow_id": mf_id,
-                            "flows": [_flow_entry(mf, flow)
-                                      for _, flow in sorted(mf.flows.items())],
-                        }
-            raise ApiError(404, f"job {job.id} has no macroflow {mf_id}")
-
-        return Response(200, self._inspect(job, snapshot))
-
-    # --------------------------------------------------------- live mutation
     def _handle_attach_app(self, params, payload) -> Response:
         job = self._job(params)
-        host_name = params["host"]
         app_name = payload.get("app")
         if not isinstance(app_name, str) or not app_name:
             raise ApiError(400, "'app' (registry application name) is required")
-        peer = str(payload.get("peer", "") or "")
-        label = str(payload.get("label", "") or "")
         app_params = payload.get("params", {})
         if not isinstance(app_params, dict):
             raise ApiError(400, "'params' must be a JSON object")
-
-        def attach(scenario):
-            return attach_app_in_loop(scenario, app_name, host_name,
-                                      peer_name=peer, label=label,
-                                      params=app_params)
-
-        return Response(201, self._inspect(job, attach))
+        return Response(201, self._inspect(
+            job, "attach_app", app=app_name, host=params["host"],
+            peer=str(payload.get("peer", "") or ""),
+            label=str(payload.get("label", "") or ""), params=app_params))
 
     def _handle_patch_link(self, params, payload) -> Response:
         job = self._job(params)
-        link_name = params["link"]
         rate_bps = payload.get("rate_bps")
         delay = payload.get("delay")
         at = payload.get("at")
@@ -416,36 +367,8 @@ class ServiceApi:
                 raise ApiError(400, f"'{field}' must be a non-negative number")
         if rate_bps is not None and rate_bps <= 0:
             raise ApiError(400, "'rate_bps' must be positive")
-
-        def patch(scenario):
-            links = {name: link for _index, name, link in scenario.directed_links()}
-            link = links.get(link_name)
-            if link is None:
-                raise ApiError(404, f"job {job.id} has no link {link_name!r}; "
-                                    f"have {list(links)}")
-
-            def apply() -> None:
-                if rate_bps is not None:
-                    link.rate_bps = float(rate_bps)
-                if delay is not None:
-                    link.delay = float(delay)
-
-            now = scenario.sim.now
-            if at is not None and at > now:
-                scenario.sim.at(float(at), apply)
-                applied_at = float(at)
-            else:
-                apply()
-                applied_at = now
-            return {
-                "link": link_name,
-                "rate_bps": link.rate_bps,
-                "delay": link.delay,
-                "applies_at": applied_at,
-                "sim_time": now,
-            }
-
-        return Response(200, self._inspect(job, patch))
+        return Response(200, self._inspect(job, "patch_link", link=params["link"],
+                                           rate_bps=rate_bps, delay=delay, at=at))
 
     def _handle_shutdown(self, params, payload) -> Response:
         # Deferred via Response.after: the transport triggers the teardown
@@ -507,3 +430,164 @@ def _flow_entry(mf, flow) -> Dict[str, Any]:
         "pending_requests": mf.scheduler.pending_requests(flow.flow_id),
         "stats": dataclasses.asdict(flow.stats),
     }
+
+
+# ------------------------------------------------------------------- the ops
+# What a job can be asked while it runs.  Each is called by the slot's
+# control tick, inside the event loop, as ``op(scenario, **json_args)`` and
+# returns JSON; arguments, value and any exception cross a pipe, so they are
+# data, never closures.
+def op_hosts(scenario) -> Dict[str, Any]:
+    hosts = []
+    for name in sorted(scenario.hosts):
+        host = scenario.hosts[name]
+        entry: Dict[str, Any] = {
+            "host": name,
+            "addr": host.addr,
+            "cm": host.cm is not None,
+        }
+        if host.cm is not None:
+            entry["open_flows"] = host.cm.open_flow_count
+            entry["macroflows"] = len(host.cm.macroflows)
+        hosts.append(entry)
+    return {"sim_time": scenario.sim.now, "hosts": hosts}
+
+
+def op_macroflows(scenario, host: str) -> Dict[str, Any]:
+    if host not in scenario.hosts:
+        raise ApiError(404, f"the job has no host {host!r}; have {sorted(scenario.hosts)}")
+    cm = scenario.hosts[host].cm
+    if cm is None:
+        raise ApiError(409, f"host {host!r} has no Congestion Manager")
+    return {
+        "sim_time": scenario.sim.now,
+        "host": host,
+        "macroflows": [_macroflow_entry(mf) for mf in cm.macroflows],
+    }
+
+
+def op_flows(scenario, macroflow_id: int) -> Dict[str, Any]:
+    for name in sorted(scenario.hosts):
+        cm = scenario.hosts[name].cm
+        if cm is None:
+            continue
+        for mf in cm.macroflows:
+            if mf.macroflow_id == macroflow_id:
+                return {
+                    "sim_time": scenario.sim.now,
+                    "host": name,
+                    "macroflow_id": macroflow_id,
+                    "flows": [_flow_entry(mf, flow)
+                              for _, flow in sorted(mf.flows.items())],
+                }
+    raise ApiError(404, f"the job has no macroflow {macroflow_id}")
+
+
+class _AttachedApp:
+    """A mid-run application attach, dressed as a workload record.
+
+    The scenario runner already stops workloads before static apps and
+    collects each one into the result's ``workloads`` section (which is
+    omitted when empty) — wrapping service attaches in this record makes
+    them visible in the result without touching the runner, while jobs that
+    were never mutated stay byte-identical to their batch runs.
+    """
+
+    kind = "service_attach"
+
+    class _Spec:
+        __slots__ = ("kind", "host")
+
+        def __init__(self, kind: str, host: str):
+            self.kind = kind
+            self.host = host
+
+    def __init__(self, app, host_name: str, label: str, index: int):
+        self.app = app
+        self.label = label
+        #: Result-order key: after every declared workload, in attach order.
+        self.index = index
+        self.spec = self._Spec(self.kind, host_name)
+        self._stopped = False
+
+    def stop(self) -> None:
+        if self._stopped:
+            return
+        self._stopped = True
+        self.app.stop()
+
+    def metrics(self) -> Dict[str, Any]:
+        return self.app.metrics()
+
+
+def op_attach_app(scenario, app: str, host: str, peer: str = "", label: str = "",
+                  params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """Attach a registry application to a live host (event-loop context only).
+
+    The request is checked exactly like a static ``apps:`` entry (field
+    types, then :meth:`AppSpec.validate`: registered app, declared host and
+    peer, peer != host, schema-validated params) and then follows the
+    runtime attach path the stochastic workload generators use: construction
+    against live hosts, telemetry binding, ``start()``.  The instance is
+    recorded as a ``service_attach`` entry in the result's ``workloads``
+    section.
+    """
+    from ..scenario.applications import get_application
+    from ..scenario.spec import AppSpec
+
+    attach_index = sum(1 for w in scenario.workloads if isinstance(w, _AttachedApp))
+    app_spec = AppSpec(app=app, host=host, peer=peer,
+                       label=label or f"service:{app}[{attach_index}]",
+                       params=dict(params or {}))
+    app_spec.check_fields("")
+    normalized = app_spec.validate("", scenario.hosts)
+    label = app_spec.label
+    instance = get_application(app)(scenario.hosts[host],
+                                    scenario.hosts[peer] if peer else None,
+                                    app_spec, normalized)
+    instance.label = label
+    if scenario.telemetry is not None:
+        instance.attach_telemetry(scenario.telemetry.hub)
+    instance.start()
+    scenario.workloads.append(_AttachedApp(instance, host, label, len(scenario.workloads)))
+    return {"label": label, "app": app, "host": host,
+            "peer": peer or None, "attached_at": scenario.sim.now}
+
+
+def op_patch_link(scenario, link: str, rate_bps: Optional[float] = None,
+                  delay: Optional[float] = None,
+                  at: Optional[float] = None) -> Dict[str, Any]:
+    links = {name: found for _index, name, found in scenario.directed_links()}
+    target = links.get(link)
+    if target is None:
+        raise ApiError(404, f"the job has no link {link!r}; have {list(links)}")
+
+    def apply() -> None:
+        if rate_bps is not None:
+            target.rate_bps = float(rate_bps)
+        if delay is not None:
+            target.delay = float(delay)
+
+    now = scenario.sim.now
+    if at is not None and at > now:
+        scenario.sim.at(float(at), apply)
+        applied_at = float(at)
+    else:
+        apply()
+        applied_at = now
+    return {
+        "link": link,
+        "rate_bps": target.rate_bps,
+        "delay": target.delay,
+        "applies_at": applied_at,
+        "sim_time": now,
+    }
+
+
+OPS: Dict[str, Callable[..., Any]] = {
+    "hosts": op_hosts,
+    "macroflows": op_macroflows,
+    "flows": op_flows,
+    "attach_app": op_attach_app,
+    "patch_link": op_patch_link,
+}

@@ -9,6 +9,7 @@ Subcommands::
     watch <id>                  poll a job's progress until it finishes
     telemetry <id>              stream a traced job's JSONL telemetry
     cancel <id>                 cooperatively cancel a job
+    health                      slots, queue depth and job counts of a running server
     shutdown                    stop a running server
 
 Every client subcommand targets ``--url`` (default
@@ -163,6 +164,22 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_health(args: argparse.Namespace) -> int:
+    """Print the fleet's health; exit 1 unless it accepts work on live slots."""
+    health = _client(args).health()
+    jobs = " ".join(f"{state}={count}" for state, count in health["jobs"].items())
+    print(f"{'accepting' if health['accepting'] else 'shutting down'}: "
+          f"up {health['uptime_s']:.1f}s queue={health['queue_depth']} {jobs} "
+          f"ingest_failures={health['ingest_failures']}")
+    for slot in health["slots"]:
+        doing = f"job {slot['job']}" if slot["busy"] else "idle"
+        print(f"slot {slot['slot']}: pid {slot['pid']} "
+              f"{'alive' if slot['alive'] else 'dead'} {doing} "
+              f"jobs_run={slot['jobs_run']} respawns={slot['respawns']}")
+    healthy = health["accepting"] and all(slot["alive"] for slot in health["slots"])
+    return 0 if healthy else 1
+
+
 def _cmd_shutdown(args: argparse.Namespace) -> int:
     client = _client(args)
     body = client.shutdown()
@@ -183,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8421, help="listen port (0 = ephemeral)")
     serve.add_argument("--slots", type=int, default=2, metavar="N",
-                       help="concurrently running jobs (default 2)")
+                       help="worker processes = concurrently running jobs, one core "
+                            "each (default 2)")
     serve.add_argument("--store", default=None, metavar="DB",
                        help="sqlite result store: finished jobs auto-ingest and stay "
                             "queryable after in-memory eviction")
@@ -205,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="record a telemetry trace (enables the telemetry stream)")
     submit.add_argument("--shards", type=int, default=None, metavar="N",
                         help="run graph scenarios on N shard worker processes "
-                             "(byte-identical result; disables the mid-run mailbox)")
+                             "(byte-identical result; disables mid-run ops)")
     submit.add_argument("--wait", action="store_true", help="block until the job(s) finish")
     submit.add_argument("--timeout", type=float, default=300.0, metavar="S")
     submit.set_defaults(func=_cmd_submit)
@@ -233,6 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cancel = sub.add_parser("cancel", help="cooperatively cancel a job")
     cancel.add_argument("id", type=int)
     cancel.set_defaults(func=_cmd_cancel)
+
+    health = sub.add_parser("health", help="slots, queue depth and job counts")
+    health.set_defaults(func=_cmd_health)
 
     shutdown = sub.add_parser("shutdown", help="stop a running server")
     shutdown.set_defaults(func=_cmd_shutdown)

@@ -75,6 +75,10 @@ class ServiceClient:
     def info(self) -> Dict[str, Any]:
         return self.request("GET", "/")
 
+    def health(self) -> Dict[str, Any]:
+        """Slots (alive / busy / pid / jobs run / respawns), queue, job counts."""
+        return self.request("GET", "/v1/health")
+
     def submit(self, preset: Optional[str] = None, spec: Optional[Dict[str, Any]] = None,
                seed: Optional[int] = None, seeds: Optional[List[int]] = None,
                trace: bool = False, shards: Optional[int] = None) -> Dict[str, Any]:

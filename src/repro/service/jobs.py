@@ -1,39 +1,60 @@
 """Job fleet management for the simulation service.
 
-A :class:`JobManager` owns a bounded pool of worker threads, each executing
-one scenario at a time through
-:func:`repro.scenario.runner.run_streaming` — the exact code path the batch
-CLI uses, which is what makes a service job's result byte-identical to a
-``python -m repro.scenario run`` of the same ``(spec, seed)``.
+A :class:`JobManager` owns a bounded pool of **slots**.  A slot is a
+long-lived worker *process*, forked once when the manager is built (before
+any HTTP or supervisor thread exists) and fed over a pipe by one supervisor
+thread in the front end.  Every job — sharded or not — runs in its slot
+through :func:`repro.scenario.runner.run_streaming`, the exact code path the
+batch CLI uses, which is what makes a service job's result byte-identical to
+a ``python -m repro.scenario run`` of the same ``(spec, seed)``.  No
+simulation runs in the front-end process, so a running job never holds the
+GIL the HTTP threads need.
 
-Threading contract (the part ``docs/service.md`` calls the *mailbox
-contract*):
+Process contract (the part ``docs/service.md`` calls the *op contract*):
 
 * Engine objects (hosts, links, Congestion Managers, macroflows, flows)
-  belong to the worker thread running the simulation.  HTTP threads never
+  live in the slot process running the simulation.  The front end cannot
   touch them.
-* Live reads and mutations are submitted as closures to the job's
-  **mailbox** (:meth:`Job.request`); the simulation's periodic control tick
-  (an event the engine itself dispatches, see
-  :meth:`repro.netsim.engine.Simulator.start_control`) drains the mailbox
-  *inside* the event loop and posts each closure's return value back to the
-  waiting HTTP thread.
-* The only cross-thread state HTTP threads read directly are scalar
-  snapshots the worker publishes (job state, sim-time progress) — single
-  attribute reads that are atomic under the GIL.
-* Cancellation is cooperative: :meth:`Job.cancel` sets a flag; the control
-  tick observes it and raises :class:`JobCancelled` inside the event loop,
-  aborting the run at a clean event boundary.
+* Live reads and mutations are *data*: :meth:`Job.request` sends
+  ``("op", job_id, name, args)`` down the slot's pipe; the simulation's
+  periodic control tick (an event the engine itself dispatches, see
+  :meth:`repro.netsim.engine.Simulator.start_control`) drains the pipe
+  *inside* the event loop, looks ``name`` up in the op table of
+  :mod:`repro.service.api` and sends the value — or the exception — back.
+  The slot answers only ops of the job it is running; whatever is still
+  unanswered when the job ends is failed by the supervisor, so replies
+  match requests in order without ids.
+* Progress is three numbers in memory the slot shares with the front end
+  (job id, sim time, horizon); :meth:`Job.status` reads them, no pipe
+  traffic per tick.
+* Cancellation is cooperative: :meth:`Job.cancel` sends a message the same
+  tick observes; it raises :class:`JobCancelled` inside the event loop,
+  aborting the run at a clean event boundary.  A slot that serves no tick
+  within :data:`REQUEST_TIMEOUT_S` of the cancel is terminated.
+* A slot that dies (``SIGKILL``, crash, a reply that cannot be sent) fails
+  the job it was running with one error naming its exit code; its
+  supervisor forks a replacement and carries on with the queue.
 """
 
 from __future__ import annotations
 
+import atexit
+import copyreg
+import json
+import mmap
+import multiprocessing
 import os
+import pickle
+import select
+import signal
+import stat
+import struct
 import tempfile
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from collections import Counter, deque
+from multiprocessing.connection import wait as wait_ready
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..scenario.runner import DEFAULT_CONTROL_INTERVAL, run_streaming, spec_digest
 from ..scenario.spec import ScenarioSpec, SpecError
@@ -43,7 +64,9 @@ __all__ = [
     "JobCancelled",
     "JobManager",
     "JobNotLive",
+    "JobResult",
     "JobState",
+    "REQUEST_TIMEOUT_S",
     "STORE_SOURCE_PREFIX",
 ]
 
@@ -51,6 +74,29 @@ __all__ = [
 #: job id after the prefix is what lets ``GET /v1/jobs/<id>`` keep answering
 #: from the store after the job is evicted from memory.
 STORE_SOURCE_PREFIX = "service:job:"
+
+#: How long an op waits for a control tick by default — and therefore how
+#: long a cancelled job may go without one before its slot is terminated.
+REQUEST_TIMEOUT_S = 5.0
+
+#: A supervisor waiting on its slot wakes this often to look at the clock
+#: (the cancel deadline) and at the process; replies and, but for sharded
+#: jobs, the slot's death wake it at once.
+_WATCH_S = 0.5
+
+#: The progress record a slot shares with the front end.
+_PROGRESS = struct.Struct("qdd")  # job id, sim time, horizon
+
+
+def _reduce_spec_error(exc: SpecError):
+    prefix = f"{exc.path}: " if exc.path else ""
+    return SpecError, (exc.path, str(exc)[len(prefix):])
+
+
+# SpecError's constructor takes (path, message) but keeps only the joined
+# text in ``args``, so the default exception pickling cannot rebuild it; an
+# op's SpecError must reach the HTTP thread with its path.
+copyreg.pickle(SpecError, _reduce_spec_error)
 
 
 class JobState:
@@ -66,26 +112,51 @@ class JobState:
     LIVE = (QUEUED, RUNNING)
     #: Terminal states.
     FINISHED = (DONE, FAILED, CANCELLED)
+    ALL = LIVE + FINISHED
 
 
 class JobCancelled(Exception):
-    """Raised inside the event loop when a job's cancel flag is observed."""
+    """Raised inside the event loop when a job's cancel message is observed."""
 
 
 class JobNotLive(Exception):
-    """A mailbox request was made against a job that is not running."""
+    """An op was requested of a job that is not running."""
 
 
-class _MailboxRequest:
-    """One closure queued for execution inside the simulation's event loop."""
+class SlotProtocolError(BaseException):
+    """A slot could not send what the front end is waiting for.
 
-    __slots__ = ("fn", "done", "result", "error")
+    Not an :class:`Exception`: it must pass the run's own error handling and
+    end the process, so the supervisor sees a death instead of a pipe that
+    is one message short.
+    """
 
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
+
+class _SlotLost(Exception):
+    """The slot's process is gone or unusable; the text says how."""
+
+
+class JobResult:
+    """A finished job's result, exactly as its slot rendered it.
+
+    The text is ``ScenarioResult.to_json()`` from the slot; the front end
+    serves it verbatim and decodes it only to ingest it.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def to_json(self) -> str:
+        return self.text
+
+    def payload(self) -> Dict[str, Any]:
+        return json.loads(self.text)
+
+    @property
+    def duration_s(self) -> float:
+        return self.payload()["duration_s"]
 
 
 class Job:
@@ -99,7 +170,7 @@ class Job:
         self.seed = seed
         #: Shard worker-process count when the sharded engine runs this job
         #: (``None`` for the single-process engine).  Sharded jobs have no
-        #: control tick, hence no mailbox — see :meth:`request`.
+        #: control tick, hence no ops — see :meth:`request`.
         self.shards = shards
         self.name = spec.name
         self.spec_digest = spec_digest(spec)
@@ -107,20 +178,16 @@ class Job:
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
         self.error_path: Optional[str] = None
-        self.result = None  # ScenarioResult once DONE
+        self.result: Optional[JobResult] = None
         self.submitted_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        # Progress snapshot, published by the worker's progress callback and
-        # read (not locked — scalar reads are atomic) by HTTP threads.  On a
-        # sharded job the callback fires at each lookahead barrier with the
-        # barrier time — i.e. the *minimum* sim-time across the shard
-        # workers, the only honest global clock a conservative run has.
-        self.sim_time = 0.0
-        self.stop_time = spec.stop.until
-        self._cancel = threading.Event()
-        self._mailbox: deque = deque()
-        self._mailbox_lock = threading.Lock()
+        # Progress before the slot's first report and after its last; in
+        # between, :meth:`progress` reads the slot's shared record.
+        self._sim_time = 0.0
+        self._stop_time = spec.stop.until
+        self._slot: Optional["_Slot"] = None
+        self._cancel_deadline: Optional[float] = None
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -129,84 +196,80 @@ class Job:
 
     def cancel(self) -> None:
         """Request a cooperative cancel (observed at the next control tick)."""
-        self._cancel.set()
+        if self._cancel_deadline is None:
+            self._cancel_deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        slot = self._slot
+        if slot is not None:
+            slot.cancel(self)
 
     @property
     def cancel_requested(self) -> bool:
-        return self._cancel.is_set()
+        return self._cancel_deadline is not None
 
-    # --------------------------------------------------------------- mailbox
-    def request(self, fn: Callable, timeout: float = 5.0) -> Any:
-        """Run ``fn(scenario)`` inside the job's event loop; return its value.
+    # -------------------------------------------------------------- progress
+    def progress(self) -> Tuple[float, float]:
+        """``(sim_time, stop_time)``, live from the slot while the job runs.
 
-        Blocks the calling (HTTP) thread until the simulation's control tick
-        drains the mailbox.  Raises :class:`JobNotLive` if the job is not
-        running (or finishes before the request is served), re-raises any
-        exception ``fn`` raised, and raises :class:`TimeoutError` if no tick
-        serves the request within ``timeout`` wall seconds.
+        On a sharded job the slot reports at each lookahead barrier with the
+        barrier time — i.e. the *minimum* sim-time across the shard workers,
+        the only honest global clock a conservative run has.
+        """
+        slot = self._slot
+        if slot is not None:
+            job_id, sim_time, stop_time = _PROGRESS.unpack_from(slot.progress)
+            if job_id == self.id:  # else: not reported yet, or the slot has moved on
+                return sim_time, stop_time
+        return self._sim_time, self._stop_time
+
+    @property
+    def sim_time(self) -> float:
+        return self.progress()[0]
+
+    @property
+    def stop_time(self) -> float:
+        return self.progress()[1]
+
+    # ------------------------------------------------------------------- ops
+    def request(self, name: str, timeout: float = REQUEST_TIMEOUT_S, **args: Any) -> Any:
+        """Run op ``name`` inside the job's event loop; return its value.
+
+        ``name`` is a key of :data:`repro.service.api.OPS` and ``args`` its
+        JSON arguments.  Blocks the calling (HTTP) thread until the
+        simulation's control tick serves the request.  Raises
+        :class:`JobNotLive` if the job is not running (or finishes before
+        the request is served), re-raises the exception the op raised, and
+        raises :class:`TimeoutError` if no tick serves the request within
+        ``timeout`` wall seconds.
         """
         if self.shards:
             raise JobNotLive(
                 f"job {self.id} runs on the sharded engine (shards={self.shards}); "
                 "mid-run inspection and mutation need the single-process engine")
-        if self.state != JobState.RUNNING:
+        slot = self._slot
+        if self.state != JobState.RUNNING or slot is None:
             raise JobNotLive(f"job {self.id} is {self.state}, not running")
-        req = _MailboxRequest(fn)
-        with self._mailbox_lock:
-            self._mailbox.append(req)
-        if self.finished:
-            # The job finished between the state check and the append; its
-            # worker may already have drained the mailbox for the last time,
-            # so reject the stragglers (including our own request) here.
-            self._fail_mailbox(f"job {self.id} is {self.state}")
-        if not req.done.wait(timeout):
-            raise TimeoutError(
-                f"job {self.id}: no control tick served the request within {timeout}s"
-            )
-        if isinstance(req.error, JobNotLive):
-            raise req.error
-        if req.error is not None:
-            raise req.error
-        return req.result
-
-    def _drain_mailbox(self, scenario) -> None:
-        """Serve queued requests (called from the control tick, in-loop)."""
-        while True:
-            with self._mailbox_lock:
-                if not self._mailbox:
-                    return
-                req = self._mailbox.popleft()
-            try:
-                req.result = req.fn(scenario)
-            except BaseException as exc:  # posted back to the caller
-                req.error = exc
-            req.done.set()
-
-    def _fail_mailbox(self, reason: str) -> None:
-        """Reject every queued request (job finished or was cancelled)."""
-        while True:
-            with self._mailbox_lock:
-                if not self._mailbox:
-                    return
-                req = self._mailbox.popleft()
-            req.error = JobNotLive(reason)
-            req.done.set()
+        return slot.call(self, name, args, timeout)
 
     # ---------------------------------------------------------------- status
     def status(self) -> Dict[str, Any]:
         """JSON-able status snapshot (safe from any thread)."""
-        stop_time = self.stop_time
-        sim_time = min(self.sim_time, stop_time)
+        state = self.state
+        sim_time, stop_time = self.progress()
+        sim_time = min(sim_time, stop_time)
+        if state == JobState.DONE:
+            fraction = 1.0
+        else:
+            fraction = (sim_time / stop_time) if stop_time > 0 else 0.0
         entry: Dict[str, Any] = {
             "id": self.id,
             "name": self.name,
             "seed": self.seed,
-            "state": self.state,
+            "state": state,
             "spec_digest": self.spec_digest,
             "progress": {
                 "sim_time": sim_time,
                 "stop_time": stop_time,
-                "fraction": (sim_time / stop_time) if stop_time > 0 else 0.0,
+                "fraction": fraction,
             },
             "trace": self.trace_path is not None,
             "shards": self.shards,
@@ -221,76 +284,276 @@ class Job:
         return entry
 
 
-class _AttachedApp:
-    """A mid-run application attach, dressed as a workload record.
+# ====================================================================== #
+# The slot process                                                       #
+# ====================================================================== #
+def _seal_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but ``keep`` at /dev/null.
 
-    The scenario runner already stops workloads before static apps and
-    collects each one into the result's ``workloads`` section (which is
-    omitted when empty) — wrapping service attaches in this record makes
-    them visible in the result without touching the runner, while jobs that
-    were never mutated stay byte-identical to their batch runs.
+    A slot forked to replace a dead one inherits the front end's listening
+    socket, its client connections and the other slots' pipes (socket
+    pairs); holding them would keep the port bound after the server closed
+    it and keep a dead sibling's pipe from reading end-of-file.  They are
+    redirected rather than closed so that an inherited Python object that
+    is finalised later closes /dev/null and not whatever file has reused
+    its number since.  Plain pipes and files stay: multiprocessing's own
+    liveness sentinel is one of them.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    for entry in os.listdir("/dev/fd"):
+        fd = int(entry)
+        try:
+            if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd, inheritable=False)
+        except OSError:
+            pass  # listdir's own descriptor, closed again by now
+    os.close(null)
+
+
+def _slot_main(conn, progress) -> None:
+    """A slot's whole life: run the jobs the supervisor sends, one at a time."""
+    # A group of its own: ^C in a terminal goes to the front end alone, which
+    # decides when its slots stop, and killing the group (``_Slot.reap``)
+    # takes a sharded job's shard workers with the slot.
+    os.setpgid(0, 0)
+    _seal_inherited_sockets(conn.fileno())
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return  # the front end is gone
+        if message[0] == "exit":
+            return
+        if message[0] == "run":
+            _send(conn, ("done",) + _run_in_slot(conn, progress, *message[1:]))
+        # Anything else is an op or a cancel for a job that has ended; the
+        # supervisor failed its waiter when the job's "done" arrived.
+
+
+def _send(conn, message: Tuple) -> None:
+    try:
+        conn.send(message)
+    except Exception as exc:
+        raise SlotProtocolError(f"cannot send {message[0]!r}: {exc!r}") from exc
+
+
+def _run_in_slot(conn, progress, job_id: int, spec: ScenarioSpec, seed: int,
+                 trace_path: Optional[str], shards: Optional[int],
+                 control_interval: float) -> Tuple[str, Optional[str], Optional[str]]:
+    """Run one job to its end; returns ``(state, result text or error, error path)``."""
+    from .api import OPS  # api imports this module
+
+    poller = select.poll()  # Connection.poll(0) costs ten of these
+    poller.register(conn, select.POLLIN)
+
+    def control_tick(scenario=None) -> None:
+        """Serve the pipe from inside the event loop (ops, cancel)."""
+        while poller.poll(0):
+            message = conn.recv()
+            if message[1] != job_id:
+                continue  # a straggler of an earlier job
+            if message[0] == "cancel":
+                # A sharded job's workers have nothing left to say.  Each
+                # holds a copy of its own pipe's far end, so run_sharded
+                # closing ours is no end-of-file to them and its teardown
+                # would wait five seconds a worker.
+                for worker in multiprocessing.active_children():
+                    worker.terminate()
+                raise JobCancelled(f"job {job_id} cancelled")
+            _kind, _job_id, name, args = message
+            try:
+                if name not in OPS:
+                    raise ValueError(f"unknown op {name!r}; have {sorted(OPS)}")
+                reply = ("value", OPS[name](scenario, **args))
+            except Exception as exc:  # sent back to the caller
+                reply = ("error", exc)
+            _send(conn, reply)
+
+    def report_progress(sim_now: float, horizon: float) -> None:
+        _PROGRESS.pack_into(progress, 0, job_id, sim_now, horizon)
+        if shards:
+            # No control tick on sharded runs; the barrier callback is the
+            # cancellation point instead (≤ one lookahead window of extra
+            # work per shard).
+            control_tick()
+
+    try:
+        if shards:
+            result = run_streaming(spec, seed, trace_path=trace_path,
+                                   progress_cb=report_progress, shards=shards)
+        else:
+            result = run_streaming(spec, seed, trace_path=trace_path,
+                                   control_hook=control_tick, progress_cb=report_progress,
+                                   control_interval=control_interval)
+        return JobState.DONE, result.to_json(), None
+    except JobCancelled:
+        return JobState.CANCELLED, None, None
+    except SpecError as exc:
+        return JobState.FAILED, str(exc), exc.path
+    except Exception as exc:  # a failing job must never take its slot down
+        return JobState.FAILED, f"{type(exc).__name__}: {exc}", None
+
+
+# ====================================================================== #
+# The front end's handle on a slot                                       #
+# ====================================================================== #
+class _Waiter:
+    """One op sent to a slot and the HTTP thread waiting for its reply."""
+
+    __slots__ = ("done", "reply")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.reply: Tuple[str, Any] = ("error", None)
+
+    def resolve(self, reply: Tuple[str, Any]) -> None:
+        self.reply = reply
+        self.done.set()
+
+
+class _Slot:
+    """One worker process, its pipe and the scalars ``health`` reports.
+
+    Everything here is written by the slot's supervisor thread only, except
+    ``pending`` and the pipe's sending side, which ``send_lock`` guards.
     """
 
-    kind = "service_attach"
-
-    class _Spec:
-        __slots__ = ("kind", "host")
-
-        def __init__(self, kind: str, host: str):
-            self.kind = kind
-            self.host = host
-
-    def __init__(self, app, host_name: str, label: str, index: int):
-        self.app = app
-        self.label = label
-        #: Result-order key: after every declared workload, in attach order.
+    def __init__(self, index: int, context):
         self.index = index
-        self.spec = self._Spec(self.kind, host_name)
-        self._stopped = False
+        self._context = context
+        #: Shared with every process forked for this slot (anonymous, no fd).
+        self.progress = mmap.mmap(-1, _PROGRESS.size)
+        self.send_lock = threading.Lock()
+        #: Ops sent and not yet answered, oldest first.
+        self.pending: deque = deque()
+        self.job: Optional[Job] = None
+        self.jobs_run = 0
+        self.respawns = 0
+        self.spawn()
+
+    def spawn(self) -> None:
+        with self.send_lock:
+            self.conn, child_conn = self._context.Pipe()
+            # Not a daemon: a sharded job forks its shard workers from here.
+            self.process = self._context.Process(
+                target=_slot_main, args=(child_conn, self.progress),
+                name=f"repro-service-slot-{self.index}", daemon=False)
+            self.process.start()
+            child_conn.close()
+            self.pid = self.process.pid
+            self.alive = True
+
+    def respawn(self) -> None:
+        """Fork the replacement of a process that :meth:`reap` has collected."""
+        self.spawn()
+        self.respawns += 1
+
+    def health(self) -> Dict[str, Any]:
+        job = self.job
+        return {"slot": self.index, "pid": self.pid, "alive": self.alive,
+                "busy": job is not None, "job": job.id if job is not None else None,
+                "jobs_run": self.jobs_run, "respawns": self.respawns}
+
+    # ----------------------------------------------------- any thread → slot
+    def call(self, job: Job, name: str, args: Dict[str, Any], timeout: float) -> Any:
+        # Pickled before it is queued: arguments that are not data must fail
+        # here, not leave a waiter in line for a message never sent.
+        payload = pickle.dumps(("op", job.id, name, args))
+        waiter = _Waiter()
+        with self.send_lock:
+            if self.job is not job:
+                raise JobNotLive(f"job {job.id} is {job.state}")
+            self.pending.append(waiter)
+            try:
+                self.conn.send_bytes(payload)
+            except OSError:
+                pass  # the slot just died; its supervisor fails the waiter
+        if not waiter.done.wait(timeout):
+            raise TimeoutError(
+                f"job {job.id}: no control tick served the request within {timeout}s")
+        kind, value = waiter.reply
+        if kind == "error":
+            raise value
+        return value
+
+    def cancel(self, job: Job) -> None:
+        with self.send_lock:
+            if self.job is job:
+                try:
+                    self.conn.send(("cancel", job.id))
+                except OSError:
+                    pass  # dead already; the supervisor settles the job
+
+    # ------------------------------------------------------- supervisor only
+    def run(self, job: Job, control_interval: float) -> Tuple[str, Optional[str], Optional[str]]:
+        """Send ``job`` to the process and hand replies out until it is done."""
+        with self.send_lock:
+            self.job = job
+            try:
+                self.conn.send(("run", job.id, job.spec, job.seed, job.trace_path,
+                                job.shards, control_interval))
+                if job.cancel_requested:  # cancelled before it had a slot to tell
+                    self.conn.send(("cancel", job.id))
+            except OSError:
+                raise _SlotLost("died before the job reached it") from None
+        while True:
+            ready = wait_ready([self.conn, self.process.sentinel], _WATCH_S)
+            if self.conn in ready:
+                try:
+                    reply = self.conn.recv()
+                except EOFError:
+                    raise _SlotLost("died mid-job") from None
+                except Exception as exc:
+                    raise _SlotLost(f"sent a reply that cannot be read ({exc!r})") from None
+                if reply[0] == "done":
+                    return reply[1:]
+                self.pending.popleft().resolve(reply)
+            elif ready or not self.process.is_alive():
+                # The second look is for a sharded job: its shard workers
+                # inherit the far ends of the sentinel and of the pipe, so
+                # neither reads end-of-file while they live.
+                raise _SlotLost("died mid-job")
+            elif job.cancel_requested and time.monotonic() > job._cancel_deadline:
+                raise _SlotLost(f"served no control tick within {REQUEST_TIMEOUT_S:g}s of the cancel")
+
+    def release(self, job: Job, state: str) -> None:
+        """The job is over: publish its state and fail what was not answered."""
+        with self.send_lock:
+            job.state = state
+            job._slot = None
+            self.job = None
+            while self.pending:
+                self.pending.popleft().resolve(
+                    ("error", JobNotLive(f"job {job.id} is {state}")))
+
+    def gone(self, timeout: float = 0.0) -> bool:
+        """Has the process ended?  (Asks its sentinel, so does not collect it.)"""
+        return bool(wait_ready([self.process.sentinel], timeout))
+
+    def reap(self) -> Optional[int]:
+        """Make sure the process is gone and collected; returns its exit code.
+
+        Kills the slot's whole process group, so the shard workers of a
+        sharded job go with it (the group's id is the slot's pid, and stays
+        taken while any of them lives).
+        """
+        self.alive = False
+        try:
+            os.killpg(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            self.process.kill()  # forked this instant: no group of its own yet
+        self.process.join()
+        self.conn.close()
+        return self.process.exitcode
 
     def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        self.app.stop()
-
-    def metrics(self) -> Dict[str, Any]:
-        return self.app.metrics()
-
-
-def attach_app_in_loop(scenario, app_name: str, host_name: str,
-                       peer_name: str = "", label: str = "",
-                       params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Attach a registry application to a live host (event-loop context only).
-
-    The request is checked exactly like a static ``apps:`` entry (field
-    types, then :meth:`AppSpec.validate`: registered app, declared host and
-    peer, peer != host, schema-validated params) and then follows the
-    runtime attach path the stochastic workload generators use: construction
-    against live hosts, telemetry binding, ``start()``.  The instance is
-    recorded as a ``service_attach`` entry in the result's ``workloads``
-    section.
-    """
-    from ..scenario.applications import get_application
-    from ..scenario.spec import AppSpec
-
-    attach_index = sum(1 for w in scenario.workloads if isinstance(w, _AttachedApp))
-    app_spec = AppSpec(app=app_name, host=host_name, peer=peer_name,
-                       label=label or f"service:{app_name}[{attach_index}]",
-                       params=dict(params or {}))
-    app_spec.check_fields("")
-    normalized = app_spec.validate("", scenario.hosts)
-    label = app_spec.label
-    host = scenario.hosts[host_name]
-    peer = scenario.hosts[peer_name] if peer_name else None
-    app = get_application(app_name)(host, peer, app_spec, normalized)
-    app.label = label
-    if scenario.telemetry is not None:
-        app.attach_telemetry(scenario.telemetry.hub)
-    app.start()
-    scenario.workloads.append(_AttachedApp(app, host_name, label, len(scenario.workloads)))
-    return {"label": label, "app": app_name, "host": host_name,
-            "peer": peer_name or None, "attached_at": scenario.sim.now}
+        with self.send_lock:
+            try:
+                self.conn.send(("exit",))
+            except OSError:
+                pass
+        self.gone(REQUEST_TIMEOUT_S)
+        self.reap()
 
 
 class JobManager:
@@ -299,8 +562,9 @@ class JobManager:
     Parameters
     ----------
     slots:
-        Number of worker threads (= concurrently *running* jobs); further
-        submissions queue in FIFO order.
+        Number of worker processes (= concurrently *running* jobs, each on
+        its own core if the machine has one to give); further submissions
+        queue in FIFO order.
     store_path:
         Optional sqlite :class:`repro.results.store.ResultStore` path.
         Completed jobs auto-ingest their result payload (and trace, when
@@ -310,9 +574,13 @@ class JobManager:
         Where per-job JSONL trace files go when a submission asks for
         telemetry streaming; a temp directory is created lazily if unset.
     control_interval:
-        Simulated seconds between control ticks (mailbox latency bound).
+        Simulated seconds between control ticks (op latency bound).
     keep_finished:
         How many finished jobs stay in memory before the oldest are evicted.
+
+    Build the manager before starting threads (the HTTP server included):
+    the slots are forked here, and a process forked from a single-threaded
+    parent inherits no lock that a vanished thread holds.
     """
 
     def __init__(self, slots: int = 2, store_path: Optional[str] = None,
@@ -325,20 +593,38 @@ class JobManager:
         self.store_path = store_path
         self.control_interval = control_interval
         self.keep_finished = keep_finished
+        self.started_at = time.time()
+        self.ingest_failures = 0
         self._trace_dir = trace_dir
         self._jobs: Dict[int, Job] = {}
         self._next_id = 1
         self._lock = threading.Lock()
         self._queue: deque = deque()
         self._queue_cv = threading.Condition(self._lock)
+        self._store = None  # one ResultStore for the manager's life, opened on first use
         self._store_lock = threading.Lock()
         self._shutdown = False
-        self._workers = [
-            threading.Thread(target=self._worker, name=f"repro-service-worker-{i}", daemon=True)
-            for i in range(slots)
+        # The fork start method, by name: the slots share the progress
+        # record and the op table by inheriting them.
+        context = multiprocessing.get_context("fork")
+        self._slots: List[_Slot] = []
+        try:
+            for index in range(slots):
+                self._slots.append(_Slot(index, context))
+        except BaseException:
+            for slot in self._slots:  # a partial start strands nobody
+                slot.reap()
+            raise
+        # Non-daemon children hold the interpreter's exit open until they
+        # are joined; a manager nobody shut down still lets the process end.
+        atexit.register(self.shutdown)
+        self._supervisors = [
+            threading.Thread(target=self._supervise, args=(slot,),
+                             name=f"repro-service-supervisor-{slot.index}", daemon=True)
+            for slot in self._slots
         ]
-        for worker in self._workers:
-            worker.start()
+        for supervisor in self._supervisors:
+            supervisor.start()
 
     # ------------------------------------------------------------ submission
     def submit(self, spec: ScenarioSpec, seed: Optional[int] = None,
@@ -347,7 +633,7 @@ class JobManager:
 
         ``shards`` (or the spec's own ``engine: {shards: N}``) routes the
         job to the sharded engine — result bytes are identical to the
-        single-process run, but the job has no mailbox (no mid-run
+        single-process run, but the job serves no ops (no mid-run
         inspection or mutation).  Incompatible submissions are rejected
         here, not at run time, so the caller gets a 400 rather than a
         failed job.
@@ -408,16 +694,12 @@ class JobManager:
         job = self._jobs.get(job_id)
         if job is None:
             return None
-        job.cancel()
         with self._lock:
-            if job.state == JobState.QUEUED:
-                try:
-                    self._queue.remove(job)
-                except ValueError:
-                    pass  # a worker already claimed it; its cancel flag wins
-                else:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = time.time()
+            if job.state == JobState.QUEUED:  # still in the queue: claiming is under this lock
+                self._queue.remove(job)
+                job.finished_at = time.time()
+                job.state = JobState.CANCELLED
+        job.cancel()
         return job
 
     def wait(self, job_id: int, timeout: float = 60.0, poll: float = 0.01) -> Job:
@@ -429,6 +711,26 @@ class JobManager:
                 raise TimeoutError(f"job {job_id} still {job.state} after {timeout}s")
             time.sleep(poll)
         return job
+
+    # ---------------------------------------------------------------- health
+    def health(self) -> Dict[str, Any]:
+        """Fleet health from scalars the supervisors own.
+
+        Nothing here asks a slot anything, so it answers while every slot is
+        busy or wedged.  A slot that died *idle* still reads ``alive`` until
+        its supervisor next takes a job, finds it dead and replaces it.
+        """
+        with self._lock:
+            states = Counter(job.state for job in self._jobs.values())
+            queue_depth = len(self._queue)
+        return {
+            "accepting": not self._shutdown,
+            "uptime_s": time.time() - self.started_at,
+            "queue_depth": queue_depth,
+            "jobs": {state: states.get(state, 0) for state in JobState.ALL},
+            "ingest_failures": self.ingest_failures,
+            "slots": [slot.health() for slot in self._slots],
+        }
 
     # ------------------------------------------------------ store integration
     def store_status(self, job_id: int) -> Optional[Dict[str, Any]]:
@@ -459,37 +761,50 @@ class JobManager:
         :meth:`repro.scenario.runner.ScenarioResult.to_json` formatting
         round-trips to the original bytes (JSON numbers round-trip exactly).
         """
-        import json
-
         row = self._store_row(job_id)
         if row is None:
             return None
         return json.dumps(row["payload"], indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    def _store_row(self, job_id: int) -> Optional[Dict[str, Any]]:
-        if self.store_path is None or not os.path.exists(self.store_path):
-            return None
-        from ..results.store import ResultStore
+    def _open_store(self):
+        """The manager's one store connection (call with ``_store_lock`` held)."""
+        if self._store is None:
+            from ..results.store import ResultStore
 
-        tag = f"{STORE_SOURCE_PREFIX}{job_id}"
+            self._store = ResultStore(self.store_path)
+        return self._store
+
+    def _close_store(self) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store = None
+
+    def _store_row(self, job_id: int) -> Optional[Dict[str, Any]]:
+        if self.store_path is None:
+            return None
         with self._store_lock:
-            with ResultStore(self.store_path) as store:
-                for row in store.scenario_results():
-                    if row.get("source") == tag:
-                        return row
-        return None
+            if self._store is None and not os.path.exists(self.store_path):
+                return None
+            rows = self._open_store().scenario_results(
+                source=f"{STORE_SOURCE_PREFIX}{job_id}")
+        return rows[0] if rows else None
 
     def _ingest(self, job: Job) -> None:
+        """One transaction per job; a failure is the job's note, not its fate."""
         if self.store_path is None:
             return
-        from ..results.store import ResultStore
-
         tag = f"{STORE_SOURCE_PREFIX}{job.id}"
         with self._store_lock:
-            with ResultStore(self.store_path) as store:
-                store.ingest_scenario_payload(job.result.payload(), source=tag)
-                if job.trace_path and os.path.exists(job.trace_path):
-                    store.ingest_trace(job.trace_path, source=tag)
+            try:
+                store = self._open_store()
+                with store.transaction():
+                    store.ingest_scenario_payload(job.result.payload(), source=tag)
+                    if job.trace_path and os.path.exists(job.trace_path):
+                        store.ingest_trace(job.trace_path, source=tag)
+            except Exception as exc:
+                self.ingest_failures += 1
+                job.error = f"result store ingest failed: {exc}"
+                self._close_store()  # the next job starts from a fresh connection
 
     def _evict_finished(self) -> None:
         with self._lock:
@@ -501,94 +816,69 @@ class JobManager:
             for job in finished[:excess]:
                 self._jobs.pop(job.id, None)
 
-    # ---------------------------------------------------------------- worker
-    def _worker(self) -> None:
+    # ------------------------------------------------------------ supervisor
+    def _supervise(self, slot: _Slot) -> None:
         while True:
             with self._queue_cv:
                 while not self._queue and not self._shutdown:
                     self._queue_cv.wait()
-                if self._shutdown and not self._queue:
-                    return
+                if not self._queue:
+                    break
                 job = self._queue.popleft()
-            self._run_job(job)
+                job.started_at = time.time()
+                job._slot = slot
+                job.state = JobState.RUNNING
+            self._run_job(slot, job)
+        slot.stop()
 
-    def _run_job(self, job: Job) -> None:
-        if job.cancel_requested:
-            job.state = JobState.CANCELLED
-            job.finished_at = time.time()
-            job._fail_mailbox(f"job {job.id} was cancelled before it started")
-            return
-        job.state = JobState.RUNNING
-        job.started_at = time.time()
-
-        def control_hook(scenario) -> None:
-            job._drain_mailbox(scenario)
-            if job.cancel_requested:
-                raise JobCancelled(f"job {job.id} cancelled at t={scenario.sim.now:.3f}")
-
-        def progress_cb(sim_now: float, horizon: float) -> None:
-            job.sim_time = sim_now
-            job.stop_time = horizon
-            if job.shards and job.cancel_requested:
-                # No control tick on sharded runs; the barrier callback is
-                # the cancellation point instead (≤ one lookahead window of
-                # extra work per shard).
-                raise JobCancelled(f"job {job.id} cancelled at t={sim_now:.3f}")
-
+    def _run_job(self, slot: _Slot, job: Job) -> None:
+        path = None
+        if slot.gone():  # died idle, when nobody was watching
+            slot.reap()
+            slot.respawn()
         try:
-            if job.shards:
-                result = run_streaming(
-                    job.spec, job.seed,
-                    trace_path=job.trace_path,
-                    progress_cb=progress_cb,
-                    shards=job.shards,
-                )
-            else:
-                result = run_streaming(
-                    job.spec, job.seed,
-                    trace_path=job.trace_path,
-                    control_hook=control_hook,
-                    progress_cb=progress_cb,
-                    control_interval=self.control_interval,
-                )
-        except JobCancelled:
-            job.state = JobState.CANCELLED
-            job.error = f"cancelled at sim t={job.sim_time:.3f}s"
-        except SpecError as exc:
-            job.state = JobState.FAILED
-            job.error = str(exc)
-            job.error_path = exc.path
-        except Exception as exc:  # a failing job must never take a worker down
-            job.state = JobState.FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
+            state, detail, path = slot.run(job, self.control_interval)
+        except _SlotLost as lost:
+            pid, code = slot.pid, slot.reap()
+            state = JobState.CANCELLED if job.cancel_requested else JobState.FAILED
+            detail = f"slot {slot.index} (pid {pid}) {lost}; exit code {code}"
+            if not self._shutdown:
+                slot.respawn()
+        job._sim_time, job._stop_time = job.progress()
+        if state == JobState.DONE:
+            job._stop_time = job._sim_time  # where it ended is all of it
+            job.result = JobResult(detail)
+            self._ingest(job)
+        elif state == JobState.CANCELLED:
+            job.error = detail or f"cancelled at sim t={job._sim_time:.3f}s"
         else:
-            job.result = result
-            try:
-                self._ingest(job)
-            except Exception as exc:
-                job.error = f"result store ingest failed: {exc}"
-            job.state = JobState.DONE
-        finally:
-            job.finished_at = time.time()
-            job._fail_mailbox(f"job {job.id} is {job.state}")
-            self._evict_finished()
+            job.error, job.error_path = detail, path
+        job.finished_at = time.time()
+        slot.jobs_run += 1
+        slot.release(job, state)
+        self._evict_finished()
 
     # -------------------------------------------------------------- shutdown
     def shutdown(self, cancel_running: bool = True, timeout: float = 30.0) -> None:
-        """Stop accepting work, cancel live jobs, join the workers."""
+        """Stop accepting work, cancel live jobs, stop and reap every slot."""
+        atexit.unregister(self.shutdown)
         with self._queue_cv:
             self._shutdown = True
-            queued = list(self._queue)
+            for job in self._queue:
+                job.finished_at = time.time()
+                job.state = JobState.CANCELLED
             self._queue.clear()
             self._queue_cv.notify_all()
-        for job in queued:
-            job.state = JobState.CANCELLED
-            job.finished_at = time.time()
-            job._fail_mailbox("service shutting down")
         if cancel_running:
             for job in list(self._jobs.values()):
                 if job.state == JobState.RUNNING:
                     job.cancel()
         deadline = time.time() + timeout
-        for worker in self._workers:
-            worker.join(max(0.0, deadline - time.time()))
+        for supervisor in self._supervisors:
+            supervisor.join(max(0.0, deadline - time.time()))
+        for slot, supervisor in zip(self._slots, self._supervisors):
+            if supervisor.is_alive():  # its job outlived the timeout
+                slot.process.kill()
+                supervisor.join(REQUEST_TIMEOUT_S)
+        with self._store_lock:
+            self._close_store()

@@ -3,7 +3,9 @@
 A :class:`ServiceServer` wraps one :class:`~repro.service.api.ServiceApi`
 in a :class:`http.server.ThreadingHTTPServer`: every request thread calls
 ``api.dispatch`` and writes the resulting :class:`Response` back out.
-Fixed bodies go with ``Content-Length``; telemetry streams go chunked
+Fixed bodies go with ``Content-Length``, head and body in one ``sendall``
+(two would leave the body waiting, on a kept-alive connection, for Nagle
+and the client's delayed ACK: ~40 ms a response); telemetry streams go chunked
 (``Transfer-Encoding: chunked``) so a watcher sees trace lines as the
 simulation emits them.
 
@@ -12,6 +14,7 @@ No sockets are special-cased anywhere else: the HTTP layer is this file.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,12 +59,18 @@ def make_handler(api: ServiceApi, quiet: bool = True):
 
         def _write_body(self, response: Response) -> None:
             body = response.encoded()
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            self.wfile.flush()
+            # The stdlib writes the head when it ends; catch it and send it
+            # with the body, as one segment.
+            sock_file, self.wfile = self.wfile, io.BytesIO()
+            try:
+                self.send_response(response.status)
+                self.send_header("Content-Type", response.content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                head = self.wfile.getvalue()
+            finally:
+                self.wfile = sock_file
+            self.wfile.write(head + body)
 
         def _write_stream(self, response: Response) -> None:
             self.send_response(response.status)
@@ -130,7 +139,7 @@ class ServiceServer:
         threading.Thread(target=self.stop, daemon=True).start()
 
     def stop(self) -> None:
-        """Stop listening, cancel live jobs, join the workers (idempotent)."""
+        """Stop listening, cancel live jobs, reap the slots (idempotent)."""
         if self._stopped.is_set():
             return
         self._stopped.set()

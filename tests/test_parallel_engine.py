@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -748,7 +749,7 @@ class TestServiceSharding:
             manager.shutdown()
 
     def test_sharded_job_progress_is_the_min_shard_sim_time(self):
-        # The worker publishes sim_time from the coordinator's barrier
+        # The slot publishes sim_time from the coordinator's barrier
         # callback; at DONE it equals the final barrier = stop time.
         from repro.service.jobs import JobManager
 
@@ -760,19 +761,91 @@ class TestServiceSharding:
         finally:
             manager.shutdown()
 
-    def test_mailbox_requests_are_rejected_on_sharded_jobs(self):
+    @staticmethod
+    def _children_of(pid):
+        """Live (non-zombie) processes whose parent is ``pid``."""
+        found = []
+        for entry in os.listdir("/proc"):
+            if entry.isdigit():
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        fields = handle.read().rsplit(") ", 1)[1].split()
+                except OSError:
+                    continue
+                if int(fields[1]) == pid and fields[0] != "Z":
+                    found.append(int(entry))
+        return found
+
+    @staticmethod
+    def _long_sharded_job(manager):
+        spec = get_preset("star_web_churn")
+        spec.stop.until = 1e5
+        job = manager.submit(spec, shards=2)
+        deadline = time.time() + 60
+        while job.sim_time < 1.0:
+            assert time.time() < deadline and not job.finished, job.status()
+            time.sleep(0.01)
+        return job
+
+    def test_a_sharded_job_forks_its_workers_from_its_slot_and_cancels_at_a_barrier(self):
+        from repro.service.jobs import JobManager
+
+        manager = JobManager(slots=1)
+        try:
+            job = self._long_sharded_job(manager)
+            (slot,) = manager.health()["slots"]
+            assert slot["pid"] != os.getpid() and slot["job"] == job.id
+            assert len(self._children_of(slot["pid"])) == 2  # the shard workers are the slot's
+            asked = time.monotonic()
+            manager.cancel(job.id)
+            manager.wait(job.id, timeout=60.0)
+            assert time.monotonic() - asked < 4.0  # not run_sharded's 5 s-a-worker teardown
+            assert job.state == "cancelled"
+            assert job.error.startswith("cancelled at sim t=")
+            assert self._children_of(slot["pid"]) == []
+            (after,) = manager.health()["slots"]
+            assert after["pid"] == slot["pid"] and after["respawns"] == 0
+        finally:
+            manager.shutdown()
+
+    def test_a_slot_killed_mid_sharded_job_takes_its_shard_workers_along(self):
+        import signal
+
+        from repro.service.jobs import JobManager
+
+        manager = JobManager(slots=1)
+        try:
+            job = self._long_sharded_job(manager)
+            (slot,) = manager.health()["slots"]
+            workers = self._children_of(slot["pid"])
+            assert len(workers) == 2
+            os.kill(slot["pid"], signal.SIGKILL)
+            manager.wait(job.id, timeout=60.0)
+            assert job.state == "failed" and "exit code -9" in job.error
+            deadline = time.time() + 10
+            while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+                assert time.time() < deadline, "orphaned shard workers"
+                time.sleep(0.01)
+            # The replacement slot runs the next sharded job to the same bytes.
+            again = manager.submit(get_preset("star_web_churn"), shards=2)
+            manager.wait(again.id, timeout=120.0)
+            assert again.result.to_json() == run(get_preset("star_web_churn")).to_json()
+        finally:
+            manager.shutdown()
+
+    def test_ops_are_rejected_on_sharded_jobs(self):
         from repro.service.jobs import JobManager, JobNotLive
 
         manager = JobManager(slots=1)
         try:
             job = manager.submit(get_preset("star_web_churn"), shards=2)
             with pytest.raises(JobNotLive, match="sharded"):
-                job.request(lambda scenario: None)
+                job.request("hosts")
             manager.wait(job.id, timeout=120.0)
         finally:
             manager.shutdown()
 
-    def test_mailbox_rejection_maps_to_http_409(self):
+    def test_op_rejection_maps_to_http_409(self):
         from repro.service.api import ServiceApi
         from repro.service.jobs import JobManager
 

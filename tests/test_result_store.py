@@ -199,6 +199,49 @@ def test_trace_ingest_tolerates_torn_lines(tmp_path, store):
     assert store.ingest_trace(str(trace), label="PR6").deduped == 1
 
 
+def test_scenario_results_filter_by_source(store):
+    store.ingest_scenario_payload(scenario_payload(seed=1), label="PR6", source="service:job:1")
+    store.ingest_scenario_payload(scenario_payload(seed=2), label="PR6", source="service:job:2")
+    (entry,) = store.scenario_results(source="service:job:2")
+    assert entry["seed"] == 2 and entry["source"] == "service:job:2"
+    assert store.scenario_results(source="service:job:3") == []
+    assert len(store.scenario_results()) == 2
+
+
+def test_transaction_is_one_commit_or_none(tmp_path):
+    path = str(tmp_path / "tx.sqlite")
+    trace = tmp_path / "run.jsonl"
+    trace.write_text(json.dumps({"t": 0.1, "event": "sample", "series": "r", "value": 1.0}) + "\n")
+    with ResultStore(path) as store, sqlite3.connect(path) as observer:
+        def committed_runs():
+            return observer.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+
+        with store.transaction():
+            store.ingest_scenario_payload(scenario_payload(), label="PR6")
+            store.ingest_trace(str(trace), label="PR6")
+            assert committed_runs() == 0  # nothing lands until the block ends
+        assert committed_runs() == 2
+
+        with pytest.raises(RuntimeError, match="mid-ingest"):
+            with store.transaction():
+                store.ingest_scenario_payload(scenario_payload(seed=4), label="PR6")
+                raise RuntimeError("mid-ingest")
+        assert committed_runs() == 2  # rolled back, and the store still works
+        assert store.ingest_scenario_payload(scenario_payload(seed=5), label="PR6").ingested == 1
+        assert committed_runs() == 3
+
+
+def test_a_store_may_be_shared_across_threads_by_a_caller_that_serialises(tmp_path):
+    import threading
+
+    with ResultStore(str(tmp_path / "shared.sqlite")) as store:
+        worker = threading.Thread(
+            target=lambda: store.ingest_scenario_payload(scenario_payload(), label="PR6"))
+        worker.start()
+        worker.join()
+        assert len(store.scenario_results()) == 1
+
+
 # --------------------------------------------------------------------- #
 # corruption tolerance + directory walk                                 #
 # --------------------------------------------------------------------- #

@@ -6,11 +6,20 @@ end-to-end class exercises the real ThreadingHTTPServer on an ephemeral
 port.
 """
 
+import http.client
+import io
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import sqlite3
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.engine import SimulationError, Simulator
 from repro.scenario import (
@@ -24,8 +33,9 @@ from repro.scenario import (
     run,
     run_streaming,
 )
-from repro.service import JobManager, JobNotLive, JobState, ServiceApi
-from repro.service.jobs import STORE_SOURCE_PREFIX
+from repro.service import ApiError, JobManager, JobNotLive, JobState, ServiceApi
+from repro.service.api import OPS
+from repro.service.jobs import REQUEST_TIMEOUT_S, STORE_SOURCE_PREFIX
 
 
 def tiny_transfer_spec(**stop_overrides) -> ScenarioSpec:
@@ -48,10 +58,20 @@ def tiny_transfer_spec(**stop_overrides) -> ScenarioSpec:
 
 
 def long_bulk_spec(until: float = 600.0) -> ScenarioSpec:
-    """Sustained CM bulk traffic with a far horizon (for live inspection)."""
+    """Sustained CM bulk traffic with a far horizon (for live inspection).
+
+    The preset's four transfers start a second apart and are over by sim
+    t=12; a slot simulates that in a fraction of a wall second, which left
+    the tests a window of milliseconds in which all four flows had grants
+    and the job was still running.  Here all four start at once and never
+    run out, so "running with t >= 2" means four busy flows until cancelled.
+    """
     spec = get_preset("bulk_macroflow_sharing")
     spec.stop.until = until
     spec.stop.when_apps_done = False
+    for app in spec.apps:
+        if app.app == "tcp_sender":
+            app.params.update(start_at=0.0, transfer_bytes=10 ** 12)
     return spec
 
 
@@ -75,6 +95,53 @@ def manager():
     mgr = JobManager(slots=4)
     yield mgr
     mgr.shutdown()
+
+
+def op_whoami(scenario):
+    """Test op: which process, thread and sim time serve the ops."""
+    return {"pid": os.getpid(), "thread": threading.current_thread().name,
+            "now": scenario.sim.now}
+
+
+def op_echo(scenario, **args):
+    return args
+
+
+def op_unpicklable(scenario):
+    return lambda: None
+
+
+def op_crash(scenario, code):
+    os._exit(code)
+
+
+def op_wedge(scenario, seconds):
+    time.sleep(seconds)  # an event that will not end: no tick is served meanwhile
+    return seconds
+
+
+@pytest.fixture
+def probe_manager(monkeypatch):
+    """Two slots that also know the test ops (a slot inherits the op table
+    it was forked with, so the ops go in before the manager is built)."""
+    for op in (op_whoami, op_echo, op_unpicklable, op_crash, op_wedge):
+        monkeypatch.setitem(OPS, op.__name__[3:], op)
+    mgr = JobManager(slots=2)
+    yield mgr
+    mgr.shutdown()
+
+
+def wait_for(predicate, timeout: float = 20.0, what: str = "condition") -> None:
+    deadline = time.time() + timeout
+    while not predicate():
+        if time.time() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+def slot_of(mgr, job) -> dict:
+    (entry,) = [slot for slot in mgr.health()["slots"] if slot["job"] == job.id]
+    return entry
 
 
 @pytest.fixture
@@ -246,38 +313,142 @@ class TestJobManager:
         assert job.error_path is not None
         assert "bad" in job.error or "vat" in job.error
 
-    def test_mailbox_runs_in_worker_thread(self, manager):
-        job = manager.submit(long_bulk_spec(), seed=1)
-        wait_running(job)
-        caller = threading.current_thread().name
+    def test_an_op_runs_inside_the_slots_event_loop(self, probe_manager):
+        jobs = [probe_manager.submit(long_bulk_spec(), seed=seed) for seed in (1, 2)]
+        for job in jobs:
+            wait_running(job)
+        seen = [job.request("whoami") for job in jobs]
+        for job, answer in zip(jobs, seen):
+            assert answer["pid"] != os.getpid()
+            assert answer["pid"] == slot_of(probe_manager, job)["pid"]
+            assert answer["thread"] == "MainThread"
+            assert answer["now"] > 0
+        # Two concurrent jobs are two processes, not two threads of one.
+        assert seen[0]["pid"] != seen[1]["pid"]
+        for job in jobs:
+            probe_manager.cancel(job.id)
+            probe_manager.wait(job.id, timeout=30)
 
-        def snapshot(scenario):
-            return {"thread": threading.current_thread().name, "now": scenario.sim.now}
-
-        seen = job.request(snapshot)
-        assert seen["thread"].startswith("repro-service-worker-")
-        assert seen["thread"] != caller
-        assert seen["now"] > 0
-        manager.cancel(job.id)
-        manager.wait(job.id, timeout=30)
-
-    def test_mailbox_rejected_when_not_running(self, manager):
+    def test_no_simulation_runs_in_the_front_end(self, manager):
         job = manager.submit(tiny_transfer_spec(), seed=1)
         manager.wait(job.id)
-        with pytest.raises(JobNotLive):
-            job.request(lambda scenario: None)
+        names = {thread.name for thread in threading.enumerate()}
+        assert not [name for name in names if name.startswith("repro-service-worker")]
+        assert {f"repro-service-supervisor-{i}" for i in range(4)} <= names
 
-    def test_mailbox_propagates_callable_errors(self, manager):
-        job = manager.submit(long_bulk_spec(), seed=1)
+    def test_op_rejected_when_not_running(self, manager):
+        job = manager.submit(tiny_transfer_spec(), seed=1)
+        manager.wait(job.id)
+        with pytest.raises(JobNotLive, match="is done"):
+            job.request("hosts")
+
+    def test_an_ops_exception_type_and_message_cross_the_pipe(self, probe_manager):
+        job = probe_manager.submit(long_bulk_spec(), seed=1)
         wait_running(job)
+        with pytest.raises(ValueError, match="could not convert string to float: 'fast'"):
+            job.request("patch_link", link="sender->receiver", rate_bps="fast")
+        with pytest.raises(ValueError, match="unknown op 'nope'"):
+            job.request("nope")
+        with pytest.raises(ApiError) as api_error:
+            job.request("macroflows", host="nobody")
+        assert api_error.value.status == 404
+        assert "nobody" in api_error.value.payload["error"]
+        with pytest.raises(SpecError) as spec_error:
+            job.request("attach_app", app="nope", host="sender")
+        assert spec_error.value.path == "app"
+        assert str(spec_error.value).startswith("app: ")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            job.request("hosts", verbose=True)
+        # Arguments are data: a closure is refused before anything is sent,
+        # and the job still answers afterwards.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            job.request("echo", fn=lambda scenario: None)
+        assert job.request("echo", a=1) == {"a": 1}
+        probe_manager.cancel(job.id)
+        probe_manager.wait(job.id, timeout=30)
 
-        def boom(scenario):
-            raise ValueError("kaput")
+    def test_op_arguments_and_replies_survive_the_pipe_unchanged(self, probe_manager):
+        job = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+            max_leaves=12)
 
-        with pytest.raises(ValueError, match="kaput"):
-            job.request(boom)
-        manager.cancel(job.id)
-        manager.wait(job.id, timeout=30)
+        @settings(max_examples=40, deadline=None)
+        @given(args=st.dictionaries(
+            st.text("abcdefghij_", min_size=1, max_size=8).filter(
+                lambda key: key not in ("name", "timeout")),
+            json_values, max_size=5))
+        def round_trip(args):
+            assert job.request("echo", **args) == args
+
+        round_trip()
+        probe_manager.cancel(job.id)
+        probe_manager.wait(job.id, timeout=30)
+
+    def test_concurrent_ops_each_get_their_own_reply(self, probe_manager):
+        # Replies carry no id: they match requests by order alone, so a
+        # waiter queued out of step with its message would read a
+        # neighbour's answer.  More threads than cores, a short switch
+        # interval, two jobs, status reads in between.
+        import sys
+
+        jobs = [probe_manager.submit(long_bulk_spec(until=1e6), seed=seed) for seed in (1, 2)]
+        for job in jobs:
+            wait_running(job)
+        wrong, errors = [], []
+
+        def hammer(worker: int) -> None:
+            try:
+                for index in range(40):
+                    job = jobs[(worker + index) % 2]
+                    sent = {"worker": worker, "index": index, "pad": "x" * (index * 37 % 500)}
+                    if job.request("echo", **sent) != sent:
+                        wrong.append(sent)
+                    if job.status()["state"] != JobState.RUNNING:
+                        wrong.append(("state", sent))
+            except Exception as exc:  # surfaced below, not lost with the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+        assert all(not slot.pending for slot in probe_manager._slots)
+        for job in jobs:
+            probe_manager.cancel(job.id)
+            probe_manager.wait(job.id, timeout=30)
+
+    @given(status=st.integers(400, 599), message=st.text(), path=st.text(max_size=20),
+           extra=st.dictionaries(st.sampled_from(["path", "hint", "have"]), st.text(), max_size=3))
+    def test_the_errors_ops_raise_pickle_intact(self, status, message, path, extra):
+        api_error = pickle.loads(pickle.dumps(ApiError(status, message, **extra)))
+        assert (api_error.status, api_error.payload) == (status, {"error": message, **extra})
+        assert str(api_error) == message
+        spec_error = pickle.loads(pickle.dumps(SpecError(path, message)))
+        assert spec_error.path == path
+        assert str(spec_error) == str(SpecError(path, message))
+        not_live = pickle.loads(pickle.dumps(JobNotLive(message)))
+        assert type(not_live) is JobNotLive and str(not_live) == message
+
+    def test_a_done_job_reads_all_of_its_progress(self, manager):
+        # tiny_transfer ends early (when_apps_done): where it ended is 100 %.
+        job = manager.submit(tiny_transfer_spec(), seed=1)
+        manager.wait(job.id)
+        progress = job.status()["progress"]
+        assert progress["fraction"] == 1.0
+        assert progress["sim_time"] == progress["stop_time"] == job.result.duration_s
+        assert job.finished_at >= job.started_at >= job.submitted_at
 
     def test_store_answers_after_eviction(self, tmp_path):
         store_path = str(tmp_path / "svc.sqlite")
@@ -311,6 +482,398 @@ class TestJobManager:
                 assert [row["source"] for row in rows] == [f"{STORE_SOURCE_PREFIX}{job.id}"]
         finally:
             mgr.shutdown()
+
+
+# ====================================================================== #
+# Slots: a job's process may die; the fleet may not                      #
+# ====================================================================== #
+def is_reaped(pid: int) -> bool:
+    """Neither running nor a zombie: the pid is gone from the process table."""
+    return not os.path.exists(f"/proc/{pid}")
+
+
+class TestSlotDeath:
+    def test_a_killed_slot_fails_its_job_and_the_next_job_runs(self):
+        mgr = JobManager(slots=1)
+        try:
+            doomed = mgr.submit(long_bulk_spec(until=1e6), seed=1)
+            queued = mgr.submit(tiny_transfer_spec(), seed=2)
+            wait_running(doomed)
+            pid = slot_of(mgr, doomed)["pid"]
+            os.kill(pid, signal.SIGKILL)
+            mgr.wait(doomed.id, timeout=20)
+            assert doomed.state == JobState.FAILED
+            assert f"pid {pid}" in doomed.error
+            assert "exit code -9" in doomed.error
+            assert doomed.result is None
+            mgr.wait(queued.id, timeout=30)
+            assert queued.state == JobState.DONE
+            assert queued.result.to_json() == run(tiny_transfer_spec(), seed=2).to_json()
+            (slot,) = mgr.health()["slots"]
+            assert slot["alive"] and slot["respawns"] == 1 and slot["jobs_run"] == 2
+            assert slot["pid"] != pid
+            assert is_reaped(pid)
+        finally:
+            mgr.shutdown()
+
+    def test_the_other_slot_never_notices(self, probe_manager):
+        victim, bystander = (probe_manager.submit(long_bulk_spec(until=1e6), seed=seed)
+                             for seed in (1, 2))
+        wait_running(victim)
+        wait_running(bystander)
+        before = bystander.request("whoami")
+        os.kill(slot_of(probe_manager, victim)["pid"], signal.SIGKILL)
+        probe_manager.wait(victim.id, timeout=20)
+        assert victim.state == JobState.FAILED
+        after = bystander.request("whoami")
+        assert after["pid"] == before["pid"] and after["now"] > before["now"]
+        assert bystander.state == JobState.RUNNING
+        probe_manager.cancel(bystander.id)
+        probe_manager.wait(bystander.id, timeout=30)
+        assert bystander.state == JobState.CANCELLED
+
+    def test_a_slot_that_died_idle_is_replaced_before_the_next_job(self):
+        mgr = JobManager(slots=1)
+        try:
+            mgr.wait(mgr.submit(tiny_transfer_spec(), seed=1).id)
+            (slot,) = mgr.health()["slots"]
+            os.kill(slot["pid"], signal.SIGKILL)
+            wait_for(lambda: not os.path.exists(f"/proc/{slot['pid']}/fd/0"),
+                     what="the idle slot to die")
+            job = mgr.submit(tiny_transfer_spec(), seed=2)
+            mgr.wait(job.id)
+            assert job.state == JobState.DONE and job.error is None
+            (slot,) = mgr.health()["slots"]
+            assert slot["alive"] and slot["respawns"] == 1
+        finally:
+            mgr.shutdown()
+
+    def test_a_crashing_op_fails_the_job_with_the_exit_code(self, probe_manager):
+        job = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        with pytest.raises(JobNotLive, match=f"job {job.id} is failed"):
+            job.request("crash", code=3)
+        probe_manager.wait(job.id, timeout=20)
+        assert job.state == JobState.FAILED
+        assert "exit code 3" in job.error
+        follower = probe_manager.submit(tiny_transfer_spec(), seed=1)
+        probe_manager.wait(follower.id)
+        assert follower.state == JobState.DONE
+
+    def test_a_reply_that_does_not_pickle_fails_the_job_not_the_fleet(self, probe_manager):
+        job = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        with pytest.raises(JobNotLive):
+            job.request("unpicklable")
+        probe_manager.wait(job.id, timeout=20)
+        assert job.state == JobState.FAILED
+        assert "exit code 1" in job.error
+        follower = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(follower)
+        assert follower.request("echo", ok=True) == {"ok": True}
+        probe_manager.cancel(follower.id)
+        probe_manager.wait(follower.id, timeout=30)
+        assert sum(slot["respawns"] for slot in probe_manager.health()["slots"]) == 1
+
+    def test_cancelling_a_wedged_job_ends_in_terminate_and_respawn(self, probe_manager, monkeypatch):
+        import repro.service.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "REQUEST_TIMEOUT_S", 1.0)
+        job = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        pid = slot_of(probe_manager, job)["pid"]
+        with pytest.raises(TimeoutError):
+            job.request("wedge", timeout=0.2, seconds=60)
+        asked = time.monotonic()
+        probe_manager.cancel(job.id)
+        probe_manager.wait(job.id, timeout=20)
+        waited = time.monotonic() - asked
+        assert job.state == JobState.CANCELLED
+        assert 1.0 <= waited < 5.0
+        assert "no control tick" in job.error and "exit code -9" in job.error
+        assert is_reaped(pid)
+        follower = probe_manager.submit(tiny_transfer_spec(), seed=1)
+        probe_manager.wait(follower.id)
+        assert follower.state == JobState.DONE
+
+    def test_the_escalation_deadline_is_the_request_timeout(self):
+        from repro.service.jobs import Job
+
+        job = Job(1, tiny_transfer_spec(), seed=1)
+        before = time.monotonic()
+        job.cancel()
+        assert job._cancel_deadline - before == pytest.approx(REQUEST_TIMEOUT_S, abs=0.1)
+        assert REQUEST_TIMEOUT_S == 5.0
+        first = job._cancel_deadline
+        job.cancel()  # asking twice does not push it out
+        assert job._cancel_deadline == first
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_a_respawned_slot_does_not_hold_the_listening_socket(self):
+        from repro.service.server import ServiceServer
+
+        def sockets_of(pid):
+            links = []
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    links.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+                except OSError:
+                    pass
+            return {link for link in links if link.startswith("socket:")}
+
+        mgr = JobManager(slots=2)
+        with ServiceServer(mgr) as server:
+            listener = f"socket:[{os.fstat(server.httpd.fileno()).st_ino}]"
+            assert listener in sockets_of(os.getpid())
+            job = mgr.submit(long_bulk_spec(until=1e6), seed=1)
+            wait_running(job)
+            old_pid = slot_of(mgr, job)["pid"]
+            os.kill(old_pid, signal.SIGKILL)
+            mgr.wait(job.id, timeout=20)
+            wait_for(lambda: all(slot["alive"] for slot in mgr.health()["slots"]),
+                     what="the respawn")
+            # Sealing is the first thing a slot does; give the fork a moment.
+            for slot in mgr.health()["slots"]:
+                wait_for(lambda: len(sockets_of(slot["pid"])) == 1,
+                         what="the slot to hold its own pipe and no other socket")
+                assert listener not in sockets_of(slot["pid"])
+            # ... and the fleet still serves over that listener.
+            from repro.service.client import ServiceClient
+
+            assert ServiceClient(server.address).health()["accepting"] is True
+
+
+class TestManagerStart:
+    def test_a_partial_start_leaves_no_slot_behind(self, monkeypatch):
+        from multiprocessing.process import BaseProcess
+
+        real_start = BaseProcess.start
+        started = []
+
+        def start_twice(process):
+            if len(started) == 2:
+                raise OSError("cannot fork")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start_twice)
+        with pytest.raises(OSError, match="cannot fork"):
+            JobManager(slots=3)
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+        assert all(is_reaped(process.pid) for process in started)
+
+    def test_slots_must_be_positive(self):
+        with pytest.raises(ValueError, match="slots"):
+            JobManager(slots=0)
+
+    def test_the_slots_are_forked_before_any_supervisor_thread_exists(self, monkeypatch):
+        import repro.service.jobs as jobs_module
+
+        seen = []
+        real_spawn = jobs_module._Slot.spawn
+
+        def spying_spawn(slot):
+            seen.append([thread.name for thread in threading.enumerate()
+                         if thread.name.startswith("repro-service")])
+            real_spawn(slot)
+
+        monkeypatch.setattr(jobs_module._Slot, "spawn", spying_spawn)
+        mgr = JobManager(slots=3)
+        mgr.shutdown()
+        assert seen == [[], [], []]
+
+
+class TestShutdown:
+    def test_shutdown_leaves_no_child_and_no_zombie(self):
+        mgr = JobManager(slots=3)
+        running = mgr.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(running)
+        pids = [slot["pid"] for slot in mgr.health()["slots"]]
+        assert len(multiprocessing.active_children()) >= 3
+        mgr.shutdown()
+        assert running.state == JobState.CANCELLED
+        assert multiprocessing.active_children() == []
+        assert all(is_reaped(pid) for pid in pids)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-service-supervisor")]
+        health = mgr.health()
+        assert health["accepting"] is False
+        assert not any(slot["alive"] for slot in health["slots"])
+        with pytest.raises(RuntimeError, match="shut down"):
+            mgr.submit(tiny_transfer_spec(), seed=1)
+        mgr.shutdown()  # idempotent
+
+    def test_shutdown_without_cancel_lets_the_running_job_finish(self):
+        mgr = JobManager(slots=1)
+        running = mgr.submit(long_bulk_spec(until=20.0), seed=1)
+        queued = mgr.submit(tiny_transfer_spec(), seed=1)
+        wait_running(running, min_sim_time=0.1)
+        mgr.shutdown(cancel_running=False)
+        assert running.state == JobState.DONE
+        assert queued.state == JobState.CANCELLED
+        assert multiprocessing.active_children() == []
+
+    def test_shutdown_takes_a_wedged_slot_down_at_the_timeout(self, probe_manager):
+        job = probe_manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        pid = slot_of(probe_manager, job)["pid"]
+        with pytest.raises(TimeoutError):
+            job.request("wedge", timeout=0.2, seconds=60)
+        started = time.monotonic()
+        probe_manager.shutdown(timeout=0.5)
+        assert time.monotonic() - started < REQUEST_TIMEOUT_S
+        assert job.state == JobState.CANCELLED and "exit code -9" in job.error
+        assert is_reaped(pid)
+        assert multiprocessing.active_children() == []
+
+    def test_a_manager_nobody_shut_down_does_not_hold_the_interpreter_open(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = tmp_path / "forgetful.py"
+        script.write_text(
+            "from repro.service import JobManager\n"
+            "manager = JobManager(slots=2)\n"
+            "print('built', flush=True)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, str(script)], env=env, timeout=30,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "built\n"
+
+
+# ====================================================================== #
+# Store ingest: one connection, one transaction, and its failure edge    #
+# ====================================================================== #
+class TestIngest:
+    def assert_served_despite(self, mgr, job, reason: str) -> None:
+        assert job.state == JobState.DONE
+        assert job.result.to_json() == run(tiny_transfer_spec(), seed=job.seed).to_json()
+        assert job.error.startswith("result store ingest failed")
+        assert reason in job.error
+        response = ServiceApi(mgr).dispatch("GET", f"/v1/jobs/{job.id}/result")
+        assert response.status == 200 and response.body == job.result.to_json().encode()
+
+    def test_one_connection_for_the_managers_life(self, tmp_path, monkeypatch):
+        import repro.results.store as store_module
+
+        opened = []
+        real_connect = store_module.sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args)
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", counting_connect)
+        mgr = JobManager(slots=2, store_path=str(tmp_path / "svc.sqlite"), keep_finished=1)
+        try:
+            jobs = [mgr.submit(tiny_transfer_spec(), seed=seed) for seed in (1, 2, 3)]
+            wait_for(lambda: all(job.finished for job in jobs), what="three jobs")
+            evicted = [job for job in jobs if mgr.get(job.id) is None]
+            assert len(evicted) == 2
+            for job in evicted:  # read back over the same connection
+                assert mgr.store_result_json(job.id) == job.result.to_json()
+            assert len(opened) == 1
+            assert mgr.health()["ingest_failures"] == 0
+        finally:
+            mgr.shutdown()
+        assert mgr._store is None  # closed with the manager
+
+    def test_a_traced_job_is_one_transaction_with_both_rows(self, tmp_path):
+        from repro.results.store import ResultStore
+
+        store_path = str(tmp_path / "svc.sqlite")
+        mgr = JobManager(slots=1, store_path=store_path, trace_dir=str(tmp_path / "traces"))
+        try:
+            job = mgr.submit(tiny_transfer_spec(), seed=4, trace=True)
+            mgr.wait(job.id)
+            assert job.error is None
+        finally:
+            mgr.shutdown()
+        tag = f"{STORE_SOURCE_PREFIX}{job.id}"
+        with ResultStore(store_path) as store:
+            assert [(row["kind"], row["source"]) for row in store.runs()] == \
+                [("scenario", tag), ("trace", tag)]
+            with open(job.trace_path, "rb") as handle:
+                lines = sum(1 for _ in handle)
+            assert store.counts()["trace_events"] == lines
+
+    def test_a_garbage_store_file_costs_the_row_not_the_job(self, tmp_path):
+        path = tmp_path / "svc.sqlite"
+        path.write_bytes(b"this is not a database\n" * 64)
+        mgr = JobManager(slots=1, store_path=str(path))
+        try:
+            first = mgr.submit(tiny_transfer_spec(), seed=1)
+            mgr.wait(first.id)
+            self.assert_served_despite(mgr, first, "not a database")
+            assert mgr.health()["ingest_failures"] == 1
+            # The operator moves the bad file away; the next job lands.
+            path.unlink()
+            second = mgr.submit(tiny_transfer_spec(), seed=2)
+            mgr.wait(second.id)
+            assert second.state == JobState.DONE and second.error is None
+            assert mgr.store_result_json(second.id) == second.result.to_json()
+            assert mgr.store_status(first.id) is None
+            assert mgr.health()["ingest_failures"] == 1
+        finally:
+            mgr.shutdown()
+
+    def test_a_store_path_that_cannot_be_opened(self, tmp_path):
+        mgr = JobManager(slots=1, store_path=str(tmp_path))  # a directory
+        try:
+            job = mgr.submit(tiny_transfer_spec(), seed=1)
+            mgr.wait(job.id)
+            self.assert_served_despite(mgr, job, "unable to open database file")
+        finally:
+            mgr.shutdown()
+
+    def test_a_locked_store_costs_the_row_not_the_job(self, tmp_path):
+        store_path = str(tmp_path / "svc.sqlite")
+        mgr = JobManager(slots=1, store_path=store_path)
+        try:
+            first = mgr.submit(tiny_transfer_spec(), seed=1)
+            mgr.wait(first.id)
+            assert first.error is None
+            locker = sqlite3.connect(store_path, isolation_level=None)
+            locker.execute("BEGIN EXCLUSIVE")
+            try:
+                second = mgr.submit(tiny_transfer_spec(), seed=2)
+                mgr.wait(second.id, timeout=30)  # sqlite gives the lock five seconds
+                self.assert_served_despite(mgr, second, "locked")
+            finally:
+                locker.execute("ROLLBACK")
+                locker.close()
+            third = mgr.submit(tiny_transfer_spec(), seed=3)
+            mgr.wait(third.id)
+            assert third.state == JobState.DONE and third.error is None
+            assert mgr.store_result_json(first.id) == first.result.to_json()
+            assert mgr.store_result_json(third.id) == third.result.to_json()
+            assert mgr._store_row(second.id) is None  # rolled back whole
+        finally:
+            mgr.shutdown()
+
+    def test_a_read_only_store_costs_the_row_not_the_job(self, tmp_path):
+        from repro.results.store import ResultStore
+
+        directory = tmp_path / "ro"
+        directory.mkdir()
+        path = directory / "svc.sqlite"
+        ResultStore(str(path)).close()
+        path.chmod(0o444)
+        directory.chmod(0o555)
+        try:
+            if os.access(str(path), os.W_OK):
+                pytest.skip("file modes do not bind this user (root)")
+            mgr = JobManager(slots=1, store_path=str(path))
+            try:
+                job = mgr.submit(tiny_transfer_spec(), seed=1)
+                mgr.wait(job.id)
+                self.assert_served_despite(mgr, job, "readonly")
+            finally:
+                mgr.shutdown()
+        finally:
+            directory.chmod(0o755)
 
 
 # ====================================================================== #
@@ -425,6 +988,121 @@ class TestServiceApi:
         assert job.state == JobState.CANCELLED
         # A second cancel conflicts.
         assert api.dispatch("DELETE", f"/v1/jobs/{job_id}").status == 409
+
+
+class TestHealthEndpoint:
+    """``GET /v1/health``, one test per state the fleet can be in."""
+
+    SLOT_KEYS = {"slot", "pid", "alive", "busy", "job", "jobs_run", "respawns"}
+
+    def health(self, api):
+        response = api.dispatch("GET", "/v1/health")
+        assert response.status == 200
+        return response.json()
+
+    def test_idle(self, api):
+        body = self.health(api)
+        assert set(body) == {"accepting", "uptime_s", "queue_depth", "jobs",
+                             "ingest_failures", "slots"}
+        assert body["accepting"] is True
+        assert body["uptime_s"] >= 0
+        assert body["queue_depth"] == 0
+        assert body["ingest_failures"] == 0
+        assert body["jobs"] == {"queued": 0, "running": 0, "done": 0, "failed": 0, "cancelled": 0}
+        assert [slot["slot"] for slot in body["slots"]] == [0, 1, 2, 3]
+        for slot in body["slots"]:
+            assert set(slot) == self.SLOT_KEYS
+            assert slot["alive"] is True and slot["busy"] is False and slot["job"] is None
+            assert slot["jobs_run"] == 0 and slot["respawns"] == 0
+            assert slot["pid"] != os.getpid()
+        assert len({slot["pid"] for slot in body["slots"]}) == 4
+
+    def test_wrong_method_and_trailing_path(self, api):
+        assert api.dispatch("POST", "/v1/health").status == 405
+        assert api.dispatch("DELETE", "/v1/health").status == 405
+        assert api.dispatch("GET", "/v1/health/slots").status == 404
+
+    def test_busy_every_slot_taken_and_a_queue_behind_them(self):
+        mgr = JobManager(slots=2)
+        api = ServiceApi(mgr)
+        try:
+            running = [mgr.submit(long_bulk_spec(until=1e6), seed=seed) for seed in (1, 2)]
+            for job in running:
+                wait_running(job)
+            queued = [mgr.submit(tiny_transfer_spec(), seed=seed) for seed in (1, 2, 3)]
+            body = self.health(api)  # answered though no slot has a tick to spare
+            assert body["queue_depth"] == 3
+            assert body["jobs"]["running"] == 2 and body["jobs"]["queued"] == 3
+            assert sorted(slot["job"] for slot in body["slots"]) == [job.id for job in running]
+            assert all(slot["busy"] and slot["alive"] for slot in body["slots"])
+            for job in running:
+                mgr.cancel(job.id)
+            for job in running + queued:
+                mgr.wait(job.id, timeout=30)
+            body = self.health(api)
+            assert body["queue_depth"] == 0
+            assert body["jobs"] == {"queued": 0, "running": 0, "done": 3, "failed": 0,
+                                    "cancelled": 2}
+            assert sum(slot["jobs_run"] for slot in body["slots"]) == 5
+            assert not any(slot["busy"] for slot in body["slots"])
+        finally:
+            mgr.shutdown()
+
+    def test_answers_while_the_only_slot_is_wedged(self, monkeypatch):
+        monkeypatch.setitem(OPS, "wedge", op_wedge)
+        mgr = JobManager(slots=1)
+        api = ServiceApi(mgr)
+        try:
+            job = mgr.submit(long_bulk_spec(until=1e6), seed=1)
+            wait_running(job)
+            with pytest.raises(TimeoutError):
+                job.request("wedge", timeout=0.1, seconds=60)
+            started = time.monotonic()
+            body = self.health(api)
+            assert time.monotonic() - started < 0.5
+            (slot,) = body["slots"]
+            assert slot["busy"] and slot["job"] == job.id
+        finally:
+            mgr.shutdown(timeout=0.2)
+
+    def test_after_a_slot_death(self, api, manager):
+        job = manager.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        before = slot_of(manager, job)
+        os.kill(before["pid"], signal.SIGKILL)
+        manager.wait(job.id, timeout=20)
+        body = self.health(api)
+        assert body["jobs"]["failed"] == 1
+        after = body["slots"][before["slot"]]
+        assert after["alive"] is True and after["busy"] is False
+        assert after["respawns"] == 1 and after["jobs_run"] == 1
+        assert after["pid"] != before["pid"]
+        others = [slot for slot in body["slots"] if slot["slot"] != before["slot"]]
+        assert all(slot["respawns"] == 0 and slot["alive"] for slot in others)
+
+    def test_counts_ingest_failures(self, tmp_path):
+        mgr = JobManager(slots=1, store_path=str(tmp_path))  # a directory: cannot open
+        try:
+            mgr.wait(mgr.submit(tiny_transfer_spec(), seed=1).id)
+            assert self.health(ServiceApi(mgr))["ingest_failures"] == 1
+        finally:
+            mgr.shutdown()
+
+    def test_after_shutdown_is_requested(self):
+        mgr = JobManager(slots=2)
+        api = ServiceApi(mgr)
+        job = mgr.submit(long_bulk_spec(until=1e6), seed=1)
+        wait_running(job)
+        mgr.shutdown()
+        body = self.health(api)
+        assert body["accepting"] is False
+        assert body["jobs"]["cancelled"] == 1 and body["jobs"]["running"] == 0
+        assert not any(slot["alive"] or slot["busy"] for slot in body["slots"])
+        assert submit(api, {"preset": "web_vat_mix"}).status == 500
+
+    def test_index_reports_the_same_job_counts(self, api, manager):
+        manager.wait(manager.submit(tiny_transfer_spec(), seed=1).id)
+        assert api.dispatch("GET", "/").json()["jobs"] == self.health(api)["jobs"]
 
 
 class TestLiveInspection:
@@ -610,6 +1288,124 @@ class TestHttpEndToEnd:
             assert written == run(get_preset("web_vat_mix"), seed=4).to_json().encode()
         finally:
             server.stop()
+
+
+    def test_health_over_http_client_and_cli(self, capsys):
+        from repro.service.cli import main as service_main
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceServer
+
+        with ServiceServer(JobManager(slots=2)) as server:
+            client = ServiceClient(server.address)
+            body = client.health()
+            assert body["accepting"] is True and len(body["slots"]) == 2
+            assert service_main(["--url", server.address, "health"]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith("accepting: up ")
+            assert "queue=0" in out[0] and "ingest_failures=0" in out[0]
+            assert [line.split(":")[0] for line in out[1:]] == ["slot 0", "slot 1"]
+            assert all("alive idle jobs_run=0 respawns=0" in line for line in out[1:])
+            # A dead slot nobody has replaced yet is an unhealthy fleet.
+            server.manager._slots[0].alive = False
+            assert service_main(["--url", server.address, "health"]) == 1
+            assert "slot 0: pid" in capsys.readouterr().out
+            server.manager._slots[0].alive = True
+
+
+class _FakeSocket:
+    """A request's bytes in, every ``sendall`` out: the process boundary."""
+
+    def __init__(self, request: bytes):
+        self.request = request
+        self.writes = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+class TestResponseWrites:
+    def serve(self, api, request: bytes):
+        from repro.service.server import make_handler
+
+        sock = _FakeSocket(request)
+        make_handler(api)(sock, ("127.0.0.1", 0), None)
+        return sock.writes
+
+    @pytest.mark.parametrize("request_line, status", [
+        (b"GET / HTTP/1.1", b"200"),
+        (b"GET /v1/health HTTP/1.1", b"200"),
+        (b"GET /v1/jobs HTTP/1.1", b"200"),
+        (b"GET /v1/jobs/999 HTTP/1.1", b"404"),
+        (b"PATCH /v1/jobs HTTP/1.1", b"405"),
+    ])
+    def test_a_fixed_body_response_is_one_socket_write(self, api, request_line, status):
+        writes = self.serve(api, request_line + b"\r\nHost: x\r\nConnection: close\r\n\r\n")
+        assert len(writes) == 1
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 " + status + b" " + lines[0].split(b" ", 2)[2]
+        headers = dict(line.split(b": ", 1) for line in lines[1:])
+        assert list(headers) == [b"Server", b"Date", b"Content-Type", b"Content-Length"]
+        assert headers[b"Server"].startswith(b"repro-service/1.0")
+        assert headers[b"Content-Type"] == b"application/json"
+        assert int(headers[b"Content-Length"]) == len(body)
+        json.loads(body)
+
+    def test_a_result_is_served_verbatim_in_one_write(self, api, manager):
+        job = manager.submit(get_preset("web_vat_mix"), seed=1)
+        manager.wait(job.id)
+        (write,) = self.serve(api, f"GET /v1/jobs/{job.id}/result HTTP/1.1\r\n\r\n".encode())
+        assert write.endswith(b"\r\n\r\n" + run(get_preset("web_vat_mix"), seed=1).to_json().encode())
+
+    def test_a_body_larger_than_any_buffer_is_still_one_write(self, api, manager):
+        jobs = [manager.submit(tiny_transfer_spec(), seed=seed) for seed in range(24)]
+        for job in jobs:
+            manager.wait(job.id)
+        (write,) = self.serve(api, b"GET /v1/jobs HTTP/1.1\r\n\r\n")
+        body = write.partition(b"\r\n\r\n")[2]
+        assert len(body) > 8192
+        assert len(json.loads(body)["jobs"]) == 24
+
+    def test_two_requests_on_one_connection_are_two_writes(self, api):
+        request = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"
+        writes = self.serve(api, request + request)
+        assert len(writes) == 2
+        assert all(write.startswith(b"HTTP/1.1 200 OK\r\n") for write in writes)
+
+    def test_the_telemetry_stream_is_still_chunked(self, api, manager, tmp_path):
+        manager._trace_dir = str(tmp_path)
+        job = manager.submit(tiny_transfer_spec(), seed=1, trace=True)
+        manager.wait(job.id)
+        writes = self.serve(api, f"GET /v1/jobs/{job.id}/telemetry HTTP/1.1\r\n\r\n".encode())
+        assert b"Transfer-Encoding: chunked" in writes[0]
+        assert writes[-1] == b"0\r\n\r\n"
+        wire = b"".join(writes)
+        with open(job.trace_path, "rb") as handle:
+            assert handle.read(64) in wire
+
+    def test_a_kept_alive_connection_does_not_stall(self):
+        from repro.service.server import ServiceServer
+
+        with ServiceServer(JobManager(slots=1)) as server:
+            host, port = server.httpd.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("GET", "/")  # the stall used to start with the second request
+                conn.getresponse().read()
+                started = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    assert json.loads(response.read())["service"] == "repro.service"
+                elapsed = time.perf_counter() - started
+            finally:
+                conn.close()
+        # Two segments per response cost Nagle + delayed ACK, ~40 ms each.
+        assert elapsed < 20 * 0.040 / 2, f"20 kept-alive round trips took {elapsed:.3f}s"
 
 
 # ====================================================================== #
