@@ -20,7 +20,7 @@ Layering:
   ``/v1`` endpoints (drives directly in tests, no HTTP required) and the
   table of ops a running job can be asked;
 * :mod:`~repro.service.server` — the stdlib HTTP front end;
-* :mod:`~repro.service.client` — a urllib client used by the CLI;
+* :mod:`~repro.service.client` — a kept-alive HTTP client used by the CLI;
 * :mod:`~repro.service.cli` — ``python -m repro.service``
   (serve/submit/status/result/watch/cancel/health/shutdown).
 

@@ -226,11 +226,10 @@ class ServiceApi:
         else:
             if not isinstance(payload["spec"], dict):
                 raise ApiError(400, "'spec' must be a JSON object")
-            # Strict round-trip: from_dict rejects unknown keys, validate()
-            # walks the whole tree eagerly; a SpecError surfaces as a 400
-            # carrying the offending path.
+            # Strict round-trip: from_dict rejects unknown keys, and the
+            # manager validates the whole tree once for every seed; a
+            # SpecError surfaces as a 400 carrying the offending path.
             spec = ScenarioSpec.from_dict(payload["spec"])
-        spec.validate()
         if "seed" in payload and "seeds" in payload:
             raise ApiError(400, "pass either 'seed' or 'seeds', not both")
         if "seeds" in payload:
@@ -247,8 +246,7 @@ class ServiceApi:
         shards = payload.get("shards")
         if shards is not None and (not isinstance(shards, int) or shards < 1):
             raise ApiError(400, "'shards' must be a positive integer")
-        jobs = [self.manager.submit(spec, seed=seed, trace=trace, shards=shards)
-                for seed in seeds]
+        jobs = self.manager.submit_seeds(spec, seeds, trace=trace, shards=shards)
         body: Dict[str, Any] = {"jobs": [job.status() for job in jobs]}
         if len(jobs) == 1:
             body["job"] = body["jobs"][0]

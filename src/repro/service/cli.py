@@ -19,6 +19,7 @@ Every client subcommand targets ``--url`` (default
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import sys
@@ -33,7 +34,10 @@ DEFAULT_URL = os.environ.get("REPRO_SERVICE_URL", "http://127.0.0.1:8421")
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
-    return ServiceClient(args.url)
+    """The command's client, made on first use; :func:`main` closes it."""
+    if args.client is None:
+        args.client = ServiceClient(args.url)
+    return args.client
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -194,6 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--url", default=DEFAULT_URL, metavar="URL",
                         help=f"server base URL (default {DEFAULT_URL})")
+    parser.set_defaults(client=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run the control plane server")
@@ -269,6 +274,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
+    except (OSError, http.client.HTTPException) as exc:
+        # An HTTPException is a server that dropped or garbled its response
+        # (IncompleteRead, BadStatusLine); its text alone is a raw fragment.
+        detail = exc if isinstance(exc, OSError) else repr(exc)
+        print(f"cannot reach service at {args.url}: {detail}", file=sys.stderr)
         return 1
+    finally:
+        if args.client is not None:
+            args.client.close()

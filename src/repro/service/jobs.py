@@ -54,7 +54,7 @@ import threading
 import time
 from collections import Counter, deque
 from multiprocessing.connection import wait as wait_ready
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.runner import DEFAULT_CONTROL_INTERVAL, run_streaming, spec_digest
 from ..scenario.spec import ScenarioSpec, SpecError
@@ -162,7 +162,7 @@ class JobResult:
 class Job:
     """One scenario submission and its lifecycle bookkeeping."""
 
-    def __init__(self, job_id: int, spec: ScenarioSpec, seed: int,
+    def __init__(self, job_id: int, spec: ScenarioSpec, seed: int, digest: str,
                  trace_path: Optional[str] = None,
                  shards: Optional[int] = None):
         self.id = job_id
@@ -173,7 +173,9 @@ class Job:
         #: control tick, hence no ops — see :meth:`request`.
         self.shards = shards
         self.name = spec.name
-        self.spec_digest = spec_digest(spec)
+        #: :func:`~repro.scenario.runner.spec_digest` of ``spec``, computed
+        #: once per submission by the manager (every seed shares it).
+        self.spec_digest = digest
         self.trace_path = trace_path
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
@@ -629,11 +631,19 @@ class JobManager:
     # ------------------------------------------------------------ submission
     def submit(self, spec: ScenarioSpec, seed: Optional[int] = None,
                trace: bool = False, shards: Optional[int] = None) -> Job:
-        """Validate and enqueue one job; returns its :class:`Job` record.
+        """Validate and enqueue one job; returns its :class:`Job` record."""
+        return self.submit_seeds(spec, [seed], trace=trace, shards=shards)[0]
+
+    def submit_seeds(self, spec: ScenarioSpec, seeds: Sequence[Optional[int]],
+                     trace: bool = False, shards: Optional[int] = None) -> List[Job]:
+        """Validate ``spec`` once and enqueue one job per seed, in order.
+
+        A ``None`` seed runs the spec's own.  The spec is validated and
+        digested once for all of them: the jobs share the one spec object.
 
         ``shards`` (or the spec's own ``engine: {shards: N}``) routes the
-        job to the sharded engine — result bytes are identical to the
-        single-process run, but the job serves no ops (no mid-run
+        jobs to the sharded engine — result bytes are identical to the
+        single-process run, but the jobs serve no ops (no mid-run
         inspection or mutation).  Incompatible submissions are rejected
         here, not at run time, so the caller gets a 400 rather than a
         failed job.
@@ -652,22 +662,25 @@ class JobManager:
                     "engine.shards",
                     "in-result telemetry blocks are not supported on sharded "
                     "runs (per-shard --trace files are)")
-        run_seed = spec.seed if seed is None else int(seed)
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError("manager is shut down")
-            job_id = self._next_id
-            self._next_id += 1
-        trace_path = None
-        if trace:
-            trace_path = os.path.join(self.trace_dir(), f"job{job_id}.jsonl")
-        job = Job(job_id, spec, run_seed, trace_path=trace_path,
-                  shards=effective if effective > 1 else None)
-        with self._queue_cv:
-            self._jobs[job_id] = job
-            self._queue.append(job)
-            self._queue_cv.notify()
-        return job
+        digest = spec_digest(spec)
+        jobs = []
+        for seed in seeds:
+            with self._lock:
+                if self._shutdown:
+                    raise RuntimeError("manager is shut down")
+                job_id = self._next_id
+                self._next_id += 1
+            trace_path = None
+            if trace:
+                trace_path = os.path.join(self.trace_dir(), f"job{job_id}.jsonl")
+            job = Job(job_id, spec, spec.seed if seed is None else int(seed), digest,
+                      trace_path=trace_path, shards=effective if effective > 1 else None)
+            with self._queue_cv:
+                self._jobs[job_id] = job
+                self._queue.append(job)
+                self._queue_cv.notify()
+            jobs.append(job)
+        return jobs
 
     def trace_dir(self) -> str:
         if self._trace_dir is None:

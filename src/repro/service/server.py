@@ -9,6 +9,15 @@ and the client's delayed ACK: ~40 ms a response); telemetry streams go chunked
 (``Transfer-Encoding: chunked``) so a watcher sees trace lines as the
 simulation emits them.
 
+Connections are kept alive, so what one can make the server hold is
+bounded: a request body may be at most :data:`MAX_BODY_BYTES` (a larger
+``Content-Length`` gets a 413 and the body is never read), a
+``Content-Length`` that is not a non-negative integer gets a 400, and every
+socket read — a request's head, its body, the wait for the next request on
+a kept-alive connection — times out after :data:`READ_TIMEOUT_S`.  A body
+that stops short gets a 400; an idle connection is closed, which frees its
+thread.  Each of those answers closes the connection.
+
 No sockets are special-cased anywhere else: the HTTP layer is this file.
 """
 
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -23,7 +33,22 @@ from typing import Optional
 from .api import Response, ServiceApi
 from .jobs import JobManager
 
-__all__ = ["ServiceServer", "make_handler"]
+__all__ = ["ServiceServer", "make_handler", "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
+
+#: Largest request body read (a graph spec of a few hundred nodes is ~0.2 MB).
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds any one socket read may wait: a request's head, its body, or the
+#: next request on an idle kept-alive connection.  Read when a server is built.
+READ_TIMEOUT_S = 10.0
+
+
+class _BadRequest(Exception):
+    """A request whose body cannot be read; answered, then the connection closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def make_handler(api: ServiceApi, quiet: bool = True):
@@ -32,32 +57,59 @@ def make_handler(api: ServiceApi, quiet: bool = True):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-service/1.0"
+        timeout = READ_TIMEOUT_S
 
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib name
             if not quiet:
                 super().log_message(fmt, *args)
 
         def _read_body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
-            return self.rfile.read(length) if length > 0 else b""
+            raw = self.headers.get("Content-Length")
+            if raw is None:
+                return b""
+            if not (raw.isascii() and raw.strip().isdigit()):
+                raise _BadRequest(400, f"Content-Length must be a non-negative "
+                                       f"integer, got {raw!r}")
+            length = int(raw)
+            if length > MAX_BODY_BYTES:
+                raise _BadRequest(413, f"request body of {length} bytes exceeds the "
+                                       f"{MAX_BODY_BYTES}-byte limit")
+            try:
+                body = self.rfile.read(length)
+            except socket.timeout:  # TimeoutError from 3.10 on
+                raise _BadRequest(400, f"request body of {length} bytes not received "
+                                       f"within {self.timeout}s") from None
+            if len(body) < length:
+                raise _BadRequest(400, f"request body ended after {len(body)} "
+                                       f"of {length} bytes")
+            return body
 
         def _dispatch(self) -> None:
+            closing = False
             try:
-                response = api.dispatch(self.command, self.path, self._read_body())
-            except Exception as exc:  # an endpoint bug must not kill the thread
-                response = Response(500, {"error": f"{type(exc).__name__}: {exc}"})
+                body = self._read_body()
+            except _BadRequest as exc:
+                # The rest of the body (if any) is not read: the connection's
+                # framing is lost, so it closes after this answer.
+                closing = self.close_connection = True
+                response = Response(exc.status, {"error": str(exc)})
+            else:
+                try:
+                    response = api.dispatch(self.command, self.path, body)
+                except Exception as exc:  # an endpoint bug must not kill the thread
+                    response = Response(500, {"error": f"{type(exc).__name__}: {exc}"})
             try:
                 if response.stream is not None:
                     self._write_stream(response)
                 else:
-                    self._write_body(response)
+                    self._write_body(response, closing)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-response
             finally:
                 if response.after is not None:
                     response.after()
 
-        def _write_body(self, response: Response) -> None:
+        def _write_body(self, response: Response, closing: bool = False) -> None:
             body = response.encoded()
             # The stdlib writes the head when it ends; catch it and send it
             # with the body, as one segment.
@@ -66,6 +118,8 @@ def make_handler(api: ServiceApi, quiet: bool = True):
                 self.send_response(response.status)
                 self.send_header("Content-Type", response.content_type)
                 self.send_header("Content-Length", str(len(body)))
+                if closing:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 head = self.wfile.getvalue()
             finally:

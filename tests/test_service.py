@@ -6,6 +6,7 @@ end-to-end class exercises the real ThreadingHTTPServer on an ephemeral
 port.
 """
 
+import contextlib
 import http.client
 import io
 import json
@@ -13,7 +14,9 @@ import multiprocessing
 import os
 import pickle
 import signal
+import socket
 import sqlite3
+import sys
 import threading
 import time
 
@@ -599,7 +602,7 @@ class TestSlotDeath:
     def test_the_escalation_deadline_is_the_request_timeout(self):
         from repro.service.jobs import Job
 
-        job = Job(1, tiny_transfer_spec(), seed=1)
+        job = Job(1, tiny_transfer_spec(), seed=1, digest="")
         before = time.monotonic()
         job.cancel()
         assert job._cancel_deadline - before == pytest.approx(REQUEST_TIMEOUT_S, abs=0.1)
@@ -951,6 +954,32 @@ class TestServiceApi:
         assert [job["seed"] for job in jobs] == [1, 2]
         listing = api.dispatch("GET", "/v1/jobs").json()["jobs"]
         assert {job["id"] for job in jobs} <= {job["id"] for job in listing}
+        for job in jobs:
+            manager.wait(job["id"])
+
+    def test_a_submission_is_validated_and_digested_once(self, api, manager, monkeypatch):
+        import repro.service.jobs as jobs_module
+
+        calls = {"validate": 0, "digest": 0}
+        validate, digest = ScenarioSpec.validate, jobs_module.spec_digest
+
+        def counting_validate(spec):
+            calls["validate"] += 1
+            return validate(spec)
+
+        def counting_digest(spec):
+            calls["digest"] += 1
+            return digest(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "validate", counting_validate)
+        monkeypatch.setattr(jobs_module, "spec_digest", counting_digest)
+        spec = tiny_transfer_spec()
+        response = submit(api, {"spec": spec.to_dict(), "seeds": [1, 2, 3, 4, 5]})
+        assert response.status == 201
+        assert calls == {"validate": 1, "digest": 1}
+        jobs = response.json()["jobs"]
+        assert [job["seed"] for job in jobs] == [1, 2, 3, 4, 5]
+        assert {job["spec_digest"] for job in jobs} == {digest(spec)}
         for job in jobs:
             manager.wait(job["id"])
 
@@ -1322,6 +1351,9 @@ class _FakeSocket:
     def makefile(self, mode, buffering=-1):
         return io.BytesIO(self.request)
 
+    def settimeout(self, value):
+        pass
+
     def sendall(self, data):
         self.writes.append(bytes(data))
 
@@ -1406,6 +1438,392 @@ class TestResponseWrites:
                 conn.close()
         # Two segments per response cost Nagle + delayed ACK, ~40 ms each.
         assert elapsed < 20 * 0.040 / 2, f"20 kept-alive round trips took {elapsed:.3f}s"
+
+
+# ====================================================================== #
+# HTTP input bounds: what one request can make the server hold            #
+# ====================================================================== #
+@pytest.fixture
+def bounded_server(monkeypatch):
+    """A live server whose socket reads time out after 0.3 s."""
+    from repro.service import server as server_module
+
+    monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.3)
+    with server_module.ServiceServer(JobManager(slots=1)) as server:
+        yield server
+
+
+def raw_connection(server) -> socket.socket:
+    host, port = server.httpd.server_address[:2]
+    return socket.create_connection((host, port), timeout=5.0)
+
+
+def read_response(sock: socket.socket):
+    """One HTTP response off a raw socket: (status, headers, body)."""
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    try:
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        response.close()
+
+
+def record_handler_threads(server) -> list:
+    """The threads the server starts for its connections, from now on."""
+    threads = []
+    process_request_thread = server.httpd.process_request_thread
+
+    def recording(request, client_address):
+        threads.append(threading.current_thread())
+        process_request_thread(request, client_address)
+
+    server.httpd.process_request_thread = recording
+    return threads
+
+
+def post_head(length: str) -> bytes:
+    return (f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+
+
+class TestRequestBounds:
+    def assert_refused_and_closed(self, sock, status: int, words: str) -> None:
+        got, headers, body = read_response(sock)
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert words in json.loads(body)["error"]
+        assert sock.recv(1) == b""  # and the server hung up
+
+    @pytest.mark.parametrize("length", ["twelve", "1_0", "0x10", ""])
+    def test_a_content_length_that_is_not_an_integer_is_400(self, bounded_server, length):
+        with raw_connection(bounded_server) as sock:
+            sock.sendall(post_head(length) + b"{}")
+            self.assert_refused_and_closed(sock, 400, "non-negative integer")
+
+    def test_a_negative_content_length_is_400(self, bounded_server):
+        with raw_connection(bounded_server) as sock:
+            sock.sendall(post_head("-5") + b"{}")
+            self.assert_refused_and_closed(sock, 400, "non-negative integer")
+
+    def test_a_huge_content_length_is_413_without_reading_the_body(self, bounded_server):
+        from repro.service.server import MAX_BODY_BYTES
+
+        with raw_connection(bounded_server) as sock:
+            # Not one body byte follows: a server that tried to read the body
+            # would time out and answer 400, not 413.
+            sock.sendall(post_head(str(MAX_BODY_BYTES + 1)))
+            self.assert_refused_and_closed(sock, 413, "exceeds")
+        assert bounded_server.manager.jobs() == []
+
+    @pytest.mark.parametrize("hang_up", [False, True], ids=["stalled", "ended"])
+    def test_a_body_shorter_than_its_length_is_400(self, bounded_server, hang_up):
+        with raw_connection(bounded_server) as sock:
+            sock.sendall(post_head("100") + b'{"preset": ')
+            if hang_up:
+                sock.shutdown(socket.SHUT_WR)
+            started = time.monotonic()
+            self.assert_refused_and_closed(
+                sock, 400, "ended after 11 of 100" if hang_up else "not received within 0.3s")
+            waited = time.monotonic() - started
+        if not hang_up:
+            assert 0.25 < waited < 1.5  # the read timeout, not forever
+        assert bounded_server.manager.jobs() == []
+
+    def test_an_idle_kept_alive_connection_frees_its_thread(self, bounded_server):
+        threads = record_handler_threads(bounded_server)
+        with raw_connection(bounded_server) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert read_response(sock)[0] == 200
+            (thread,) = threads
+            assert thread.is_alive()  # kept alive, waiting for the next request
+            sock.settimeout(1.5)
+            assert sock.recv(1) == b""  # the server closed it after 0.3 s idle
+        thread.join(timeout=1.5)
+        assert not thread.is_alive()
+
+    def test_the_limits_let_an_ordinary_request_through(self, bounded_server):
+        body = json.dumps({"spec": tiny_transfer_spec().to_dict(), "seed": 2}).encode()
+        with raw_connection(bounded_server) as sock:
+            sock.sendall(post_head(str(len(body))) + body)
+            status, headers, reply = read_response(sock)
+        assert status == 201 and "Connection" not in headers
+        assert json.loads(reply)["job"]["seed"] == 2
+
+
+# ====================================================================== #
+# The client: one kept-alive connection per calling thread               #
+# ====================================================================== #
+@contextlib.contextmanager
+def counted_server(slots: int = 1, **manager_args):
+    """A live server that records every connection it accepts."""
+    from repro.service.server import ServiceServer
+
+    server = ServiceServer(JobManager(slots=slots, **manager_args))
+    accepts = []
+    get_request = server.httpd.get_request
+
+    def counting_get_request():
+        accepted = get_request()
+        accepts.append(accepted[1])
+        return accepted
+
+    server.httpd.get_request = counting_get_request
+    with server:
+        yield server, accepts
+
+
+def idle_dropped(client) -> bool:
+    """The server has closed the calling thread's idle connection."""
+    from repro.service.client import _closed_by_peer
+
+    return _closed_by_peer(client._local.conn.sock)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+class TestKeptAliveClient:
+    def test_fifty_requests_from_one_thread_open_one_connection(self):
+        from repro.service.client import ServiceClient
+
+        with counted_server() as (server, accepts):
+            client = ServiceClient(server.address)
+            try:
+                for index in range(50):
+                    if index % 2:
+                        assert client.info()["service"] == "repro.service"
+                    else:
+                        assert client.health()["accepting"] is True
+            finally:
+                client.close()
+        assert len(accepts) == 1
+
+    def test_two_threads_open_two_connections(self):
+        from repro.service.client import ServiceClient
+
+        with counted_server() as (server, accepts):
+            client = ServiceClient(server.address)
+            barrier = threading.Barrier(2, timeout=10)
+            answers = []
+
+            def worker():
+                try:
+                    barrier.wait()  # both threads hold a connection at once
+                    answers.extend(client.info()["service"] for _ in range(10))
+                    barrier.wait()
+                finally:
+                    client.close()
+
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+                assert not thread.is_alive()
+        assert answers == ["repro.service"] * 20
+        assert len(accepts) == 2
+
+    def test_a_get_after_the_server_dropped_the_idle_connection_reconnects(self, monkeypatch):
+        from repro.service import server as server_module
+        from repro.service.client import ServiceClient
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with counted_server() as (server, accepts):
+            client = ServiceClient(server.address)
+            try:
+                client.info()
+                wait_for(lambda: idle_dropped(client), timeout=5, what="the idle drop")
+                assert client.info()["service"] == "repro.service"
+                assert client.jobs() == []
+            finally:
+                client.close()
+        assert len(accepts) == 2
+
+    def test_a_get_on_a_connection_that_died_unnoticed_is_retried_once(self, monkeypatch):
+        from repro.service import client as client_module
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with counted_server() as (server, accepts):
+            client = client_module.ServiceClient(server.address)
+            try:
+                client.info()
+                wait_for(lambda: idle_dropped(client), timeout=5, what="the idle drop")
+                # Miss the EOF: the request goes out on the dead connection,
+                # fails before any response byte, and goes again on a new one.
+                monkeypatch.setattr(client_module, "_closed_by_peer", lambda sock: False)
+                assert client.info()["service"] == "repro.service"
+            finally:
+                client.close()
+        assert len(accepts) == 2
+
+    def test_a_post_on_a_connection_the_server_closed_is_sent_once(self, monkeypatch):
+        from repro.service import client as client_module
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        spec = tiny_transfer_spec().to_dict()
+        with counted_server() as (server, accepts):
+            client = client_module.ServiceClient(server.address)
+            try:
+                client.info()
+                wait_for(lambda: idle_dropped(client), timeout=5, what="the idle drop")
+                # Seen closed before the send: the POST goes out once, on a new
+                # connection.
+                client.submit(spec=spec, seed=1)
+                assert len(server.manager.jobs()) == 1
+                assert len(accepts) == 2
+
+                wait_for(lambda: idle_dropped(client), timeout=5, what="the idle drop")
+                # Not seen: the POST fails and is not sent again.
+                monkeypatch.setattr(client_module, "_closed_by_peer", lambda sock: False)
+                with pytest.raises(ConnectionError):
+                    client.submit(spec=spec, seed=2)
+                assert len(server.manager.jobs()) == 1
+                assert len(accepts) == 2
+                for job in server.manager.jobs():
+                    server.manager.wait(job.id)
+            finally:
+                client.close()
+
+    def test_eight_threads_of_mixed_calls_against_two_slots(self):
+        from repro.service.client import ServiceClient
+
+        spec = tiny_transfer_spec()
+        expected = {seed: run(spec, seed=seed).to_json().encode() for seed in range(1, 5)}
+        payload = spec.to_dict()
+        with counted_server(slots=2) as (server, accepts):
+            client = ServiceClient(server.address)
+            outcomes = {}
+
+            def worker(index: int) -> None:
+                calls, results = 0, []
+                try:
+                    while calls < 50:
+                        seed = 1 + (index + len(results)) % 4
+                        job_id = client.submit(spec=payload, seed=seed)["job"]["id"]
+                        calls += 1
+                        while client.job(job_id)["state"] not in ("done", "failed", "cancelled"):
+                            calls += 1
+                            time.sleep(0.002)
+                        calls += 1
+                        results.append((seed, client.result_bytes(job_id)))
+                        calls += 1
+                finally:
+                    client.close()
+                outcomes[index] = results
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(switch)
+        assert sorted(outcomes) == list(range(8))
+        for results in outcomes.values():
+            assert results and all(body == expected[seed] for seed, body in results)
+        assert len(accepts) == 8
+
+    def test_a_telemetry_stream_gets_a_connection_of_its_own(self, tmp_path):
+        from repro.service.client import ServiceClient
+
+        with counted_server(trace_dir=str(tmp_path)) as (server, accepts):
+            client = ServiceClient(server.address)
+            try:
+                job_id = client.submit(spec=tiny_transfer_spec().to_dict(), seed=1,
+                                       trace=True)["job"]["id"]
+                lines = list(client.telemetry_lines(job_id, max_lines=3))
+                assert len(lines) == 3 and all("event" in json.loads(line) for line in lines)
+                assert client.wait(job_id, poll=0.01)["state"] == JobState.DONE
+            finally:
+                client.close()
+        assert len(accepts) == 2  # the thread's connection, and the stream's
+
+    def test_close_releases_the_socket(self):
+        from repro.service.client import ServiceClient
+
+        with counted_server() as (server, accepts):
+            client = ServiceClient(server.address)
+            threads = record_handler_threads(server)
+            client.info()
+            sock = client._local.conn.sock
+            (thread,) = threads
+            client.close()
+            assert sock.fileno() == -1
+            thread.join(timeout=5)
+            assert not thread.is_alive()  # the server saw the close
+            client.close()  # twice is harmless
+            client.info()  # and the next request opens a fresh connection
+            client.close()
+        assert len(accepts) == 2
+
+
+@contextlib.contextmanager
+def dying_server(reply: bytes):
+    """A listener that reads each request, writes ``reply`` and hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
+DYING_REPLIES = {
+    "incomplete_read": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: 100\r\n\r\n{\"jobs\": ["),
+    "bad_status_line": b"SPDY/9 what\r\n",
+    "no_response": b"",
+}
+
+
+class TestClientTransportErrors:
+    @pytest.mark.parametrize("reply", list(DYING_REPLIES), ids=list(DYING_REPLIES))
+    def test_the_cli_reports_a_server_dying_mid_response(self, reply, capsys):
+        from repro.service.cli import main as service_main
+
+        with dying_server(DYING_REPLIES[reply]) as url:
+            assert service_main(["--url", url, "status"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot reach service at {url}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("reply", list(DYING_REPLIES), ids=list(DYING_REPLIES))
+    def test_shutdown_tolerates_a_server_dying_mid_response(self, reply):
+        from repro.service.client import ServiceClient
+
+        with dying_server(DYING_REPLIES[reply]) as url:
+            body = ServiceClient(url).shutdown()
+        assert body == {"ok": True, "message": "connection closed during shutdown"}
+
+    def test_shutdown_of_a_server_that_is_not_there_still_raises(self):
+        from repro.service.client import ServiceClient
+
+        with socket.create_server(("127.0.0.1", 0)) as placeholder:
+            port = placeholder.getsockname()[1]
+        with pytest.raises(ConnectionRefusedError):
+            ServiceClient(f"http://127.0.0.1:{port}").shutdown()
 
 
 # ====================================================================== #
