@@ -31,7 +31,6 @@ import json
 import multiprocessing
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -245,14 +244,3 @@ def run_trials(
         TrialOutcome(spec=spec, value=values[index], cached=cached_flags[index])
         for index, spec in enumerate(specs)
     ]
-
-
-def time_trials(specs: Iterable[TrialSpec], jobs: int) -> float:
-    """Wall-clock seconds to execute ``specs`` uncached at ``jobs`` workers.
-
-    Used by the perf harness to measure pool speedup without cache effects.
-    """
-    specs = list(specs)
-    start = time.perf_counter()
-    run_trials(specs, jobs=jobs)
-    return time.perf_counter() - start

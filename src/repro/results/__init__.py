@@ -1,35 +1,18 @@
 """Fleet-scale result store: one indexed home for every measurement artifact.
 
-PRs 1-5 made the repository produce measurement files — ``BENCH_*.json``
-perf reports, experiment JSON artifacts with ``.meta.json`` provenance
-sidecars, per-seed scenario results and JSON-lines telemetry traces — but
-left them write-only.  This package aggregates all of them into a single
-sqlite database (stdlib :mod:`sqlite3`, no dependencies) keyed by
-``(label, git revision, benchmark/experiment name, spec_digest)`` and puts
-analytics on top:
+The repository produces measurement files — ``BENCH_*.json`` reports,
+experiment JSON artifacts with ``.meta.json`` provenance sidecars, per-seed
+scenario results and JSON-lines telemetry traces.  This package aggregates
+all of them into a single sqlite database (stdlib :mod:`sqlite3`, no
+dependencies) keyed by ``(label, git revision, benchmark/experiment name,
+spec_digest)``:
 
 * :class:`~repro.results.store.ResultStore` — ingest + query;
-* :mod:`repro.results.analytics` — cross-PR trajectories, ``compare`` and
-  the ``check`` regression gate CI calls;
-* :mod:`repro.results.report` — HTML / CSV trajectory rendering;
-* :mod:`repro.results.labels` — BENCH label derivation (env var, checked-in
-  history, git revision) so workflows stop hard-coding ``BENCH_PR<k>``;
-* ``python -m repro.results`` — the CLI over all of the above.
+* ``python -m repro.results`` — the ``ingest`` / ``query`` CLI over it.
 
-See ``docs/result_store.md`` for the schema and the CI gate contract.
+See ``docs/result_store.md`` for the schema.
 """
 
-from .analytics import CheckOutcome, CheckResult, Comparison, check_regressions, compare_labels
-from .labels import derive_bench_label
 from .store import IngestReport, ResultStore
 
-__all__ = [
-    "ResultStore",
-    "IngestReport",
-    "CheckOutcome",
-    "CheckResult",
-    "Comparison",
-    "check_regressions",
-    "compare_labels",
-    "derive_bench_label",
-]
+__all__ = ["ResultStore", "IngestReport"]

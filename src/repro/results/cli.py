@@ -4,15 +4,8 @@ Subcommands::
 
     ingest PATH...              ingest artifacts (files or directories) into --db
     query                       inspect what the store holds (counts, runs, rows)
-    compare A B                 row-by-row throughput comparison of two labels
-    report                      render the cross-PR trajectory (--html / --csv)
-    check                       the CI regression gate; exits 1 on regression
 
-``compare``, ``report`` and ``check`` accept either a persistent ``--db``
-or ``--baseline-dir DIR`` (ingest every ``BENCH_*.json`` under DIR into an
-ephemeral in-memory store first) — the latter is what CI uses against the
-checked-in history.  Exit codes: 0 success, 1 regression / ingest errors
-with ``--strict``, 2 usage problems.
+Exit codes: 0 success, 1 ingest errors with ``--strict``, 2 usage problems.
 """
 
 from __future__ import annotations
@@ -23,27 +16,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analytics import check_regressions, compare_labels
-from .report import write_report_files
 from .store import IngestReport, ResultStore
 
 __all__ = ["main"]
 
 DEFAULT_DB = "results.sqlite"
-
-
-def _open_store(args: argparse.Namespace, default_baseline_dir: Optional[str] = None) -> ResultStore:
-    """A store for read-style commands: ``--db`` file or in-memory + baseline dir."""
-    db = getattr(args, "db", None)
-    baseline_dir = getattr(args, "baseline_dir", None)
-    if db is None and baseline_dir is None:
-        baseline_dir = default_baseline_dir
-    store = ResultStore(db if db is not None else ":memory:")
-    if baseline_dir is not None:
-        outcome = store.ingest_baseline_dir(baseline_dir)
-        for error in outcome.errors:
-            print(f"warning: {error}", file=sys.stderr)
-    return store
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -62,7 +39,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultStore(args.db or ":memory:") as store:
         if args.name is not None:
             rows = store.bench_rows(label=args.label, name=args.name)
             if args.json:
@@ -85,75 +62,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    with _open_store(args, default_baseline_dir=".") as store:
-        labels = store.bench_labels()
-        for label in (args.label_a, args.label_b):
-            if label not in labels:
-                print(f"label {label!r} not in store; have {labels}", file=sys.stderr)
-                return 2
-        comparisons = compare_labels(store, args.label_a, args.label_b)
-    print(f"{'benchmark':<22} {args.label_a:>14} {args.label_b:>14} {'ratio':>8}")
-    for entry in comparisons:
-        a = f"{entry.a_ops_per_sec:,.0f}" if entry.a_ops_per_sec is not None else "-"
-        b = f"{entry.b_ops_per_sec:,.0f}" if entry.b_ops_per_sec is not None else "-"
-        ratio = f"x{entry.ratio:.2f}" if entry.ratio is not None else "-"
-        print(f"{entry.name:<22} {a:>14} {b:>14} {ratio:>8}")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    if not args.html and not args.csv:
-        print("nothing to do: pass --html and/or --csv", file=sys.stderr)
-        return 2
-    with _open_store(args, default_baseline_dir=".") as store:
-        if not store.bench_labels() and store.counts()["runs"] == 0:
-            print("store is empty (no artifacts ingested)", file=sys.stderr)
-            return 2
-        written = write_report_files(store, html_path=args.html, csv_path=args.csv,
-                                     title=args.title)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    with _open_store(args, default_baseline_dir=".") as store:
-        candidate = args.candidate
-        if candidate is not None and (os.path.sep in candidate or os.path.exists(candidate)):
-            try:
-                with open(candidate, "r", encoding="utf-8") as handle:
-                    report = json.load(handle)
-                label = report["meta"]["label"]
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                print(f"cannot read candidate report {candidate!r}: {exc}", file=sys.stderr)
-                return 2
-            store.ingest_bench_report(report, source=os.path.basename(candidate))
-            candidate = label
-        try:
-            result = check_regressions(store, candidate_label=candidate,
-                                       max_regression=args.max_regression, loose=args.loose)
-        except ValueError as exc:
-            print(f"check: {exc}", file=sys.stderr)
-            return 2
-    if not args.quiet or not result.ok:
-        print(result.summary())
-    return 0 if result.ok else 1
-
-
-def _add_store_arguments(parser: argparse.ArgumentParser, with_baseline: bool = True) -> None:
-    parser.add_argument("--db", default=None, metavar="PATH",
-                        help="sqlite store to read (default: ephemeral in-memory store)")
-    if with_baseline:
-        parser.add_argument("--baseline-dir", default=None, metavar="DIR",
-                            help="ingest every BENCH_*.json under DIR first "
-                                 "(default '.' when --db is not given)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.results",
-        description="Fleet-scale result store: ingest, query and gate measurement artifacts",
+        description="Fleet-scale result store: ingest and query measurement artifacts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -169,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     query = sub.add_parser("query", help="inspect runs and benchmark rows")
-    _add_store_arguments(query)
+    query.add_argument("--db", default=None, metavar="PATH",
+                       help="sqlite store to read (default: ephemeral in-memory store)")
     query.add_argument("--kind", choices=("bench", "experiment", "scenario", "trace"),
                        default=None, help="filter runs by artifact family")
     query.add_argument("--label", default=None, help="filter by PR/bench label")
@@ -177,43 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="show one benchmark's trajectory instead of the run list")
     query.add_argument("--json", action="store_true", help="machine-readable output")
     query.set_defaults(func=_cmd_query)
-
-    compare = sub.add_parser("compare", help="compare two bench labels row by row")
-    compare.add_argument("label_a", help="baseline label (e.g. BENCH_PR5)")
-    compare.add_argument("label_b", help="candidate label (e.g. BENCH_PR6)")
-    _add_store_arguments(compare)
-    compare.set_defaults(func=_cmd_compare)
-
-    report = sub.add_parser("report", help="render the cross-PR trajectory")
-    _add_store_arguments(report)
-    report.add_argument("--html", default=None, metavar="FILE", help="write the HTML report here")
-    report.add_argument("--csv", default=None, metavar="FILE", help="write the CSV long form here")
-    report.add_argument("--title", default="Result store trajectory", help="HTML report title")
-    report.set_defaults(func=_cmd_report)
-
-    check = sub.add_parser(
-        "check", help="regression gate: exit 1 when a tracked row regresses")
-    _add_store_arguments(check)
-    check.add_argument("--candidate", default=None, metavar="LABEL_OR_PATH",
-                       help="label (or BENCH json file, ingested first) to judge; "
-                            "default: the highest label in trajectory order")
-    check.add_argument("--max-regression", type=float, default=0.25, metavar="FRAC",
-                       help="tolerated fractional throughput drop vs the best prior "
-                            "comparable row (default: 0.25)")
-    check.add_argument("--loose", action="store_true",
-                       help="ignore the platform component of the machine fingerprint "
-                            "(cross-machine comparison; not meaningful as a gate)")
-    check.add_argument("--quiet", action="store_true", help="print only on failure")
-    check.set_defaults(func=_cmd_check)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if getattr(args, "max_regression", None) is not None:
-        if not 0.0 <= args.max_regression < 1.0:
-            parser.error("--max-regression must be in [0, 1)")
     return args.func(args)
 
 

@@ -2,8 +2,9 @@
 
 One :class:`ResultStore` holds four artifact families in one indexed schema:
 
-* **bench** — ``BENCH_*.json`` perf-harness reports (one ``bench_rows`` row
-  per benchmark, keyed by label + name);
+* **bench** — ``BENCH_*.json`` reports (one ``bench_rows`` row per
+  benchmark, keyed by label + name), the checked-in ``BENCH_PR1..8.json``
+  history among them;
 * **experiment** — experiment JSON artifacts plus their ``.meta.json``
   provenance sidecars (seeds, jobs, git revision, cache counters);
 * **scenario** — per-seed ``ScenarioResult`` JSON files, with every numeric
@@ -17,6 +18,9 @@ re-ingesting identical content is counted as a dedup, not a duplicate row.
 Corrupt or truncated files are tolerated — they increment
 :attr:`IngestReport.skipped` with a recorded reason instead of aborting a
 batch (fleet ingestion must survive one torn artifact).
+
+An experiment, scenario or trace ingested without an explicit ``label`` is
+labelled ``$REPRO_RESULT_LABEL``, or ``"local"`` when that is unset.
 """
 
 from __future__ import annotations
@@ -28,9 +32,7 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from .labels import current_pr_label, sort_labels
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["ResultStore", "IngestReport", "classify_payload"]
 
@@ -172,6 +174,10 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
+def _default_label(label: Optional[str]) -> str:
+    return label or os.environ.get("REPRO_RESULT_LABEL") or "local"
+
+
 def classify_payload(payload: Any) -> Optional[str]:
     """Which artifact family a deserialized JSON document belongs to.
 
@@ -196,7 +202,7 @@ class ResultStore:
     """One sqlite database aggregating benches, experiments, scenarios, traces.
 
     ``path`` may be a filesystem path (created on first use) or ``":memory:"``
-    for an ephemeral store (the ``check``/``compare`` CLI default).  Usable as
+    for an ephemeral store (the ``query`` CLI default).  Usable as
     a context manager; :meth:`close` is idempotent.
     """
 
@@ -287,7 +293,7 @@ class ResultStore:
     def ingest_bench_report(
         self, report: Dict[str, Any], source: Optional[str] = None, label: Optional[str] = None
     ) -> IngestReport:
-        """Ingest one perf-harness report dict (the ``BENCH_*.json`` shape)."""
+        """Ingest one benchmark report dict (the ``BENCH_*.json`` shape)."""
         outcome = IngestReport()
         meta = report.get("meta")
         benchmarks = report.get("benchmarks")
@@ -347,7 +353,7 @@ class ResultStore:
         outcome = IngestReport()
         provenance = provenance or {}
         name = str(payload.get("name") or "unknown")
-        label = label or os.environ.get("REPRO_RESULT_LABEL") or current_pr_label()
+        label = _default_label(label)
         seeds = provenance.get("seeds")
         run_id = self._insert_run(
             "experiment", label, name, _sha256_of(payload),
@@ -388,7 +394,7 @@ class ResultStore:
         name = str(payload.get("name") or "unknown")
         seed = int(payload.get("seed") or 0)
         spec_digest = str(payload.get("spec_digest") or "")
-        label = label or os.environ.get("REPRO_RESULT_LABEL") or current_pr_label()
+        label = _default_label(label)
         run_id = self._insert_run(
             "scenario", label, f"{name}.seed{seed}", _sha256_of(payload),
             source=source, meta={"spec_digest": spec_digest},
@@ -440,7 +446,7 @@ class ResultStore:
         each bad line is counted, good lines around it still land.
         """
         outcome = IngestReport()
-        label = label or os.environ.get("REPRO_RESULT_LABEL") or current_pr_label()
+        label = _default_label(label)
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
@@ -567,11 +573,6 @@ class ResultStore:
         cursor = self._db.execute(f"SELECT * FROM runs{where} ORDER BY id", params)
         return [dict(row) for row in cursor.fetchall()]
 
-    def bench_labels(self) -> List[str]:
-        """Every bench label present, in trajectory order."""
-        cursor = self._db.execute("SELECT DISTINCT label FROM runs WHERE kind = 'bench'")
-        return sort_labels(row["label"] for row in cursor.fetchall())
-
     def bench_rows(
         self, label: Optional[str] = None, name: Optional[str] = None
     ) -> List[Dict[str, Any]]:
@@ -599,25 +600,6 @@ class ResultStore:
             params,
         )
         return [dict(row) for row in cursor.fetchall()]
-
-    def bench_names(self) -> List[str]:
-        """Every benchmark name that appears in any ingested report."""
-        cursor = self._db.execute("SELECT DISTINCT name FROM bench_rows ORDER BY name")
-        return [row["name"] for row in cursor.fetchall()]
-
-    def bench_trajectory(self) -> Dict[str, List[Dict[str, Any]]]:
-        """``{benchmark name: [row per label, trajectory-ordered]}``."""
-        ordered = self.bench_labels()
-        trajectory: Dict[str, List[Dict[str, Any]]] = {}
-        rows = self.bench_rows()
-        by_key = {(row["name"], row["label"]): row for row in rows}
-        for row in rows:
-            trajectory.setdefault(row["name"], [])
-        for name in trajectory:
-            trajectory[name] = [
-                by_key[(name, label)] for label in ordered if (name, label) in by_key
-            ]
-        return trajectory
 
     def experiment_results(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
         """Experiment artifact rows (columns/rows/series decoded from JSON)."""
@@ -702,40 +684,3 @@ class ResultStore:
             cursor = self._db.execute(f"SELECT COUNT(*) AS n FROM {table}")  # noqa: S608
             out[table] = cursor.fetchone()["n"]
         return out
-
-    # ------------------------------------------------------------------ #
-    # convenience                                                        #
-    # ------------------------------------------------------------------ #
-    def ingest_baseline_dir(
-        self, directory: str, pattern_labels: Optional[Sequence[str]] = None
-    ) -> IngestReport:
-        """Ingest every ``BENCH_*.json`` directly under ``directory``.
-
-        This is the ``check --baseline-dir`` primitive: it deliberately does
-        *not* recurse (the repo root holds the checked-in history; trial
-        caches and artifact dirs below it are not benchmark baselines).
-        """
-        outcome = IngestReport()
-        try:
-            entries = sorted(os.listdir(directory))
-        except OSError as exc:
-            outcome.skipped += 1
-            outcome.errors.append(f"{directory}: {exc}")
-            return outcome
-        for filename in entries:
-            if filename.startswith("BENCH_") and filename.endswith(".json"):
-                if pattern_labels is not None and filename[: -len(".json")] not in pattern_labels:
-                    continue
-                outcome.merge(self.ingest_file(os.path.join(directory, filename)))
-        return outcome
-
-
-def iter_bench_files(directory: str) -> Iterable[Tuple[str, str]]:
-    """``(label, path)`` for every ``BENCH_*.json`` directly under ``directory``."""
-    try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        return
-    for filename in entries:
-        if filename.startswith("BENCH_") and filename.endswith(".json"):
-            yield filename[: -len(".json")], os.path.join(directory, filename)

@@ -270,7 +270,7 @@ class TestBatchedGrantFairness:
 
     def test_batch_size_one_matches_seed_loop(self):
         """k=1 goes through the batched code path but is the seed semantics."""
-        from repro.perf.legacy import unbatched_maybe_grant
+        from grant_oracle import unbatched_maybe_grant
 
         sim, cm = build_cm(1)
         log = []

@@ -462,7 +462,7 @@ def _grant_state(grant, cwnd_mtus, batch_size, entries, committed_mtus, closed):
 )
 def test_one_walk_grant_loop_equals_the_seed_loop(cwnd_mtus, batch_size, entries,
                                                    committed_mtus, closed):
-    from repro.perf.legacy import unbatched_maybe_grant
+    from grant_oracle import unbatched_maybe_grant
 
     args = (cwnd_mtus, batch_size, entries, committed_mtus, closed)
     assert (_grant_state(CongestionManager._maybe_grant, *args)

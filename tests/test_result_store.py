@@ -1,4 +1,4 @@
-"""Result store: ingest/query round trips, dedup, corruption tolerance, gate math."""
+"""Result store: ingest/query round trips, dedup, corruption tolerance, labels."""
 
 from __future__ import annotations
 
@@ -7,13 +7,6 @@ import sqlite3
 
 import pytest
 
-from repro.results.analytics import check_regressions, compare_labels
-from repro.results.labels import (
-    current_pr_label,
-    derive_bench_label,
-    label_sort_key,
-    sort_labels,
-)
 from repro.results.store import IngestReport, ResultStore, classify_payload
 
 # --------------------------------------------------------------------- #
@@ -91,8 +84,8 @@ def test_bench_ingest_query_round_trip(store):
     assert churn["git_revision"] == "deadbeef"
     assert churn["python"] == "3.11.7"
     assert churn["notes"] == "fixture row event_churn"
-    assert store.bench_names() == ["event_churn", "grant_dispatch"]
-    assert store.bench_labels() == ["BENCH_PR1"]
+    assert [row["name"] for row in store.bench_rows()] == ["event_churn", "grant_dispatch"]
+    assert [run["label"] for run in store.runs(kind="bench")] == ["BENCH_PR1"]
 
 
 def test_reingest_identical_report_is_a_counted_dedup(store):
@@ -118,14 +111,6 @@ def test_bench_extra_fields_preserved_in_extra_json(store):
     store.ingest_bench_report(report)
     row = store.bench_rows(name="graph_build")[0]
     assert json.loads(row["extra"]) == {"nodes": 38.0}
-
-
-def test_bench_trajectory_orders_labels_numerically(store):
-    for pr in (10, 2, 1):
-        store.ingest_bench_report(bench_report(f"BENCH_PR{pr}", {"event_churn": 100.0 * pr}))
-    trajectory = store.bench_trajectory()
-    assert [row["label"] for row in trajectory["event_churn"]] == \
-        ["BENCH_PR1", "BENCH_PR2", "BENCH_PR10"]
 
 
 # --------------------------------------------------------------------- #
@@ -289,132 +274,26 @@ def test_ingest_report_merge_accumulates():
 
 
 # --------------------------------------------------------------------- #
-# compare / check math (the CI gate contract)                           #
+# default label                                                         #
 # --------------------------------------------------------------------- #
-def test_compare_labels_ratio_math(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 100.0, "b": 50.0}))
-    store.ingest_bench_report(bench_report("BENCH_PR2", {"a": 150.0, "c": 10.0}))
-    comparisons = {entry.name: entry for entry in compare_labels(store, "BENCH_PR1", "BENCH_PR2")}
-    assert comparisons["a"].ratio == pytest.approx(1.5)
-    assert comparisons["b"].ratio is None  # missing on the B side
-    assert comparisons["c"].a_ops_per_sec is None
+def test_unlabelled_ingest_is_local_even_beside_bench_history(monkeypatch, tmp_path, store):
+    monkeypatch.delenv("REPRO_RESULT_LABEL", raising=False)
+    (tmp_path / "BENCH_PR8.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    store.ingest_scenario_payload(scenario_payload())
+    (entry,) = store.scenario_results()
+    assert entry["label"] == "local"
 
 
-def test_check_trips_on_30pct_slowdown_at_25pct_threshold(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"event_churn": 1000.0}))
-    store.ingest_bench_report(bench_report("BENCH_PR2", {"event_churn": 700.0}))
-    result = check_regressions(store, max_regression=0.25)
-    assert result.candidate_label == "BENCH_PR2"
-    assert not result.ok
-    (outcome,) = result.regressed
-    assert outcome.name == "event_churn"
-    assert outcome.baseline_label == "BENCH_PR1"
-    assert outcome.ratio == pytest.approx(0.7)
-    assert "FAIL" in result.summary()
-
-
-def test_check_passes_within_threshold_and_on_improvement(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 1000.0, "b": 10.0}))
-    store.ingest_bench_report(bench_report("BENCH_PR2", {"a": 800.0, "b": 400.0}))
-    result = check_regressions(store, max_regression=0.25)
-    assert result.ok  # a: -20% tolerated; b: massive improvement
-    assert {outcome.status for outcome in result.outcomes} == {"ok"}
-
-
-def test_check_uses_best_prior_not_most_recent(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 1000.0}))
-    store.ingest_bench_report(bench_report("BENCH_PR2", {"a": 600.0}))
-    store.ingest_bench_report(bench_report("BENCH_PR3", {"a": 700.0}))
-    result = check_regressions(store, max_regression=0.25)
-    # 700 vs best prior (1000, PR1) is a 30% regression even though it beats PR2.
-    assert not result.ok
-    assert result.regressed[0].baseline_label == "BENCH_PR1"
-
-
-def test_check_skips_incomparable_quick_and_platform_rows(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 1000.0, "b": 1000.0}))
-    candidate = bench_report("BENCH_PR2", {"a": 100.0}, quick=True)
-    other_machine = bench_report("BENCH_PR2", {"b": 100.0},
-                                 machine={"python": "3.12.1", "implementation": "CPython",
-                                          "platform": "Linux-other"})
-    store.ingest_bench_report(candidate)
-    result = check_regressions(store, candidate_label="BENCH_PR2", max_regression=0.25)
-    assert result.ok  # quick candidate vs full history: skipped, not failed
-    assert result.outcomes[0].status == "skipped"
-    assert "quick=True" in result.outcomes[0].reason
-
-    with ResultStore(":memory:") as fresh:
-        fresh.ingest_bench_report(bench_report("BENCH_PR1", {"b": 1000.0}))
-        fresh.ingest_bench_report(other_machine)
-        result = check_regressions(fresh, max_regression=0.25)
-        assert result.ok
-        assert result.outcomes[0].status == "skipped"
-        # But a deliberate cross-machine comparison can opt out of the
-        # platform component (interpreter series still must match).
-        loose = check_regressions(fresh, max_regression=0.25, loose=True)
-        assert loose.outcomes[0].status == "skipped"  # 3.11 vs 3.12 still blocks
-
-    with ResultStore(":memory:") as fresh:
-        same_python = bench_report("BENCH_PR2", {"b": 100.0},
-                                   machine={"python": "3.11.9", "implementation": "CPython",
-                                            "platform": "Linux-other"})
-        fresh.ingest_bench_report(bench_report("BENCH_PR1", {"b": 1000.0}))
-        fresh.ingest_bench_report(same_python)
-        loose = check_regressions(fresh, max_regression=0.25, loose=True)
-        assert not loose.ok  # same interpreter series, platform ignored
-
-
-def test_check_candidate_without_history_is_all_skips(store):
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 1000.0}))
-    result = check_regressions(store, max_regression=0.25)
-    assert result.ok
-    assert [outcome.status for outcome in result.outcomes] == ["skipped"]
-
-
-def test_check_rejects_bad_inputs(store):
-    with pytest.raises(ValueError):
-        check_regressions(store)  # empty store
-    store.ingest_bench_report(bench_report("BENCH_PR1", {"a": 1.0}))
-    with pytest.raises(ValueError):
-        check_regressions(store, candidate_label="BENCH_PR9")
-    with pytest.raises(ValueError):
-        check_regressions(store, max_regression=1.5)
-
-
-# --------------------------------------------------------------------- #
-# label derivation                                                      #
-# --------------------------------------------------------------------- #
-def test_label_sort_key_orders_pr_numbers_numerically():
-    labels = ["BENCH_PR10", "BENCH_PR2", "BENCH_CI_A", "BENCH_PR1"]
-    assert sort_labels(labels) == ["BENCH_PR1", "BENCH_PR2", "BENCH_PR10", "BENCH_CI_A"]
-    assert label_sort_key("PR3") < label_sort_key("PR12")
-
-
-def test_derive_label_env_var_wins(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_BENCH_LABEL", "BENCH_CUSTOM")
-    assert derive_bench_label(str(tmp_path)) == "BENCH_CUSTOM"
-    monkeypatch.delenv("REPRO_BENCH_LABEL")
-    monkeypatch.setenv("REPRO_PR_LABEL", "PR99")
-    assert derive_bench_label(str(tmp_path)) == "BENCH_PR99"
-    assert current_pr_label(str(tmp_path)) == "PR99"
-
-
-def test_derive_label_from_checked_in_history(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_BENCH_LABEL", raising=False)
-    monkeypatch.delenv("REPRO_PR_LABEL", raising=False)
-    for pr in (1, 2, 5):
-        (tmp_path / f"BENCH_PR{pr}.json").write_text("{}")
-    (tmp_path / "BENCH_notapr.json").write_text("{}")
-    assert current_pr_label(str(tmp_path)) == "PR6"
-    assert derive_bench_label(str(tmp_path)) == "BENCH_PR6"
-
-
-def test_derive_label_without_history_falls_back_to_git(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_BENCH_LABEL", raising=False)
-    monkeypatch.delenv("REPRO_PR_LABEL", raising=False)
-    label = current_pr_label(str(tmp_path))
-    # Inside this checkout git is available; outside it would be "local".
-    assert label.startswith("git-") or label == "local"
+def test_result_label_env_var_wins_over_the_default(monkeypatch, tmp_path, store):
+    monkeypatch.setenv("REPRO_RESULT_LABEL", "nightly")
+    store.ingest_scenario_payload(scenario_payload(seed=1))
+    store.ingest_scenario_payload(scenario_payload(seed=2), label="PR6")
+    trace = tmp_path / "run.jsonl"
+    trace.write_text(json.dumps({"t": 0.0, "event": "e"}) + "\n")
+    store.ingest_trace(str(trace))
+    assert [(run["name"], run["label"]) for run in store.runs()] == [
+        ("web_mix.seed1", "nightly"), ("web_mix.seed2", "PR6"), ("run.jsonl", "nightly")]
 
 
 # --------------------------------------------------------------------- #

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 
 import pytest
 
 from repro.results.cli import main
-from repro.results.report import CSV_COLUMNS, render_csv, render_html
 from repro.results.store import ResultStore
 
-from test_result_store import MACHINE, bench_report, scenario_payload
+from test_result_store import bench_report
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -59,161 +58,22 @@ def test_ingest_missing_path_is_strict_failure(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().out
 
 
-def test_query_baseline_dir_uses_ephemeral_store(baseline_dir, capsys):
-    assert run_cli("query", "--baseline-dir", baseline_dir, "--json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["runs"] == 2
+def test_checked_in_bench_history_ingests_strictly(tmp_path, capsys):
+    history = [os.path.join(REPO_ROOT, f"BENCH_PR{k}.json") for k in range(1, 9)]
+    db = tmp_path / "history.sqlite"
+    assert run_cli("ingest", "--strict", "--db", db, *history) == 0
+    summary = capsys.readouterr().out
+    assert summary.startswith("ingested 8 run(s)")
+    assert summary.rstrip().endswith("0 duplicate(s), 0 skipped")
+
+    assert run_cli("query", "--db", db, "--kind", "bench", "--json") == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [run["label"] for run in runs] == [f"BENCH_PR{k}" for k in range(1, 9)]
 
 
 # --------------------------------------------------------------------- #
-# compare                                                               #
+# integrations: experiment registration and the scenario CLI            #
 # --------------------------------------------------------------------- #
-def test_compare_prints_ratios(baseline_dir, capsys):
-    assert run_cli("compare", "BENCH_PR1", "BENCH_PR2", "--baseline-dir", baseline_dir) == 0
-    out = capsys.readouterr().out
-    assert "event_churn" in out and "x1.10" in out
-    assert "graph_build" in out  # present only on the B side, still listed
-
-
-def test_compare_unknown_label_is_usage_error(baseline_dir, capsys):
-    assert run_cli("compare", "BENCH_PR1", "BENCH_PR9", "--baseline-dir", baseline_dir) == 2
-    assert "BENCH_PR9" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------- #
-# report                                                                #
-# --------------------------------------------------------------------- #
-def test_report_writes_html_and_csv_covering_every_row(tmp_path, baseline_dir, capsys):
-    html_path = tmp_path / "report.html"
-    csv_path = tmp_path / "report.csv"
-    assert run_cli("report", "--baseline-dir", baseline_dir,
-                   "--html", html_path, "--csv", csv_path, "--title", "PR trajectory") == 0
-
-    with open(csv_path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 5  # every (label, benchmark) pair in the history
-    assert set(rows[0]) == set(CSV_COLUMNS)
-    assert {(row["label"], row["benchmark"]) for row in rows} >= {
-        ("BENCH_PR1", "event_churn"), ("BENCH_PR2", "graph_build")}
-    assert all(row["python"] == "3.11.7" for row in rows)
-
-    html = html_path.read_text(encoding="utf-8")
-    assert "PR trajectory" in html
-    for name in ("event_churn", "grant_dispatch", "graph_build"):
-        assert name in html
-    assert "BENCH_PR1" in html and "BENCH_PR2" in html
-    assert "<span class='delta'>x1.10</span>" in html  # delta vs the previous label
-
-
-def test_report_without_outputs_or_data_is_usage_error(tmp_path, capsys):
-    assert run_cli("report", "--baseline-dir", tmp_path) == 2  # no --html/--csv
-    assert run_cli("report", "--baseline-dir", tmp_path, "--html", tmp_path / "x.html") == 2
-    assert "empty" in capsys.readouterr().err
-
-
-def test_render_covers_non_bench_artifacts(tmp_path):
-    with ResultStore(":memory:") as store:
-        store.ingest_bench_report(bench_report("BENCH_PR1", {"event_churn": 1000.0}))
-        store.ingest_scenario_payload(scenario_payload(), label="PR6")
-        trace = tmp_path / "t.jsonl"
-        trace.write_text(json.dumps({"t": 0.0, "event": "sample", "series": "q"}) + "\n")
-        store.ingest_trace(str(trace), label="PR6")
-        html = render_html(store, title="t")
-        assert "web_mix" in html and "spec digest" in html
-        assert "sample" in html  # trace event summary section
-        csv_text = render_csv(store)
-    parsed = list(csv.DictReader(io.StringIO(csv_text)))
-    assert len(parsed) == 1 and parsed[0]["benchmark"] == "event_churn"
-
-
-# --------------------------------------------------------------------- #
-# check: the regression gate                                            #
-# --------------------------------------------------------------------- #
-def test_check_exits_nonzero_on_30pct_slowdown(tmp_path, baseline_dir, capsys):
-    candidate = bench_report(
-        "BENCH_PR3", {"event_churn": 770.0, "grant_dispatch": 520.0})  # -30% vs best (1100)
-    path = tmp_path / "BENCH_PR3.json"
-    path.write_text(json.dumps(candidate))
-    assert run_cli("check", "--baseline-dir", baseline_dir,
-                   "--candidate", path, "--max-regression", "0.25") == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "event_churn" in out
-    assert "perf check verdict: FAIL" in out
-
-
-def test_check_passes_within_threshold(tmp_path, baseline_dir, capsys):
-    candidate = bench_report(
-        "BENCH_PR3", {"event_churn": 900.0, "grant_dispatch": 600.0})  # -18% / +15%
-    path = tmp_path / "BENCH_PR3.json"
-    path.write_text(json.dumps(candidate))
-    assert run_cli("check", "--baseline-dir", baseline_dir,
-                   "--candidate", path, "--max-regression", "0.25") == 0
-    assert "perf check verdict: PASS" in capsys.readouterr().out
-
-
-def test_check_skips_cross_machine_candidate(tmp_path, baseline_dir, capsys):
-    machine = {"python": "3.12.1", "implementation": "CPython", "platform": "Darwin-arm64"}
-    candidate = bench_report("BENCH_PR3", {"event_churn": 10.0}, machine=machine)
-    path = tmp_path / "BENCH_PR3.json"
-    path.write_text(json.dumps(candidate))
-    assert run_cli("check", "--baseline-dir", baseline_dir,
-                   "--candidate", path, "--max-regression", "0.25") == 0
-    assert "SKIP" in capsys.readouterr().out
-
-
-def test_check_defaults_to_highest_label(baseline_dir, capsys):
-    # Without --candidate the gate judges BENCH_PR2 against BENCH_PR1: green.
-    assert run_cli("check", "--baseline-dir", baseline_dir) == 0
-    assert "BENCH_PR2" in capsys.readouterr().out
-
-
-def test_check_bad_candidate_file_is_usage_error(tmp_path, baseline_dir, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert run_cli("check", "--baseline-dir", baseline_dir, "--candidate", path) == 2
-    assert "cannot read candidate" in capsys.readouterr().err
-
-
-def test_check_empty_store_is_usage_error(tmp_path, capsys):
-    assert run_cli("check", "--baseline-dir", tmp_path) == 2
-    assert "check:" in capsys.readouterr().err
-
-
-def test_fresh_machine_run_never_false_fails_against_history(tmp_path, capsys):
-    """The CI contract: a candidate measured on a machine the checked-in
-    BENCH_PR*.json history has never seen is skipped row by row, not failed —
-    the gate only compares rows with an identical machine fingerprint."""
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    machine = {"python": "3.11.7", "implementation": "CPython",
-               "platform": "fingerprint-test-platform"}
-    candidate = bench_report(
-        "BENCH_PR99", {"event_churn": 1.0, "grant_dispatch": 1.0}, machine=machine)
-    path = tmp_path / "BENCH_PR99.json"
-    path.write_text(json.dumps(candidate))
-    assert run_cli("check", "--baseline-dir", repo_root, "--candidate", path) == 0
-    out = capsys.readouterr().out
-    assert "SKIP" in out and "perf check verdict: PASS" in out
-
-
-# --------------------------------------------------------------------- #
-# integrations: perf harness label + experiment registration            #
-# --------------------------------------------------------------------- #
-def test_perf_main_store_flag_ingests_report(tmp_path, monkeypatch):
-    # Drive the real module entry point with a stubbed harness so the test
-    # exercises the label/output/--store plumbing without a 5-minute run.
-    import repro.perf.__main__ as perf_main
-
-    monkeypatch.setenv("REPRO_BENCH_LABEL", "BENCH_SMOKE")
-    monkeypatch.setattr(
-        perf_main, "run_benchmarks",
-        lambda quick=False, label=None: bench_report(label, {"event_churn": 10.0}))
-    monkeypatch.chdir(tmp_path)
-    assert perf_main.main(["--quick", "--store", "results.sqlite"]) == 0
-    assert (tmp_path / "BENCH_SMOKE.json").exists()
-    with ResultStore(str(tmp_path / "results.sqlite")) as store:
-        assert store.bench_labels() == ["BENCH_SMOKE"]
-
-
 def test_experiment_registration_env_var(tmp_path, monkeypatch):
     from repro.experiments.artifacts import register_artifact
     from repro.experiments.base import ExperimentResult
