@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 
 import pytest
 
 from repro.results.store import IngestReport, ResultStore, classify_payload
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # --------------------------------------------------------------------- #
 # fixtures                                                              #
@@ -113,6 +116,72 @@ def test_bench_extra_fields_preserved_in_extra_json(store):
     assert json.loads(row["extra"]) == {"nodes": 38.0}
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_checked_in_bench_file_ingests_under_its_own_label(k, store):
+    path = os.path.join(REPO_ROOT, f"BENCH_PR{k}.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        report = json.load(handle)
+    assert classify_payload(report) == "bench"
+
+    outcome = store.ingest_file(path)
+    assert (outcome.ingested, outcome.skipped, outcome.errors) == (1, 0, [])
+    assert outcome.rows == len(report["benchmarks"])
+    rows = store.bench_rows(label=f"BENCH_PR{k}")
+    assert [row["name"] for row in rows] == sorted(report["benchmarks"])
+    for row in rows:
+        assert row["ops_per_sec"] == report["benchmarks"][row["name"]]["ops_per_sec"]
+        assert row["source"] == f"BENCH_PR{k}.json"
+    assert store.ingest_file(path).deduped == 1
+
+
+def test_bench_label_comes_from_the_report_not_the_result_label(monkeypatch, store):
+    monkeypatch.setenv("REPRO_RESULT_LABEL", "nightly")
+    store.ingest_bench_report(bench_report("BENCH_PR3", {"x": 1.0}))
+    assert [run["label"] for run in store.runs()] == ["BENCH_PR3"]
+
+
+def test_bench_report_without_a_label_is_unlabelled(store):
+    report = bench_report("ignored", {"x": 1.0})
+    del report["meta"]["label"]
+    store.ingest_bench_report(report)
+    assert [row["label"] for row in store.bench_rows()] == ["unlabelled"]
+
+
+def test_explicit_label_overrides_the_bench_report_label(store):
+    store.ingest_bench_report(bench_report("BENCH_PR1", {"x": 1.0}), label="bench")
+    assert [row["label"] for row in store.bench_rows()] == ["bench"]
+    assert store.bench_rows(label="BENCH_PR1") == []
+
+
+@pytest.mark.parametrize("report", [
+    {"benchmarks": {}},
+    {"meta": {"label": "BENCH_X"}},
+    {"meta": [], "benchmarks": {}},
+], ids=["no-meta", "no-benchmarks", "meta-not-an-object"])
+def test_bench_report_without_meta_and_benchmarks_is_a_counted_skip(report, store):
+    outcome = store.ingest_bench_report(report, source="odd.json")
+    assert (outcome.ingested, outcome.skipped) == (0, 1)
+    assert outcome.errors == ["odd.json: missing 'meta'/'benchmarks'"]
+    assert store.counts()["runs"] == 0
+
+
+def test_a_non_object_benchmark_row_is_skipped_and_the_rest_land(store):
+    report = bench_report("BENCH_PR1", {"good": 10.0})
+    report["benchmarks"]["bad"] = 3.5
+    outcome = store.ingest_bench_report(report)
+    assert (outcome.ingested, outcome.rows, outcome.skipped) == (1, 1, 1)
+    assert "'bad' is not an object" in outcome.errors[0]
+    assert [row["name"] for row in store.bench_rows()] == ["good"]
+
+
+def test_bench_rows_by_name_span_every_label(store):
+    for label, rate in (("BENCH_PR2", 20.0), ("BENCH_PR1", 10.0)):
+        store.ingest_bench_report(bench_report(label, {"churn": rate, "other": 1.0}))
+    rows = store.bench_rows(name="churn")
+    assert [(row["label"], row["ops_per_sec"]) for row in rows] == \
+        [("BENCH_PR1", 10.0), ("BENCH_PR2", 20.0)]
+
+
 # --------------------------------------------------------------------- #
 # experiment / scenario / trace ingest                                  #
 # --------------------------------------------------------------------- #
@@ -191,6 +260,54 @@ def test_scenario_results_filter_by_source(store):
     assert entry["seed"] == 2 and entry["source"] == "service:job:2"
     assert store.scenario_results(source="service:job:3") == []
     assert len(store.scenario_results()) == 2
+
+
+def test_experiment_without_sidecar_has_no_provenance(tmp_path, store):
+    (tmp_path / "t1.json").write_text(json.dumps(
+        {"name": "t1", "title": "T", "columns": ["a"], "rows": [[1]]}))
+    outcome = store.ingest_file(str(tmp_path / "t1.json"), label="PR6")
+    assert (outcome.ingested, outcome.rows, outcome.errors) == (1, 1, [])
+    (entry,) = store.experiment_results()
+    assert entry["seeds"] is None and entry["jobs"] is None
+    assert entry["series"] == {} and entry["notes"] == []
+
+
+def test_corrupt_sidecar_is_noted_and_the_payload_still_lands(tmp_path, store):
+    (tmp_path / "t1.json").write_text(json.dumps(
+        {"name": "t1", "title": "T", "columns": [], "rows": []}))
+    (tmp_path / "t1.meta.json").write_text('{"experiment": "t1", "tri')
+    outcome = store.ingest_file(str(tmp_path / "t1.json"), label="PR6")
+    assert (outcome.ingested, outcome.skipped) == (1, 0)
+    assert len(outcome.errors) == 1 and "sidecar ignored" in outcome.errors[0]
+    (entry,) = store.experiment_results(name="t1")
+    assert entry["trials"] is None
+
+
+def test_missing_trace_file_is_a_counted_skip(tmp_path, store):
+    outcome = store.ingest_trace(str(tmp_path / "gone.jsonl"))
+    assert (outcome.ingested, outcome.skipped) == (0, 1)
+    assert outcome.errors[0].startswith(str(tmp_path / "gone.jsonl"))
+    assert store.counts()["runs"] == 0
+
+
+def test_metrics_filter_by_scope_and_metric(store):
+    store.ingest_scenario_payload(scenario_payload(), label="PR6")
+    (row,) = store.metrics(scope="link", metric="dropped_overflow")
+    assert (row["entity"], row["value"], row["label"]) == ("h1->h2", 3.0, "PR6")
+    assert {m["scope"] for m in store.metrics(scenario="web_mix")} == \
+        {"app", "link", "host", "workload"}
+    assert store.metrics(scenario="other") == []
+
+
+def test_runs_filter_by_kind_and_label(store):
+    store.ingest_scenario_payload(scenario_payload(seed=1), label="a")
+    store.ingest_scenario_payload(scenario_payload(seed=2), label="b")
+    store.ingest_bench_report(bench_report("a", {"x": 1.0}))
+    assert [run["name"] for run in store.runs(kind="scenario")] == \
+        ["web_mix.seed1", "web_mix.seed2"]
+    assert [run["kind"] for run in store.runs(label="a")] == ["scenario", "bench"]
+    assert [run["name"] for run in store.runs(kind="scenario", label="b")] == ["web_mix.seed2"]
+    assert store.runs(kind="trace") == []
 
 
 def test_transaction_is_one_commit_or_none(tmp_path):
@@ -273,6 +390,23 @@ def test_ingest_report_merge_accumulates():
     assert "boom" in a.summary()
 
 
+def test_summary_puts_each_error_on_its_own_line():
+    report = IngestReport(ingested=2, rows=7, deduped=1, skipped=2, errors=["a: x", "b: y"])
+    assert report.summary().splitlines() == [
+        "ingested 2 run(s) (7 row(s)), 1 duplicate(s), 2 skipped:",
+        "  - a: x",
+        "  - b: y",
+    ]
+    assert IngestReport().summary() == "ingested 0 run(s) (0 row(s)), 0 duplicate(s), 0 skipped"
+
+
+def test_ingest_path_on_a_file_ingests_that_file(tmp_path, store):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(scenario_payload()))
+    assert store.ingest_path(str(path), label="PR6").ingested == 1
+    assert [run["source"] for run in store.runs()] == ["web.json"]
+
+
 # --------------------------------------------------------------------- #
 # default label                                                         #
 # --------------------------------------------------------------------- #
@@ -296,6 +430,50 @@ def test_result_label_env_var_wins_over_the_default(monkeypatch, tmp_path, store
         ("web_mix.seed1", "nightly"), ("web_mix.seed2", "PR6"), ("run.jsonl", "nightly")]
 
 
+def ingest_unlabelled_family(kind, store, tmp_path, label=None):
+    """Ingest one experiment, scenario or trace and return the label it got."""
+    if kind == "experiment":
+        store.ingest_experiment_payload(
+            {"name": "t1", "title": "", "columns": [], "rows": []}, label=label)
+    elif kind == "scenario":
+        store.ingest_scenario_payload(scenario_payload(), label=label)
+    else:
+        trace = tmp_path / "run.jsonl"
+        trace.write_text(json.dumps({"t": 0.0, "event": "e"}) + "\n")
+        store.ingest_trace(str(trace), label=label)
+    (run,) = store.runs(kind=kind)
+    return run["label"]
+
+
+FAMILIES = ("experiment", "scenario", "trace")
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_every_unlabelled_family_is_local(kind, monkeypatch, tmp_path, store):
+    monkeypatch.delenv("REPRO_RESULT_LABEL", raising=False)
+    (tmp_path / "BENCH_PR8.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    assert ingest_unlabelled_family(kind, store, tmp_path) == "local"
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_result_label_env_var_labels_every_unlabelled_family(kind, monkeypatch, tmp_path, store):
+    monkeypatch.setenv("REPRO_RESULT_LABEL", "nightly")
+    assert ingest_unlabelled_family(kind, store, tmp_path) == "nightly"
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_explicit_label_wins_over_the_env_var(kind, monkeypatch, tmp_path, store):
+    monkeypatch.setenv("REPRO_RESULT_LABEL", "nightly")
+    assert ingest_unlabelled_family(kind, store, tmp_path, label="PR6") == "PR6"
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_empty_result_label_env_var_means_local(kind, monkeypatch, tmp_path, store):
+    monkeypatch.setenv("REPRO_RESULT_LABEL", "")
+    assert ingest_unlabelled_family(kind, store, tmp_path) == "local"
+
+
 # --------------------------------------------------------------------- #
 # store lifecycle                                                       #
 # --------------------------------------------------------------------- #
@@ -317,3 +495,55 @@ def test_counts_reports_every_table(store):
     assert set(counts) == {"runs", "bench_rows", "experiment_results",
                            "scenario_results", "metrics", "trace_events"}
     assert all(value == 0 for value in counts.values())
+
+
+def test_close_is_idempotent(tmp_path):
+    store = ResultStore(str(tmp_path / "r.sqlite"))
+    store.close()
+    store.close()
+    with ResultStore(str(tmp_path / "r.sqlite")) as reopened:
+        reopened.close()
+
+
+#: The v1 ``store_meta``/``runs``/``bench_rows`` tables exactly as earlier
+#: releases created them; a store they wrote must keep opening.
+V1_TABLES = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE runs (
+    id INTEGER PRIMARY KEY,
+    kind TEXT NOT NULL CHECK (kind IN ('bench', 'experiment', 'scenario', 'trace')),
+    label TEXT NOT NULL, name TEXT NOT NULL, git_revision TEXT, python TEXT,
+    implementation TEXT, platform TEXT, quick INTEGER, timestamp TEXT, source TEXT,
+    digest TEXT NOT NULL, meta TEXT NOT NULL DEFAULT '{}', ingested_at TEXT NOT NULL,
+    UNIQUE (kind, label, name, digest)
+);
+CREATE TABLE bench_rows (
+    run_id INTEGER NOT NULL REFERENCES runs (id) ON DELETE CASCADE,
+    label TEXT NOT NULL, name TEXT NOT NULL, ops INTEGER, wall_s REAL, ops_per_sec REAL,
+    baseline_wall_s REAL, baseline_ops_per_sec REAL, speedup REAL,
+    notes TEXT NOT NULL DEFAULT '', extra TEXT NOT NULL DEFAULT '{}',
+    PRIMARY KEY (run_id, name)
+);
+INSERT INTO store_meta VALUES ('schema_version', '1');
+INSERT INTO runs (id, kind, label, name, digest, ingested_at, source)
+    VALUES (1, 'bench', 'PR9', 'PR9', 'd1', 't', 'BENCH_PR9.json');
+INSERT INTO bench_rows (run_id, label, name, ops, wall_s, ops_per_sec, speedup)
+    VALUES (1, 'PR9', 'event_churn', 100, 0.5, 200.0, 2.0);
+"""
+
+
+def write_v1_store(path):
+    db = sqlite3.connect(path)
+    db.executescript(V1_TABLES)
+    db.commit()
+    db.close()
+
+
+def test_a_store_written_with_the_v1_schema_opens_and_ingests(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    write_v1_store(path)
+    with ResultStore(path) as store:
+        (row,) = store.bench_rows(name="event_churn")
+        assert (row["label"], row["ops_per_sec"], row["speedup"]) == ("PR9", 200.0, 2.0)
+        assert store.ingest_scenario_payload(scenario_payload(), label="PR6").ingested == 1
+        assert [run["label"] for run in store.runs()] == ["PR9", "PR6"]

@@ -10,7 +10,7 @@ import pytest
 from repro.results.cli import main
 from repro.results.store import ResultStore
 
-from test_result_store import bench_report
+from test_result_store import bench_report, scenario_payload, write_v1_store
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -69,6 +69,125 @@ def test_checked_in_bench_history_ingests_strictly(tmp_path, capsys):
     assert run_cli("query", "--db", db, "--kind", "bench", "--json") == 0
     runs = json.loads(capsys.readouterr().out)["runs"]
     assert [run["label"] for run in runs] == [f"BENCH_PR{k}" for k in range(1, 9)]
+
+
+def test_reingest_reports_duplicates(tmp_path, baseline_dir, capsys):
+    db = tmp_path / "results.sqlite"
+    assert run_cli("ingest", "--db", db, baseline_dir) == 0
+    capsys.readouterr()
+    assert run_cli("ingest", "--strict", "--db", db, baseline_dir) == 0
+    assert capsys.readouterr().out.strip() == \
+        "ingested 0 run(s) (0 row(s)), 2 duplicate(s), 0 skipped"
+
+
+def test_ingest_strict_fails_on_a_corrupt_file(tmp_path, capsys):
+    db = tmp_path / "results.sqlite"
+    torn = tmp_path / "torn.json"
+    torn.write_text('{"meta": ')
+    assert run_cli("ingest", "--strict", "--db", db, torn) == 1
+    assert "corrupt JSON" in capsys.readouterr().out
+    assert run_cli("ingest", "--db", db, torn) == 0
+
+
+@pytest.fixture
+def one_of_each(tmp_path):
+    """A directory holding one artifact of every family the store ingests."""
+    root = tmp_path / "artifacts"
+    root.mkdir()
+    (root / "BENCH_PR1.json").write_text(json.dumps(bench_report("BENCH_PR1", {"x": 1.0})))
+    (root / "web.json").write_text(json.dumps(scenario_payload()))
+    (root / "t1.json").write_text(json.dumps(
+        {"name": "t1", "title": "", "columns": [], "rows": []}))
+    (root / "run.jsonl").write_text(json.dumps({"t": 0.0, "event": "e"}) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("kind", ["bench", "experiment", "scenario", "trace"])
+def test_query_kind_lists_only_that_family(kind, tmp_path, one_of_each, capsys):
+    db = tmp_path / "results.sqlite"
+    assert run_cli("ingest", "--strict", "--db", db, one_of_each) == 0
+    capsys.readouterr()
+    assert run_cli("query", "--db", db, "--kind", kind, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [run["kind"] for run in payload["runs"]] == [kind]
+    assert payload["counts"]["runs"] == 4
+
+
+@pytest.mark.parametrize("kind", ["bench", "experiment", "scenario", "trace"])
+def test_ingest_label_flag_labels_every_family(kind, tmp_path, one_of_each, capsys):
+    db = tmp_path / "results.sqlite"
+    assert run_cli("ingest", "--db", db, "--label", "PR6", one_of_each) == 0
+    capsys.readouterr()
+    assert run_cli("query", "--db", db, "--kind", kind, "--label", "PR6", "--json") == 0
+    assert len(json.loads(capsys.readouterr().out)["runs"]) == 1
+
+
+def test_query_text_output_lists_counts_and_runs(tmp_path, one_of_each, capsys):
+    db = tmp_path / "results.sqlite"
+    assert run_cli("ingest", "--db", db, "--label", "PR6", one_of_each) == 0
+    capsys.readouterr()
+    assert run_cli("query", "--db", db, "--kind", "scenario") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("store: 1 bench_rows, 1 experiment_results, 6 metrics, 4 runs,"
+                        " 1 scenario_results, 1 trace_events")
+    assert len(lines) == 2
+    assert lines[1].split() == ["#4", "scenario", "PR6", "web_mix.seed3", "src=web.json"]
+
+
+def test_query_name_text_output_shows_rate_and_speedup(tmp_path, capsys):
+    report = bench_report("BENCH_PR2", {"churn": 12345.0, "plain": 10.0})
+    report["benchmarks"]["churn"]["speedup"] = 2.5
+    (tmp_path / "BENCH_PR2.json").write_text(json.dumps(report))
+    db = tmp_path / "results.sqlite"
+    assert run_cli("ingest", "--db", db, tmp_path / "BENCH_PR2.json") == 0
+    capsys.readouterr()
+    assert run_cli("query", "--db", db, "--name", "churn") == 0
+    assert capsys.readouterr().out.split() == \
+        ["BENCH_PR2", "churn", "12,345", "ops/s", "x2.50", "vs", "seed"]
+    assert run_cli("query", "--db", db, "--name", "plain") == 0
+    assert capsys.readouterr().out.split() == ["BENCH_PR2", "plain", "10", "ops/s"]
+
+
+def test_query_without_db_reads_an_empty_store(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("query", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["runs"] == [] and set(payload["counts"].values()) == {0}
+    assert os.listdir(tmp_path) == []
+
+
+def test_query_reads_a_store_written_with_the_v1_schema(tmp_path, capsys):
+    db = tmp_path / "old.sqlite"
+    write_v1_store(str(db))
+    assert run_cli("query", "--db", db, "--name", "event_churn", "--json") == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["label"], row["ops_per_sec"]) == ("PR9", 200.0)
+    assert run_cli("query", "--db", db, "--kind", "bench", "--json") == 0
+    assert [run["source"] for run in json.loads(capsys.readouterr().out)["runs"]] == \
+        ["BENCH_PR9.json"]
+
+
+# --------------------------------------------------------------------- #
+# the command surface: ingest and query, nothing else                   #
+# --------------------------------------------------------------------- #
+def test_help_lists_exactly_ingest_and_query(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("--help")
+    assert exit_info.value.code == 0
+    assert "{ingest,query}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "BENCH_PR1", "BENCH_PR2"],
+    ["report", "--html", "out.html"],
+    ["check"],
+    ["query", "--baseline-dir", "."],
+], ids=["compare", "report", "check", "baseline-dir"])
+def test_retired_commands_and_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
