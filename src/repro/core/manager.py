@@ -372,13 +372,7 @@ class CongestionManager:
         """
         flow = self._get_flow(flow_id)
         self._charge_kernel_op()
-        old = flow.macroflow
-        old.remove_flow(flow)
-        if old.is_empty and old.key is None:
-            self._drop_macroflow(old)
-        new = self._new_macroflow(key=None)
-        new.add_flow(flow)
-        return new
+        return self._move_flow(flow, self._new_macroflow(key=None))
 
     def cm_merge(self, flow_id: int, into_flow_id: int) -> Macroflow:
         """Move ``flow_id`` into the macroflow of ``into_flow_id``."""
@@ -387,12 +381,27 @@ class CongestionManager:
         if flow.macroflow is target.macroflow:
             return target.macroflow
         self._charge_kernel_op()
+        return self._move_flow(flow, target.macroflow)
+
+    def _move_flow(self, flow: Flow, target: Macroflow) -> Macroflow:
+        """Move ``flow`` and its pending requests into ``target``.
+
+        Leaving frees the flow's share of the old window and the requests
+        join the target's queue, so both sides get a grant pass: nothing
+        waits for the feedback watchdog, and no request is lost.
+        """
         old = flow.macroflow
+        pending = old.scheduler.pending_requests(flow.flow_id)
         old.remove_flow(flow)
         if old.is_empty and old.key is None:
             self._drop_macroflow(old)
-        target.macroflow.add_flow(flow)
-        return target.macroflow
+        target.add_flow(flow)
+        for _ in range(pending):
+            target.scheduler.enqueue(flow.flow_id)
+        if not old.is_empty:
+            self._maybe_grant(old)
+        self._maybe_grant(target)
+        return target
 
     # ====================================================================== #
     # Kernel-internal interface                                              #

@@ -24,6 +24,7 @@ study).  :func:`shortest_path_next_hops` is a pure function of the link set:
 from __future__ import annotations
 
 import heapq
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,10 +36,41 @@ from .node import Host, Router
 __all__ = ["GraphNet", "shortest_path_next_hops", "build_graph", "install_routes"]
 
 
+class _LeafRow(abc.Mapping):
+    """The next-hop row of a node whose one out-neighbour is ``via``.
+
+    ``==`` to the dict it stands for — ``via``, then ``via``'s searched row
+    minus ``leaf``, every entry mapped to ``via``, in that order — without
+    holding one entry per destination.  Read-only: the searched row is
+    shared with ``via``'s own row and every other leaf on ``via``.  Built by
+    a bare call and three slot stores, so a leaf costs no Python frame.
+    """
+
+    __slots__ = ("via", "leaf", "searched")
+
+    def __getitem__(self, dst: str) -> str:
+        if dst == self.via or (dst != self.leaf and dst in self.searched):
+            return self.via
+        raise KeyError(dst)
+
+    def __iter__(self):
+        yield self.via
+        leaf = self.leaf
+        for dst in self.searched:
+            if dst != leaf:
+                yield dst
+
+    def __len__(self) -> int:
+        return len(self.searched) + (self.leaf not in self.searched)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 def shortest_path_next_hops(
     edges: Mapping[Tuple[str, str], float],
     sources: Optional[Iterable[str]] = None,
-) -> Dict[str, Dict[str, str]]:
+) -> Dict[str, Mapping[str, str]]:
     """Static next-hop tables for a directed, delay-weighted edge set.
 
     ``edges`` maps ``(a, b)`` to the one-way propagation delay of the
@@ -56,10 +88,12 @@ def shortest_path_next_hops(
     Only nodes with a choice are searched.  Every path out of a node with
     one out-neighbour ``v`` starts ``(node, v)``, and a common prefix
     preserves the preference order of what follows it, so such a *leaf*
-    routes everything ``v`` can reach via ``v`` and its row is read off
-    ``v``'s — searched once per call however many leaves hang off it.
-    (Exact wherever path delays add exactly, and short of two candidate
-    paths within one rounding of each other everywhere else.)
+    routes everything ``v`` can reach via ``v``: its row is a read-only
+    view over ``v``'s searched row (``==`` to the dict it replaces, same
+    keys in the same order), searched once per call however many leaves
+    hang off it, so the table holds O(routers x nodes) entries, not
+    O(nodes²).  (Exact wherever path delays add exactly, and short of two
+    candidate paths within one rounding of each other everywhere else.)
     """
     adjacency: Dict[str, List[Tuple[str, float]]] = {}
     for (a, b), delay in edges.items():
@@ -74,9 +108,6 @@ def shortest_path_next_hops(
         # Dijkstra keyed by the full (delay, hops, path-names) triple: the
         # heap order *is* the path preference order, so the first time a
         # node is popped its best path is final.
-        row = searched.get(source)
-        if row is not None:
-            return row
         best: Dict[str, Tuple[str, ...]] = {}
         heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (source,))]
         while heap:
@@ -92,19 +123,18 @@ def shortest_path_next_hops(
         row = searched[source] = {dst: path[1] for dst, path in best.items()}
         return row
 
-    table: Dict[str, Dict[str, str]] = {}
+    table: Dict[str, Mapping[str, str]] = {}
     for source in sorted(adjacency) if sources is None else sources:
         neighbours = adjacency.get(source)
         if neighbours is None:
             continue
-        if len(neighbours) == 1:
-            via = neighbours[0][0]
-            row = {via: via}
-            row.update(dict.fromkeys(search(via), via))
-            row.pop(source, None)
+        if len(neighbours) == 1 and neighbours[0][0] != source:
+            row = table[source] = _LeafRow()
+            row.via = via = neighbours[0][0]
+            row.leaf = source
+            row.searched = searched[via] if via in searched else search(via)
         else:
-            row = search(source)
-        table[source] = row
+            table[source] = searched[source] if source in searched else search(source)
     return table
 
 
@@ -127,8 +157,9 @@ class GraphNet:
     links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
     #: ``next_hops[node][dst_node] -> neighbour`` for every node in
     #: ``nodes`` (name level, for tests and debugging; the installed routes
-    #: are keyed by address).
-    next_hops: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    #: are keyed by address).  A node with one out-neighbour holds a
+    #: read-only view over that neighbour's row, not a copy of its own.
+    next_hops: Dict[str, Mapping[str, str]] = field(default_factory=dict)
     #: Per-node ingress sequencers (same-timestamp delivery ordering; see
     #: :mod:`repro.netsim.ingress`).  Links deliver through these, not
     #: straight into ``node.ip.receive``.
@@ -150,7 +181,8 @@ class GraphNet:
         Sets both directions' propagation delay to ``delay``, recomputes the
         shortest-path rows of this build's nodes over the updated edge set
         and reinstalls their routes (a route overwrites by destination
-        address, so stale next-hops are simply replaced).  Packets already
+        address, so stale next-hops are simply replaced; a leaf's default
+        route is its one link before and after).  Packets already
         propagating keep their old arrival times — the link's no-overtake
         clamp ensures a shortened wire never reorders them.  A row is a pure
         function of the whole edge set, so every partial build replays the
@@ -177,9 +209,12 @@ def install_routes(
     Only end systems are packet destinations, so router names absent from
     ``host_addrs`` are skipped.  ``links`` may be a partial view (a shard
     holds only its local nodes' outgoing links); a missing link means the
-    route belongs to another process and is skipped.  Each node's table is
-    built whole and merged in one ``add_routes`` — the same entries, in the
-    same order, as one ``add_route`` per destination.
+    route belongs to another process and is skipped.  A node with one
+    out-neighbour (a leaf row from :func:`shortest_path_next_hops`) gets
+    that link as its default route and no per-destination entries, like a
+    host behind its one gateway.  Every other node's table is built whole
+    and merged in one ``add_routes`` — the same entries, in the same order,
+    as one ``add_route`` per destination.
     """
     outgoing: Dict[str, Dict[str, Link]] = {}
     for (src, via), link in links.items():
@@ -188,23 +223,16 @@ def install_routes(
     for name, node in nodes.items():
         row = next_hops.get(name)
         out = outgoing.get(name)
-        if not row or not out:
-            continue
-        vias = set(row.values())
-        if len(vias) == 1:
-            # One way out (every leaf of a big graph): no per-entry work.
-            link = out.get(vias.pop())
-            if link is None:
-                continue
-            # (filter, not a popped None key: one non-string key would turn
-            # the table into a general-keyed dict for good — a third larger
-            # and slower on every per-packet lookup.)
-            routes = dict.fromkeys(filter(None, map(addr_of, row)), link)
-        else:
-            routes = {addr: link for dst, via in row.items()
-                      if (addr := addr_of(dst)) is not None
-                      and (link := out.get(via)) is not None}
-        node.add_routes(routes)
+        if type(row) is _LeafRow:
+            # A reroute never changes a node's out-degree, so a leaf never
+            # holds per-destination entries that would outrank the default.
+            link = out.get(row.via) if out else None
+            if link is not None:
+                node.set_default_route(link)
+        elif row and out:
+            node.add_routes({addr: link for dst, via in row.items()
+                             if (addr := addr_of(dst)) is not None
+                             and (link := out.get(via)) is not None})
 
 
 def build_graph(

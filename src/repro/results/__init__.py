@@ -13,6 +13,6 @@ spec_digest)``:
 See ``docs/result_store.md`` for the schema.
 """
 
-from .store import IngestReport, ResultStore
+from .store import IngestReport, ResultStore, SchemaVersionError
 
-__all__ = ["ResultStore", "IngestReport"]
+__all__ = ["ResultStore", "IngestReport", "SchemaVersionError"]

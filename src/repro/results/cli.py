@@ -5,7 +5,8 @@ Subcommands::
     ingest PATH...              ingest artifacts (files or directories) into --db
     query                       inspect what the store holds (counts, runs, rows)
 
-Exit codes: 0 success, 1 ingest errors with ``--strict``, 2 usage problems.
+Exit codes: 0 success, 1 ingest errors with ``--strict``, 2 usage problems or a
+store with another schema version.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .store import IngestReport, ResultStore
+from .store import IngestReport, ResultStore, SchemaVersionError
 
 __all__ = ["main"]
 
@@ -96,7 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemaVersionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["ResultStore", "IngestReport", "classify_payload"]
+__all__ = ["ResultStore", "IngestReport", "SchemaVersionError", "classify_payload"]
 
 #: Schema version recorded in ``store_meta``; bump on incompatible changes.
 SCHEMA_VERSION = 1
@@ -198,12 +198,17 @@ def classify_payload(payload: Any) -> Optional[str]:
     return None
 
 
+class SchemaVersionError(RuntimeError):
+    """A store was stamped with a schema version this code does not write."""
+
+
 class ResultStore:
     """One sqlite database aggregating benches, experiments, scenarios, traces.
 
     ``path`` may be a filesystem path (created on first use) or ``":memory:"``
     for an ephemeral store (the ``query`` CLI default).  Usable as
-    a context manager; :meth:`close` is idempotent.
+    a context manager; :meth:`close` is idempotent.  A store stamped with
+    another ``schema_version`` is refused with :class:`SchemaVersionError`.
     """
 
     def __init__(self, path: str = "results.sqlite"):
@@ -222,6 +227,12 @@ class ResultStore:
             (str(SCHEMA_VERSION),),
         )
         self._db.commit()
+        (found,) = self._db.execute(
+            "SELECT value FROM store_meta WHERE key = 'schema_version'").fetchone()
+        if found != str(SCHEMA_VERSION):
+            self.close()
+            raise SchemaVersionError(
+                f"{path}: result store schema version {found}, expected {SCHEMA_VERSION}")
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #

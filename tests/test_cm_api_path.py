@@ -437,15 +437,16 @@ def _grant_state(grant, cwnd_mtus, batch_size, entries, committed_mtus, closed):
         cm.cm_register_send(flow_id, log.append)
         flow_ids.append(flow_id)
     macroflow = cm.macroflow_of(flow_ids[0])
+    if closed is not None:  # a flow that moved away, with entries left behind
+        cm.cm_split(flow_ids[closed])
     macroflow.controller._cwnd = cwnd_mtus * cm.mtu
     macroflow.outstanding_bytes = committed_mtus * cm.mtu
     for entry in entries:  # 0..3: a flow; 4: an id nobody holds
-        macroflow.scheduler.enqueue(flow_ids[entry] if entry < 4 else 999)
-    if closed is not None:  # a flow that moved away keeps its queued entries
-        cm.cm_split(flow_ids[closed])
-        for entry in entries:
-            if entry == closed:
-                macroflow.scheduler.enqueue(flow_ids[closed])
+        if entry != closed:
+            macroflow.scheduler.enqueue(flow_ids[entry] if entry < 4 else 999)
+    for entry in entries:  # the moved flow's stale entries queue last
+        if entry == closed:
+            macroflow.scheduler.enqueue(flow_ids[closed])
     grant(cm, macroflow)
     sim.run()
     flows = [(cm.flow(f).granted_unnotified, cm.flow(f).stats.grants) for f in flow_ids]

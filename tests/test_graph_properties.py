@@ -384,7 +384,8 @@ class TestLeafAwareRoutingEquivalence:
 
     def test_rows_never_alias_each_other(self):
         # Two leaves on one hub read their rows off the same searched row;
-        # they must still own them (a caller may edit one).
+        # each still gets a row object of its own, and a shared one is
+        # read-only (editing it would edit the hub's row and every leaf's).
         edges = {}
         for leaf in ("a", "b"):
             edges[(leaf, "hub")] = edges[("hub", leaf)] = 0.25
@@ -392,6 +393,21 @@ class TestLeafAwareRoutingEquivalence:
         table = shortest_path_next_hops(edges)
         assert table["a"] == {"hub": "hub", "b": "hub", "far": "hub"}
         assert len({id(row) for row in table.values()}) == len(table)
+        with pytest.raises(TypeError):
+            table["a"]["far"] = "b"
+
+    def test_a_leaf_row_is_the_dict_it_stands_for(self):
+        edges = {}
+        for leaf in ("a", "b"):
+            edges[(leaf, "hub")] = edges[("hub", leaf)] = 0.25
+        edges[("hub", "far")] = edges[("far", "hub")] = 0.5
+        row = shortest_path_next_hops(edges)["a"]
+        assert list(row.items()) == [("hub", "hub"), ("b", "hub"), ("far", "hub")]
+        assert len(row) == 3
+        assert "a" not in row and row.get("a") is None
+        for missing in ("a", "nowhere"):
+            with pytest.raises(KeyError):
+                row[missing]
 
     @given(directed_edge_sets(), st.randoms(use_true_random=False))
     @settings(deadline=None, max_examples=150,
@@ -417,3 +433,34 @@ class TestLeafAwareRoutingEquivalence:
         install_routes(produced, host_addrs, links, next_hops)
         for name, node in expected.items():
             assert list(produced[name]._routes.items()) == list(node._routes.items()), name
+
+    @given(directed_edge_sets(), st.randoms(use_true_random=False), st.booleans())
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_installed_routes_forward_as_the_reference_install_does(self, edges, rnd, whole):
+        # The real pipeline, leaf rows included: every address resolves to
+        # the link the reference install chose.  An address the reference
+        # left unrouted resolves to a leaf's one link (its default route)
+        # and to nothing anywhere else.  A slice owns some of the nodes and
+        # every link leaving them, as a partial build does.
+        reference = _reference_next_hops(edges)
+        names = sorted(reference)
+        routers = {name for name in names if rnd.random() < 0.3}
+        host_addrs = {name: f"10.0.0.{i}" for i, name in enumerate(names)
+                      if name not in routers}
+        owned = names if whole else [name for name in names if rnd.random() < 0.5]
+        links = {pair: f"link:{pair[0]}->{pair[1]}" for pair in edges if pair[0] in owned}
+        expected, produced = (
+            {name: (Router(sim, name) if name in routers
+                    else Host(sim, name, host_addrs[name])) for name in owned}
+            for sim in (Simulator(), Simulator()))
+        _reference_install_routes(expected, host_addrs, links, reference)
+        install_routes(produced, host_addrs, links,
+                       shortest_path_next_hops(edges, sources=owned))
+        for name, node in expected.items():
+            exits = [pair for pair in links if pair[0] == name]
+            default = links[exits[0]] if len(exits) == 1 else None
+            for dst, addr in host_addrs.items():
+                if dst != name:
+                    assert produced[name].route_for(addr) == (
+                        node.route_for(addr) or default), (name, dst)

@@ -117,6 +117,27 @@ class TestBuildGraph:
         assert router.ip.forward_drops == 1
         assert router.ip.packets_forwarded == 0
 
+    def test_a_leaf_sends_an_address_outside_the_graph_to_its_neighbour(self):
+        # A single-link node routes through its link as a host does through
+        # its default gateway: it holds no per-destination entries, does not
+        # raise NoRouteError, and the neighbour (which has a choice of exit
+        # and no entry for the address) drops the packet and counts it.
+        sim = Simulator()
+        net = build_graph(
+            sim,
+            nodes=[{"name": "h0"}, {"name": "r", "kind": "router"}, {"name": "h1"}],
+            links=[{"a": "h0", "b": "r", "rate_bps": 1e6, "delay": 0.001},
+                   {"a": "r", "b": "h1", "rate_bps": 1e6, "delay": 0.001}],
+        )
+        h0, router = net.hosts["h0"], net.nodes["r"]
+        assert h0._routes == {}
+        assert h0.route_for("10.99.0.1") is net.link("h0", "r")
+        assert h0.ip.send(Packet(src=h0.addr, dst="10.99.0.1", sport=1, dport=1,
+                                 payload_bytes=10, protocol="udp"))
+        sim.run()
+        assert router.ip.forward_drops == 1
+        assert router.ip.packets_forwarded == 0
+
     def test_routers_never_get_cost_ledgers(self):
         sim = Simulator()
         net = build_graph(

@@ -312,6 +312,51 @@ class TestMacroflowConstruction:
         f2 = open_flow(cm, 81, sport=1001)
         assert cm.cm_merge(f2, f1) is cm.macroflow_of(f1)
 
+    def test_split_grants_a_waiting_flow_the_window_it_frees(self, sim, cm):
+        # A holds the whole 1-MTU window and B waits; splitting A off takes
+        # A's bytes out of the old window, so B is granted at once — not
+        # when the feedback watchdog fires at t = 3 s, which would also
+        # charge the macroflow a persistent-congestion reaction.
+        a, b = open_flow(cm, 80), open_flow(cm, 81, sport=1001)
+        shared = cm.macroflow_of(a)
+        grants = []
+        for fid in (a, b):
+            cm.cm_register_send(fid, lambda f: grants.append((f, sim.now)))
+        cm.cm_request(a)
+        sim.run(until=0.01)
+        cm.cm_notify(a, cm.mtu)
+        cm.cm_request(b)
+        sim.run(until=0.02)
+        assert [f for f, _ in grants] == [a]
+        cm.cm_split(a)
+        sim.run(until=10.0)
+        assert [(f, t < 0.03) for f, t in grants] == [(a, True), (b, True)]
+        assert shared.congestion_reactions == 0
+
+    @pytest.mark.parametrize("move", ["split", "merge"])
+    def test_a_moved_flow_keeps_its_pending_request(self, sim, cm, move):
+        # B's request is queued behind A's window when B moves: it must be
+        # granted in B's new macroflow, not dropped with the old queue.
+        a, b, c = (open_flow(cm, 80 + i, sport=1000 + i) for i in range(3))
+        if move == "merge":
+            cm.cm_split(c)
+        grants = []
+        for fid in (a, b):
+            cm.cm_register_send(fid, grants.append)
+        cm.cm_request(a)
+        sim.run(until=0.01)
+        cm.cm_notify(a, cm.mtu)
+        cm.cm_request(b)
+        sim.run(until=0.02)
+        assert grants == [a]
+        if move == "split":
+            cm.cm_split(b)
+        else:
+            cm.cm_merge(b, c)
+        sim.run(until=0.03)
+        assert grants == [a, b]
+        assert cm.flow(b).stats.grants == 1
+
 
 class TestLookupAndWatchdog:
     def test_lookup_exact_and_wildcard(self, cm):

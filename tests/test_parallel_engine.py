@@ -197,6 +197,11 @@ class TestPlacementInvariants:
                 for name, node in net.nodes.items():
                     assert [(addr, link.name) for addr, link in node._routes.items()] == [
                         (addr, link.name) for addr, link in whole.nodes[name]._routes.items()]
+                    # By behaviour too: a leaf resolves through its default route.
+                    for addr in whole.host_addrs.values():
+                        if addr != node.addr:
+                            assert node.route_for(addr).name == \
+                                whole.nodes[name].route_for(addr).name, (name, addr)
 
         agree()
         for reroute in spec.graph.reroutes:      # every process replays the change

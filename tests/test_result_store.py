@@ -8,7 +8,13 @@ import sqlite3
 
 import pytest
 
-from repro.results.store import IngestReport, ResultStore, classify_payload
+from repro.results.store import (
+    SCHEMA_VERSION,
+    IngestReport,
+    ResultStore,
+    SchemaVersionError,
+    classify_payload,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -547,3 +553,35 @@ def test_a_store_written_with_the_v1_schema_opens_and_ingests(tmp_path):
         assert (row["label"], row["ops_per_sec"], row["speedup"]) == ("PR9", 200.0, 2.0)
         assert store.ingest_scenario_payload(scenario_payload(), label="PR6").ingested == 1
         assert [run["label"] for run in store.runs()] == ["PR9", "PR6"]
+
+
+def write_foreign_store(path, version="2"):
+    """A store another release stamped with ``schema_version = version``."""
+    db = sqlite3.connect(path)
+    db.executescript(V1_TABLES.replace("'schema_version', '1'", f"'schema_version', '{version}'"))
+    db.commit()
+    db.close()
+
+
+@pytest.mark.parametrize("version", ["2", "0", "v1"])
+def test_a_store_with_another_schema_version_is_refused_by_name(tmp_path, version):
+    path = str(tmp_path / "foreign.sqlite")
+    write_foreign_store(path, version)
+    with pytest.raises(SchemaVersionError) as refused:
+        ResultStore(path)
+    message = str(refused.value)
+    assert path in message
+    assert f"version {version}," in message and f"expected {SCHEMA_VERSION}" in message
+    # The stamp and the rows are as the other release left them.
+    db = sqlite3.connect(path)
+    assert db.execute("SELECT value FROM store_meta").fetchall() == [(version,)]
+    assert db.execute("SELECT COUNT(*) FROM runs").fetchone() == (1,)
+    db.close()
+
+
+def test_a_fresh_store_is_stamped_and_reopens(tmp_path):
+    path = str(tmp_path / "fresh.sqlite")
+    ResultStore(path).close()
+    with ResultStore(path) as store:
+        (row,) = store._db.execute("SELECT key, value FROM store_meta").fetchall()
+        assert tuple(row) == ("schema_version", str(SCHEMA_VERSION))

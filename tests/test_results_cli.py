@@ -10,7 +10,12 @@ import pytest
 from repro.results.cli import main
 from repro.results.store import ResultStore
 
-from test_result_store import bench_report, scenario_payload, write_v1_store
+from test_result_store import (
+    bench_report,
+    scenario_payload,
+    write_foreign_store,
+    write_v1_store,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -165,6 +170,18 @@ def test_query_reads_a_store_written_with_the_v1_schema(tmp_path, capsys):
     assert run_cli("query", "--db", db, "--kind", "bench", "--json") == 0
     assert [run["source"] for run in json.loads(capsys.readouterr().out)["runs"]] == \
         ["BENCH_PR9.json"]
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["query", "--kind", "bench"]])
+def test_a_store_with_another_schema_version_exits_2_with_its_error(
+        tmp_path, baseline_dir, capsys, command):
+    db = tmp_path / "foreign.sqlite"
+    write_foreign_store(str(db), "7")
+    argv = command + ["--db", db] + ([baseline_dir] if command == ["ingest"] else [])
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {db}: result store schema version 7, expected 1\n"
 
 
 # --------------------------------------------------------------------- #

@@ -822,6 +822,21 @@ class TestIngest:
         finally:
             mgr.shutdown()
 
+    def test_a_store_with_another_schema_version_is_the_jobs_note(self, tmp_path):
+        from test_result_store import write_foreign_store
+
+        path = str(tmp_path / "svc.sqlite")
+        write_foreign_store(path, "2")
+        mgr = JobManager(slots=1, store_path=path)
+        try:
+            job = mgr.submit(tiny_transfer_spec(), seed=1)
+            mgr.wait(job.id)
+            self.assert_served_despite(mgr, job, "schema version 2, expected 1")
+            assert path in job.error
+            assert mgr.health()["ingest_failures"] == 1
+        finally:
+            mgr.shutdown()
+
     def test_a_store_path_that_cannot_be_opened(self, tmp_path):
         mgr = JobManager(slots=1, store_path=str(tmp_path))  # a directory
         try:
