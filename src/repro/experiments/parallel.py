@@ -7,9 +7,9 @@ parameter dict — and executed by the experiment's registered ``trial``
 function, which must be a pure function of those parameters.  That contract
 buys three things at once:
 
-* **parallelism** — trials shard across a ``multiprocessing`` pool
+* **parallelism** — trials shard across a forked process pool
   (:func:`run_trials` with ``jobs > 1``) because workers rebuild everything
-  from the picklable spec;
+  from the picklable spec; a worker that dies fails the run at once;
 * **determinism** — results are merged back in spec order (not completion
   order), so ``reduce()`` sees the same sequence no matter how many workers
   ran or how the OS scheduled them, and the serialized artifact is
@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -183,11 +185,6 @@ def _execute_spec(spec: TrialSpec) -> Any:
     return get_spec(spec.experiment).trial(dict(spec.params))
 
 
-def _pool_worker(item: Tuple[int, TrialSpec]) -> Tuple[int, Any]:
-    index, spec = item
-    return index, _execute_spec(spec)
-
-
 def run_trials(
     specs: Iterable[TrialSpec],
     jobs: int = 1,
@@ -198,7 +195,9 @@ def run_trials(
 
     The returned outcomes are in ``specs`` order regardless of ``jobs`` or
     worker scheduling; with a cache, hits are served from disk and only
-    misses are executed (and then stored).
+    misses are executed (and then stored).  A trial that raises raises its
+    own exception here; a worker process that dies raises
+    :class:`BrokenProcessPool` naming a trial it took down.
     """
     specs = list(specs)
     total = len(specs)
@@ -231,11 +230,18 @@ def run_trials(
 
     if pending:
         if jobs > 1 and len(pending) > 1:
-            workers = min(jobs, len(pending))
-            with multiprocessing.Pool(processes=workers) as pool:
-                items = [(index, specs[index]) for index in pending]
-                for index, value in pool.imap_unordered(_pool_worker, items, chunksize=1):
-                    record(index, value)
+            pool = ProcessPoolExecutor(min(jobs, len(pending)), get_context("fork"))
+            futures = {pool.submit(_execute_spec, specs[index]): index for index in pending}
+            try:
+                for future in as_completed(futures):
+                    index = futures[future]
+                    try:
+                        record(index, future.result())
+                    except BrokenProcessPool as exc:
+                        raise BrokenProcessPool(
+                            f"trial {specs[index].describe()} did not finish: {exc}") from exc
+            finally:
+                pool.shutdown(cancel_futures=True)  # a failed run starts no more trials
         else:
             for index in pending:
                 record(index, _execute_spec(specs[index]))

@@ -24,15 +24,21 @@ same ``drive`` loop as ``run_built`` with barrier windows as its ``advance``
 — one stop predicate on one ``check_interval`` grid — then hands the
 workers' collected slices to the same ``assemble_result``.  Every window
 ends on a common barrier, so every shard's clock agrees at the end.
+
+Each shard worker is a :class:`~.workers.Worker`: its death is one
+``WorkerDied`` at the next send or recv, after which (as after any failure)
+the coordinator reaps every worker and removes the trace parts; the
+coordinator's death is an end-of-file to the workers, which exit.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import traceback
 from typing import Dict, List, Optional, Tuple
+
+from .workers import PEER_GONE, Worker
 
 __all__ = ["run_sharded"]
 
@@ -49,8 +55,8 @@ def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
     * ``("finish", final_time)`` → ``("result", sections)`` then exit
     * any exception → ``("spec_error", path, str)`` / ``("error", traceback)``
 
-    A coordinator that fails or is cancelled just closes the pipe; the
-    worker then leaves quietly, its trace part closed by ``started``.
+    A coordinator that dies leaves an end-of-file (or a broken pipe at the
+    next reply); the worker then removes its trace part and leaves quietly.
     """
     from ...scenario.builder import build
     from ...scenario.runner import finish, started
@@ -104,8 +110,11 @@ def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
                     raise RuntimeError(f"unknown command {command!r}")
     except SpecError as exc:
         conn.send(("spec_error", exc.path, str(exc)))
-    except EOFError:
-        pass  # the coordinator hung up mid-run: nobody left to report to
+    except PEER_GONE:
+        # The coordinator died mid-run: nobody is left to report to, or to
+        # merge this shard's trace part.
+        if trace_path is not None and os.path.exists(trace_path):
+            os.remove(trace_path)
     except BaseException:
         conn.send(("error", traceback.format_exc()))
     finally:
@@ -113,73 +122,19 @@ def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
 
 
 # ------------------------------------------------------------- coordinator
-class _WorkerPool:
-    """The coordinator's handle on its shard worker processes."""
+def _replies(workers: List[Worker]) -> List:
+    """One reply from every worker, in shard order; a failure is raised."""
+    from ...scenario.spec import SpecError
 
-    def __init__(self, spec, run_seed: int, part, trace_path):
-        self.count = part.shards
-        self.trace_paths = [
-            f"{trace_path}.shard{k}" if trace_path else None
-            for k in range(self.count)
-        ]
-        context = multiprocessing.get_context()
-        spec_payload = spec.to_dict()
-        self.pipes = []
-        self.processes = []
-        try:
-            for k in range(self.count):
-                parent_end, child_end = context.Pipe()
-                self.pipes.append(parent_end)
-                process = context.Process(
-                    target=_worker_main,
-                    args=(child_end, spec_payload, run_seed, part.members(k),
-                          self.trace_paths[k]),
-                    daemon=True,
-                )
-                try:
-                    process.start()
-                finally:
-                    child_end.close()
-                self.processes.append(process)
-        except BaseException:
-            # A partial start must not strand the shards already running on
-            # open pipes: nobody else holds this pool yet.
-            self.shutdown()
-            raise
-
-    def recv(self, shard_index: int):
-        from ...scenario.spec import SpecError
-
-        try:
-            reply = self.pipes[shard_index].recv()
-        except EOFError:
-            raise RuntimeError(
-                f"shard worker {shard_index} exited without replying")
+    replies = []
+    for worker in workers:
+        reply = worker.recv()
         if reply[0] == "spec_error":
             raise SpecError(reply[1], reply[2].split(": ", 1)[-1])
         if reply[0] == "error":
-            raise RuntimeError(
-                f"shard worker {shard_index} failed:\n{reply[1]}")
-        return reply
-
-    def send_all(self, message) -> None:
-        for pipe in self.pipes:
-            pipe.send(message)
-
-    def recv_all(self) -> List:
-        return [self.recv(k) for k in range(self.count)]
-
-    def shutdown(self) -> None:
-        for pipe in self.pipes:
-            try:
-                pipe.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
-        for process in self.processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - teardown best effort
-                process.terminate()
-                process.join(timeout=5.0)
+            raise RuntimeError(f"{worker.name} failed:\n{reply[1]}")
+        replies.append(reply)
+    return replies
 
 
 def _dest_shard_of_links(spec, part) -> Dict[int, int]:
@@ -261,12 +216,18 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             f"partition into {part.shards} shards has no positive lookahead "
             f"({lookahead!r}); the barrier windows could not advance")
 
-    pool = _WorkerPool(spec, run_seed, part, trace_path)
+    trace_paths = [f"{trace_path}.shard{k}" if trace_path else None
+                   for k in range(part.shards)]
+    workers: List[Worker] = []
     try:
-        pending: List[List[Tuple]] = [[] for _ in range(pool.count)]
-        states: List[List[Optional[bool]]] = [[] for _ in range(pool.count)]
-        idle = [False] * pool.count
-        for k, (_tag, done, worker_idle) in enumerate(pool.recv_all()):   # "ready"
+        spec_payload = spec.to_dict()
+        for k in range(part.shards):  # a partial start is reaped below
+            workers.append(Worker(f"shard worker {k}", _worker_main,
+                                  (spec_payload, run_seed, part.members(k), trace_paths[k])))
+        pending: List[List[Tuple]] = [[] for _ in workers]
+        states: List[List[Optional[bool]]] = [[] for _ in workers]
+        idle = [False] * len(workers)
+        for k, (_tag, done, worker_idle) in enumerate(_replies(workers)):   # "ready"
             states[k] = done
             idle[k] = worker_idle
         if progress_cb is not None:
@@ -279,13 +240,13 @@ def run_sharded(spec, seed: Optional[int] = None, *,
             while now < target:
                 edge = min(target, now + lookahead)
                 want_states = stop.when_apps_done and edge == target
-                for k, pipe in enumerate(pool.pipes):
+                for k, worker in enumerate(workers):
                     # (deliver_ts, link_index, emit_seq) is a unique total
                     # order; never compare the wire payload itself.
                     inbox = sorted(pending[k], key=lambda item: item[:3])
                     pending[k] = []
-                    pipe.send(("advance", edge, want_states, inbox))
-                for k, (_tag, outbox, worker_idle, done) in enumerate(pool.recv_all()):
+                    worker.send(("advance", edge, want_states, inbox))
+                for k, (_tag, outbox, worker_idle, done) in enumerate(_replies(workers)):
                     for item in outbox:
                         pending[dest_shard[item[1]]].append(item)
                     idle[k] = worker_idle
@@ -299,19 +260,21 @@ def run_sharded(spec, seed: Optional[int] = None, *,
         drive(stop, 0.0, advance,
               lambda: [state for shard_states in states for state in shard_states],
               lambda: all(idle) and not any(pending))
-        pool.send_all(("finish", now))
+        for worker in workers:
+            worker.send(("finish", now))
         result = assemble_result(
-            spec, run_seed, now, [sections for _tag, sections in pool.recv_all()])
+            spec, run_seed, now, [sections for _tag, sections in _replies(workers)])
         if progress_cb is not None:
             progress_cb(now, horizon)
     except BaseException:
-        # Joining first lets every worker close its trace part.
-        pool.shutdown()
-        for path in pool.trace_paths:
+        for worker in workers:
+            worker.reap()
+        for path in trace_paths:
             if path is not None and os.path.exists(path):
                 os.remove(path)
         raise
-    pool.shutdown()
+    for worker in workers:  # each exits on its own after its "result"
+        worker.join()
     if trace_path:
-        _merge_traces(trace_path, pool.trace_paths)
+        _merge_traces(trace_path, trace_paths)
     return result

@@ -34,6 +34,9 @@ Process contract (the part ``docs/service.md`` calls the *op contract*):
 * A slot that dies (``SIGKILL``, crash, a reply that cannot be sent) fails
   the job it was running with one error naming its exit code; its
   supervisor forks a replacement and carries on with the queue.
+
+A slot is a :class:`~repro.netsim.parallel.workers.Worker`: its death is an
+end-of-file to its supervisor and to its shard workers, not a wait.
 """
 
 from __future__ import annotations
@@ -42,22 +45,19 @@ import atexit
 import copyreg
 import json
 import mmap
-import multiprocessing
 import os
 import pickle
 import select
-import signal
-import stat
 import struct
 import tempfile
 import threading
 import time
 from collections import Counter, deque
-from multiprocessing.connection import wait as wait_ready
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.runner import DEFAULT_CONTROL_INTERVAL, run_streaming, spec_digest
 from ..scenario.spec import ScenarioSpec, SpecError
+from ..netsim.parallel.workers import PEER_GONE, Worker, WorkerDied
 
 __all__ = [
     "Job",
@@ -80,8 +80,7 @@ STORE_SOURCE_PREFIX = "service:job:"
 REQUEST_TIMEOUT_S = 5.0
 
 #: A supervisor waiting on its slot wakes this often to look at the clock
-#: (the cancel deadline) and at the process; replies and, but for sharded
-#: jobs, the slot's death wake it at once.
+#: (the cancel deadline); replies and the slot's death wake it at once.
 _WATCH_S = 0.5
 
 #: The progress record a slot shares with the front end.
@@ -121,19 +120,6 @@ class JobCancelled(Exception):
 
 class JobNotLive(Exception):
     """An op was requested of a job that is not running."""
-
-
-class SlotProtocolError(BaseException):
-    """A slot could not send what the front end is waiting for.
-
-    Not an :class:`Exception`: it must pass the run's own error handling and
-    end the process, so the supervisor sees a death instead of a pipe that
-    is one message short.
-    """
-
-
-class _SlotLost(Exception):
-    """The slot's process is gone or unusable; the text says how."""
 
 
 class JobResult:
@@ -289,54 +275,23 @@ class Job:
 # ====================================================================== #
 # The slot process                                                       #
 # ====================================================================== #
-def _seal_inherited_sockets(keep: int) -> None:
-    """Point every inherited socket but ``keep`` at /dev/null.
-
-    A slot forked to replace a dead one inherits the front end's listening
-    socket, its client connections and the other slots' pipes (socket
-    pairs); holding them would keep the port bound after the server closed
-    it and keep a dead sibling's pipe from reading end-of-file.  They are
-    redirected rather than closed so that an inherited Python object that
-    is finalised later closes /dev/null and not whatever file has reused
-    its number since.  Plain pipes and files stay: multiprocessing's own
-    liveness sentinel is one of them.
-    """
-    null = os.open(os.devnull, os.O_RDWR)
-    for entry in os.listdir("/dev/fd"):
-        fd = int(entry)
-        try:
-            if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.dup2(null, fd, inheritable=False)
-        except OSError:
-            pass  # listdir's own descriptor, closed again by now
-    os.close(null)
-
-
 def _slot_main(conn, progress) -> None:
     """A slot's whole life: run the jobs the supervisor sends, one at a time."""
     # A group of its own: ^C in a terminal goes to the front end alone, which
-    # decides when its slots stop, and killing the group (``_Slot.reap``)
-    # takes a sharded job's shard workers with the slot.
+    # decides when its slots stop, and reaping the slot kills the group,
+    # a sharded job's shard workers with it.
     os.setpgid(0, 0)
-    _seal_inherited_sockets(conn.fileno())
     while True:
         try:
             message = conn.recv()
-        except EOFError:
+        except PEER_GONE:
             return  # the front end is gone
         if message[0] == "exit":
             return
         if message[0] == "run":
-            _send(conn, ("done",) + _run_in_slot(conn, progress, *message[1:]))
+            conn.send(("done",) + _run_in_slot(conn, progress, *message[1:]))
         # Anything else is an op or a cancel for a job that has ended; the
         # supervisor failed its waiter when the job's "done" arrived.
-
-
-def _send(conn, message: Tuple) -> None:
-    try:
-        conn.send(message)
-    except Exception as exc:
-        raise SlotProtocolError(f"cannot send {message[0]!r}: {exc!r}") from exc
 
 
 def _run_in_slot(conn, progress, job_id: int, spec: ScenarioSpec, seed: int,
@@ -355,12 +310,6 @@ def _run_in_slot(conn, progress, job_id: int, spec: ScenarioSpec, seed: int,
             if message[1] != job_id:
                 continue  # a straggler of an earlier job
             if message[0] == "cancel":
-                # A sharded job's workers have nothing left to say.  Each
-                # holds a copy of its own pipe's far end, so run_sharded
-                # closing ours is no end-of-file to them and its teardown
-                # would wait five seconds a worker.
-                for worker in multiprocessing.active_children():
-                    worker.terminate()
                 raise JobCancelled(f"job {job_id} cancelled")
             _kind, _job_id, name, args = message
             try:
@@ -369,7 +318,12 @@ def _run_in_slot(conn, progress, job_id: int, spec: ScenarioSpec, seed: int,
                 reply = ("value", OPS[name](scenario, **args))
             except Exception as exc:  # sent back to the caller
                 reply = ("error", exc)
-            _send(conn, reply)
+            try:
+                conn.send(reply)
+            except Exception as exc:
+                # SystemExit passes the run's own error handling and ends the
+                # slot: its supervisor sees a death, not a pipe one reply short.
+                raise SystemExit(f"cannot send {reply[0]!r}: {exc!r}") from exc
 
     def report_progress(sim_now: float, horizon: float) -> None:
         _PROGRESS.pack_into(progress, 0, job_id, sim_now, horizon)
@@ -420,9 +374,8 @@ class _Slot:
     ``pending`` and the pipe's sending side, which ``send_lock`` guards.
     """
 
-    def __init__(self, index: int, context):
+    def __init__(self, index: int):
         self.index = index
-        self._context = context
         #: Shared with every process forked for this slot (anonymous, no fd).
         self.progress = mmap.mmap(-1, _PROGRESS.size)
         self.send_lock = threading.Lock()
@@ -435,24 +388,17 @@ class _Slot:
 
     def spawn(self) -> None:
         with self.send_lock:
-            self.conn, child_conn = self._context.Pipe()
-            # Not a daemon: a sharded job forks its shard workers from here.
-            self.process = self._context.Process(
-                target=_slot_main, args=(child_conn, self.progress),
-                name=f"repro-service-slot-{self.index}", daemon=False)
-            self.process.start()
-            child_conn.close()
-            self.pid = self.process.pid
+            self.worker = Worker(f"slot {self.index}", _slot_main, (self.progress,))
             self.alive = True
 
     def respawn(self) -> None:
-        """Fork the replacement of a process that :meth:`reap` has collected."""
+        """Fork the replacement of a process that has been reaped."""
         self.spawn()
         self.respawns += 1
 
     def health(self) -> Dict[str, Any]:
         job = self.job
-        return {"slot": self.index, "pid": self.pid, "alive": self.alive,
+        return {"slot": self.index, "pid": self.worker.pid, "alive": self.alive,
                 "busy": job is not None, "job": job.id if job is not None else None,
                 "jobs_run": self.jobs_run, "respawns": self.respawns}
 
@@ -467,7 +413,7 @@ class _Slot:
                 raise JobNotLive(f"job {job.id} is {job.state}")
             self.pending.append(waiter)
             try:
-                self.conn.send_bytes(payload)
+                self.worker.conn.send_bytes(payload)
             except OSError:
                 pass  # the slot just died; its supervisor fails the waiter
         if not waiter.done.wait(timeout):
@@ -482,41 +428,34 @@ class _Slot:
         with self.send_lock:
             if self.job is job:
                 try:
-                    self.conn.send(("cancel", job.id))
+                    self.worker.conn.send(("cancel", job.id))
                 except OSError:
                     pass  # dead already; the supervisor settles the job
 
     # ------------------------------------------------------- supervisor only
     def run(self, job: Job, control_interval: float) -> Tuple[str, Optional[str], Optional[str]]:
-        """Send ``job`` to the process and hand replies out until it is done."""
+        """Send ``job`` to the process and hand replies out until it is done.
+
+        Raises :class:`WorkerDied` if the process dies (or is killed for a
+        cancel no control tick served in time) first."""
+        worker = self.worker
         with self.send_lock:
             self.job = job
-            try:
-                self.conn.send(("run", job.id, job.spec, job.seed, job.trace_path,
-                                job.shards, control_interval))
-                if job.cancel_requested:  # cancelled before it had a slot to tell
-                    self.conn.send(("cancel", job.id))
-            except OSError:
-                raise _SlotLost("died before the job reached it") from None
+            worker.send(("run", job.id, job.spec, job.seed, job.trace_path,
+                         job.shards, control_interval))
+            if job.cancel_requested:  # cancelled before it had a slot to tell
+                worker.send(("cancel", job.id))
         while True:
-            ready = wait_ready([self.conn, self.process.sentinel], _WATCH_S)
-            if self.conn in ready:
-                try:
-                    reply = self.conn.recv()
-                except EOFError:
-                    raise _SlotLost("died mid-job") from None
-                except Exception as exc:
-                    raise _SlotLost(f"sent a reply that cannot be read ({exc!r})") from None
-                if reply[0] == "done":
-                    return reply[1:]
-                self.pending.popleft().resolve(reply)
-            elif ready or not self.process.is_alive():
-                # The second look is for a sharded job: its shard workers
-                # inherit the far ends of the sentinel and of the pipe, so
-                # neither reads end-of-file while they live.
-                raise _SlotLost("died mid-job")
-            elif job.cancel_requested and time.monotonic() > job._cancel_deadline:
-                raise _SlotLost(f"served no control tick within {REQUEST_TIMEOUT_S:g}s of the cancel")
+            try:
+                reply = worker.recv(_WATCH_S)
+            except TimeoutError:
+                if job.cancel_requested and time.monotonic() > job._cancel_deadline:
+                    raise worker.died(f"served no control tick within "
+                                      f"{REQUEST_TIMEOUT_S:g}s of the cancel") from None
+                continue
+            if reply[0] == "done":
+                return reply[1:]
+            self.pending.popleft().resolve(reply)
 
     def release(self, job: Job, state: str) -> None:
         """The job is over: publish its state and fail what was not answered."""
@@ -528,34 +467,15 @@ class _Slot:
                 self.pending.popleft().resolve(
                     ("error", JobNotLive(f"job {job.id} is {state}")))
 
-    def gone(self, timeout: float = 0.0) -> bool:
-        """Has the process ended?  (Asks its sentinel, so does not collect it.)"""
-        return bool(wait_ready([self.process.sentinel], timeout))
-
-    def reap(self) -> Optional[int]:
-        """Make sure the process is gone and collected; returns its exit code.
-
-        Kills the slot's whole process group, so the shard workers of a
-        sharded job go with it (the group's id is the slot's pid, and stays
-        taken while any of them lives).
-        """
-        self.alive = False
-        try:
-            os.killpg(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            self.process.kill()  # forked this instant: no group of its own yet
-        self.process.join()
-        self.conn.close()
-        return self.process.exitcode
-
     def stop(self) -> None:
+        """Ask an idle slot to exit and join it."""
         with self.send_lock:
             try:
-                self.conn.send(("exit",))
+                self.worker.conn.send(("exit",))
             except OSError:
-                pass
-        self.gone(REQUEST_TIMEOUT_S)
-        self.reap()
+                pass  # reaped already
+        self.alive = False
+        self.worker.join()
 
 
 class JobManager:
@@ -606,16 +526,13 @@ class JobManager:
         self._store = None  # one ResultStore for the manager's life, opened on first use
         self._store_lock = threading.Lock()
         self._shutdown = False
-        # The fork start method, by name: the slots share the progress
-        # record and the op table by inheriting them.
-        context = multiprocessing.get_context("fork")
         self._slots: List[_Slot] = []
         try:
             for index in range(slots):
-                self._slots.append(_Slot(index, context))
+                self._slots.append(_Slot(index))
         except BaseException:
             for slot in self._slots:  # a partial start strands nobody
-                slot.reap()
+                slot.worker.reap()
             raise
         # Non-daemon children hold the interpreter's exit open until they
         # are joined; a manager nobody shut down still lets the process end.
@@ -846,15 +763,14 @@ class JobManager:
 
     def _run_job(self, slot: _Slot, job: Job) -> None:
         path = None
-        if slot.gone():  # died idle, when nobody was watching
-            slot.reap()
+        if slot.worker.gone():  # died idle, when nobody was watching
+            slot.worker.reap()
             slot.respawn()
         try:
             state, detail, path = slot.run(job, self.control_interval)
-        except _SlotLost as lost:
-            pid, code = slot.pid, slot.reap()
+        except WorkerDied as lost:  # reaped already
             state = JobState.CANCELLED if job.cancel_requested else JobState.FAILED
-            detail = f"slot {slot.index} (pid {pid}) {lost}; exit code {code}"
+            detail = str(lost)
             if not self._shutdown:
                 slot.respawn()
         job._sim_time, job._stop_time = job.progress()
@@ -891,7 +807,7 @@ class JobManager:
             supervisor.join(max(0.0, deadline - time.time()))
         for slot, supervisor in zip(self._slots, self._supervisors):
             if supervisor.is_alive():  # its job outlived the timeout
-                slot.process.kill()
+                slot.worker.process.kill()
                 supervisor.join(REQUEST_TIMEOUT_S)
         with self._store_lock:
             self._close_store()

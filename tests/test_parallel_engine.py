@@ -11,6 +11,7 @@ integration (progress = barrier time, no mailbox on sharded jobs).
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -52,6 +53,9 @@ class TestShardedByteIdentity:
     @pytest.mark.parametrize("preset,seed", [
         ("star_web_churn", 5),
         ("mesh_macroflow_sharing", 9),
+        # Reroutes a link mid-run: the partitioner's lifetime-minimum
+        # effective-delay lookahead is on the hook too.
+        ("mobile_handoff_reroute", 31),
     ])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_run_matches_the_golden_bytes(self, preset, seed, shards):
@@ -60,6 +64,18 @@ class TestShardedByteIdentity:
         with open(os.path.join(GOLDEN_DIR, f"{preset}.seed{seed}.json"),
                   encoding="utf-8") as fh:
             assert produced == fh.read()
+
+    def test_a_big_barbell_shards_byte_identically(self):
+        # The golden presets are 4-12 nodes, where routing cost and the
+        # per-worker row computation are invisible: 2 x 256 leaf hosts on
+        # two routers, a quarter of a simulated second, through a spec
+        # file's round trip as the CLI would read it.
+        from bench.workloads import WORKLOADS
+
+        payload = json.dumps(WORKLOADS["barbell_sharded"].spec(0.25).to_dict())
+        spec = ScenarioSpec.from_dict(json.loads(payload))
+        assert (run_sharded(spec, seed=1, shards=2).to_json()
+                == run(ScenarioSpec.from_dict(json.loads(payload)), seed=1).to_json())
 
     def test_engine_block_is_excluded_from_the_digest(self):
         plain = get_preset("mesh_macroflow_sharing")
@@ -804,7 +820,7 @@ class TestServiceSharding:
             asked = time.monotonic()
             manager.cancel(job.id)
             manager.wait(job.id, timeout=60.0)
-            assert time.monotonic() - asked < 4.0  # not run_sharded's 5 s-a-worker teardown
+            assert time.monotonic() - asked < 1.0
             assert job.state == "cancelled"
             assert job.error.startswith("cancelled at sim t=")
             assert self._children_of(slot["pid"]) == []
@@ -837,6 +853,33 @@ class TestServiceSharding:
             assert again.result.to_json() == run(get_preset("star_web_churn")).to_json()
         finally:
             manager.shutdown()
+
+    def test_a_shard_worker_killed_mid_job_fails_the_job_not_the_slot(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        from repro.service.jobs import JobManager
+
+        record = tmp_path / "record"
+        record.mkdir()
+        spec = get_preset("star_web_churn")
+        _kill_shard_mid_window(monkeypatch, record, spec)  # before the slot is forked
+        manager = JobManager(slots=1, trace_dir=str(tmp_path / "traces"))
+        try:
+            job = manager.submit(spec, shards=2, trace=True)
+            manager.wait(job.id, timeout=60.0)
+            assert job.state == "failed"
+            assert re.fullmatch(
+                r"WorkerDied: shard worker 1 \(pid \d+\) died; exit code -9", job.error)
+            assert job.finished_at - float((record / "died").read_text()) < 1.0
+            (slot,) = manager.health()["slots"]
+            assert slot["alive"] and slot["respawns"] == 0
+            assert self._children_of(slot["pid"]) == []
+            pids = [int(line) for line in (record / "pids").read_text().split()]
+            assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+            assert not list((tmp_path / "traces").iterdir())
+        finally:
+            manager.shutdown()
+        assert multiprocessing.active_children() == []
 
     def test_ops_are_rejected_on_sharded_jobs(self):
         from repro.service.jobs import JobManager, JobNotLive
@@ -891,9 +934,71 @@ class TestServiceSharding:
                           control_hook=lambda scenario: None)
 
 
-class TestWorkerPoolStart:
+def _reaped(pid):
+    """Neither running nor a zombie: the pid is gone from the process table."""
+    return not os.path.exists(f"/proc/{pid}")
+
+
+def _exited(pid):
+    """Gone, or a zombie: an orphan's zombie is for init to collect, in its own time."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(") ", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def _doom_shard(monkeypatch, record, spec, shard=1):
+    """Mark the worker of ``spec``'s shard ``shard`` as it builds its slice.
+
+    Forked workers inherit the patch.  Each shard worker appends its pid to
+    ``record/pids``; the returned predicate is true in the marked worker only.
+    """
+    import repro.scenario.builder as builder
+
+    unlucky = partition_graph(spec, 2).members(shard)[0]
+    real_build = builder.build
+    doomed = []
+
+    def build_and_mark(spec, seed=None, trace_path=None, placement=None):
+        if placement is not None:
+            with open(record / "pids", "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if unlucky in placement.local:
+                doomed.append(os.getpid())
+        return real_build(spec, seed=seed, trace_path=trace_path, placement=placement)
+
+    monkeypatch.setattr(builder, "build", build_and_mark)
+    return lambda: os.getpid() in doomed
+
+
+def _kill_shard_mid_window(monkeypatch, record, spec, window=3):
+    """Make shard 1's worker SIGKILL itself inside its ``window``-th window.
+
+    The victim writes its time of death to ``record/died``.
+    """
+    import signal
+
+    doomed = _doom_shard(monkeypatch, record, spec)
+    real_run = Simulator.run
+    windows = []
+
+    def run_or_die(sim, *args, **kwargs):
+        if doomed():
+            windows.append(None)
+            if len(windows) == window:
+                (record / "died").write_text(repr(time.time()))
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", run_or_die)
+
+
+class TestShardWorkerLifetime:
+    """Spawn, death and reap of shard workers: a dead process is an error at once."""
+
     def test_a_partial_start_leaves_no_worker_behind(self, monkeypatch):
-        # Shard 0 starts, shard 1 cannot: the constructor must take shard 0
+        # Shard 0 starts, shard 1 cannot: the coordinator must take shard 0
         # down again instead of stranding it on an open pipe.
         import multiprocessing
         from multiprocessing.process import BaseProcess
@@ -914,6 +1019,89 @@ class TestWorkerPoolStart:
         started[0].join(timeout=10.0)
         assert not started[0].is_alive()
         assert multiprocessing.active_children() == []
+
+    def test_a_worker_killed_mid_window_is_one_error_naming_it(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        from repro.netsim.parallel.workers import WorkerDied
+
+        record = tmp_path / "record"
+        record.mkdir()
+        spec = get_preset("star_web_churn")
+        _kill_shard_mid_window(monkeypatch, record, spec)
+        with pytest.raises(WorkerDied, match=r"^shard worker 1 \(pid \d+\) died; exit code -9$"):
+            run_sharded(spec, seed=5, shards=2, trace_path=str(tmp_path / "killed.jsonl"))
+        assert time.time() - float((record / "died").read_text()) < 1.0
+        assert multiprocessing.active_children() == []
+        pids = [int(line) for line in (record / "pids").read_text().split()]
+        assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["record"]
+
+    def test_a_worker_gone_between_ready_and_the_first_window_is_one_error(
+            self, monkeypatch, tmp_path):
+        import multiprocessing
+        from multiprocessing.connection import Connection
+
+        from repro.netsim.parallel.workers import WorkerDied
+
+        record = tmp_path / "record"
+        record.mkdir()
+        spec = get_preset("star_web_churn")
+        doomed = _doom_shard(monkeypatch, record, spec)
+        real_recv = Connection.recv
+
+        def exit_after_ready(conn):
+            # A worker's first recv comes right after it sent "ready".
+            if doomed():
+                os._exit(3)
+            return real_recv(conn)
+
+        monkeypatch.setattr(Connection, "recv", exit_after_ready)
+        with pytest.raises(WorkerDied, match=r"^shard worker 1 \(pid \d+\) died; exit code 3$"):
+            run_sharded(spec, seed=5, shards=2, trace_path=str(tmp_path / "gone.jsonl"))
+        assert multiprocessing.active_children() == []
+        pids = [int(line) for line in (record / "pids").read_text().split()]
+        assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["record"]
+
+    def test_a_killed_coordinator_takes_its_workers_along(self, tmp_path):
+        # The coordinator runs in a process of its own and prints its
+        # workers' pids once the run is under way; SIGKILL it then.
+        import multiprocessing
+        import signal
+
+        script = (
+            "import multiprocessing, sys\n"
+            "from repro.netsim.parallel import run_sharded\n"
+            "from repro.scenario import get_preset\n"
+            "spec = get_preset('star_web_churn')\n"
+            "spec.stop.until = 1e5\n"
+            "told = []\n"
+            "def report(now, horizon):\n"
+            "    if now > 1.0 and not told:\n"
+            "        told.append(now)\n"
+            "        print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "run_sharded(spec, seed=5, shards=2, trace_path=sys.argv[1], progress_cb=report)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "orphaned.jsonl")],
+            stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+            assert len(pids) == 2
+            coordinator.send_signal(signal.SIGKILL)
+            assert coordinator.wait(timeout=10) == -signal.SIGKILL
+            deadline = time.monotonic() + 1.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, "shard workers outlived their coordinator"
+                time.sleep(0.01)
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.glob("*.shard*"))
 
     def test_a_partition_without_lookahead_is_an_error_not_an_assert(self, monkeypatch):
         import repro.netsim.parallel.partition as partition

@@ -4,7 +4,8 @@ Three families of invariants:
 
 * the sharded executor: random seed sets and job counts never change what
   ``reduce()`` sees — outcomes always arrive in spec order, with the same
-  JSON-normalized values a serial run would produce;
+  JSON-normalized values a serial run would produce (and a failing trial or
+  a dead worker is an error, not a hang);
 * the statistics: the NumPy-free mean/stddev/CI agree with the stdlib
   ``statistics`` module on random samples;
 * ``format_table``: arbitrary cell widths round-trip through the renderer
@@ -13,7 +14,10 @@ Three families of invariants:
 
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -92,6 +96,46 @@ class TestExecutorProperties:
             for index, spec in enumerate(specs)
         ]
         assert figure3.reduce(outcomes).to_json() == figure3.reduce(outcomes).to_json()
+
+
+class TestExecutorFailures:
+    def test_a_failing_trial_raises_its_own_exception_type(self):
+        specs = [TrialSpec(_ECHO_NAME, {"seed": seed}) for seed in (1, 2, 3)]
+        specs[1].params["seed"] = None  # None * int
+        with pytest.raises(TypeError):
+            run_trials(specs, jobs=2)
+
+    def test_a_dead_trial_worker_fails_the_run_instead_of_hanging(self):
+        # In a process of its own, so that a hang is a timeout here.
+        script = (
+            "import multiprocessing, os, signal, sys, time\n"
+            "from repro.experiments.parallel import TrialSpec, run_trials\n"
+            "from repro.experiments.registry import ExperimentSpec, register\n"
+            "def trial(params):\n"
+            "    if params['kill']:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return params['index']\n"
+            "register(ExperimentSpec(name='selfkill', trials=None, trial=trial,\n"
+            "                        reduce=None, run=None))\n"
+            "specs = [TrialSpec('selfkill', {'index': i, 'kill': i == 1}) for i in range(4)]\n"
+            "asked = time.monotonic()\n"
+            "try:\n"
+            "    run_trials(specs, jobs=2)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, round(time.monotonic() - asked, 3),\n"
+            "          len(multiprocessing.active_children()), exc)\n"
+            "else:\n"
+            "    sys.exit('no error')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        kind, waited, children, message = done.stdout.split(" ", 3)
+        assert kind == "BrokenProcessPool"
+        assert float(waited) < 5.0
+        assert children == "0"
+        assert message.startswith("trial selfkill(index=")
 
 
 class TestStatsMatchReference:
