@@ -223,7 +223,10 @@ class Link:
         packet is ECN-capable; non-ECN-capable packets are unaffected.
     seed:
         Seed for the private random generator used for loss decisions, so a
-        given experiment is reproducible.
+        given experiment is reproducible.  The generator is built at the
+        first draw (at construction if the link is lossy from the start):
+        nothing draws before then, so its state equals one seeded here, and
+        a link that never draws never pays for one.
     loss_model:
         Optional stateful burst-loss model — a :class:`GilbertElliottLoss`
         instance or its ``{"kind": "gilbert_elliott", ...}`` config mapping
@@ -271,7 +274,9 @@ class Link:
         self.aqm = aqm
         self.name = name
         self.stats = LinkStats()
-        self._rng = random.Random(seed)
+        self._seed = seed
+        lossy = self.loss_rate > 0.0 or loss_model is not None or aqm is not None
+        self._rng: Optional[random.Random] = random.Random(seed) if lossy else None
         self._queue: Deque[tuple] = deque()  # (packet, enqueue_time)
         self._busy = False
         #: The packet currently being serialised, and the delivery pipeline
@@ -280,10 +285,11 @@ class Link:
         #: completion events need not carry the packet: the callbacks are
         #: bound once here and scheduled argument-free, which removes the
         #: two per-hop closure/argument allocations from the hot path.
-        #: (A graph link's propagating packets wait in its sequencer instead;
+        #: (A graph link's propagating packets wait in its sequencer instead,
+        #: and :meth:`attach_sequencer` releases ``_in_flight``;
         #: :meth:`propagating` answers for both.)
         self._tx_packet: Optional[Packet] = None
-        self._in_flight: Deque[Packet] = deque()
+        self._in_flight: Optional[Deque[Packet]] = deque()
         #: Latest delivery timestamp handed out so far.  ``delay`` may be
         #: lowered mid-run (the service's ``PATCH .../links``); clamping
         #: each new delivery to this floor keeps the propagation pipeline
@@ -326,6 +332,7 @@ class Link:
         self._receiver = sequencer.receiver
         self._sequencer = sequencer
         self._link_rank = link_rank
+        self._in_flight = None
 
     def attach_telemetry(self, hub) -> None:
         """Bind this link's packet probes to a :class:`~repro.telemetry.TelemetryHub`.
@@ -353,6 +360,11 @@ class Link:
             return list(self._in_flight)
         return self._sequencer.buffered(self)
 
+    def _first_draw_rng(self) -> random.Random:
+        """Seed the private generator on its first draw (see ``seed``)."""
+        self._rng = random.Random(self._seed)
+        return self._rng
+
     def transmission_time(self, packet: Packet) -> float:
         """Serialisation delay for ``packet`` on this link."""
         return packet.size * 8.0 / self.rate_bps
@@ -368,14 +380,16 @@ class Link:
             raise RuntimeError(f"{self.name}: no receiver attached")
         stats = self.stats
 
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and (
+                self._rng or self._first_draw_rng()).random() < self.loss_rate:
             stats.dropped_random += 1
             self._notify_drop(packet, "random")
             if packet._pool_state == 1:
                 self.sim.packet_pool.release(packet)
             return False
 
-        if self.loss_model is not None and self.loss_model.should_drop(self._rng):
+        if self.loss_model is not None and self.loss_model.should_drop(
+                self._rng or self._first_draw_rng()):
             stats.dropped_random += 1
             self._notify_drop(packet, "burst")
             if packet._pool_state == 1:
@@ -401,7 +415,8 @@ class Link:
         now = self.sim._now
         if self.aqm is not None:
             occupancy = len(queue) + (1 if busy else 0)
-            if self.aqm.should_gate(self._rng, occupancy, now, self.rate_bps):
+            if self.aqm.should_gate(self._rng or self._first_draw_rng(),
+                                    occupancy, now, self.rate_bps):
                 if packet.ecn_capable:
                     packet.ecn_marked = True
                     stats.ecn_marked += 1

@@ -44,8 +44,10 @@ __all__ = ["run_sharded"]
 
 
 # ------------------------------------------------------------------ worker
-def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
+def _worker_main(conn, spec, run_seed, local, trace_path) -> None:
     """Worker process entry point: build the slice, then serve commands.
+
+    ``spec`` is the coordinator's validated spec, inherited through the fork.
 
     Protocol (coordinator → worker / worker → coordinator):
 
@@ -60,13 +62,12 @@ def _worker_main(conn, spec_payload, run_seed, local, trace_path) -> None:
     """
     from ...scenario.builder import build
     from ...scenario.runner import finish, started
-    from ...scenario.spec import ScenarioSpec, SpecError
+    from ...scenario.spec import SpecError
     from .boundary import BoundaryLink
     from .shard import Placement
     from .wire import decode_packet
 
     try:
-        spec = ScenarioSpec.from_dict(spec_payload)
         placement = Placement(frozenset(local))
         scenario = build(spec, seed=run_seed, trace_path=trace_path, placement=placement)
         sim = scenario.sim
@@ -220,10 +221,9 @@ def run_sharded(spec, seed: Optional[int] = None, *,
                    for k in range(part.shards)]
     workers: List[Worker] = []
     try:
-        spec_payload = spec.to_dict()
         for k in range(part.shards):  # a partial start is reaped below
             workers.append(Worker(f"shard worker {k}", _worker_main,
-                                  (spec_payload, run_seed, part.members(k), trace_paths[k])))
+                                  (spec, run_seed, part.members(k), trace_paths[k])))
         pending: List[List[Tuple]] = [[] for _ in workers]
         states: List[List[Optional[bool]]] = [[] for _ in workers]
         idle = [False] * len(workers)

@@ -241,9 +241,13 @@ class _Block:
 
     def check_fields(self, path: str) -> None:
         """Check every declared field of this block and the blocks below it
-        (a required string must also be non-empty)."""
+        (a required string must also be non-empty).  A field still holding
+        its declared default object is valid by construction: skipped."""
         for name, param in self._SCALAR_FIELDS:
-            if check_value(param, getattr(self, name), path, name) == "" and param.required:
+            value = getattr(self, name)
+            if value is param.default and not param.required:
+                continue
+            if check_value(param, value, path, name) == "" and param.required:
                 raise SpecError(_join(path, name), "must be a non-empty string")
         for name, param in self._LIST_FIELDS:
             value = getattr(self, name)

@@ -19,6 +19,8 @@ change, saying why.
 import cProfile
 import os
 import pstats
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -173,6 +175,37 @@ def test_routing_state_of_a_barbell_is_linear_in_its_hosts(hosts_per_cluster):
     assert entries <= bound, f"2 x {hosts_per_cluster}: {entries} entries, bound {bound}"
 
 
+#: Bytes a directed link may allocate in ``netsim/link.py`` and ``random.py``
+#: while a barbell builds: about 1,040 measured, now that a link seeds its
+#: generator at its first draw and a sequenced link releases its delivery
+#: deque; about 4,700 when every link built both (2,728 B of ``random.Random``,
+#: 760 B of unused deque).  None of the barbell's links is lossy.
+LINK_BYTES_BUDGET = 1536
+
+
+def link_bytes_per_directed_link(hosts_per_cluster: int) -> float:
+    """``link.py`` + ``random.py`` bytes traced per directed link of one build."""
+    spec = _barbell(hosts_per_cluster)
+    tracemalloc.start()
+    try:
+        scenario = build(spec, seed=1)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    traced = snapshot.filter_traces([
+        tracemalloc.Filter(True, os.path.join("*", "netsim", "link.py")),
+        tracemalloc.Filter(True, random.__file__),
+    ])
+    return (sum(stat.size for stat in traced.statistics("filename"))
+            / len(scenario.graph_net.links))
+
+
+def test_an_idle_link_of_a_barbell_stays_under_its_byte_budget():
+    measured = link_bytes_per_directed_link(64)
+    assert measured <= LINK_BYTES_BUDGET, (
+        f"{measured:.0f} B per directed link, budget {LINK_BYTES_BUDGET}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -182,6 +215,8 @@ if __name__ == "__main__":
     for hosts in (64, 256):
         entries, bound = routing_entries(hosts)
         print(f"barbell routing state, 2 x {hosts}: {entries} entries (bound {bound})")
+    print(f"barbell link memory, 2 x 64: {link_bytes_per_directed_link(64):.0f} B "
+          f"per directed link (budget {LINK_BYTES_BUDGET})")
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(BUDGETS):
             measured, modules = _measure(name, scratch)

@@ -17,7 +17,8 @@ import os
 
 import pytest
 
-from repro.scenario import get_preset, run
+from repro.scenario import get_preset, preset_names, run
+from repro.scenario.cli import main as scenario_main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -109,6 +110,25 @@ class TestGoldenPresets:
         run(spec, seed=seed, trace_path=str(trace_b))
         assert trace_a.read_bytes() == trace_b.read_bytes()
         assert trace_a.stat().st_size > 0
+
+
+class TestCliRoundTrips:
+    """What the CLI writes is what it reads: ``dump`` and ``run`` in-process."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_dump_of_a_dumped_file_is_a_byte_fixpoint(self, tmp_path, name):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert scenario_main(["dump", name, "--output", str(first)]) == 0
+        assert scenario_main(["dump", str(first), "--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_a_dumped_graph_preset_runs_to_its_golden_bytes(self, tmp_path):
+        spec_path, out = tmp_path / "plm.json", tmp_path / "out"
+        assert scenario_main(["dump", "parking_lot_mix", "--output", str(spec_path)]) == 0
+        assert scenario_main(["run", str(spec_path), "--seed", "21",
+                              "--json-dir", str(out), "--quiet"]) == 0
+        with open(golden_path("parking_lot_mix", 21), "rb") as fh:
+            assert (out / "parking_lot_mix.seed21.json").read_bytes() == fh.read()
 
 
 class TestScaleExperimentSharding:

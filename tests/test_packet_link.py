@@ -1,6 +1,10 @@
 """Unit tests for packets, links and traces."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import (GilbertElliottLoss, Link, Packet, RateTracker,
                           RedQueue, Simulator, make_aqm, make_loss_model)
@@ -293,6 +297,44 @@ class TestLink:
         sim.run()
         assert busy == [(True, 2), (True, 1), (True, 0), (False, 0)]
         assert link.stats.dequeued_packets == 3
+
+
+class TestLazyGenerator:
+    """A link seeds its private generator at its first loss draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           p=st.floats(min_value=0.01, max_value=0.99),
+           k=st.integers(min_value=0, max_value=5))
+    def test_loss_raised_mid_run_drops_exactly_a_fresh_generators_draws(self, seed, p, k):
+        sim = Simulator()
+        link = Link(sim, rate_bps=8e6, delay=0.01, queue_limit=None, seed=seed)
+        link.attach(lambda packet: None)
+        assert all(link.send(make_packet(10)) for _ in range(k))
+        assert link._rng is None
+        link.loss_rate = p
+        outcomes = [link.send(make_packet(10)) for _ in range(40)]
+        fresh = random.Random(seed)
+        assert outcomes == [fresh.random() >= p for _ in range(40)]
+        assert link._rng.getstate() == fresh.getstate()
+
+    @pytest.mark.parametrize("lossy", [
+        {"loss_model": {"kind": "gilbert_elliott", "p_good_bad": 0.1, "p_bad_good": 0.5}},
+        {"aqm": {"kind": "red", "min_th": 5, "max_th": 15}},
+        {"loss_rate": 0.1},
+    ])
+    def test_a_link_built_lossy_is_seeded_before_its_first_send(self, lossy):
+        link = Link(Simulator(), rate_bps=8e6, delay=0.01, seed=11, **lossy)
+        assert link._rng.getstate() == random.Random(11).getstate()
+
+    def test_a_loss_free_link_never_builds_one(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=8e6, delay=0.01, seed=11, ecn_threshold=2)
+        link.attach(lambda packet: None)
+        for _ in range(20):
+            link.send(make_packet(972, ecn_capable=True))
+        sim.run()
+        assert link._rng is None and link.stats.ecn_marked > 0
 
 
 class TestGilbertElliott:

@@ -167,7 +167,8 @@ def _identity(scenario):
     """What a build must derive from global declaration positions only."""
     return {
         "nodes": list(scenario.graph_net.nodes),
-        "links": [(index, name, link._rng.getstate())
+        "links": [(index, name, link._seed,
+                   None if link._rng is None else link._rng.getstate())
                   for index, name, link in scenario.directed_links()],
         "apps": [(app.index, app.label) for app in scenario.apps],
         "workloads": [(w.index, w.label) for w in scenario.workloads],

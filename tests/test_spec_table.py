@@ -15,7 +15,7 @@ import pytest
 
 from repro.scenario import ScenarioSpec, SpecError, build, get_preset, preset_names
 from repro.scenario import spec as spec_module
-from repro.scenario.spec import Param
+from repro.scenario.spec import Param, check_value
 
 #: One value of every JSON shape a field is *not* expecting, plus the
 #: out-of-range and non-finite numbers (``1e400`` parses to ``inf``).
@@ -82,6 +82,17 @@ def test_every_dataclass_field_has_exactly_one_table_entry(block):
         required = (field.default is dataclasses.MISSING
                     and field.default_factory is dataclasses.MISSING)
         assert required == param.required, field.name
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda block: block.__name__)
+def test_every_declared_default_passes_its_own_checks(block):
+    # check_fields skips a field that still holds its default object, so
+    # every such default must be one the checks would accept.
+    defaults = [(name, param) for name, param in block.FIELDS.items()
+                if not param.required and not callable(param.default)]
+    for name, param in defaults:
+        for item in param.default if param.many else (param.default,):
+            check_value(param, item, block.__name__, name)
 
 
 def test_the_block_list_is_the_whole_tree():
