@@ -1,8 +1,8 @@
-"""Golden determinism for the graph/workload presets.
+"""Golden determinism for every scenario preset.
 
 Like ``tests/golden/figure3_smoke_seeds3.json`` for the experiment runner,
-these files pin the *byte-exact* output of the three graph+workload presets
-at their default seeds.  Any change to the spec tree, the graph compiler,
+these files pin the *byte-exact* output of each preset — pair, dumbbell
+and graph+workload alike — at its default seed.  Any change to the spec tree, the graph compiler,
 the routing tie-breaks, the workload RNG derivation or the arrival/size
 distributions shows up here as a diff — which is exactly the point: those
 are all load-bearing determinism contracts now.
@@ -24,6 +24,12 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: (preset, seed) pairs with a checked-in golden result.
 GOLDEN_PRESETS = (
+    ("web_vat_mix", 42),
+    ("bulk_macroflow_sharing", 7),
+    ("ecn_vs_loss", 13),
+    ("libcm_poll_streaming", 11),
+    ("libcm_select_streaming", 11),
+    ("dumbbell_bulk", 3),
     ("parking_lot_mix", 21),
     ("star_web_churn", 5),
     ("mesh_macroflow_sharing", 9),
@@ -101,7 +107,7 @@ class TestGoldenPresets:
             handoff = json.load(fh)
         assert handoff["spec_digest"]  # reroutes participate in the digest
 
-    @pytest.mark.parametrize("name,seed", GOLDEN_PRESETS[:1])
+    @pytest.mark.parametrize("name,seed", [("parking_lot_mix", 21)])
     def test_trace_files_are_byte_identical_across_runs(self, tmp_path, name, seed):
         spec = get_preset(name)
         trace_a = tmp_path / "a.jsonl"
