@@ -17,7 +17,7 @@ Run it with::
 
 from repro import CongestionManager, HostCosts
 from repro.apps import VatApplication
-from repro.netsim import Channel, Host, Simulator
+from repro.netsim import Simulator, build_graph
 from repro.transport.udp import AckReflector
 
 RUN_SECONDS = 30.0
@@ -25,10 +25,15 @@ RUN_SECONDS = 30.0
 
 def run_path(label: str, rate_bps: float) -> None:
     sim = Simulator()
-    sender = Host(sim, "vat-sender", "10.1.0.1", costs=HostCosts())
-    receiver = Host(sim, "vat-receiver", "10.2.0.1", costs=HostCosts())
-    Channel(sim, sender, receiver, rate_bps=rate_bps, one_way_delay=0.025,
-            queue_limit=12, seed=7)
+    net = build_graph(
+        sim,
+        nodes=[{"name": "vat-sender", "addr": "10.1.0.1"},
+               {"name": "vat-receiver", "addr": "10.2.0.1"}],
+        links=[{"a": "vat-sender", "b": "vat-receiver", "rate_bps": rate_bps,
+                "delay": 0.025, "queue_limit": 12}],
+        seed=7, host_costs_factory=HostCosts,
+    )
+    sender, receiver = net.hosts["vat-sender"], net.hosts["vat-receiver"]
     CongestionManager(sender)
     reflector = AckReflector(receiver, port=4000)
 

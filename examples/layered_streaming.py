@@ -19,7 +19,7 @@ Run it with::
 
 from repro import CongestionManager, HostCosts
 from repro.apps import LayeredStreamingServer
-from repro.netsim import Channel, Host, Simulator
+from repro.netsim import Simulator, build_graph
 from repro.transport.udp import AckReflector
 
 DURATION = 24.0
@@ -27,17 +27,21 @@ DURATION = 24.0
 
 def run_mode(mode: str) -> LayeredStreamingServer:
     sim = Simulator()
-    sender = Host(sim, "server", "10.1.0.1", costs=HostCosts())
-    client = Host(sim, "client", "10.2.0.1", costs=HostCosts())
-    channel = Channel(sim, sender, client, rate_bps=20e6, one_way_delay=0.0375,
-                      queue_limit=60, seed=11)
+    net = build_graph(
+        sim,
+        nodes=[{"name": "server", "addr": "10.1.0.1"}, {"name": "client", "addr": "10.2.0.1"}],
+        links=[{"a": "server", "b": "client", "rate_bps": 20e6, "delay": 0.0375,
+                "queue_limit": 60}],
+        seed=11, host_costs_factory=HostCosts,
+    )
+    sender, client = net.hosts["server"], net.hosts["client"]
     CongestionManager(sender)
     reflector = AckReflector(client, port=9001)
     server = LayeredStreamingServer(sender, client.addr, 9001, mode=mode)
 
-    # Halve-and-restore the available bandwidth during the run.
-    sim.schedule(8.0, channel.set_rate, 4e6)
-    sim.schedule(16.0, channel.set_rate, 12e6)
+    # Halve-and-restore the available bandwidth (both directions) during the run.
+    sim.schedule(8.0, net.set_rate, "server", "client", 4e6)
+    sim.schedule(16.0, net.set_rate, "server", "client", 12e6)
 
     server.start()
     sim.run(until=DURATION)

@@ -17,7 +17,7 @@ Run it with::
 """
 
 from repro import CongestionManager, HostCosts, LibCM
-from repro.netsim import Channel, Host, Simulator
+from repro.netsim import Simulator, build_graph
 from repro.transport.udp import AckReflector, AppFeedbackTracker, UDPSocket
 
 PACKET_BYTES = 1200
@@ -27,9 +27,14 @@ PACKETS_TO_SEND = 400
 def main() -> None:
     # --- the simulated network ------------------------------------------------
     sim = Simulator()
-    sender = Host(sim, "sender", "10.0.0.1", costs=HostCosts())
-    receiver = Host(sim, "receiver", "10.0.0.2", costs=HostCosts())
-    Channel(sim, sender, receiver, rate_bps=2e6, one_way_delay=0.04, queue_limit=40, seed=1)
+    net = build_graph(
+        sim,
+        nodes=[{"name": "sender", "addr": "10.0.0.1"}, {"name": "receiver", "addr": "10.0.0.2"}],
+        links=[{"a": "sender", "b": "receiver", "rate_bps": 2e6, "delay": 0.04,
+                "queue_limit": 40}],
+        seed=1, host_costs_factory=HostCosts,
+    )
+    sender, receiver = net.hosts["sender"], net.hosts["receiver"]
 
     # --- the Congestion Manager and the receiving application -----------------
     CongestionManager(sender)

@@ -15,7 +15,7 @@ Run it with::
 
 from repro import CongestionManager, HostCosts
 from repro.apps import FileServer, WebClient
-from repro.netsim import Channel, Host, Simulator
+from repro.netsim import Simulator, build_graph
 
 FILE_SIZE = 128 * 1024
 N_REQUESTS = 9
@@ -24,10 +24,14 @@ SPACING = 0.5
 
 def run_variant(variant: str) -> list:
     sim = Simulator()
-    server_host = Host(sim, "server", "10.1.0.1", costs=HostCosts())
-    client_host = Host(sim, "client", "10.2.0.1", costs=HostCosts())
-    Channel(sim, server_host, client_host, rate_bps=16e6, one_way_delay=0.0375,
-            queue_limit=60, seed=3)
+    net = build_graph(
+        sim,
+        nodes=[{"name": "server", "addr": "10.1.0.1"}, {"name": "client", "addr": "10.2.0.1"}],
+        links=[{"a": "server", "b": "client", "rate_bps": 16e6, "delay": 0.0375,
+                "queue_limit": 60}],
+        seed=3, host_costs_factory=HostCosts,
+    )
+    server_host, client_host = net.hosts["server"], net.hosts["client"]
     if variant == "cm":
         CongestionManager(server_host)
     server = FileServer(server_host, 80, variant=variant)

@@ -18,12 +18,16 @@ The package provides:
 
 Quick start::
 
-    from repro import Simulator, Host, Channel, CongestionManager
+    from repro import CongestionManager, Simulator, build_graph
 
     sim = Simulator()
-    sender = Host(sim, "sender", "10.0.0.1")
-    receiver = Host(sim, "receiver", "10.0.0.2")
-    Channel(sim, sender, receiver, rate_bps=10e6, one_way_delay=0.03)
+    net = build_graph(
+        sim,
+        nodes=[{"name": "sender", "addr": "10.0.0.1"},
+               {"name": "receiver", "addr": "10.0.0.2"}],
+        links=[{"a": "sender", "b": "receiver", "rate_bps": 10e6, "delay": 0.03}],
+    )
+    sender, receiver = net.hosts["sender"], net.hosts["receiver"]
     cm = CongestionManager(sender)
     flow = cm.cm_open(sender.addr, receiver.addr, 5000, 6000)
 
@@ -44,7 +48,7 @@ from .core import (
     CM_TRANSIENT_CONGESTION,
 )
 from .hostmodel import CostModel, CpuLedger, HostCosts
-from .netsim import Channel, Host, Link, Packet, Router, Simulator, build_dumbbell
+from .netsim import GraphNet, Host, Link, Packet, Router, Simulator, build_graph
 
 __version__ = "1.0.0"
 
@@ -67,8 +71,8 @@ __all__ = [
     "Host",
     "Router",
     "Link",
-    "Channel",
     "Packet",
-    "build_dumbbell",
+    "GraphNet",
+    "build_graph",
     "__version__",
 ]

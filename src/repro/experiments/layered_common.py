@@ -20,7 +20,7 @@ from .topology import build_testbed, wan_pair_spec
 
 __all__ = ["LayeredRun", "run_layered", "run_layered_trial", "DEFAULT_BANDWIDTH_SCHEDULE"]
 
-#: (time, bandwidth in bits/s) steps applied to the channel during the run;
+#: (time, bandwidth in bits/s) steps applied to the path during the run;
 #: chosen so the best sustainable rate crosses several of the default layer
 #: rates, forcing visible adaptation.
 DEFAULT_BANDWIDTH_SCHEDULE: Tuple[Tuple[float, float], ...] = (
@@ -77,7 +77,8 @@ def run_layered(
     for when, rate_bps in bandwidth_schedule:
         if when == 0.0:
             continue
-        testbed.sim.schedule(when, testbed.channel.set_rate, rate_bps)
+        testbed.sim.schedule(when, testbed.net.set_rate,
+                               testbed.sender.name, testbed.receiver.name, rate_bps)
 
     server.start()
     testbed.sim.run(until=duration)

@@ -14,9 +14,7 @@ declarative specs compiled through the scenario layer
 
 :func:`build_testbed` compiles any pair spec into the familiar
 :class:`Testbed` handle, so every experiment's wiring goes through
-:func:`repro.scenario.builder.build` — event-for-event identical to the old
-hand-wired path, which keeps the per-seed experiment artifacts
-byte-identical.
+:func:`repro.scenario.builder.build`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..netsim import Channel, Host, Simulator
+from ..netsim import GraphNet, Host, Simulator
 from ..scenario import HostSpec, LinkSpec, ScenarioSpec, build
 
 __all__ = [
@@ -39,12 +37,14 @@ __all__ = [
 
 @dataclass
 class Testbed:
-    """A simulator plus one sender/receiver pair joined by a channel."""
+    """A simulator plus one sender/receiver pair joined by one link."""
 
     sim: Simulator
     sender: Host
     receiver: Host
-    channel: Channel
+    #: The wired pair: ``net.set_rate("sender", "receiver", bps)`` reshapes
+    #: the path, ``net.link("sender", "receiver")`` is the forward link.
+    net: GraphNet
 
 
 #: Memoized sealed pair specs, keyed by the full parameter tuple.  Every
@@ -63,7 +63,7 @@ def pair_spec(
     ecn_threshold: Optional[int] = None,
     with_costs: bool = True,
 ) -> ScenarioSpec:
-    """A sender/receiver pair joined by one Dummynet-style channel.
+    """A sender/receiver pair joined by one Dummynet-style link.
 
     Loss applies to the forward (data) direction only — the paper's loss
     experiments kept the ACK path clean — and the seed stays out of the
@@ -107,7 +107,7 @@ def build_testbed(spec: ScenarioSpec, seed: int = 0) -> Testbed:
         sim=scenario.sim,
         sender=scenario.host(link.a),
         receiver=scenario.host(link.b),
-        channel=scenario.channel(link.a, link.b),
+        net=scenario.graph_net,
     )
 
 

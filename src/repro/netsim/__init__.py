@@ -5,7 +5,6 @@ Ethernet, Dummynet shaping) with a deterministic simulator; see DESIGN.md
 for the substitution rationale.
 """
 
-from .channel import Channel, Dumbbell, build_dumbbell
 from .engine import Event, SimulationError, Simulator, Timer
 from .graph import GraphNet, build_graph, shortest_path_next_hops
 from .link import (GilbertElliottLoss, Link, LinkStats, RedQueue, make_aqm,
@@ -24,9 +23,6 @@ from .packet import (
 from .trace import RateTracker
 
 __all__ = [
-    "Channel",
-    "Dumbbell",
-    "build_dumbbell",
     "GraphNet",
     "build_graph",
     "shortest_path_next_hops",

@@ -15,7 +15,9 @@ the Congestion Manager generates:
 * The pending set is **one binary heap** of entries ordered by
   ``(time, seq)``: one C-level ``heappush`` per schedule and one ``heappop``
   per dispatch, so dispatch order is exactly global ``(time, seq)`` order by
-  construction.  There is deliberately no sorted side lane for in-order
+  construction.  (The ingress sequencers of :mod:`repro.netsim.ingress`
+  push their drains with ``seq`` above 2**62, behind every normal event at
+  the same time.)  There is deliberately no sorted side lane for in-order
   pushes: links interleave ``now + tx`` with ``now + delay`` and
   ``call_soon`` is earlier than both, so on real workloads a third to a
   half of the pushes would miss it and pay a Python frame on top of the
@@ -68,13 +70,6 @@ _DISPATCHED = 2
 #: Compact the queue when at least this many dead entries accumulate *and*
 #: they outnumber the live ones (amortised O(1) per cancellation).
 _COMPACT_MIN_DEAD = 512
-
-#: Sequence floor for :meth:`Simulator.push_late` entries.  Normal sequence
-#: numbers count up from zero one per event, so they can never reach this
-#: (2**62 events is thousands of simulated years); a late entry therefore
-#: sorts after every normally-scheduled event at the same timestamp, and
-#: same-time late entries order by their caller-supplied rank.
-_LATE_SEQ_BASE = 1 << 62
 
 
 class SimulationError(RuntimeError):
@@ -241,24 +236,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = [time, seq, _PENDING, callback, args]
-        _heappush(self._heap, entry)
-        return entry
-
-    def push_late(self, time: float, rank: int, callback: Callable, args: tuple = ()) -> list:
-        """Enqueue an entry that sorts *after* every normal event at ``time``.
-
-        ``rank`` breaks ties between same-time late entries (callers must
-        keep it unique per timestamp — list comparison would otherwise fall
-        through to the callback slot).  Used by the graph builds' ingress
-        sequencers to run per-node end-of-timestamp drains in a
-        content-defined order, independent of event-scheduling history —
-        the hook that lets sharded runs reproduce single-process bytes.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f}, simulator already at {self._now:.6f}"
-            )
-        entry = [time, _LATE_SEQ_BASE + rank, _PENDING, callback, args]
         _heappush(self._heap, entry)
         return entry
 

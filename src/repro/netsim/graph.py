@@ -1,13 +1,13 @@
 """Arbitrary-graph topologies with static shortest-path routing.
 
-:func:`build_graph` generalises :func:`~repro.netsim.channel.build_dumbbell`:
-instead of one fixed shape it wires any set of named hosts and routers
-connected by bidirectional links, computes static shortest-path routes and
-installs them into the per-node routing tables the existing
-:class:`~repro.iplayer.ip.IPLayer` forwarding consumes.  Parking lots,
-stars, multi-bottleneck meshes — anything expressible as a graph — compile
-into the same :class:`~repro.netsim.node.Host` / :class:`~repro.netsim.link.Link`
-machinery every experiment already runs on.
+:func:`build_graph` wires any set of named hosts and routers connected by
+bidirectional links, computes static shortest-path routes and installs them
+into the per-node routing tables the :class:`~repro.iplayer.ip.IPLayer`
+forwarding consumes.  It is the one topology builder: the paper's
+Dummynet and vBNS host pairs, the shared-bottleneck dumbbell, parking lots,
+stars and multi-bottleneck meshes all compile into the same
+:class:`~repro.netsim.node.Host` / :class:`~repro.netsim.link.Link`
+machinery.
 
 Routing is computed once, at build time (the paper's testbeds were statically
 routed, and dynamic routing would perturb the congestion dynamics under
@@ -166,6 +166,8 @@ class GraphNet:
     ingress: Dict[str, IngressSequencer] = field(default_factory=dict)
     #: The directed delay-weighted edge set routing was computed from —
     #: kept so mid-run reroutes can recompute the tables incrementally.
+    #: Keyed in declaration order (forward then reverse per declared
+    #: link), so position *k* is directed link index *k*.
     edges: Dict[Tuple[str, str], float] = field(default_factory=dict)
     #: Every end system's address in declaration order — routes are keyed
     #: by these, whether or not the destination host is simulated here.
@@ -174,6 +176,19 @@ class GraphNet:
     def link(self, a: str, b: str) -> Link:
         """The directed link from node ``a`` to node ``b``."""
         return self.links[(a, b)]
+
+    def set_rate(self, a: str, b: str, rate_bps: float) -> None:
+        """Change the ``a <-> b`` link's bandwidth mid-run, both directions.
+
+        Symmetric on purpose: a declared link models one Dummynet pipe, and
+        reconfiguring a pipe rescales the reverse (ACK) path along with the
+        forward one.  Routing is delay-weighted, so no route moves.  A
+        partial build rescales the directions it simulates.
+        """
+        for pair in ((a, b), (b, a)):
+            link = self.links.get(pair)
+            if link is not None:
+                link.rate_bps = float(rate_bps)
 
     def apply_reroute(self, a: str, b: str, delay: float) -> None:
         """Change the cost of the ``a <-> b`` link mid-run and re-route.
@@ -262,9 +277,8 @@ def build_graph(
     seed:
         Base seed for the links' random-loss RNGs.  Link *i* draws from
         ``seed + (seed_offset or 2*i)`` forward and ``+1`` reverse — the
-        same staggering convention :class:`~repro.scenario.spec.LinkSpec`
-        uses, so single-path graphs stay byte-compatible with the
-        equivalent channel wiring.
+        staggering convention :class:`~repro.scenario.spec.LinkSpec`
+        documents.
     host_costs_factory:
         Factory for per-host CPU ledgers (routers never get one — the
         paper only measures end-system CPU).

@@ -11,12 +11,13 @@ different trajectory and break the byte-for-byte determinism contract of
 
 An :class:`IngressSequencer` removes scheduling history from the tie
 entirely.  Deliveries to a node buffer per timestamp instead of invoking the
-IP layer directly, and a single end-of-timestamp *drain* — scheduled with
-:meth:`~repro.netsim.engine.Simulator.push_late`, so it runs after every
-normal event at that instant — hands them to the node in **content-defined
-order**: ascending ``(global directed link index, per-link arrival seq)``.
-Both the single-process graph build and every shard apply the same rule, so
-they agree on tie order by construction.
+IP layer directly, and a single end-of-timestamp *drain* — a *late* queue
+entry, which sorts after every normal event at that instant — hands them to
+the node in **content-defined order**: ascending ``(global directed link
+index, per-link arrival seq)``.  Both the single-process build and every
+shard apply the same rule, so they agree on tie order by construction.
+Every link delivers this way: a graph node's links share its sequencer, and
+a standalone :meth:`~repro.netsim.link.Link.attach` gets one of its own.
 
 Why this is safe and exact:
 
@@ -33,30 +34,35 @@ Why this is safe and exact:
   before the drain runs, in either execution mode, zero-delay links
   included.
 * The drain's queue position ``(t, LATE + node_rank)`` depends only on the
-  node's global declaration index — partition-independent.
+  node's global declaration index — partition-independent.  A late entry
+  takes no sequence number: normal ones count up from zero and can never
+  reach ``LATE`` (2**62 events is thousands of simulated years), and ranks
+  are unique per node, so the heap never compares past the rank.
 * Same-instant drains of *different* nodes commute: each touches only its
   own node's state, and anything a drained packet sends toward another node
   rides a link, which re-sequences it there.
 * Per-link arrival order is FIFO (link serialisation is a chain and the
   no-overtake clamp keeps arrival times monotone), so the per-link counter
   assigns the same seq to the same packet in every mode.
-
-Dumbbell/channel builds do not use sequencers — their topologies are fixed
-two-host affairs with no sharded counterpart, and their goldens predate
-this module.
 """
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import Callable, Dict, List, Tuple
 
+from .engine import _PENDING, SimulationError
+
 __all__ = ["IngressSequencer"]
+
+#: Sequence floor of the drains' late queue entries (see the module notes).
+_LATE_SEQ_BASE = 1 << 62
 
 
 class IngressSequencer:
     """Order same-timestamp deliveries to one node by (link, arrival seq)."""
 
-    __slots__ = ("sim", "rank", "receiver", "_buffers")
+    __slots__ = ("sim", "rank", "receiver", "_buffers", "_late_seq")
 
     def __init__(self, sim, rank: int, receiver: Callable) -> None:
         self.sim = sim
@@ -69,6 +75,7 @@ class IngressSequencer:
         #: delivering link or None)]; a time has a drain scheduled exactly
         #: while it has a buffer.
         self._buffers: Dict[float, List[Tuple[int, int, object, object]]] = {}
+        self._late_seq = _LATE_SEQ_BASE + rank
 
     def inject(self, time: float, link_rank: int, seq: int, packet, link=None) -> None:
         """Buffer a delivery for ``time`` (now or a future instant).
@@ -82,8 +89,14 @@ class IngressSequencer:
         """
         buffer = self._buffers.get(time)
         if buffer is None:
+            sim = self.sim
+            if time < sim._now:
+                raise SimulationError(
+                    f"cannot deliver at {time:.6f}, simulator already at {sim._now:.6f}")
             self._buffers[time] = [(link_rank, seq, packet, link)]
-            self.sim.push_late(time, self.rank, self._drain, (time,))
+            # The drain's late entry, pushed here rather than through an
+            # engine helper: one Python frame less per delivered packet.
+            _heappush(sim._heap, [time, self._late_seq, _PENDING, self._drain, (time,)])
         else:
             buffer.append((link_rank, seq, packet, link))
 

@@ -15,6 +15,7 @@ and queueing delay.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from collections.abc import Mapping
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
 from .engine import Simulator
+from .ingress import IngressSequencer
 from .packet import Packet
 
 __all__ = [
@@ -199,6 +201,10 @@ def make_aqm(config: Mapping) -> RedQueue:
     return RedQueue(**params)
 
 
+#: Drain ranks of standalone links' own sequencers (see :meth:`Link.attach`).
+_STANDALONE_RANKS = itertools.count(-1, -1)
+
+
 class Link:
     """A unidirectional, rate-limited, store-and-forward link.
 
@@ -279,30 +285,22 @@ class Link:
         self._rng: Optional[random.Random] = random.Random(seed) if lossy else None
         self._queue: Deque[tuple] = deque()  # (packet, enqueue_time)
         self._busy = False
-        #: The packet currently being serialised, and the delivery pipeline
-        #: of packets propagating towards the far end.  Propagation delay is
-        #: constant per link, so deliveries complete in FIFO order and the
-        #: completion events need not carry the packet: the callbacks are
-        #: bound once here and scheduled argument-free, which removes the
-        #: two per-hop closure/argument allocations from the hot path.
-        #: (A graph link's propagating packets wait in its sequencer instead,
-        #: and :meth:`attach_sequencer` releases ``_in_flight``;
-        #: :meth:`propagating` answers for both.)
+        #: The packet currently being serialised: it rides here instead of
+        #: in the argument-free transmission-end event, so nothing per hop
+        #: is allocated beyond the queue entry itself.  Propagating packets
+        #: wait in the far end's sequencer (see :meth:`propagating`).
         self._tx_packet: Optional[Packet] = None
-        self._in_flight: Optional[Deque[Packet]] = deque()
         #: Latest delivery timestamp handed out so far.  ``delay`` may be
         #: lowered mid-run (the service's ``PATCH .../links``); clamping
         #: each new delivery to this floor keeps the propagation pipeline
-        #: strictly FIFO — packets on a wire cannot overtake — so the
-        #: argument-free ``_deliver`` events stay correct.  With a constant
-        #: delay the clamp never engages.
+        #: strictly FIFO — packets on a wire cannot overtake, so the
+        #: per-link arrival counter stays in arrival order.  With a
+        #: constant delay the clamp never engages.
         self._last_deliver_ts = 0.0
         self._finish_cb = self._finish_transmission
-        self._deliver_cb = self._deliver
-        self._receiver: Optional[Callable[[Packet], None]] = None
-        #: Graph builds only (see :meth:`attach_sequencer`): the destination
-        #: node's :class:`~repro.netsim.ingress.IngressSequencer`, this
-        #: link's global directed index and its per-link arrival counter.
+        #: The far end's :class:`~repro.netsim.ingress.IngressSequencer`
+        #: (see :meth:`attach_sequencer`), this link's directed index among
+        #: the links it serves and its per-link arrival counter.
         self._sequencer = None
         self._link_rank = 0
         self._arrival_seq = 0
@@ -315,24 +313,26 @@ class Link:
 
     # ------------------------------------------------------------- attachment
     def attach(self, receiver: Callable[[Packet], None]) -> None:
-        """Set the callable that receives packets at the far end of the link."""
-        self._receiver = receiver
+        """Deliver into ``receiver`` through a sequencer of this link's own.
+
+        Each call draws a fresh, process-unique negative drain rank (graph
+        nodes rank ``0..N-1``), so the end-of-timestamp drains of two
+        standalone links never tie in the event queue.
+        """
+        self.attach_sequencer(IngressSequencer(self.sim, next(_STANDALONE_RANKS), receiver), 0)
 
     def attach_sequencer(self, sequencer, link_rank: int) -> None:
-        """Deliver into a graph node's ingress sequencer instead of a receiver.
+        """Deliver into the far end's ingress sequencer.
 
         The sequencer re-orders same-instant arrivals by content
         ``(link_rank, arrival seq)`` and runs them from an end-of-timestamp
-        drain, so a delivery event of this link's own would carry no
-        information: a finished transmission is handed straight to the
-        sequencer, keyed by its arrival time, and the drain counts the
-        delivery and fires the ``packet.deliver`` probe just before the
-        node receives the packet.
+        drain, so a link schedules no delivery event of its own: a finished
+        transmission is handed straight to the sequencer, keyed by its
+        arrival time, and the drain counts the delivery and fires the
+        ``packet.deliver`` probe just before the node receives the packet.
         """
-        self._receiver = sequencer.receiver
         self._sequencer = sequencer
         self._link_rank = link_rank
-        self._in_flight = None
 
     def attach_telemetry(self, hub) -> None:
         """Bind this link's packet probes to a :class:`~repro.telemetry.TelemetryHub`.
@@ -356,8 +356,6 @@ class Link:
 
     def propagating(self) -> List[Packet]:
         """Packets past serialisation that have not reached the far end yet."""
-        if self._sequencer is None:
-            return list(self._in_flight)
         return self._sequencer.buffered(self)
 
     def _first_draw_rng(self) -> random.Random:
@@ -376,7 +374,7 @@ class Link:
         Returns ``True`` if the packet was accepted (queued or started
         transmitting) and ``False`` if it was dropped.
         """
-        if self._receiver is None:
+        if self._sequencer is None:
             raise RuntimeError(f"{self.name}: no receiver attached")
         stats = self.stats
 
@@ -451,9 +449,6 @@ class Link:
         stats.queue_delay_total += sim._now - enqueue_time
         tx_time = packet.size * 8.0 / self.rate_bps
         stats.busy_time += tx_time
-        # Argument-free raw entry: the serialising packet rides in
-        # ``_tx_packet`` instead of the event, so nothing per-hop is
-        # allocated beyond the queue entry itself.
         self._tx_packet = packet
         sim._push(sim._now + tx_time, self._finish_cb, ())
 
@@ -468,28 +463,13 @@ class Link:
         if deliver_ts < self._last_deliver_ts:
             deliver_ts = self._last_deliver_ts
         self._last_deliver_ts = deliver_ts
-        sequencer = self._sequencer
-        if sequencer is None:
-            self._in_flight.append(self._tx_packet)
-            sim._push(deliver_ts, self._deliver_cb, ())
-        else:
-            seq = self._arrival_seq
-            self._arrival_seq = seq + 1
-            sequencer.inject(deliver_ts, self._link_rank, seq, self._tx_packet, self)
+        seq = self._arrival_seq
+        self._arrival_seq = seq + 1
+        self._sequencer.inject(deliver_ts, self._link_rank, seq, self._tx_packet, self)
         if self._queue:
             self._start_next()
         else:
             self._busy = False
-
-    def _deliver(self) -> None:
-        packet = self._in_flight.popleft()
-        stats = self.stats
-        stats.delivered_packets += 1
-        stats.delivered_bytes += packet.size
-        probe = self._probe_deliver
-        if probe is not None:
-            probe(self.sim._now, {"link": self.name, "size": packet.size})
-        self._receiver(packet)
 
     def _notify_drop(self, packet: Packet, reason: str) -> None:
         probe = self._probe_drop

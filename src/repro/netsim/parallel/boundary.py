@@ -4,7 +4,7 @@ The sending shard owns the *entire* link model for a cut edge — queueing,
 serialization, random loss, ECN marking, busy time — so every ``LinkStats``
 field is computed by exactly one shard with exactly the single-process event
 order.  Only the propagation-delay leg leaves the process: instead of
-scheduling a local ``_deliver``, :class:`BoundaryLink` emits
+handing the packet to a local ingress sequencer, :class:`BoundaryLink` emits
 ``(deliver_ts, link_index, seq, wire_tuple)`` into the shard's outbox, and
 the coordinator injects it into the destination shard at the next barrier
 (conservatively safe because ``deliver_ts > barrier`` by the lookahead
@@ -80,7 +80,7 @@ class BoundaryLink(Link):
         """Back out emissions whose delivery time lies beyond ``end_time``.
 
         The single-process run only counts a packet as delivered once its
-        deliver event actually executes (deliver_ts <= horizon); packets in
+        arrival's drain actually runs (deliver_ts <= horizon); packets in
         flight at the end of the run are not delivered.  Emission-time
         counting would overcount exactly those, so the coordinator calls
         this once, after the final barrier, before stats collection.

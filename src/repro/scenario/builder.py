@@ -2,20 +2,25 @@
 
 :func:`build` is the single place in the repository where a declarative
 scenario becomes a wired simulation: it validates the spec, creates the
-:class:`~repro.netsim.engine.Simulator`, the hosts (with their CPU cost
-ledgers), the channels or dumbbell, attaches Congestion Managers, and
-instantiates every application through the
+:class:`~repro.netsim.engine.Simulator`, compiles the topology — a host
+pair list, a dumbbell or a graph, all the same way — into one
+:func:`~repro.netsim.graph.build_graph` call, attaches Congestion Managers,
+and instantiates every application through the
 :mod:`~repro.scenario.applications` registry.
 
-Construction order is part of the determinism contract (event sequence
-numbers break heap ties, link RNGs are seeded in creation order):
+Every topology spelling is a graph: explicit ``hosts`` / ``links`` are host
+nodes and their links as declared; a ``dumbbell`` is nodes ``sender0…``,
+``receiver0…``, then routers ``left`` / ``right``, with the bottleneck as
+link 0 and one lossless access link per host.
 
-1. hosts in spec order (explicit list, or dumbbell senders-then-receivers);
-2. channels in spec order, link RNG seeded with ``seed + link.seed_offset``
-   (forward) and ``+ 1`` (reverse) — exactly how the hand-wired testbeds of
-   the seed repository did it;
-3. Congestion Managers for ``cm``-flagged hosts, in host order;
-4. scheduled reroutes, applications, workloads (each in spec order), then
+Construction order is part of the determinism contract (event sequence
+numbers break heap ties, link RNGs are seeded by declaration index):
+
+1. nodes in declaration order, then links, link *i*'s RNG seeded with
+   ``seed + (seed_offset or 2*i)`` (forward) and ``+ 1`` (reverse);
+2. Congestion Managers for ``cm``-flagged hosts, in host order (a
+   dumbbell's ``cm_senders``, in list order);
+3. scheduled reroutes, applications, workloads (each in spec order), then
    the telemetry attach.
 
 A shard of the parallel engine is the same :func:`build` under a
@@ -24,25 +29,25 @@ every step above still walks the full declaration and skips what is placed
 elsewhere, so each object is built exactly as the whole-graph build builds
 it.
 
-With the same spec and seed, :func:`build` therefore produces a simulation
-that is event-for-event identical to the legacy hand-wired construction,
-which is what keeps the experiment artifacts byte-identical per seed.
+With the same spec and seed, :func:`build` therefore produces the same
+simulation event for event, which keeps the artifacts byte-identical per
+seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.congestion import AimdWindowController, CongestionController, RateAimdController
 from ..core.manager import CongestionManager
 from ..core.scheduler import RoundRobinScheduler, Scheduler, WeightedRoundRobinScheduler
 from ..hostmodel import HostCosts
-from ..netsim import Channel, Dumbbell, GraphNet, Host, Link, Simulator, build_dumbbell, build_graph
+from ..netsim import GraphNet, Host, Link, Simulator, build_graph
 from ..netsim.parallel.shard import Placement, RemoteHost
 from .applications import Application, get_application
-from .spec import ScenarioSpec, SpecError, default_addr
+from .spec import DumbbellSpec, GraphLinkSpec, ScenarioSpec, SpecError
 from .telemetry import ScenarioTelemetry
 
 __all__ = ["Scenario", "build", "workload_rng_seed"]
@@ -73,16 +78,19 @@ _SCHEDULER_FACTORIES: Dict[str, Callable[[], Scheduler]] = {
 
 @dataclass
 class Scenario:
-    """A compiled scenario: live simulator, hosts, channels and apps."""
+    """A compiled scenario: live simulator, hosts, topology and apps."""
 
     spec: ScenarioSpec
     seed: int
     sim: Simulator
     hosts: Dict[str, Host]
-    channels: Dict[Tuple[str, str], Channel] = field(default_factory=dict)
-    dumbbell: Optional[Dumbbell] = None
-    #: The wired graph topology (nodes incl. routers, directed links,
-    #: next-hop tables), present when the spec carries a ``graph:`` block.
+    #: Always empty and ``None``: every topology compiles into
+    #: ``graph_net``.  Kept only because the repository benchmark's link
+    #: walk still reads both names.
+    channels: Dict[Tuple[str, str], Any] = field(default_factory=dict)
+    dumbbell: None = None
+    #: The wired topology (nodes incl. routers, directed links, next-hop
+    #: tables); set by :func:`build` for every spec.
     graph_net: Optional[GraphNet] = None
     apps: List[Application] = field(default_factory=list)
     #: Stochastic traffic generators (see :mod:`repro.workloads`), started
@@ -108,30 +116,18 @@ class Scenario:
 
         The one walk the result collector, the telemetry wiring and the
         service's link lookup share.  Indices count directed links over the
-        whole spec (forward ``2*i``, reverse ``2*i + 1``), so the slices of
-        a sharded run interleave back into declaration order.
+        whole topology (forward ``2*i``, reverse ``2*i + 1``), so the slices
+        of a sharded run interleave back into declaration order.
         """
-        for index, ((a, b), channel) in enumerate(self.channels.items()):
-            yield 2 * index, f"{a}->{b}", channel.forward
-            yield 2 * index + 1, f"{b}->{a}", channel.reverse
-        if self.dumbbell is not None:
-            yield 0, "bottleneck", self.dumbbell.bottleneck
-            yield 1, "bottleneck-rev", self.dumbbell.bottleneck_reverse
-        if self.graph_net is not None:
-            links = self.graph_net.links
-            for index, link_spec in enumerate(self.spec.graph.links):
-                a, b = link_spec.a, link_spec.b
-                for key, pair in ((2 * index, (a, b)), (2 * index + 1, (b, a))):
-                    if pair in links:
-                        yield key, f"{pair[0]}->{pair[1]}", links[pair]
+        links = self.graph_net.links
+        for index, pair in enumerate(self.graph_net.edges):
+            link = links.get(pair)
+            if link is not None:
+                yield index, link.name, link
 
     def host(self, name: str) -> Host:
         """Look up a host by spec name."""
         return self.hosts[name]
-
-    def channel(self, a: str, b: str) -> Channel:
-        """Look up the channel between two hosts (order as in the spec)."""
-        return self.channels[(a, b)]
 
 
 def _attach_cm(host: Host, host_spec) -> CongestionManager:
@@ -143,47 +139,69 @@ def _attach_cm(host: Host, host_spec) -> CongestionManager:
     )
 
 
-def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int) -> None:
-    """Wire a ``graph:`` block through :func:`repro.netsim.graph.build_graph`.
+#: A dumbbell's access links are fast, lossless and deep-buffered.
+_ACCESS_QUEUE_LIMIT = 1000
+
+
+def _dumbbell_payloads(bell: DumbbellSpec) -> Tuple[List[dict], List[dict]]:
+    """The node and link payloads of a ``dumbbell:`` block.
+
+    Sender *i* is ``10.0.1.(i+1)`` and receiver *i* ``10.0.2.(i+1)``; the
+    bottleneck ``left -> right`` is link 0 (so its seeds are the run seed
+    and ``+ 1``) and carries the loss, forward only.
+    """
+    hosts = [(f"{role}{i}", f"10.0.{subnet}.{i + 1}")
+             for role, subnet in (("sender", 1), ("receiver", 2))
+             for i in range(bell.n_pairs)]
+    nodes = [{"name": name, "kind": "host", "addr": addr, "costs": bell.with_costs}
+             for name, addr in hosts]
+    nodes += [{"name": "left", "kind": "router"}, {"name": "right", "kind": "router"}]
+    links = [{
+        "a": "left", "b": "right",
+        "rate_bps": bell.bottleneck_bps,
+        "delay": bell.bottleneck_delay,
+        "queue_limit": bell.queue_limit,
+        "loss_rate": bell.loss_rate,
+        "reverse_loss_rate": 0.0,
+        "ecn_threshold": bell.ecn_threshold,
+    }]
+    access = {"rate_bps": bell.access_bps, "delay": bell.access_delay,
+              "queue_limit": _ACCESS_QUEUE_LIMIT}
+    for i in range(bell.n_pairs):
+        links.append({"a": f"sender{i}", "b": "left", **access})
+        links.append({"a": "right", "b": f"receiver{i}", **access})
+    return nodes, links
+
+
+def _declared_payloads(nodes, links) -> Tuple[List[dict], List[dict]]:
+    """The node and link payloads of explicit hosts/links or a ``graph:`` block.
+
+    An empty host ``addr`` stays empty: ``build_graph`` fills in the same
+    ``10.<i+1>.0.1`` default the validator checks collisions against.
+    """
+    return ([{key: getattr(node, key) for key in ("name", "kind", "addr", "costs")}
+             for node in nodes],
+            [{key: getattr(link, key) for key in GraphLinkSpec.FIELDS} for link in links])
+
+
+def _build_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int) -> None:
+    """Compile the spec's topology into one :func:`~repro.netsim.graph.build_graph` call.
 
     Node and link declaration order is preserved (construction order is part
     of the determinism contract); static shortest-path routes are installed
     into every node's routing table, and CMs attach to ``cm``-flagged hosts
-    in node order afterwards — the same phasing the explicit-hosts branch
-    uses.
+    in node order afterwards.
     """
-    graph_spec = spec.graph
-    placement = scenario.placement
-    host_index = 0
-    node_payloads = []
-    for node in graph_spec.nodes:
-        addr = node.addr
-        if not addr and node.kind == "host":
-            addr = default_addr(host_index)
-        if node.kind == "host":
-            host_index += 1
-        node_payloads.append({
-            "name": node.name,
-            "kind": node.kind,
-            "addr": addr,
-            "costs": node.costs,
-        })
-    link_payloads = [
-        {
-            "a": link.a,
-            "b": link.b,
-            "rate_bps": link.rate_bps,
-            "delay": link.delay,
-            "queue_limit": link.queue_limit,
-            "loss_rate": link.loss_rate,
-            "reverse_loss_rate": link.reverse_loss_rate,
-            "ecn_threshold": link.ecn_threshold,
-            "seed_offset": link.seed_offset,
-            "loss": link.loss,
-            "aqm": link.aqm,
-        }
-        for link in graph_spec.links
-    ]
+    graph_spec, bell, placement = spec.graph, spec.dumbbell, scenario.placement
+    if bell is not None:
+        node_payloads, link_payloads = _dumbbell_payloads(bell)
+        declared_nodes, cm_senders, reroutes = (), bell.cm_senders, ()
+    elif graph_spec is None:
+        node_payloads, link_payloads = _declared_payloads(spec.hosts, spec.links)
+        declared_nodes, cm_senders, reroutes = spec.hosts, (), ()
+    else:
+        node_payloads, link_payloads = _declared_payloads(graph_spec.nodes, graph_spec.links)
+        declared_nodes, cm_senders, reroutes = graph_spec.nodes, (), graph_spec.reroutes
     slice_inputs = {} if placement is None else {
         "local": placement.local,
         "boundary_link": placement.boundary_link,
@@ -197,14 +215,16 @@ def _build_graph_topology(scenario: Scenario, spec: ScenarioSpec, run_seed: int)
     # sources and the hosts section follow this dict's order.
     for name, addr in net.host_addrs.items():
         scenario.hosts[name] = net.hosts[name] if name in net.hosts else RemoteHost(name, addr)
-    for node in graph_spec.nodes:
+    for node in declared_nodes:
         if node.cm and node.name in net.hosts:
             _attach_cm(net.hosts[node.name], node)
+    for index in cm_senders:
+        CongestionManager(net.hosts[f"sender{index}"])
     # Reroute events are scheduled at build time (not by the runner), after
     # CM attach and before the apps, so the event sequence numbering is the
     # same in every process of either engine.  The partitioner already
     # bounded the lookahead by each cut link's post-reroute minimum delay.
-    for reroute in graph_spec.reroutes:
+    for reroute in reroutes:
         scenario.sim.schedule(reroute.time, net.apply_reroute,
                               reroute.a, reroute.b, reroute.delay)
 
@@ -240,59 +260,7 @@ def build(spec: ScenarioSpec, seed: Optional[int] = None,
     hosts: Dict[str, Host] = {}
     scenario = Scenario(spec=spec, seed=run_seed, sim=sim, hosts=hosts, placement=placement)
 
-    if spec.dumbbell is not None:
-        dumbbell_spec = spec.dumbbell
-        dumbbell = build_dumbbell(
-            sim,
-            n_pairs=dumbbell_spec.n_pairs,
-            bottleneck_bps=dumbbell_spec.bottleneck_bps,
-            bottleneck_delay=dumbbell_spec.bottleneck_delay,
-            access_bps=dumbbell_spec.access_bps,
-            access_delay=dumbbell_spec.access_delay,
-            queue_limit=dumbbell_spec.queue_limit,
-            loss_rate=dumbbell_spec.loss_rate,
-            ecn_threshold=dumbbell_spec.ecn_threshold,
-            host_costs_factory=HostCosts if dumbbell_spec.with_costs else None,
-            seed=run_seed,
-        )
-        scenario.dumbbell = dumbbell
-        for index, host in enumerate(dumbbell.senders):
-            hosts[f"sender{index}"] = host
-        for index, host in enumerate(dumbbell.receivers):
-            hosts[f"receiver{index}"] = host
-        for index in dumbbell_spec.cm_senders:
-            CongestionManager(dumbbell.senders[index])
-    elif spec.graph is not None:
-        _build_graph_topology(scenario, spec, run_seed)
-    else:
-        for index, host_spec in enumerate(spec.hosts):
-            addr = host_spec.addr or default_addr(index)
-            hosts[host_spec.name] = Host(
-                sim, host_spec.name, addr,
-                costs=HostCosts() if host_spec.costs else None,
-            )
-        for index, link in enumerate(spec.links):
-            # Explicit seed_offset wins; otherwise stagger by position (a
-            # channel consumes two consecutive seeds, forward + reverse) so
-            # co-existing links draw independent loss streams by default.
-            offset = link.seed_offset if link.seed_offset else 2 * index
-            scenario.channels[(link.a, link.b)] = Channel(
-                sim,
-                hosts[link.a],
-                hosts[link.b],
-                rate_bps=link.rate_bps,
-                one_way_delay=link.delay,
-                queue_limit=link.queue_limit,
-                loss_rate=link.loss_rate,
-                reverse_loss_rate=link.reverse_loss_rate,
-                ecn_threshold=link.ecn_threshold,
-                seed=run_seed + offset,
-                loss_model=link.loss,
-                aqm=link.aqm,
-            )
-        for host_spec in spec.hosts:
-            if host_spec.cm:
-                _attach_cm(hosts[host_spec.name], host_spec)
+    _build_topology(scenario, spec, run_seed)
 
     # Labels, ``index`` (the result collector's merge key) and workload RNG
     # streams all come from the position in the *full* declaration.

@@ -267,13 +267,14 @@ def started(scenario: Scenario) -> Iterator[None]:
     spec = scenario.spec
     sim = scenario.sim
     try:
+        set_rate = scenario.graph_net.set_rate
         for link_spec in spec.links:
-            channel = scenario.channels[(link_spec.a, link_spec.b)]
+            a, b = link_spec.a, link_spec.b
             for when, rate_bps in link_spec.rate_schedule:
                 if when > 0.0:
-                    sim.schedule(when, channel.set_rate, rate_bps)
+                    sim.schedule(when, set_rate, a, b, rate_bps)
                 else:
-                    channel.set_rate(rate_bps)
+                    set_rate(a, b, rate_bps)
         if scenario.telemetry is not None:
             # First sample at t=start (apps are constructed, flows opened);
             # sampling only reads state, so probes-on cannot perturb the run.

@@ -8,7 +8,7 @@ collect.  Every consumer of the construction layer — the experiment
 harnesses, the ``python -m repro.scenario`` CLI, the tests and any future
 multi-hop study — builds its testbed from one of these specs instead of
 hand-wiring :class:`~repro.netsim.engine.Simulator` /
-:class:`~repro.netsim.node.Host` / :class:`~repro.netsim.channel.Channel`
+:class:`~repro.netsim.node.Host` / :class:`~repro.netsim.link.Link`
 objects.
 
 Design rules:
@@ -501,20 +501,21 @@ class _LinkBlock(_Block):
 
 @_spec_block
 class LinkSpec(_LinkBlock):
-    """A bidirectional Dummynet-style channel between two named hosts.
+    """A bidirectional Dummynet-style link between two named hosts.
 
-    ``delay`` is the one-way propagation delay; ``loss_rate`` applies to the
-    ``a -> b`` direction and ``reverse_loss_rate`` to ``b -> a`` (``None``
-    means symmetric, matching :class:`~repro.netsim.channel.Channel`).
-    ``seed_offset`` is added to the run seed for this link's random-loss RNG
-    so multiple links in one scenario draw independent streams; leaving it
-    at ``0`` auto-derives an offset from the link's position (``2 * index``,
-    since each channel consumes two consecutive seeds), which keeps the
-    first link byte-identical to the legacy single-link testbeds while
-    making additional links independent by default.
-    ``rate_schedule`` is a sequence of ``(time, rate_bps)`` steps applied by
-    the runner while the scenario executes (Figures 8/9-style bandwidth
-    changes).
+    Built as a graph link between two host nodes: one
+    :class:`~repro.netsim.link.Link` per direction.  ``delay`` is the
+    one-way propagation delay; ``loss_rate`` applies to the ``a -> b``
+    direction and ``reverse_loss_rate`` to ``b -> a`` (``None`` means
+    symmetric).  ``seed_offset`` is added to the run seed for this link's
+    random-loss RNG so multiple links in one scenario draw independent
+    streams; leaving it at ``0`` auto-derives an offset from the link's
+    position (``2 * index``, since each link consumes two consecutive
+    seeds, forward and reverse), so additional links are independent by
+    default.  ``rate_schedule`` is a sequence of ``(time, rate_bps)`` steps
+    applied by the runner while the scenario executes (Figures 8/9-style
+    bandwidth changes); each step rescales both directions, as
+    reconfiguring one Dummynet pipe does.
 
     ``loss`` selects a stateful burst-loss model per direction (currently
     ``{"kind": "gilbert_elliott", "p_good_bad": ..., "p_bad_good": ...,
@@ -567,10 +568,14 @@ class GraphLinkSpec(_LinkBlock):
 class DumbbellSpec(_Block):
     """The classic shared-bottleneck topology, generated instead of listed.
 
-    Builds ``n_pairs`` sender/receiver host pairs (named ``sender0`` /
-    ``receiver0`` ...) around one constrained router-to-router link via
-    :func:`repro.netsim.channel.build_dumbbell`.  ``cm_senders`` lists the
-    sender indices that get a Congestion Manager attached after wiring.
+    Compiles into a graph of ``n_pairs`` sender/receiver hosts (named
+    ``sender0`` / ``receiver0`` ..., addressed ``10.0.1.i`` / ``10.0.2.i``)
+    and two routers ``left`` / ``right``.  The bottleneck ``left <-> right``
+    is link 0 (``loss_rate`` on ``left -> right`` only); every host hangs
+    off its router by a lossless access link.  Result and telemetry names
+    are the graph's directed links (``left->right``, ``sender0->left``
+    ...).  ``cm_senders`` lists the sender indices that get a Congestion
+    Manager attached after wiring.
     """
 
     FIELDS = {

@@ -90,7 +90,7 @@ class ScenarioTelemetry:
 
         Must run after every sink subscription (the hub's dispatch table is
         read once per probe slot, at attach time) and after the builder
-        created hosts, channels and apps.
+        created hosts, links and apps.
         """
         hub = self.hub
         groups = set(self._effective.samplers)

@@ -179,6 +179,14 @@ class TestRttEstimator:
         est = RttEstimator(initial_rtt=0.3)
         assert est.smoothed_rtt() == pytest.approx(0.3)
 
+    def test_deviation_before_the_first_sample_is_half_the_initial_rtt(self):
+        assert RttEstimator(initial_rtt=0.3).deviation() == pytest.approx(0.15)
+
+    def test_first_rto_is_initial_rtt_plus_four_half_rtts_clamped(self):
+        assert RttEstimator(initial_rtt=0.2).rto() == pytest.approx(0.6)
+        assert RttEstimator(initial_rtt=0.05).rto() == MIN_RTO_SECONDS  # 0.15 s, raised
+        assert RttEstimator(initial_rtt=30.0).rto() == MAX_RTO_SECONDS  # 90 s, capped
+
     def test_rto_clamped(self):
         est = RttEstimator()
         est.sample(0.001)

@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.results.cli import main as results_main
 from repro.scenario import get_preset, preset_names, run
 from repro.scenario.cli import main as scenario_main
 
@@ -135,6 +136,24 @@ class TestCliRoundTrips:
                               "--json-dir", str(out), "--quiet"]) == 0
         with open(golden_path("parking_lot_mix", 21), "rb") as fh:
             assert (out / "parking_lot_mix.seed21.json").read_bytes() == fh.read()
+
+    def test_a_dumped_pair_preset_runs_to_its_golden_bytes(self, tmp_path):
+        spec_path, out = tmp_path / "ecn.json", tmp_path / "out"
+        assert scenario_main(["dump", "ecn_vs_loss", "--output", str(spec_path)]) == 0
+        assert scenario_main(["run", str(spec_path), "--seed", "13",
+                              "--json-dir", str(out), "--quiet"]) == 0
+        with open(golden_path("ecn_vs_loss", 13), "rb") as fh:
+            assert (out / "ecn_vs_loss.seed13.json").read_bytes() == fh.read()
+
+    def test_a_two_seed_run_writes_valid_results_and_stores_both(self, tmp_path, capsys):
+        out, db = tmp_path / "out", tmp_path / "results.sqlite"
+        assert scenario_main(["run", "web_vat_mix", "--seeds", "2", "--json-dir", str(out),
+                              "--store", str(db), "--quiet"]) == 0
+        for seed in (1, 2):
+            assert scenario_main(["validate", str(out / f"web_vat_mix.seed{seed}.json")]) == 0
+        capsys.readouterr()
+        assert results_main(["query", "--db", str(db), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"]["scenario_results"] == 2
 
 
 class TestScaleExperimentSharding:

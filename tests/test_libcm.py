@@ -102,6 +102,8 @@ class TestDispatch:
         sim.run()
         macroflow = host.cm.macroflow_of(fid)
         assert macroflow.reserved_bytes == 0  # grant was returned via cm_notify(0)
+        # ... as zero bytes: nothing counts as sent or outstanding.
+        assert macroflow.outstanding_bytes == 0 and macroflow.bytes_sent_total == 0
 
     def test_poll_mode_requires_explicit_poll(self, host, sim):
         libcm = LibCM(host, mode="poll")

@@ -223,6 +223,14 @@ class TestUpdateAndQuery:
         assert status.rate > 0
         assert status.mtu == cm.mtu
 
+    def test_query_before_any_rtt_sample_reports_the_initial_estimates(self, cm):
+        # No feedback yet: srtt is the default RTT and the deviation half of
+        # it, so the reported RTO is srtt + 4 * rttvar = 3 * 0.2 s.
+        status = cm.cm_query(open_flow(cm))
+        assert status.srtt == pytest.approx(0.2)
+        assert status.rttvar == pytest.approx(0.1)
+        assert status.rto == pytest.approx(0.6)
+
     def test_query_result_unit_conversions(self, cm):
         fid = open_flow(cm)
         status = cm.cm_query(fid)

@@ -4,8 +4,9 @@ import pytest
 
 from repro import HostCosts
 from repro.iplayer import NoRouteError
-from repro.netsim import Channel, Host, Packet, Router, Simulator, build_dumbbell
+from repro.netsim import Host, Packet, Router, Simulator, build_graph
 from repro.netsim.packet import PROTO_UDP
+from repro.scenario import DumbbellSpec, ScenarioSpec, SpecError, build
 
 
 def udp_packet(src, dst, sport=1000, dport=2000, payload=100, **kw):
@@ -14,15 +15,15 @@ def udp_packet(src, dst, sport=1000, dport=2000, payload=100, **kw):
 
 
 class TestHostRouting:
-    def test_channel_installs_routes_both_ways(self, make_pair):
+    def test_pair_link_installs_routes_both_ways(self, make_pair):
         pair = make_pair()
-        assert pair.sender.route_for(pair.receiver.addr) is pair.channel.forward
-        assert pair.receiver.route_for(pair.sender.addr) is pair.channel.reverse
+        assert pair.sender.route_for(pair.receiver.addr) is pair.forward
+        assert pair.receiver.route_for(pair.sender.addr) is pair.reverse
 
     def test_default_route_used_for_unknown_destination(self, make_pair):
         pair = make_pair()
-        pair.sender.set_default_route(pair.channel.forward)
-        assert pair.sender.route_for("unknown") is pair.channel.forward
+        pair.sender.set_default_route(pair.forward)
+        assert pair.sender.route_for("unknown") is pair.forward
 
     def test_no_route_raises(self, sim):
         host = Host(sim, "lonely", "10.9.9.9")
@@ -38,9 +39,10 @@ class TestHostRouting:
 class TestPerSimulatorPacketIds:
     def _send_some(self):
         sim = Simulator()
-        sender = Host(sim, "sender", "10.0.0.1")
-        receiver = Host(sim, "receiver", "10.0.0.2")
-        Channel(sim, sender, receiver, rate_bps=10e6, one_way_delay=0.01)
+        net = build_graph(sim, [{"name": "sender", "addr": "10.0.0.1"},
+                                {"name": "receiver", "addr": "10.0.0.2"}],
+                          [{"a": "sender", "b": "receiver", "rate_bps": 10e6, "delay": 0.01}])
+        sender, receiver = net.hosts["sender"], net.hosts["receiver"]
         got = []
         receiver.ip.register_handler(PROTO_UDP, 2000, got.append)
         for _ in range(3):
@@ -102,7 +104,7 @@ class TestIPDemux:
     def test_misdelivered_packet_dropped_silently(self, make_pair):
         pair = make_pair()
         packet = udp_packet(pair.sender.addr, "10.99.99.99")
-        pair.sender.add_route("10.99.99.99", pair.channel.forward)
+        pair.sender.add_route("10.99.99.99", pair.forward)
         pair.sender.ip.send(packet)
         pair.sim.run()
         assert pair.receiver.ip.packets_received == 0
@@ -139,17 +141,24 @@ class TestCmNotifyHook:
         assert packet.flow_id is None
 
 
+def _dumbbell(n_pairs):
+    """A built dumbbell scenario: ``n_pairs`` hosts each side of a 10 Mbit/s bottleneck."""
+    return build(ScenarioSpec(name="bell", dumbbell=DumbbellSpec(
+        n_pairs=n_pairs, bottleneck_bps=10e6, bottleneck_delay=0.005)))
+
+
 class TestRouterForwarding:
     def test_dumbbell_end_to_end_delivery(self):
-        sim = Simulator()
-        bell = build_dumbbell(sim, n_pairs=2, bottleneck_bps=10e6, bottleneck_delay=0.005)
+        bell = _dumbbell(2)
+        sender, receiver = bell.hosts["sender0"], bell.hosts["receiver1"]
         got = []
-        bell.receivers[1].ip.register_handler(PROTO_UDP, 2000, got.append)
-        bell.senders[0].ip.send(udp_packet(bell.senders[0].addr, bell.receivers[1].addr))
-        sim.run()
+        receiver.ip.register_handler(PROTO_UDP, 2000, got.append)
+        sender.ip.send(udp_packet(sender.addr, receiver.addr))
+        bell.sim.run()
         assert len(got) == 1
-        assert bell.left_router.ip.packets_forwarded == 1
-        assert bell.right_router.ip.packets_forwarded == 1
+        routers = bell.graph_net.nodes
+        assert routers["left"].ip.packets_forwarded == 1
+        assert routers["right"].ip.packets_forwarded == 1
 
     def test_router_drops_unroutable_silently(self, sim):
         router = Router(sim, "r")
@@ -159,33 +168,33 @@ class TestRouterForwarding:
     def test_router_has_no_cpu_accounting(self, sim):
         assert Router(sim, "r").costs is None
 
-    def test_dumbbell_requires_at_least_one_pair(self, sim):
-        with pytest.raises(ValueError):
-            build_dumbbell(sim, n_pairs=0, bottleneck_bps=1e6, bottleneck_delay=0.01)
+    def test_dumbbell_requires_at_least_one_pair(self):
+        with pytest.raises(SpecError):
+            _dumbbell(0)
 
     def test_reverse_path_works(self):
-        sim = Simulator()
-        bell = build_dumbbell(sim, n_pairs=1, bottleneck_bps=10e6, bottleneck_delay=0.005)
+        bell = _dumbbell(1)
+        sender, receiver = bell.hosts["sender0"], bell.hosts["receiver0"]
         got = []
-        bell.senders[0].ip.register_handler(PROTO_UDP, 5, got.append)
-        bell.receivers[0].ip.send(udp_packet(bell.receivers[0].addr, bell.senders[0].addr, dport=5))
-        sim.run()
+        sender.ip.register_handler(PROTO_UDP, 5, got.append)
+        receiver.ip.send(udp_packet(receiver.addr, sender.addr, dport=5))
+        bell.sim.run()
         assert len(got) == 1
 
 
-class TestChannel:
-    def test_rtt_property(self, make_pair):
-        pair = make_pair(one_way_delay=0.03)
-        assert pair.channel.rtt == pytest.approx(0.06)
-
+class TestGraphNetSetRate:
     def test_set_rate_changes_both_directions(self, make_pair):
         pair = make_pair()
-        pair.channel.set_rate(5e6)
-        assert pair.channel.forward.rate_bps == 5e6
-        assert pair.channel.reverse.rate_bps == 5e6
+        pair.net.set_rate("sender", "receiver", 5e6)
+        assert pair.forward.rate_bps == 5e6
+        assert pair.reverse.rate_bps == 5e6
 
-    def test_set_loss_rate_forward_only_by_default(self, make_pair):
-        pair = make_pair()
-        pair.channel.set_loss_rate(0.1)
-        assert pair.channel.forward.loss_rate == 0.1
-        assert pair.channel.reverse.loss_rate == 0.0
+    def test_set_rate_names_the_link_in_either_orientation(self):
+        bell = _dumbbell(1)
+        net = bell.graph_net
+        net.set_rate("right", "left", 2e6)
+        assert net.link("left", "right").rate_bps == 2e6
+        assert net.link("right", "left").rate_bps == 2e6
+        # The access links keep their rate, and no route moves.
+        assert net.link("sender0", "left").rate_bps == 1e9
+        assert bell.hosts["sender0"].route_for("10.0.2.1") is net.link("sender0", "left")

@@ -245,7 +245,7 @@ class TestLink:
         link.send(p1)
         link.send(p2)
         arrivals = []
-        orig_receiver = link._receiver
+        orig_receiver = link._sequencer.receiver
         link.attach(lambda packet: (arrivals.append((sim.now, packet)),
                                     orig_receiver(packet))[-1])
         # p1 enters propagation at 1 ms (due 11 ms); lower delay at 1.5 ms,
@@ -268,10 +268,10 @@ class TestLink:
         assert arrivals[-1][0] == pytest.approx(0.011 + 0.002, abs=1e-6)
 
 
-    def test_pair_link_delivers_from_its_own_event_and_reports_what_propagates(self):
-        # Only graph builds hand off to an ingress sequencer; a link with a
-        # plain receiver keeps one delivery event per packet (three events a
-        # hop: the two transmission ends here plus two deliveries = 4).
+    def test_standalone_link_drains_from_its_own_sequencer_and_reports_what_propagates(self):
+        # A link with a plain receiver still delivers through a sequencer
+        # (of its own): two events a hop, the transmission end and the
+        # arrival instant's drain — two packets at distinct instants = 4.
         sim = Simulator()
         link, received = self.make_link(sim, rate_bps=8e6, delay=0.01)
         first, second = make_packet(972), make_packet(972)
@@ -285,6 +285,18 @@ class TestLink:
         sim.run()
         assert received == [first, second] and link.propagating() == []
         assert sim.events_dispatched == 4
+
+    def test_standalone_links_arriving_together_never_tie_in_the_queue(self):
+        # Each attach draws its own drain rank: two drains at one instant
+        # with equal ranks would make the heap compare their callbacks.
+        sim = Simulator()
+        first, got_first = self.make_link(sim, delay=0.01)
+        second, got_second = self.make_link(sim, delay=0.01)
+        assert first._sequencer.rank != second._sequencer.rank
+        first.send(make_packet(972))
+        second.send(make_packet(972))
+        sim.run()
+        assert len(got_first) == len(got_second) == 1
 
     def test_link_goes_idle_exactly_when_its_queue_runs_dry(self):
         sim = Simulator()

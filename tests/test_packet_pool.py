@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import Channel, Host, Simulator
+from repro.netsim import Simulator, build_graph
 from repro.netsim.packet import Packet, PacketPool, pool_for
 from repro.transport.tcp import RenoTCPSender, TCPListener
 
@@ -92,10 +92,11 @@ class TestPoolStateMachine:
 
 def _run_transfer(nbytes: int = 200_000):
     sim = Simulator()
-    sender_host = Host(sim, "snd", "10.0.0.1")
-    receiver_host = Host(sim, "rcv", "10.0.0.2")
-    Channel(sim, sender_host, receiver_host, rate_bps=8e6, one_way_delay=0.01,
-            queue_limit=20, loss_rate=0.02, seed=7)
+    net = build_graph(sim, [{"name": "snd", "addr": "10.0.0.1"},
+                            {"name": "rcv", "addr": "10.0.0.2"}],
+                      [{"a": "snd", "b": "rcv", "rate_bps": 8e6, "delay": 0.01,
+                        "queue_limit": 20, "loss_rate": 0.02}], seed=7)
+    sender_host, receiver_host = net.hosts["snd"], net.hosts["rcv"]
     TCPListener(receiver_host, port=80)
     sender = RenoTCPSender(sender_host, receiver_host.addr, 80)
     sender.send(nbytes)
@@ -140,11 +141,8 @@ class TestPoolLeaks:
         pool = scenario.sim.packet_pool
         assert pool is not None and pool.reused > 0
 
-        links = list(scenario.graph_net.links.values()) if scenario.graph_net else []
-        for channel in scenario.channels.values():
-            links.extend([channel.forward, channel.reverse])
         in_links = 0
-        for link in links:
+        for link in scenario.graph_net.links.values():
             queued = [packet for packet, _ in link._queue]
             serialising = [link._tx_packet] if link._busy else []
             for packet in queued + serialising + link.propagating():

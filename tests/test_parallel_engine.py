@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import Simulator
+from repro.netsim.engine import SimulationError, Simulator
 from repro.netsim.ingress import IngressSequencer
 from repro.netsim.link import Link
 from repro.netsim.parallel import partition_graph, run_sharded
@@ -476,11 +476,13 @@ class TestPartitionerProperties:
 # ===================================================================== #
 # Engine late lane + ingress sequencing                                 #
 # ===================================================================== #
-class TestPushLate:
+class TestDrainLateEntries:
+    """A sequencer's drain is a late queue entry (pushed by ``inject``)."""
+
     def test_late_entry_runs_after_every_normal_event_at_its_time(self):
         sim = Simulator()
         order = []
-        sim.push_late(1.0, 5, order.append, ("late",))
+        IngressSequencer(sim, 5, order.append).inject(1.0, 0, 0, "late")
         sim.at(1.0, order.append, "first")
         sim.at(1.0, order.append, "second")
         sim.at(2.0, order.append, "next-instant")
@@ -490,8 +492,8 @@ class TestPushLate:
     def test_same_time_late_entries_order_by_rank(self):
         sim = Simulator()
         order = []
-        sim.push_late(1.0, 7, order.append, ("rank7",))
-        sim.push_late(1.0, 2, order.append, ("rank2",))
+        IngressSequencer(sim, 7, order.append).inject(1.0, 0, 0, "rank7")
+        IngressSequencer(sim, 2, order.append).inject(1.0, 0, 0, "rank2")
         sim.run()
         assert order == ["rank2", "rank7"]
 
@@ -499,15 +501,15 @@ class TestPushLate:
         sim = Simulator()
         sim.at(1.0, lambda: None)
         sim.run()
-        with pytest.raises(Exception):
-            sim.push_late(0.5, 0, lambda: None)
+        with pytest.raises(SimulationError):
+            IngressSequencer(sim, 0, lambda packet: None).inject(0.5, 0, 0, "late")
 
     def test_horizon_overshoot_keeps_the_late_entry_behind_normal_pushes(self):
         # A late entry popped and pushed back at the horizon must still sort
         # after a same-time normal event scheduled later on.
         sim = Simulator()
         order = []
-        sim.push_late(2.0, 1, order.append, ("late",))
+        IngressSequencer(sim, 1, order.append).inject(2.0, 0, 0, "late")
         sim.run(until=1.0)  # pops the late entry, pushes it back
         sim.at(2.0, order.append, "normal")
         sim.run()

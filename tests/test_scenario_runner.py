@@ -43,7 +43,7 @@ class TestBuild:
         testbed = build_testbed(lan_pair_spec(), seed=7)
         assert testbed.sender.addr == "10.1.0.1"
         assert testbed.receiver.addr == "10.2.0.1"
-        assert testbed.channel.rate_bps == 100e6
+        assert testbed.net.link("sender", "receiver").rate_bps == 100e6
         assert testbed.sender.costs is not None
 
     def test_pair_without_costs(self):
@@ -53,11 +53,14 @@ class TestBuild:
     def test_each_pair_spec_compiles_to_its_testbed(self):
         from repro.experiments.topology import wan_pair_spec
 
-        assert build_testbed(lan_pair_spec(), seed=2).channel.rate_bps == 100e6
-        dummynet = build_testbed(dummynet_pair_spec(loss_rate=0.02), seed=2)
-        assert dummynet.channel.forward.loss_rate == 0.02
-        assert dummynet.channel.reverse.loss_rate == 0.0
-        assert build_testbed(wan_pair_spec(), seed=2).channel.rtt == pytest.approx(0.075)
+        assert build_testbed(lan_pair_spec(), seed=2).net.link(
+            "sender", "receiver").rate_bps == 100e6
+        dummynet = build_testbed(dummynet_pair_spec(loss_rate=0.02), seed=2).net
+        assert dummynet.link("sender", "receiver").loss_rate == 0.02
+        assert dummynet.link("receiver", "sender").loss_rate == 0.0
+        wan = build_testbed(wan_pair_spec(), seed=2).net
+        assert (wan.link("sender", "receiver").delay
+                + wan.link("receiver", "sender").delay) == pytest.approx(0.075)
 
     def test_cm_attachment_with_named_controller(self):
         spec = ScenarioSpec(
@@ -87,7 +90,10 @@ class TestBuild:
         assert set(scenario.hosts) == {"sender0", "sender1", "receiver0", "receiver1"}
         assert scenario.host("sender1").cm is not None
         assert scenario.host("sender0").cm is None
-        assert scenario.dumbbell is not None
+        # A dumbbell is a graph: routers ``left`` / ``right``, bottleneck first.
+        assert list(scenario.graph_net.nodes)[-2:] == ["left", "right"]
+        assert [name for _index, name, _link in scenario.directed_links()][:2] == [
+            "left->right", "right->left"]
 
     def test_sibling_links_get_independent_loss_rngs_by_default(self):
         spec = ScenarioSpec(
@@ -98,8 +104,8 @@ class TestBuild:
                    LinkSpec(a="a2", b="b2", rate_bps=1e6, delay=0.01, loss_rate=0.1)],
         )
         scenario = build(spec, seed=4)
-        first = scenario.channel("a1", "b1").forward._rng
-        second = scenario.channel("a2", "b2").forward._rng
+        first = scenario.graph_net.link("a1", "b1")._rng
+        second = scenario.graph_net.link("a2", "b2")._rng
         assert [first.random() for _ in range(8)] != [second.random() for _ in range(8)]
 
     def test_build_rejects_invalid_spec(self):
@@ -180,10 +186,10 @@ class TestRun:
         from repro.scenario import run_built
 
         run_built(scenario)
-        assert scenario.channel("tx", "rx").rate_bps == 1e6
+        assert scenario.graph_net.link("tx", "rx").rate_bps == 1e6
 
     def test_rate_schedule_rescales_both_directions(self):
-        # Documented contract (Channel.set_rate): a rate_schedule step models
+        # Documented contract (GraphNet.set_rate): a rate_schedule step models
         # reconfiguring one Dummynet pipe, so the reverse (ACK) path rescales
         # with the forward path.  The libcm_*_streaming presets and their
         # pinned results encode this — scoping a step to the forward
@@ -194,9 +200,8 @@ class TestRun:
         from repro.scenario import run_built
 
         run_built(scenario)
-        channel = scenario.channel("tx", "rx")
-        assert channel.forward.rate_bps == 1e6
-        assert channel.reverse.rate_bps == 1e6
+        assert scenario.graph_net.link("tx", "rx").rate_bps == 1e6
+        assert scenario.graph_net.link("rx", "tx").rate_bps == 1e6
 
 
 class TestCli:

@@ -96,12 +96,12 @@ class TestRenoTCP:
         # with a seed known to drop the SYN.
         lossy = make_pair  # placeholder to keep fixture referenced
         del lossy
-        pair.channel.forward.loss_rate = 0.9
+        pair.forward.loss_rate = 0.9
         listener = TCPListener(pair.receiver, 80)
         sender = RenoTCPSender(pair.sender, pair.receiver.addr, 80)
         sender.send(1000)
         pair.sim.run(until=0.5)
-        pair.channel.forward.loss_rate = 0.0
+        pair.forward.loss_rate = 0.0
         pair.sim.run(until=30.0)
         assert sender.connected
         del listener
