@@ -17,18 +17,19 @@ acknowledgements for them, under each API:
 * **TCP/CM** and **TCP/Linux** — webserver-like TCP senders (with and
   without delayed ACKs at the receiver) used as the baseline.
 
-Each run reports per-packet CPU cost on the sending host, broken down by
-ledger category, plus the wire time — which is what the experiment harness
-turns into the Figure 6 curves and the Table 1 operation counts.
+Each sender marks its host's CPU ledger when it starts and :meth:`measure`
+reports the per-packet CPU cost and operation counts since then, plus the
+wire time on the first hop — which is what the experiment harness turns
+into the Figure 6 curves and the Table 1 operation counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.libcm import LibCM
-from ..netsim.engine import Simulator
+from ..hostmodel import LedgerMark
 from ..netsim.node import Host
 from ..netsim.packet import IP_HEADER_BYTES, TCP_HEADER_BYTES, UDP_HEADER_BYTES, Packet
 from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
@@ -80,12 +81,44 @@ class ApiOverheadResult:
         return self.operation_counts.get(operation, 0) / self.packets_sent
 
 
-def _wire_us(payload: int, header: int, rate_bps: float) -> float:
-    return (payload + header) * 8.0 / rate_bps * 1e6
+class _ApiTestApp:
+    """What both test senders share: one measurement from start to now."""
+
+    #: Headers below the payload of one data packet, for the wire time.
+    HEADER_BYTES = 0
+
+    def __init__(self, host: Host, server_addr: str, variant: str, packet_size: int):
+        self.host = host
+        self.sim = host.sim
+        self.server_addr = server_addr
+        self.variant = variant
+        self.packet_size = packet_size
+        self._mark = LedgerMark(None)
+        self._start = 0.0
+
+    def _mark_start(self) -> None:
+        self._mark = LedgerMark(self.host.costs)
+        self._start = self.sim.now
+
+    def _measure(self, packets_sent: int, end: float, completed: bool) -> ApiOverheadResult:
+        cpu = self._mark.since()
+        rate_bps = self.host.route_for(self.server_addr).rate_bps
+        return ApiOverheadResult(
+            variant=self.variant,
+            packet_size=self.packet_size,
+            packets_sent=packets_sent,
+            duration=max(end - self._start, 1e-9),
+            cpu_us_total=cpu.total_us,
+            operation_counts=cpu.operations,
+            wire_us_per_packet=(self.packet_size + self.HEADER_BYTES) * 8.0 / rate_bps * 1e6,
+            completed=completed,
+        )
 
 
-class UDPApiTestApp:
+class UDPApiTestApp(_ApiTestApp):
     """Sender exercising one of the UDP-based CM APIs against an AckReflector."""
+
+    HEADER_BYTES = IP_HEADER_BYTES + UDP_HEADER_BYTES
 
     def __init__(
         self,
@@ -101,13 +134,9 @@ class UDPApiTestApp:
             raise ValueError(f"unknown UDP API variant {variant!r}")
         if host.cm is None:
             raise RuntimeError("API test applications require a CM on the sending host")
-        self.host = host
-        self.sim = host.sim
-        self.variant = variant
-        self.packet_size = packet_size
+        super().__init__(host, server_addr, variant, packet_size)
         self.npackets = npackets
         self.pipeline = pipeline
-        self.server_addr = server_addr
         self.server_port = server_port
 
         self.tracker = AppFeedbackTracker()
@@ -136,7 +165,8 @@ class UDPApiTestApp:
 
     # ------------------------------------------------------------------ drive
     def start(self) -> None:
-        """Kick off the transfer."""
+        """Mark the host's CPU ledger and kick off the transfer."""
+        self._mark_start()
         if self.variant == "buffered":
             self._fill_buffered_pipeline()
         else:
@@ -151,6 +181,10 @@ class UDPApiTestApp:
     def done(self) -> bool:
         """True once every packet has been sent and acknowledged or resolved."""
         return self._seq >= self.npackets and self.tracker.in_flight_packets == 0
+
+    def measure(self) -> ApiOverheadResult:
+        """The transfer's cost from :meth:`start` up to now."""
+        return self._measure(self._seq, self.sim.now, self.done)
 
     # --------------------------------------------------------- ALF send paths
     def _top_up_requests(self) -> None:
@@ -209,42 +243,11 @@ class UDPApiTestApp:
         else:
             self._top_up_requests()
 
-    # ------------------------------------------------------------------ runner
-    def run(self, sim: Simulator, link_rate_bps: float, timeout: float = 300.0) -> ApiOverheadResult:
-        """Drive the transfer to completion and collect the measurements."""
-        costs = self.host.costs
-        base_total = costs.total_us if costs is not None else 0.0
-        base_ops = dict(costs.ledger.operation_counts) if costs is not None else {}
-        start = sim.now
-        self.start()
-        deadline = start + timeout
-        while sim.now < deadline and not self.done:
-            if sim.peek() is None:
-                break
-            sim.run(until=min(deadline, sim.now + 1.0))
-        duration = max(sim.now - start, 1e-9)
-        ops = {}
-        cpu = 0.0
-        if costs is not None:
-            cpu = costs.total_us - base_total
-            for op, count in costs.ledger.operation_counts.items():
-                delta = count - base_ops.get(op, 0)
-                if delta:
-                    ops[op] = delta
-        return ApiOverheadResult(
-            variant=self.variant,
-            packet_size=self.packet_size,
-            packets_sent=self._seq,
-            duration=duration,
-            cpu_us_total=cpu,
-            operation_counts=ops,
-            wire_us_per_packet=_wire_us(self.packet_size, IP_HEADER_BYTES + UDP_HEADER_BYTES, link_rate_bps),
-            completed=self.done,
-        )
 
-
-class TCPApiTestApp:
+class TCPApiTestApp(_ApiTestApp):
     """Webserver-like TCP sender used as the Figure 6 baseline."""
+
+    HEADER_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES
 
     def __init__(
         self,
@@ -258,9 +261,7 @@ class TCPApiTestApp:
     ):
         if variant not in TCP_VARIANTS:
             raise ValueError(f"unknown TCP API variant {variant!r}")
-        self.sender_host = sender_host
-        self.variant = variant
-        self.packet_size = packet_size
+        super().__init__(sender_host, receiver_host.addr, variant, packet_size)
         self.npackets = npackets
         delayed_acks = variant != "tcp_cm_nodelay"
         self.listener = TCPListener(receiver_host, port, delayed_acks=delayed_acks)
@@ -279,37 +280,20 @@ class TCPApiTestApp:
                 "select_call", category="app"
             )
 
-    def run(self, sim: Simulator, link_rate_bps: float, timeout: float = 300.0) -> ApiOverheadResult:
-        """Drive the transfer to completion and collect the measurements."""
-        costs = self.sender_host.costs
-        base_total = costs.total_us if costs is not None else 0.0
-        base_ops = dict(costs.ledger.operation_counts) if costs is not None else {}
-        start = sim.now
-        # The application writes one packet-sized buffer per send call.
+    def start(self) -> None:
+        """Mark the host's CPU ledger and write every buffer, one send call each."""
+        self._mark_start()
+        costs = self.host.costs
         for _ in range(self.npackets):
             if costs is not None:
                 costs.syscall_copy("send_call", self.packet_size, "app")
             self.sender.send(self.packet_size)
-        sim.run(until=start + timeout)
-        duration = max((self.sender.complete_time or sim.now) - start, 1e-9)
-        ops = {}
-        cpu = 0.0
-        if costs is not None:
-            cpu = costs.total_us - base_total
-            for op, count in costs.ledger.operation_counts.items():
-                delta = count - base_ops.get(op, 0)
-                if delta:
-                    ops[op] = delta
-        return ApiOverheadResult(
-            variant=self.variant,
-            packet_size=self.packet_size,
-            packets_sent=self.sender.data_packets_sent,
-            duration=duration,
-            cpu_us_total=cpu,
-            operation_counts=ops,
-            wire_us_per_packet=_wire_us(self.packet_size, IP_HEADER_BYTES + TCP_HEADER_BYTES, link_rate_bps),
-            completed=self.sender.done,
-        )
+
+    def measure(self) -> ApiOverheadResult:
+        """The transfer's cost from :meth:`start` up to now."""
+        sender = self.sender
+        return self._measure(sender.data_packets_sent, sender.complete_time or self.sim.now,
+                             sender.done)
 
     def close(self) -> None:
         """Release both endpoints."""

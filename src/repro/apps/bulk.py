@@ -12,8 +12,9 @@ utilisation split by category.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from ..hostmodel import LedgerMark
 from ..netsim.engine import Simulator
 from ..netsim.node import Host
 from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
@@ -68,24 +69,21 @@ class BulkTransferApp:
             sender_host, receiver_host.addr, port, receive_window=receive_window
         )
         # Per-transfer bookkeeping filled in by begin().
-        self._baseline: Dict[str, float] = {}
-        self._baseline_total = 0.0
+        self._mark = LedgerMark(None)
         self._start = 0.0
         self._nbuffers = 0
 
     def begin(self, sim: Simulator, nbuffers: int) -> None:
         """Queue the whole transfer without running the simulator.
 
-        Records the CPU-ledger baseline and writes the ``nbuffers`` buffers
-        into the sender; :meth:`collect` computes the measurements once the
-        caller has driven the simulator (the scenario runner owns the clock,
-        so the write-then-run split lives here instead of :meth:`run`).
+        Marks the sender's CPU ledger and writes the ``nbuffers`` buffers
+        into the sender; :meth:`collect` measures once the caller has driven
+        the simulator and before it closes the connection.
         """
         if nbuffers <= 0:
             raise ValueError("nbuffers must be positive")
         costs = self.sender_host.costs
-        self._baseline = costs.ledger.snapshot() if costs is not None else {}
-        self._baseline_total = costs.total_us if costs is not None else 0.0
+        self._mark = LedgerMark(costs)
         self._start = sim.now
         self._nbuffers = nbuffers
         # The application writes one buffer at a time; each write is a system
@@ -97,17 +95,10 @@ class BulkTransferApp:
 
     def collect(self, sim: Simulator) -> BulkResult:
         """Measurements for a transfer started with :meth:`begin`."""
-        costs = self.sender_host.costs
         completed = self.sender.done
         end = self.sender.complete_time if completed else sim.now
         duration = max(end - self._start, 1e-9)
-        cpu_total = (costs.total_us - self._baseline_total) if costs is not None else 0.0
-        by_category: Dict[str, float] = {}
-        if costs is not None:
-            for category, value in costs.ledger.snapshot().items():
-                delta = value - self._baseline.get(category, 0.0)
-                if delta > 0:
-                    by_category[category] = delta
+        cpu = self._mark.since()
         return BulkResult(
             variant=self.variant,
             nbuffers=self._nbuffers,
@@ -115,22 +106,12 @@ class BulkTransferApp:
             total_bytes=self._nbuffers * self.buffer_size,
             duration=duration,
             throughput=self.sender.bytes_acked / duration,
-            cpu_utilization=min(1.0, (cpu_total / 1e6) / duration),
-            cpu_by_category=by_category,
+            cpu_utilization=min(1.0, (cpu.total_us / 1e6) / duration),
+            cpu_by_category=cpu.by_category,
             retransmissions=self.sender.retransmissions,
             timeouts=self.sender.timeouts,
             completed=completed,
         )
-
-    def run(self, sim: Simulator, nbuffers: int, timeout: float = 3600.0) -> BulkResult:
-        """Execute the transfer and return its measurements.
-
-        The simulator is run until the transfer completes or ``timeout``
-        simulated seconds elapse.
-        """
-        self.begin(sim, nbuffers)
-        sim.run(until=self._start + timeout)
-        return self.collect(sim)
 
     def close(self) -> None:
         """Release both endpoints."""

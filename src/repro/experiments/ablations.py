@@ -17,11 +17,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..analysis import jain_fairness
-from ..core import CongestionManager, RateAimdController, WeightedRoundRobinScheduler
+from ..scenario import AppSpec, StopSpec, build, run_built
 from ..transport.tcp import CMTCPSender, TCPListener
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
-from .topology import build_testbed, dummynet_pair_spec, wan_pair_spec
+from .topology import dummynet_pair_spec, wan_pair_spec
 
 __all__ = [
     "run_scheduler_ablation",
@@ -37,6 +37,16 @@ __all__ = [
 PARTS = ("scheduler", "controller", "sharing")
 
 
+def _transfer(label: str, port: int, transfer_bytes: int, receive_window: int) -> list:
+    """A listener on the receiver and one TCP/CM transfer to it."""
+    return [
+        AppSpec(app="tcp_listener", host="receiver", params={"port": port}),
+        AppSpec(app="tcp_sender", host="sender", peer="receiver", label=label, params={
+            "port": port, "transfer_bytes": transfer_bytes, "receive_window": receive_window,
+        }),
+    ]
+
+
 def run_scheduler_ablation(transfer_bytes: int = 8_000_000, weight: int = 3) -> ExperimentResult:
     """Two concurrent TCP/CM flows to one receiver under each scheduler."""
     result = ExperimentResult(
@@ -44,36 +54,25 @@ def run_scheduler_ablation(transfer_bytes: int = 8_000_000, weight: int = 3) -> 
         title="Bandwidth split between two flows of one macroflow",
         columns=["scheduler", "flow1_kB", "flow2_kB", "flow1_share", "jain_fairness"],
     )
-    for label, scheduler_factory, weighted in (
-        ("round-robin", None, False),
-        (f"weighted {weight}:1", WeightedRoundRobinScheduler, True),
-    ):
-        testbed = build_testbed(dummynet_pair_spec(loss_rate=0.0), seed=5)
-        cm = (
-            CongestionManager(testbed.sender, scheduler_factory=scheduler_factory)
-            if scheduler_factory
-            else CongestionManager(testbed.sender)
-        )
-        listener_a = TCPListener(testbed.receiver, 5001)
-        listener_b = TCPListener(testbed.receiver, 5002)
-        sender_a = CMTCPSender(testbed.sender, testbed.receiver.addr, 5001, receive_window=256 * 1024)
-        sender_b = CMTCPSender(testbed.sender, testbed.receiver.addr, 5002, receive_window=256 * 1024)
-        if weighted:
-            macroflow = cm.macroflow_of(sender_a.flow_id)
-            macroflow.scheduler.set_weight(sender_a.flow_id, weight)
-            macroflow.scheduler.set_weight(sender_b.flow_id, 1)
-        sender_a.send(transfer_bytes)
-        sender_b.send(transfer_bytes)
+    for label, scheduler in (("round-robin", "round_robin"), (f"weighted {weight}:1", "weighted")):
+        first = _transfer("flow1", 5001, transfer_bytes, 256 * 1024)
+        second = _transfer("flow2", 5002, transfer_bytes, 256 * 1024)
         # Run for a fixed horizon and compare progress, so the faster flow
         # cannot simply finish and hand the link to the slower one.
-        testbed.sim.run(until=6.0)
-        got_a, got_b = sender_a.bytes_acked, sender_b.bytes_acked
+        spec = dummynet_pair_spec(
+            loss_rate=0.0, cm=True, cm_scheduler=scheduler,
+            apps=[first[0], second[0], first[1], second[1]], stop=StopSpec(until=6.0),
+        )
+        scenario = build(spec, seed=5)
+        if scheduler == "weighted":
+            flow_a, flow_b = (app.sender.flow_id for app in scenario.apps[2:])
+            macroflow = scenario.host("sender").cm.macroflow_of(flow_a)
+            macroflow.scheduler.set_weight(flow_a, weight)
+            macroflow.scheduler.set_weight(flow_b, 1)
+        outcome = run_built(scenario)
+        got_a, got_b = (outcome.app(flow)["metrics"]["bytes_acked"] for flow in ("flow1", "flow2"))
         total = max(1, got_a + got_b)
         result.add_row(label, got_a / 1000.0, got_b / 1000.0, got_a / total, jain_fairness([got_a, got_b]))
-        for obj in (sender_a, sender_b):
-            obj.close()
-        listener_a.close()
-        listener_b.close()
     result.notes.append(
         "Round robin should split the macroflow roughly evenly (Jain index near 1); the weighted "
         "scheduler should give the heavy flow a share close to weight/(weight+1)."
@@ -88,22 +87,14 @@ def run_controller_ablation(transfer_bytes: int = 1_000_000, loss_rate: float = 
         title="Congestion controller comparison on a 1% loss path",
         columns=["controller", "throughput_kBps", "retransmissions", "timeouts"],
     )
-    for label, factory in (
-        ("aimd-window (default)", None),
-        ("aimd-rate", lambda mtu: RateAimdController(mtu)),
-    ):
-        testbed = build_testbed(dummynet_pair_spec(loss_rate=loss_rate), seed=9)
-        if factory is None:
-            CongestionManager(testbed.sender)
-        else:
-            CongestionManager(testbed.sender, controller_factory=factory)
-        listener = TCPListener(testbed.receiver, 5001)
-        sender = CMTCPSender(testbed.sender, testbed.receiver.addr, 5001, receive_window=32 * 1024)
-        sender.send(transfer_bytes)
-        testbed.sim.run(until=300.0)
-        result.add_row(label, sender.throughput() / 1000.0, sender.retransmissions, sender.timeouts)
-        sender.close()
-        listener.close()
+    for label, controller in (("aimd-window (default)", "aimd_window"), ("aimd-rate", "aimd_rate")):
+        spec = dummynet_pair_spec(
+            loss_rate=loss_rate, cm=True, cm_controller=controller,
+            apps=_transfer("transfer", 5001, transfer_bytes, 32 * 1024), stop=StopSpec(until=300.0),
+        )
+        sender = run_built(build(spec, seed=9)).app("transfer")["metrics"]
+        result.add_row(label, sender["throughput_Bps"] / 1000.0, sender["retransmissions"],
+                       sender["timeouts"])
     result.notes.append(
         "The window controller is the paper's TCP-compatible default; the rate controller exists to "
         "exercise the CM's pluggable-controller hook and is expected to be less efficient."
@@ -112,28 +103,33 @@ def run_controller_ablation(transfer_bytes: int = 1_000_000, loss_rate: float = 
 
 
 def run_sharing_ablation(transfer_bytes: int = 96 * 1024) -> ExperimentResult:
-    """Second connection joining the macroflow vs. split into a fresh one."""
+    """Second connection joining the macroflow vs. split into a fresh one.
+
+    Wired by hand on the built pair: the second connection opens mid-run,
+    and ``cm_split`` acts on it between opening and sending, which no spec
+    can say.
+    """
     result = ExperimentResult(
         name="ablation_sharing",
         title="Benefit of macroflow sharing for a follow-up connection",
         columns=["configuration", "first_transfer_ms", "second_transfer_ms"],
     )
     for label, split_second in (("shared macroflow", False), ("cm_split (no sharing)", True)):
-        testbed = build_testbed(wan_pair_spec(), seed=21)
-        cm = CongestionManager(testbed.sender)
-        listener = TCPListener(testbed.receiver, 5001)
-        first = CMTCPSender(testbed.sender, testbed.receiver.addr, 5001, receive_window=256 * 1024)
+        scenario = build(wan_pair_spec(cm=True), seed=21)
+        sim, sender, receiver = scenario.sim, scenario.host("sender"), scenario.host("receiver")
+        listener = TCPListener(receiver, 5001)
+        first = CMTCPSender(sender, receiver.addr, 5001, receive_window=256 * 1024)
         first.send(transfer_bytes)
-        testbed.sim.run(until=60.0)
+        sim.run(until=60.0)
         first_ms = (first.complete_time - first.connect_time) * 1000.0 if first.done else float("nan")
         first.close()
 
-        listener2 = TCPListener(testbed.receiver, 5002)
-        second = CMTCPSender(testbed.sender, testbed.receiver.addr, 5002, receive_window=256 * 1024)
+        listener2 = TCPListener(receiver, 5002)
+        second = CMTCPSender(sender, receiver.addr, 5002, receive_window=256 * 1024)
         if split_second:
-            cm.cm_split(second.flow_id)
+            sender.cm.cm_split(second.flow_id)
         second.send(transfer_bytes)
-        testbed.sim.run(until=testbed.sim.now + 60.0)
+        sim.run(until=sim.now + 60.0)
         second_ms = (second.complete_time - second.connect_time) * 1000.0 if second.done else float("nan")
         second.close()
         listener.close()

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis import jain_fairness
 from ..analysis.stats import summarize
-from ..scenario import DumbbellSpec, ScenarioSpec, build
-from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
+from ..scenario import AppSpec, DumbbellSpec, ScenarioSpec, StopSpec
+from ..scenario import run as run_scenario_spec
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
 
@@ -42,14 +42,31 @@ BOTTLENECK_DELAY = 0.02
 RECEIVE_WINDOW = 256 * 1024
 
 
-def dumbbell_spec(mode: str) -> ScenarioSpec:
-    """The two-pair shared-bottleneck topology as a declarative spec.
+def _flow(label: str, host: str, peer: str, variant: str, port: int) -> list:
+    """A listener on ``peer`` and an unbounded TCP transfer to it from ``host``."""
+    return [
+        AppSpec(app="tcp_listener", host=peer, params={"port": port}),
+        AppSpec(app="tcp_sender", host=host, peer=peer, label=label, params={
+            "variant": variant, "port": port, "transfer_bytes": 10 ** 9,
+            "receive_window": RECEIVE_WINDOW,
+        }),
+    ]
 
-    Sender 0 hosts the ensemble (with a CM in ``cm`` mode), sender 1 the
-    single reference flow; the flows themselves are wired by
-    :func:`run_scenario`, which needs per-connection handles the app layer
-    does not expose.
+
+def dumbbell_spec(mode: str, n_ensemble: int, duration: float) -> ScenarioSpec:
+    """The two-pair shared-bottleneck scenario for one ensemble.
+
+    Sender 1 runs the single reference TCP/Linux flow to receiver 1; sender
+    0 runs ``n_ensemble`` concurrent connections to receiver 0 — TCP/CM
+    flows sharing its CM in ``cm`` mode, independent TCP/Linux flows
+    otherwise.
     """
+    if mode not in ("cm", "independent"):
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    variant = "cm" if mode == "cm" else "reno"
+    apps = _flow("reference", "sender1", "receiver1", "reno", 80)
+    for index in range(n_ensemble):
+        apps += _flow(f"ensemble{index}", "sender0", "receiver0", variant, 8000 + index)
     return ScenarioSpec(
         name=f"aggressiveness_{mode}",
         dumbbell=DumbbellSpec(
@@ -60,44 +77,18 @@ def dumbbell_spec(mode: str) -> ScenarioSpec:
             with_costs=True,
             cm_senders=(0,) if mode == "cm" else (),
         ),
+        apps=apps,
+        stop=StopSpec(until=duration),
     )
 
 
 def run_scenario(mode: str, n_ensemble: int, duration: float, seed: int = 17) -> dict:
     """Run one scenario and return byte counts for the reference and ensemble flows."""
-    if mode not in ("cm", "independent"):
-        raise ValueError(f"unknown ensemble mode {mode!r}")
-    scenario = build(dumbbell_spec(mode), seed=seed)
-    sim = scenario.sim
-    ensemble_host = scenario.host("sender0")
-    reference_host = scenario.host("sender1")
-    ensemble_client = scenario.host("receiver0")
-    reference_client = scenario.host("receiver1")
-
-    # The reference flow: one ordinary TCP connection from the other sender.
-    reference_listener = TCPListener(reference_client, 80)
-    reference = RenoTCPSender(reference_host, reference_client.addr, 80,
-                              receive_window=RECEIVE_WINDOW)
-    reference.send(10 ** 9)
-
-    # The ensemble: n concurrent connections from one host to one client.
-    listeners: List[TCPListener] = []
-    ensemble: List = []
-    for index in range(n_ensemble):
-        port = 8000 + index
-        listeners.append(TCPListener(ensemble_client, port))
-        if mode == "cm":
-            sender = CMTCPSender(ensemble_host, ensemble_client.addr, port,
-                                 receive_window=RECEIVE_WINDOW)
-        else:
-            sender = RenoTCPSender(ensemble_host, ensemble_client.addr, port,
-                                   receive_window=RECEIVE_WINDOW)
-        sender.send(10 ** 9)
-        ensemble.append(sender)
-
-    sim.run(until=duration)
-    ensemble_bytes = sum(s.bytes_acked for s in ensemble)
-    reference_bytes = reference.bytes_acked
+    result = run_scenario_spec(dumbbell_spec(mode, n_ensemble, duration), seed=seed)
+    ensemble = [result.app(f"ensemble{index}")["metrics"]["bytes_acked"]
+                for index in range(n_ensemble)]
+    reference_bytes = result.app("reference")["metrics"]["bytes_acked"]
+    ensemble_bytes = sum(ensemble)
     total = max(1, ensemble_bytes + reference_bytes)
     return {
         "mode": mode,
@@ -105,7 +96,7 @@ def run_scenario(mode: str, n_ensemble: int, duration: float, seed: int = 17) ->
         "reference_bytes": reference_bytes,
         "ensemble_bytes": ensemble_bytes,
         "reference_share": reference_bytes / total,
-        "flow_fairness": jain_fairness([s.bytes_acked for s in ensemble] + [reference_bytes]),
+        "flow_fairness": jain_fairness(ensemble + [reference_bytes]),
     }
 
 

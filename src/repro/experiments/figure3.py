@@ -13,11 +13,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stats import summarize
-from ..core import CongestionManager
-from ..transport.tcp import CMTCPSender, RenoTCPSender, TCPListener
+from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
-from .topology import build_testbed, dummynet_pair_spec
+from .topology import dummynet_pair_spec
 
 __all__ = ["run", "trials", "run_trial", "reduce", "DEFAULT_LOSS_RATES", "DEFAULT_SEEDS"]
 
@@ -30,35 +29,30 @@ DEFAULT_LOSS_RATES = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
 RECEIVE_WINDOW = 32 * 1024
 
 
-def _one_transfer(variant: str, loss_rate: float, transfer_bytes: int, seed: int) -> float:
-    testbed = build_testbed(dummynet_pair_spec(loss_rate=loss_rate), seed=seed)
-    listener = TCPListener(testbed.receiver, 5001)
-    if variant == "cm":
-        CongestionManager(testbed.sender)
-        sender = CMTCPSender(testbed.sender, testbed.receiver.addr, 5001, receive_window=RECEIVE_WINDOW)
-    else:
-        sender = RenoTCPSender(testbed.sender, testbed.receiver.addr, 5001, receive_window=RECEIVE_WINDOW)
-    sender.send(transfer_bytes)
-    testbed.sim.run(until=900.0)
-    del listener
-    elapsed = (
-        (sender.complete_time - sender.connect_time)
-        if sender.done and sender.complete_time is not None and sender.connect_time is not None
-        else 0.0
+def run_trial(params: dict) -> float:
+    """Throughput of one (variant, loss, seed) transfer; pure function of ``params``."""
+    transfer_bytes = params["transfer_bytes"]
+    cm = params["variant"] == "cm"
+    spec = dummynet_pair_spec(
+        loss_rate=params["loss"],
+        cm=cm,
+        apps=[
+            AppSpec(app="tcp_listener", host="receiver", params={"port": 5001}),
+            AppSpec(app="tcp_sender", host="sender", peer="receiver", label="transfer", params={
+                "variant": "cm" if cm else "reno", "port": 5001,
+                "transfer_bytes": transfer_bytes, "receive_window": RECEIVE_WINDOW,
+            }),
+        ],
+        stop=StopSpec(until=900.0, when_apps_done=True),
     )
+    sender = run_scenario(spec, seed=params["seed"]).app("transfer")["metrics"]
+    elapsed = sender["duration_s"] or 0.0
     if elapsed <= 0.0:
         # Degenerate short transfer (or incomplete run): a zero-or-negative
         # wall-clock window would crash the whole trial shard, so fall back
         # to the sender's own rate estimate instead of dividing by it.
-        return sender.throughput()
+        return sender["throughput_Bps"]
     return transfer_bytes / elapsed
-
-
-def run_trial(params: dict) -> float:
-    """Execute one (variant, loss, seed) transfer; pure function of ``params``."""
-    return _one_transfer(
-        params["variant"], params["loss"], params["transfer_bytes"], params["seed"]
-    )
 
 
 def trials(

@@ -6,22 +6,21 @@ that TCP/CM's throughput is essentially identical to native Linux TCP — the
 worst-case difference is 0.5 %, attributable to the CM's 1-MTU initial
 window rather than CPU overhead, and at gigabyte scale the two are equal.
 
-The same sweep also produces the CPU utilisation data for Figure 5, so the
-heavy lifting lives in :func:`bulk_sweep` and Figure 5 reuses it.
+Each trial runs the registry ``bulk`` app on the LAN pair; Figure 5 reduces
+the same trials (and so the same cache entries) to CPU utilisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..apps.bulk import BulkResult, BulkTransferApp
-from ..core import CongestionManager
+from ..apps.bulk import BulkResult
+from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
-from .topology import build_testbed, lan_pair_spec
+from .topology import lan_pair_spec
 
-__all__ = ["run", "trials", "run_trial", "reduce", "bulk_sweep", "DEFAULT_BUFFER_COUNTS"]
+__all__ = ["run", "trials", "run_trial", "reduce", "DEFAULT_BUFFER_COUNTS"]
 
 #: Buffer counts swept by default.  The paper goes to 10^6 buffers (1.45 GB);
 #: the default here stops at 10^5 to keep the harness runnable in minutes on
@@ -34,19 +33,15 @@ RECEIVE_WINDOW = 64 * 1024
 
 def run_trial(params: dict) -> dict:
     """One ttcp transfer for (variant, nbuffers); returns the BulkResult as a dict."""
-    testbed = build_testbed(lan_pair_spec(), seed=params["seed"])
-    if params["variant"] == "cm":
-        CongestionManager(testbed.sender)
-    app = BulkTransferApp(
-        testbed.sender,
-        testbed.receiver,
-        variant=params["variant"],
-        buffer_size=params["buffer_size"],
-        receive_window=params["receive_window"],
+    spec = lan_pair_spec(
+        cm=params["variant"] == "cm",
+        apps=[AppSpec(app="bulk", host="sender", peer="receiver", label="ttcp", params={
+            "variant": params["variant"], "nbuffers": params["nbuffers"],
+            "buffer_size": params["buffer_size"], "receive_window": params["receive_window"],
+        })],
+        stop=StopSpec(until=3600.0),
     )
-    outcome = app.run(testbed.sim, params["nbuffers"])
-    app.close()
-    return asdict(outcome)
+    return run_scenario(spec, seed=params["seed"]).app("ttcp")["metrics"]
 
 
 def trials(
@@ -79,30 +74,6 @@ def _group_by_buffers(outcomes: Sequence[TrialOutcome]) -> Dict[int, Dict[str, B
     return grouped
 
 
-def _outcomes_from_sweep(
-    sweep: Dict[str, List[Tuple[int, BulkResult]]]
-) -> List[TrialOutcome]:
-    """Adapt a legacy ``bulk_sweep`` mapping into trial outcomes."""
-    outcomes: List[TrialOutcome] = []
-    for variant in ("linux", "cm"):
-        for nbuffers, bulk_result in sweep[variant]:
-            spec = TrialSpec("figure4", {"variant": variant, "nbuffers": nbuffers})
-            outcomes.append(TrialOutcome(spec=spec, value=asdict(bulk_result)))
-    return outcomes
-
-
-def bulk_sweep(
-    buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
-    progress: Optional[callable] = None,
-) -> Dict[str, List[Tuple[int, BulkResult]]]:
-    """Run the ttcp workload for both variants at every buffer count."""
-    outcomes: Dict[str, List[Tuple[int, BulkResult]]] = {"cm": [], "linux": []}
-    for trial_outcome in run_trials(trials(buffer_counts), jobs=1, progress=progress):
-        value = dict(trial_outcome.value)
-        outcomes[value["variant"]].append((value["nbuffers"], BulkResult(**value)))
-    return outcomes
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Build the Figure 4 throughput table from bulk-transfer trial outcomes."""
     result = ExperimentResult(
@@ -133,11 +104,8 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
 def run(
     buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
     progress: Optional[callable] = None,
-    sweep: Optional[Dict[str, List[Tuple[int, BulkResult]]]] = None,
 ) -> ExperimentResult:
     """Produce the Figure 4 throughput table."""
-    if sweep is not None:
-        return reduce(_outcomes_from_sweep(sweep))
     return reduce(run_trials(trials(buffer_counts), jobs=1, progress=progress))
 
 

@@ -8,11 +8,10 @@ points) for long connections.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..apps.bulk import BulkResult
 from .base import ExperimentResult
-from .figure4 import DEFAULT_BUFFER_COUNTS, _group_by_buffers, _outcomes_from_sweep
+from .figure4 import DEFAULT_BUFFER_COUNTS, _group_by_buffers
 from .figure4 import trials as figure4_trials
 from .parallel import TrialOutcome, TrialSpec, run_trials
 
@@ -53,11 +52,8 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
 def run(
     buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
     progress: Optional[callable] = None,
-    sweep: Optional[Dict[str, List[Tuple[int, BulkResult]]]] = None,
 ) -> ExperimentResult:
     """Produce the Figure 5 CPU-utilisation table."""
-    if sweep is not None:
-        return reduce(_outcomes_from_sweep(sweep))
     return reduce(run_trials(trials(buffer_counts), jobs=1, progress=progress))
 
 

@@ -14,50 +14,36 @@ and process its acknowledgement.  The reproducible claims:
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence
 
-from ..apps.alfapp import ApiOverheadResult, TCPApiTestApp, TCP_VARIANTS, UDPApiTestApp, UDP_VARIANTS
-from ..core import CongestionManager
-from ..transport.udp.feedback import AckReflector
+from ..apps.alfapp import ApiOverheadResult, TCP_VARIANTS, UDP_VARIANTS
+from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
-from .topology import build_testbed, lan_pair_spec
+from .topology import lan_pair_spec
 
 __all__ = ["run", "trials", "run_trial", "reduce", "run_variant", "DEFAULT_PACKET_SIZES", "ALL_VARIANTS"]
 
 DEFAULT_PACKET_SIZES = (168, 400, 700, 1000, 1400)
 ALL_VARIANTS = UDP_VARIANTS + TCP_VARIANTS
-LINK_RATE = 100e6
+_RESULT_FIELDS = [field.name for field in fields(ApiOverheadResult)]
 
 
 def run_variant(variant: str, packet_size: int, npackets: int = 2000, seed: int = 0) -> ApiOverheadResult:
-    """Run one (variant, packet size) cell of the Figure 6 matrix."""
-    testbed = build_testbed(lan_pair_spec(), seed=seed)
-    CongestionManager(testbed.sender)
+    """Run one (variant, packet size) cell of the Figure 6 matrix on the LAN pair."""
+    params = {"variant": variant, "packet_size": packet_size, "npackets": npackets}
     if variant in UDP_VARIANTS:
-        reflector = AckReflector(testbed.receiver, port=7001)
-        app = UDPApiTestApp(
-            testbed.sender,
-            testbed.receiver.addr,
-            7001,
-            variant=variant,
-            packet_size=packet_size,
-            npackets=npackets,
-        )
-        outcome = app.run(testbed.sim, LINK_RATE)
-        reflector.close()
-        return outcome
-    app = TCPApiTestApp(
-        testbed.sender,
-        testbed.receiver,
-        variant=variant,
-        packet_size=packet_size,
-        npackets=npackets,
-    )
-    outcome = app.run(testbed.sim, LINK_RATE)
-    app.close()
-    return outcome
+        apps = [
+            AppSpec(app="ack_reflector", host="receiver", params={"port": 7001}),
+            AppSpec(app="udp_api", host="sender", peer="receiver", label="api",
+                    params={"port": 7001, **params}),
+        ]
+    else:
+        apps = [AppSpec(app="tcp_api", host="sender", peer="receiver", label="api", params=params)]
+    spec = lan_pair_spec(cm=True, apps=apps, stop=StopSpec(until=300.0, when_apps_done=True))
+    metrics = run_scenario(spec, seed=seed).app("api")["metrics"]
+    return ApiOverheadResult(**{name: metrics[name] for name in _RESULT_FIELDS})
 
 
 def run_trial(params: dict) -> dict:

@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.stats import summarize
-from ..apps.webserver import FileServer, WebClient
-from ..core import CongestionManager
+from ..scenario import AppSpec, StopSpec, build, run_built
 from .base import ExperimentResult
 from .parallel import TrialOutcome, TrialSpec, run_trials
-from .topology import build_testbed, wan_pair_spec
+from .topology import wan_pair_spec
 
 __all__ = ["run", "trials", "run_trial", "reduce"]
 
@@ -30,31 +29,24 @@ REQUEST_SPACING = 0.5
 DEFAULT_SEEDS = (3,)
 
 
-def _run_variant(variant: str, file_size: int, n_requests: int, spacing: float, seed: int):
-    testbed = build_testbed(wan_pair_spec(), seed=seed)
-    if variant == "cm":
-        CongestionManager(testbed.sender)
-    server = FileServer(testbed.sender, port=80, variant=variant)
-    client = WebClient(testbed.receiver, testbed.sender.addr, 80)
-
-    for index in range(n_requests):
-        testbed.sim.schedule(index * spacing, client.fetch, file_size)
-    testbed.sim.run(until=n_requests * spacing + 120.0)
-    durations = [fetch.duration for fetch in client.fetches]
-    server.close()
-    client.close()
-    return durations
-
-
 def run_trial(params: dict) -> List[float]:
     """All request durations for one (variant, seed) run of the fetch train."""
-    return _run_variant(
-        params["variant"],
-        params["file_size"],
-        params["n_requests"],
-        params["spacing"],
-        params["seed"],
+    variant, n_requests, spacing = params["variant"], params["n_requests"], params["spacing"]
+    spec = wan_pair_spec(
+        cm=variant == "cm",
+        apps=[
+            AppSpec(app="web_server", host="sender", params={"port": 80, "variant": variant}),
+            AppSpec(app="web_client", host="receiver", peer="sender", params={
+                "server_port": 80, "n_requests": n_requests, "spacing": spacing,
+                "size": params["file_size"],
+            }),
+        ],
+        stop=StopSpec(until=n_requests * spacing + 120.0),
     )
+    scenario = build(spec, seed=params["seed"])
+    run_built(scenario)
+    # In seconds and unrounded: the web_client metrics report milliseconds.
+    return [fetch.duration for fetch in scenario.apps[1].client.fetches]
 
 
 def trials(

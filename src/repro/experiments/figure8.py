@@ -27,7 +27,7 @@ def trials(
 ) -> List[TrialSpec]:
     """A single trial: one ALF-mode layered-streaming run.
 
-    Every knob of :func:`run_layered` appears in the params explicitly —
+    Every knob of :func:`run_layered_trial` appears in the params explicitly —
     the cache contract forbids hidden defaults.
     """
     return [

@@ -1,8 +1,7 @@
-"""Thin :class:`~repro.scenario.spec.ScenarioSpec` factories for the paper's testbeds.
+""":class:`~repro.scenario.spec.ScenarioSpec` factories for the paper's testbeds.
 
-The three point-to-point environments the paper measured on are now
-declarative specs compiled through the scenario layer
-(:mod:`repro.scenario`) instead of hand-wired constructions:
+The three point-to-point environments the paper measured on, as
+declarative specs the experiments compile with :func:`repro.scenario.build`:
 
 * :func:`lan_pair_spec` — the Utah testbed: two fast hosts on a switched
   100 Mbps Ethernet (throughput / CPU / API-overhead studies, Figures 4-6).
@@ -12,46 +11,22 @@ declarative specs compiled through the scenario layer
   (~75 ms RTT, ~2 MB/s available) used by the sharing and adaptation
   studies (Figures 7-10).
 
-:func:`build_testbed` compiles any pair spec into the familiar
-:class:`Testbed` handle, so every experiment's wiring goes through
-:func:`repro.scenario.builder.build`.
+Every call returns a fresh spec: each experiment trial completes one with
+the applications it runs and the condition it stops on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
-from ..netsim import GraphNet, Host, Simulator
-from ..scenario import HostSpec, LinkSpec, ScenarioSpec, build
+from ..scenario import AppSpec, HostSpec, LinkSpec, ScenarioSpec, StopSpec
 
 __all__ = [
-    "Testbed",
-    "build_testbed",
     "pair_spec",
     "lan_pair_spec",
     "dummynet_pair_spec",
     "wan_pair_spec",
 ]
-
-
-@dataclass
-class Testbed:
-    """A simulator plus one sender/receiver pair joined by one link."""
-
-    sim: Simulator
-    sender: Host
-    receiver: Host
-    #: The wired pair: ``net.set_rate("sender", "receiver", bps)`` reshapes
-    #: the path, ``net.link("sender", "receiver")`` is the forward link.
-    net: GraphNet
-
-
-#: Memoized sealed pair specs, keyed by the full parameter tuple.  Every
-#: experiment builds thousands of identical testbeds per sweep; handing out
-#: one shared, validated, frozen spec per parameter set turns the per-trial
-#: spec-compile cost into a dict probe (see the ``scenario_build`` perf row).
-_PAIR_SPEC_CACHE: dict = {}
 
 
 def pair_spec(
@@ -62,56 +37,46 @@ def pair_spec(
     queue_limit: int = 100,
     ecn_threshold: Optional[int] = None,
     with_costs: bool = True,
+    *,
+    rate_schedule: Sequence[Tuple[float, float]] = (),
+    apps: Sequence[AppSpec] = (),
+    stop: Optional[StopSpec] = None,
+    **sender_cm,
 ) -> ScenarioSpec:
-    """A sender/receiver pair joined by one Dummynet-style link.
+    """A ``sender`` / ``receiver`` pair joined by one Dummynet-style link.
 
     Loss applies to the forward (data) direction only — the paper's loss
     experiments kept the ACK path clean — and the seed stays out of the
-    spec: :func:`build_testbed` passes the run seed to the compiler.
-
-    The returned spec is **shared and sealed** (validated once, then
-    frozen): mutating it raises ``SpecError``.  Callers that need a variant
-    should construct their own :class:`ScenarioSpec`.
+    spec: the caller passes the run seed to :func:`repro.scenario.build`.
+    ``rate_schedule`` reshapes the path mid-run, ``apps`` and ``stop`` are
+    the spec's own blocks, and ``sender_cm`` sets the sending host's CM
+    fields (``cm=True``, ``cm_controller=...``, ``cm_scheduler=...``).
     """
-    key = (name, rate_bps, one_way_delay, loss_rate, queue_limit, ecn_threshold, with_costs)
-    spec = _PAIR_SPEC_CACHE.get(key)
-    if spec is None:
-        spec = ScenarioSpec(
-            name=name,
-            hosts=[
-                HostSpec(name="sender", addr="10.1.0.1", costs=with_costs),
-                HostSpec(name="receiver", addr="10.2.0.1", costs=with_costs),
-            ],
-            links=[
-                LinkSpec(
-                    a="sender",
-                    b="receiver",
-                    rate_bps=rate_bps,
-                    delay=one_way_delay,
-                    queue_limit=queue_limit,
-                    loss_rate=loss_rate,
-                    reverse_loss_rate=0.0,
-                    ecn_threshold=ecn_threshold,
-                )
-            ],
-        ).seal()
-        _PAIR_SPEC_CACHE[key] = spec
-    return spec
-
-
-def build_testbed(spec: ScenarioSpec, seed: int = 0) -> Testbed:
-    """Compile a pair spec into the classic :class:`Testbed` handle."""
-    scenario = build(spec, seed=seed)
-    link = spec.links[0]
-    return Testbed(
-        sim=scenario.sim,
-        sender=scenario.host(link.a),
-        receiver=scenario.host(link.b),
-        net=scenario.graph_net,
+    return ScenarioSpec(
+        name=name,
+        hosts=[
+            HostSpec(name="sender", addr="10.1.0.1", costs=with_costs, **sender_cm),
+            HostSpec(name="receiver", addr="10.2.0.1", costs=with_costs),
+        ],
+        links=[
+            LinkSpec(
+                a="sender",
+                b="receiver",
+                rate_bps=rate_bps,
+                delay=one_way_delay,
+                queue_limit=queue_limit,
+                loss_rate=loss_rate,
+                reverse_loss_rate=0.0,
+                ecn_threshold=ecn_threshold,
+                rate_schedule=tuple(rate_schedule),
+            )
+        ],
+        apps=list(apps),
+        stop=stop or StopSpec(),
     )
 
 
-def lan_pair_spec(with_costs: bool = True) -> ScenarioSpec:
+def lan_pair_spec(with_costs: bool = True, **options) -> ScenarioSpec:
     """100 Mbps switched Ethernet, ~1 ms RTT, no loss (Figures 4-6)."""
     return pair_spec(
         "lan_pair",
@@ -120,6 +85,7 @@ def lan_pair_spec(with_costs: bool = True) -> ScenarioSpec:
         loss_rate=0.0,
         queue_limit=128,
         with_costs=with_costs,
+        **options,
     )
 
 
@@ -129,6 +95,7 @@ def dummynet_pair_spec(
     rtt: float = 0.060,
     queue_limit: int = 50,
     with_costs: bool = True,
+    **options,
 ) -> ScenarioSpec:
     """Dummynet-shaped path: 10 Mbps, 60 ms RTT, configurable loss (Figure 3)."""
     return pair_spec(
@@ -138,6 +105,7 @@ def dummynet_pair_spec(
         loss_rate=loss_rate,
         queue_limit=queue_limit,
         with_costs=with_costs,
+        **options,
     )
 
 
@@ -147,6 +115,7 @@ def wan_pair_spec(
     loss_rate: float = 0.0,
     queue_limit: int = 60,
     with_costs: bool = True,
+    **options,
 ) -> ScenarioSpec:
     """vBNS-like MIT<->Utah wide-area path (Figures 7-10)."""
     return pair_spec(
@@ -156,4 +125,5 @@ def wan_pair_spec(
         loss_rate=loss_rate,
         queue_limit=queue_limit,
         with_costs=with_costs,
+        **options,
     )

@@ -4,6 +4,6 @@ See :mod:`repro.hostmodel.costs` for the calibration rationale.
 """
 
 from .costs import CostModel, OPERATIONS
-from .ledger import CpuLedger, HostCosts
+from .ledger import CpuLedger, HostCosts, LedgerDelta, LedgerMark
 
-__all__ = ["CostModel", "OPERATIONS", "CpuLedger", "HostCosts"]
+__all__ = ["CostModel", "OPERATIONS", "CpuLedger", "HostCosts", "LedgerDelta", "LedgerMark"]

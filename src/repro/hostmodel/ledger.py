@@ -10,11 +10,11 @@ API costs (Figure 6, Table 1).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .costs import CostModel
 
-__all__ = ["CpuLedger", "HostCosts"]
+__all__ = ["CpuLedger", "HostCosts", "LedgerDelta", "LedgerMark"]
 
 _NEGATIVE_CHARGE = "cannot charge negative CPU time"
 
@@ -187,3 +187,45 @@ class HostCosts:
     def utilization(self, elapsed_seconds: float) -> float:
         """CPU utilisation over ``elapsed_seconds`` of simulated time."""
         return self.ledger.utilization(elapsed_seconds)
+
+
+class LedgerDelta(NamedTuple):
+    """What a host's ledger gained between a :class:`LedgerMark` and now."""
+
+    total_us: float
+    #: Busy microseconds of each category that grew.
+    by_category: Dict[str, float]
+    #: Count of each operation that happened.
+    operations: Dict[str, int]
+
+
+class LedgerMark:
+    """Where one host's ledger stood when a measurement began.
+
+    The bulk and API-overhead senders mark when their transfer starts and
+    call :meth:`since` before they tear it down, so closing a connection is
+    not part of the transfer's cost.  A host without costs measures zero.
+    """
+
+    def __init__(self, costs: Optional[HostCosts]):
+        self._costs = costs
+        self._total_us = costs.total_us if costs is not None else 0.0
+        self._by_category = costs.ledger.snapshot() if costs is not None else {}
+        self._operations = dict(costs.ledger.operation_counts) if costs is not None else {}
+
+    def since(self) -> LedgerDelta:
+        """The charges made from the mark up to now."""
+        costs = self._costs
+        if costs is None:
+            return LedgerDelta(0.0, {}, {})
+        by_category = {}
+        for category, value in costs.ledger.busy_us_by_category.items():
+            delta = value - self._by_category.get(category, 0.0)
+            if delta > 0:
+                by_category[category] = delta
+        operations = {}
+        for operation, count in costs.ledger.operation_counts.items():
+            delta = count - self._operations.get(operation, 0)
+            if delta:
+                operations[operation] = delta
+        return LedgerDelta(costs.total_us - self._total_us, by_category, operations)

@@ -25,6 +25,7 @@ Registering a new workload is one subclass plus a
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..apps.alfapp import TCP_VARIANTS, TCPApiTestApp, UDP_VARIANTS, UDPApiTestApp
@@ -340,6 +341,8 @@ class BulkApp(Application):
         return self.app.sender.done
 
     def stop(self) -> None:
+        # Measure the transfer before closing it: cm_close is teardown.
+        self.result = self.app.collect(self.sim)
         self.app.close()
 
     def attach_telemetry(self, hub) -> None:
@@ -349,9 +352,7 @@ class BulkApp(Application):
         return {"bytes_acked": float(self.app.sender.bytes_acked)}
 
     def metrics(self) -> Dict[str, Any]:
-        from dataclasses import asdict
-
-        return asdict(self.app.collect(self.sim))
+        return asdict(self.result)
 
 
 @register_application
@@ -601,15 +602,16 @@ class UdpApiApp(Application):
     def done(self) -> Optional[bool]:
         return self.app.done
 
+    def stop(self) -> None:
+        self.result = self.app.measure()
+
     def telemetry_sample(self) -> Dict[str, float]:
         return {"packets_acked": float(self.app.packets_acked)}
 
     def metrics(self) -> Dict[str, Any]:
         return {
-            "variant": self.params["variant"],
-            "packets_sent": self.app.packets_sent,
+            **asdict(self.result),
             "packets_acked": self.app.packets_acked,
-            "done": self.app.done,
             "libcm_stats": dict(self.app.libcm.stats),
         }
 
@@ -642,16 +644,14 @@ class TcpApiApp(Application):
         )
 
     def start(self) -> None:
-        costs = self.host.costs
-        for _ in range(self.params["npackets"]):
-            if costs is not None:
-                costs.syscall_copy("send_call", self.params["packet_size"], "app")
-            self.app.sender.send(self.params["packet_size"])
+        self.app.start()
 
     def done(self) -> Optional[bool]:
         return self.app.sender.done
 
     def stop(self) -> None:
+        # Measure the transfer before closing it: cm_close is teardown.
+        self.result = self.app.measure()
         self.app.close()
 
     def attach_telemetry(self, hub) -> None:
@@ -663,9 +663,7 @@ class TcpApiApp(Application):
     def metrics(self) -> Dict[str, Any]:
         sender = self.app.sender
         return {
-            "variant": self.params["variant"],
-            "data_packets_sent": sender.data_packets_sent,
+            **asdict(self.result),
             "bytes_acked": sender.bytes_acked,
-            "done": sender.done,
             "retransmissions": sender.retransmissions,
         }

@@ -15,8 +15,8 @@ Design rules:
 
 * **One field table** — every block declares each field once, as a
   :class:`Param` in its ``FIELDS`` table.  :class:`_Block` derives the
-  dataclass constructor, the type/range checks, ``to_dict``, the strict
-  ``from_dict`` and the ``seal()`` walk from it; application params,
+  dataclass constructor, the type/range checks, ``to_dict`` and the strict
+  ``from_dict`` from it; application params,
   workload params and the per-kind ``loss``/``aqm`` mappings are checked by
   the same :func:`check_value` through :func:`check_mapping`.  Only what
   relates two fields or two blocks (endpoints name declared hosts, ``loss``
@@ -24,8 +24,7 @@ Design rules:
 * **Eager validation** — :meth:`ScenarioSpec.validate` type-checks the whole
   tree before anything hashes, iterates or compares a field, then checks the
   relations, and raises :class:`SpecError` with a path-qualified message
-  built only on failure.  The walk is cheap, so nothing memoizes it;
-  :meth:`ScenarioSpec.seal` is the one fast path.
+  built only on failure.  The walk is cheap, so nothing memoizes it.
 * **Strict JSON round-trip** — ``spec.to_dict()`` and
   ``ScenarioSpec.from_dict`` are inverses; ``from_dict`` rejects unknown
   keys, naming the offending key and listing the valid ones.
@@ -41,7 +40,7 @@ import functools
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ..telemetry.probes import EVENT_NAMES
 from ..telemetry.samplers import SAMPLER_GROUPS
@@ -227,8 +226,6 @@ class _Block:
     _SCALAR_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
     _LIST_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
     _CHILD_FIELDS: ClassVar[Tuple[Tuple[str, Param], ...]] = ()
-    #: True on the frozen variants :meth:`ScenarioSpec.seal` swaps blocks to.
-    _is_sealed: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         # JSON lists of scalars become tuples (``rate_schedule``: of tuples);
@@ -265,14 +262,6 @@ class _Block:
                 _check_block(param, value, _join(path, name))
             elif not param.nullable:
                 raise SpecError(_join(path, name), "may not be null")
-
-    def blocks(self) -> Iterator["_Block"]:
-        """Every block nested below this one, children before parents."""
-        for name, param in self._CHILD_FIELDS:
-            value = getattr(self, name)
-            for child in (value if param.many else () if value is None else (value,)):
-                yield from child.blocks()
-                yield child
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON rendering, keys in declaration order;
@@ -499,6 +488,23 @@ class _LinkBlock(_Block):
                                 "configured (the aqm owns marking)")
 
 
+def _check_links(links, path: str, names: Mapping[str, Any],
+                 what: str) -> Dict[Tuple[str, str], int]:
+    """Every link's relations, and at most one link per pair of endpoints
+    (either orientation); returns ``{(lower, higher) name: link index}``."""
+    seen_pairs: Dict[Tuple[str, str], int] = {}
+    for index, link in enumerate(links):
+        link.check_relations(f"{path}[{index}]", names, what)
+        pair = (min(link.a, link.b), max(link.a, link.b))
+        if pair in seen_pairs:
+            raise SpecError(f"{path}[{index}]",
+                            f"duplicate link between {link.a!r} and {link.b!r} "
+                            f"(also {path}[{seen_pairs[pair]}]); parallel links "
+                            "would make the static routing ambiguous")
+        seen_pairs[pair] = index
+    return seen_pairs
+
+
 @_spec_block
 class LinkSpec(_LinkBlock):
     """A bidirectional Dummynet-style link between two named hosts.
@@ -676,16 +682,8 @@ class GraphSpec(_Block):
                 raise SpecError(f"{path}.nodes[{index}].cm", "routers cannot run a "
                                 "Congestion Manager (the CM is an end-system module)")
         adjacency: Dict[str, List[str]] = {node.name: [] for node in self.nodes}
-        seen_pairs: Dict[Tuple[str, str], int] = {}
-        for index, link in enumerate(self.links):
-            link.check_relations(f"{path}.links[{index}]", adjacency, "node")
-            pair = (min(link.a, link.b), max(link.a, link.b))
-            if pair in seen_pairs:
-                raise SpecError(f"{path}.links[{index}]",
-                                f"duplicate link between {link.a!r} and {link.b!r} "
-                                f"(also {path}.links[{seen_pairs[pair]}]); parallel links "
-                                "would make the static routing ambiguous")
-            seen_pairs[pair] = index
+        seen_pairs = _check_links(self.links, f"{path}.links", adjacency, "node")
+        for link in self.links:
             adjacency[link.a].append(link.b)
             adjacency[link.b].append(link.a)
         # Reject disconnected graphs eagerly: an unreachable destination
@@ -893,19 +891,6 @@ class EngineSpec(_Block):
     FIELDS = {"shards": Param(int, default=1, minimum=1)}
 
 
-def _sealed_setattr(self, name: str, value: Any) -> None:
-    raise SpecError(
-        "", f"{type(self).__name__} is shared and sealed; build a fresh spec instead of mutating"
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _sealed_variant(cls: type) -> type:
-    """The frozen subclass :meth:`ScenarioSpec.seal` swaps a block to."""
-    return type(f"Sealed{cls.__name__}", (cls,),
-                {"__setattr__": _sealed_setattr, "_is_sealed": True})
-
-
 @_spec_block
 class ScenarioSpec(_Block):
     """The root of the declarative scenario tree.
@@ -945,11 +930,8 @@ class ScenarioSpec(_Block):
 
         First every field against its table entry (so nothing below ever
         hashes or compares a wrong-typed value), then the relations between
-        fields and blocks.  A sealed spec was proved valid and cannot have
-        changed, so this is a no-op on it (the per-trial fast path).
+        fields and blocks.
         """
-        if self._is_sealed:
-            return self
         self.check_fields("")
         if self.dumbbell is not None:
             if self.hosts or self.links:
@@ -969,8 +951,7 @@ class ScenarioSpec(_Block):
                 raise SpecError("hosts", "need at least one host (or a dumbbell)")
             _check_unique_nodes(self.hosts, "hosts", "host")
         names = dict.fromkeys(self.host_names())
-        for index, link in enumerate(self.links):
-            link.check_relations(f"links[{index}]", names, "host")
+        _check_links(self.links, "links", names, "host")
         for section, members in (("apps", self.apps), ("workloads", self.workloads)):
             seen_labels: Dict[str, int] = {}
             for index, member in enumerate(members):
@@ -987,20 +968,4 @@ class ScenarioSpec(_Block):
             raise SpecError("engine.shards", "sharded execution needs a graph topology "
                                              "(hosts/links and dumbbell scenarios run "
                                              "single-process)")
-        return self
-
-    def seal(self) -> "ScenarioSpec":
-        """Validate, then freeze this spec tree in place; returns ``self``.
-
-        Sealing swaps the spec and its children to ``Sealed*`` subclasses
-        whose ``__setattr__`` raises and whose root ``validate`` is a no-op
-        — the fast path for factories that hand one shared, immutable spec
-        to many trials (``repro.experiments.topology``).  Note that sealing
-        changes ``type(spec)``, so sealed and unsealed specs with equal
-        content compare unequal under the dataclass ``__eq__``.
-        """
-        if not self._is_sealed:
-            self.validate()
-            for block in (*self.blocks(), self):
-                block.__class__ = _sealed_variant(block.__class__)
         return self

@@ -1,5 +1,7 @@
 """Tests for the application case studies: layered streaming, vat, web server, bulk, API apps."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.apps import (
@@ -13,6 +15,9 @@ from repro.apps import (
     VatApplication,
     WebClient,
 )
+from repro.apps.alfapp import ApiOverheadResult
+from repro.experiments.topology import lan_pair_spec
+from repro.scenario import AppSpec, StopSpec, build, run_built
 from repro.transport.udp import AckReflector
 
 
@@ -191,17 +196,43 @@ class TestWebServerClient:
         assert server.requests_served == 0
 
 
+def run_on_lan(*apps, until=300.0):
+    """Build the LAN pair (CM on the sender) with ``apps``; run it to completion."""
+    spec = lan_pair_spec(cm=True, apps=list(apps), stop=StopSpec(until=until, when_apps_done=True))
+    scenario = build(spec, seed=0)
+    return scenario, run_built(scenario)
+
+
+def api_result(metrics) -> ApiOverheadResult:
+    """The API-overhead measurement inside a ``udp_api`` / ``tcp_api`` metrics dict."""
+    return ApiOverheadResult(**{field.name: metrics[field.name] for field in fields(ApiOverheadResult)})
+
+
+def ledger_at_teardown(scenario, app):
+    """Record the sender's ledger at the moment ``app`` starts closing its endpoints."""
+    ledger = scenario.host("sender").costs.ledger
+    seen = {}
+    close = app.app.close
+
+    def record_then_close():
+        seen.update(total=ledger.total_us, by_category=ledger.snapshot(),
+                    operations=dict(ledger.operation_counts))
+        close()
+
+    app.app.close = record_then_close
+    return seen
+
+
 class TestBulkTransfer:
-    def test_result_fields(self, make_pair):
-        pair = make_pair(with_cm=True, rate_bps=100e6, one_way_delay=0.0005)
-        app = BulkTransferApp(pair.sender, pair.receiver, variant="cm")
-        result = app.run(pair.sim, nbuffers=500)
-        assert result.completed
-        assert result.total_bytes == 500 * 1448
-        assert result.throughput > 0
-        assert 0 <= result.cpu_utilization <= 1
-        assert result.cpu_by_category
-        app.close()
+    def test_result_fields(self):
+        _, result = run_on_lan(AppSpec(app="bulk", host="sender", peer="receiver", label="ttcp",
+                                       params={"nbuffers": 500}))
+        metrics = result.app("ttcp")["metrics"]
+        assert metrics["completed"]
+        assert metrics["total_bytes"] == 500 * 1448
+        assert metrics["throughput"] > 0
+        assert 0 <= metrics["cpu_utilization"] <= 1
+        assert metrics["cpu_by_category"]
 
     def test_invalid_arguments(self, make_pair):
         pair = make_pair(with_cm=True)
@@ -209,42 +240,74 @@ class TestBulkTransfer:
             BulkTransferApp(pair.sender, pair.receiver, variant="quic")
         app = BulkTransferApp(pair.sender, pair.receiver, variant="cm", port=5002)
         with pytest.raises(ValueError):
-            app.run(pair.sim, nbuffers=0)
+            app.begin(pair.sim, nbuffers=0)
+
+    def test_cpu_is_the_ledger_delta_of_the_transfer_not_its_teardown(self):
+        spec = lan_pair_spec(cm=True, stop=StopSpec(until=300.0), apps=[
+            AppSpec(app="bulk", host="sender", peer="receiver", label="ttcp",
+                    params={"nbuffers": 300})])
+        scenario = build(spec, seed=0)
+        ledger = scenario.host("sender").costs.ledger
+        before = ledger.snapshot()
+        at_close = ledger_at_teardown(scenario, scenario.apps[0])
+        measured = run_built(scenario).app("ttcp")["metrics"]["cpu_by_category"]
+        expected = {category: value - before.get(category, 0.0)
+                    for category, value in at_close["by_category"].items()
+                    if value - before.get(category, 0.0) > 0}
+        assert measured == expected
+        # Closing the connection charged the CM (cm_close) after the mark was read.
+        assert ledger.snapshot()["cm"] > at_close["by_category"]["cm"]
 
 
 class TestApiOverheadApps:
     @pytest.mark.parametrize("variant", ["alf", "alf_noconnect", "buffered"])
-    def test_udp_variants_complete(self, make_pair, variant):
-        pair = make_pair(with_cm=True, rate_bps=100e6, one_way_delay=0.0005)
-        reflector = AckReflector(pair.receiver, 7001)
-        app = UDPApiTestApp(pair.sender, pair.receiver.addr, 7001,
-                            variant=variant, packet_size=500, npackets=200)
-        result = app.run(pair.sim, link_rate_bps=100e6)
-        assert result.completed
-        assert result.packets_sent == 200
-        assert result.cpu_us_per_packet > 0
-        reflector.close()
+    def test_udp_variants_complete(self, variant):
+        _, result = run_on_lan(
+            AppSpec(app="ack_reflector", host="receiver", params={"port": 7001}),
+            AppSpec(app="udp_api", host="sender", peer="receiver", label="api", params={
+                "port": 7001, "variant": variant, "packet_size": 500, "npackets": 200}))
+        outcome = api_result(result.app("api")["metrics"])
+        assert outcome.completed
+        assert outcome.packets_sent == 200
+        assert outcome.cpu_us_per_packet > 0
+        # Wire time of one 500 B datagram (+28 B of headers) on the 100 Mbit/s hop.
+        assert outcome.wire_us_per_packet == pytest.approx(528 * 8 / 100e6 * 1e6)
 
-    def test_noconnect_costs_more_ioctls_than_connected(self, make_pair):
+    def test_noconnect_costs_more_ioctls_than_connected(self):
         results = {}
         for variant in ("alf", "alf_noconnect"):
-            pair = make_pair(with_cm=True, rate_bps=100e6, one_way_delay=0.0005)
-            reflector = AckReflector(pair.receiver, 7001)
-            app = UDPApiTestApp(pair.sender, pair.receiver.addr, 7001,
-                                variant=variant, packet_size=500, npackets=200)
-            results[variant] = app.run(pair.sim, link_rate_bps=100e6)
-            reflector.close()
+            _, result = run_on_lan(
+                AppSpec(app="ack_reflector", host="receiver", params={"port": 7001}),
+                AppSpec(app="udp_api", host="sender", peer="receiver", label="api", params={
+                    "port": 7001, "variant": variant, "packet_size": 500, "npackets": 200}))
+            results[variant] = api_result(result.app("api")["metrics"])
         assert results["alf_noconnect"].ops_per_packet("ioctl") > results["alf"].ops_per_packet("ioctl")
         assert results["alf_noconnect"].us_per_packet > results["alf"].us_per_packet
 
     @pytest.mark.parametrize("variant", ["tcp_cm", "tcp_cm_nodelay", "tcp_linux"])
-    def test_tcp_variants_complete(self, make_pair, variant):
-        pair = make_pair(with_cm=True, rate_bps=100e6, one_way_delay=0.0005)
-        app = TCPApiTestApp(pair.sender, pair.receiver, variant=variant, packet_size=1000, npackets=300)
-        result = app.run(pair.sim, link_rate_bps=100e6)
-        assert result.completed
-        assert result.packets_sent >= 300
-        app.close()
+    def test_tcp_variants_complete(self, variant):
+        _, result = run_on_lan(AppSpec(app="tcp_api", host="sender", peer="receiver", label="api",
+                                       params={"variant": variant, "packet_size": 1000,
+                                               "npackets": 300}))
+        outcome = api_result(result.app("api")["metrics"])
+        assert outcome.completed
+        assert outcome.packets_sent >= 300
+
+    def test_tcp_cost_is_the_ledger_delta_of_the_transfer_not_its_teardown(self):
+        spec = lan_pair_spec(cm=True, stop=StopSpec(until=300.0), apps=[
+            AppSpec(app="tcp_api", host="sender", peer="receiver", label="api",
+                    params={"packet_size": 1000, "npackets": 200})])
+        scenario = build(spec, seed=0)
+        ledger = scenario.host("sender").costs.ledger
+        total_before, operations_before = ledger.total_us, dict(ledger.operation_counts)
+        at_close = ledger_at_teardown(scenario, scenario.apps[0])
+        outcome = api_result(run_built(scenario).app("api")["metrics"])
+        assert outcome.cpu_us_total == at_close["total"] - total_before
+        assert outcome.operation_counts == {
+            operation: count - operations_before.get(operation, 0)
+            for operation, count in at_close["operations"].items()
+            if count != operations_before.get(operation, 0)}
+        assert ledger.total_us > at_close["total"]
 
     def test_unknown_variants_rejected(self, make_pair):
         pair = make_pair(with_cm=True)

@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10, table1
 from repro.experiments import ablations
 from repro.experiments.base import ExperimentResult, format_table
+from repro.experiments.parallel import run_trials
 from repro.experiments.registry import SPECS
 from repro.experiments.runner import run_experiment
 
@@ -56,9 +57,10 @@ class TestFigure3:
 
 class TestFigures4And5:
     def test_throughput_and_cpu_comparison(self):
-        sweep = figure4.bulk_sweep(buffer_counts=(2000, 8000))
-        fig4 = figure4.run(sweep=sweep)
-        fig5 = figure5.run(sweep=sweep)
+        # One set of trials, reduced by both figures.
+        outcomes = run_trials(figure4.trials(buffer_counts=(2000, 8000)), jobs=1)
+        fig4 = figure4.reduce(outcomes)
+        fig5 = figure5.reduce(outcomes)
         # Long transfers: CM throughput within a few percent of native TCP.
         assert abs(fig4.rows[-1][3]) < 5.0
         # CPU overhead of the CM is small but positive.

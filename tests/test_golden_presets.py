@@ -1,6 +1,6 @@
 """Golden determinism for every scenario preset.
 
-Like ``tests/golden/figure3_smoke_seeds3.json`` for the experiment runner,
+Like ``tests/golden/PINS.json`` for the experiment runner,
 these files pin the *byte-exact* output of each preset — pair, dumbbell
 and graph+workload alike — at its default seed.  Any change to the spec tree, the graph compiler,
 the routing tie-breaks, the workload RNG derivation or the arrival/size

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.topology import build_testbed, dummynet_pair_spec, lan_pair_spec
+from repro.experiments.topology import dummynet_pair_spec, lan_pair_spec, wan_pair_spec
 from repro.scenario import (
     AppSpec,
     DumbbellSpec,
@@ -39,28 +39,35 @@ def tiny_transfer_spec(**stop_overrides) -> ScenarioSpec:
 
 
 class TestBuild:
-    def test_pair_spec_matches_legacy_testbed_shape(self):
-        testbed = build_testbed(lan_pair_spec(), seed=7)
-        assert testbed.sender.addr == "10.1.0.1"
-        assert testbed.receiver.addr == "10.2.0.1"
-        assert testbed.net.link("sender", "receiver").rate_bps == 100e6
-        assert testbed.sender.costs is not None
+    def test_pair_spec_builds_the_sender_receiver_pair(self):
+        scenario = build(lan_pair_spec(), seed=7)
+        assert scenario.host("sender").addr == "10.1.0.1"
+        assert scenario.host("receiver").addr == "10.2.0.1"
+        assert scenario.graph_net.link("sender", "receiver").rate_bps == 100e6
+        assert scenario.host("sender").costs is not None
 
     def test_pair_without_costs(self):
-        testbed = build_testbed(dummynet_pair_spec(loss_rate=0.0, with_costs=False), seed=1)
-        assert testbed.sender.costs is None and testbed.receiver.costs is None
+        scenario = build(dummynet_pair_spec(loss_rate=0.0, with_costs=False), seed=1)
+        assert scenario.host("sender").costs is None and scenario.host("receiver").costs is None
 
-    def test_each_pair_spec_compiles_to_its_testbed(self):
-        from repro.experiments.topology import wan_pair_spec
-
-        assert build_testbed(lan_pair_spec(), seed=2).net.link(
+    def test_each_pair_spec_compiles_to_its_path(self):
+        assert build(lan_pair_spec(), seed=2).graph_net.link(
             "sender", "receiver").rate_bps == 100e6
-        dummynet = build_testbed(dummynet_pair_spec(loss_rate=0.02), seed=2).net
+        dummynet = build(dummynet_pair_spec(loss_rate=0.02), seed=2).graph_net
         assert dummynet.link("sender", "receiver").loss_rate == 0.02
         assert dummynet.link("receiver", "sender").loss_rate == 0.0
-        wan = build_testbed(wan_pair_spec(), seed=2).net
+        wan = build(wan_pair_spec(), seed=2).graph_net
         assert (wan.link("sender", "receiver").delay
                 + wan.link("receiver", "sender").delay) == pytest.approx(0.075)
+
+    def test_pair_factories_hand_out_fresh_specs(self):
+        # Each trial completes its own spec, so no two calls may share one.
+        first, second = dummynet_pair_spec(loss_rate=0.01), dummynet_pair_spec(loss_rate=0.01)
+        assert first is not second and first == second
+        first.hosts[0].cm = True
+        first.apps.append(AppSpec(app="tcp_listener", host="receiver", params={"port": 1}))
+        assert not second.hosts[0].cm and not second.apps
+        assert build(first, seed=0).host("sender").cm is not None
 
     def test_cm_attachment_with_named_controller(self):
         spec = ScenarioSpec(

@@ -71,6 +71,15 @@ class TestValidation:
         with pytest.raises(SpecError, match="endpoints must differ"):
             spec.validate()
 
+    @pytest.mark.parametrize("second", [("a", "b"), ("b", "a")])
+    def test_duplicate_pair_link_rejected(self, second):
+        # Building keeps one link per host pair, so a second one would
+        # silently replace the first: 2 Mbit/s instead of the declared 1.
+        spec = minimal_spec(links=[LinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01),
+                                   LinkSpec(a=second[0], b=second[1], rate_bps=2e6, delay=0.01)])
+        with pytest.raises(SpecError, match=r"links\[1\]: duplicate link between .* \(also links\[0\]\)"):
+            spec.validate()
+
     def test_loss_rate_range_checked(self):
         spec = minimal_spec(links=[LinkSpec(a="a", b="b", rate_bps=1e6, delay=0.01, loss_rate=1.5)])
         with pytest.raises(SpecError, match=r"loss_rate: must be < 1"):
@@ -556,19 +565,6 @@ class TestValidationCacheSoundness:
             assert spec2.apps[0].normalized_params() == {"n": 99}
         finally:
             APPLICATIONS.pop("cache_fake", None)
-
-    def test_sealed_spec_rejects_mutation_and_revalidates_free(self):
-        from repro.experiments.topology import dummynet_pair_spec
-
-        spec = dummynet_pair_spec(loss_rate=0.01)
-        assert spec.validate() is spec
-        with pytest.raises(SpecError, match="sealed"):
-            spec.seed = 5
-        with pytest.raises(SpecError, match="sealed"):
-            spec.links[0].loss_rate = 0.5
-        # The factory hands back the same sealed instance per parameter set.
-        assert dummynet_pair_spec(loss_rate=0.01) is spec
-        assert dummynet_pair_spec(loss_rate=0.02) is not spec
 
 
 def test_registry_covers_all_app_layers():
