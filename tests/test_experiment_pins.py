@@ -8,6 +8,11 @@ to its sha256 and length.  A change that moves any experiment's numbers,
 rows, notes or serialisation moves a pin here; a refactor that claims to be
 behaviour-neutral must leave every pin where it is.
 
+Its ``trials`` section pins each experiment's trial list, the sha256 of the
+canonical JSON of ``[[experiment, params], ...]``, both at the defaults and
+under ``--smoke``.  The default sweeps are too long to run here, so this is
+what holds their parameters and their order.
+
 The other tests are the in-process twins of the CLI smoke runs: the trial
 cache is transparent and a warm re-run is served from it, ``--jobs 2`` and
 ``--jobs 1`` write the same bytes, ``--store`` registers what was written,
@@ -20,6 +25,7 @@ import os
 
 import pytest
 
+from repro.experiments.parallel import canonical_json
 from repro.experiments.registry import SPECS
 from repro.experiments.runner import main as experiments_main
 from repro.results.store import ResultStore
@@ -28,6 +34,7 @@ PINS_PATH = os.path.join(os.path.dirname(__file__), "golden", "PINS.json")
 
 with open(PINS_PATH, "r", encoding="utf-8") as _handle:
     PINS = json.load(_handle)
+TRIAL_PINS = PINS.pop("trials")
 
 SMOKE_ARGS = ["--smoke", "--seeds", "3", "--quiet"]
 
@@ -42,6 +49,19 @@ def _run_cli(*argv):
     assert experiments_main([*argv, *SMOKE_ARGS]) == 0
 
 
+def _trial_list_pin(name, smoke):
+    spec = SPECS[name]
+    trials = spec.trials(**(spec.smoke if smoke else {}))
+    text = canonical_json([[trial.experiment, trial.params] for trial in trials])
+    return {"trials": len(trials), "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+@pytest.mark.parametrize("mode", ["default", "smoke"])
+@pytest.mark.parametrize("name", sorted(TRIAL_PINS))
+def test_trial_list_matches_its_pin(name, mode):
+    assert _trial_list_pin(name, mode == "smoke") == TRIAL_PINS[name][mode]
+
+
 @pytest.fixture(scope="module")
 def smoke_dirs(tmp_path_factory):
     """One cold ``all`` run at ``--jobs 2`` through a fresh trial cache."""
@@ -53,6 +73,7 @@ def smoke_dirs(tmp_path_factory):
 
 def test_the_pins_cover_every_registered_experiment():
     assert sorted(PINS) == sorted(f"{name}.json" for name in SPECS)
+    assert sorted(TRIAL_PINS) == sorted(SPECS)
 
 
 @pytest.mark.parametrize("artifact", sorted(PINS))
