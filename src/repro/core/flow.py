@@ -17,7 +17,7 @@ CM code serves both kinds of client the paper describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .query import QueryResult

@@ -29,7 +29,7 @@ loop by calling :meth:`LibCM.poll`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .flow import Flow, NotificationChannel
 from .query import QueryResult

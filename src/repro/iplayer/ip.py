@@ -16,7 +16,7 @@ Routers reuse the same class with :attr:`forwarding` enabled.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..netsim.packet import Packet
 

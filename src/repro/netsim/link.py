@@ -19,7 +19,7 @@ import itertools
 import random
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from .engine import Simulator

@@ -7,11 +7,10 @@ from repro.core import (
     CM_NO_CONGESTION,
     CM_PERSISTENT_CONGESTION,
     CM_TRANSIENT_CONGESTION,
-    FlowClosedError,
     NotRegisteredError,
     UnknownFlowError,
 )
-from repro.netsim import Host, Simulator
+from repro.netsim import Host
 
 SRC = "10.0.0.1"
 DST = "10.0.0.2"

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import HostCosts
 from repro.iplayer import NoRouteError
 from repro.netsim import Host, Packet, Router, Simulator, build_graph
 from repro.netsim.packet import PROTO_UDP
