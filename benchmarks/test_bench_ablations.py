@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the CM design choices called out in DESIGN.md."""
+"""Ablation benchmarks for the CM design choices: scheduler, controller and macroflow sharing."""
 
 from repro.experiments import ablations
 

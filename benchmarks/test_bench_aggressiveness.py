@@ -1,10 +1,10 @@
 """Benchmark: a CM ensemble competes like one flow, parallel TCPs do not."""
 
-from repro.experiments import aggressiveness
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_ensemble_aggressiveness(benchmark, once):
-    result = once(benchmark, aggressiveness.run, ensemble_sizes=(4,), duration=10.0)
+    result = once(benchmark, run_experiment, "aggressiveness", n=(4,), duration=10.0)
     row = result.rows[0]
     _n, share_vs_cm, share_vs_independent, _ideal_single, ideal_independent = row
     # Against the CM ensemble the single reference flow keeps a share much

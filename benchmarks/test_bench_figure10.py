@@ -2,11 +2,11 @@
 
 import math
 
-from repro.experiments import figure10
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure10_delayed_feedback(benchmark, once):
-    result = once(benchmark, figure10.run, duration=60.0)
+    result = once(benchmark, run_experiment, "figure10", duration=60.0)
     rows = {r[0]: r[1] for r in result.rows}
 
     # The initial ramp is delayed waiting for the first feedback batch

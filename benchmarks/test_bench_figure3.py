@@ -1,15 +1,16 @@
 """Figure 3 benchmark: TCP/CM vs TCP/Linux throughput under loss."""
 
-from repro.experiments import figure3
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure3_throughput_vs_loss(benchmark, once):
     result = once(
         benchmark,
-        figure3.run,
-        loss_rates=(0.0, 0.01, 0.03, 0.05),
+        run_experiment,
+        "figure3",
+        loss=(0.0, 0.01, 0.03, 0.05),
         transfer_bytes=1_000_000,
-        seeds=(1, 2),
+        seed=(1, 2),
     )
     cm = result.column("tcp_cm_kBps")
     linux = result.column("tcp_linux_kBps")

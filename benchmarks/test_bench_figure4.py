@@ -1,10 +1,10 @@
 """Figure 4 benchmark: 100 Mbps bulk TCP throughput, CM vs native."""
 
-from repro.experiments import figure4
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure4_bulk_throughput(benchmark, once):
-    result = once(benchmark, figure4.run, buffer_counts=(1_000, 5_000, 20_000))
+    result = once(benchmark, run_experiment, "figure4", nbuffers=(1_000, 5_000, 20_000))
     # The paper's claim: throughput essentially identical, worst case ~0.5%
     # (we allow a few percent at the truncated transfer sizes, and require the
     # gap to shrink as transfers get longer).

@@ -1,10 +1,10 @@
 """Figure 5 benchmark: CPU overhead of the CM during bulk transfers."""
 
-from repro.experiments import figure5
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure5_cpu_overhead(benchmark, once):
-    result = once(benchmark, figure5.run, buffer_counts=(1_000, 5_000, 20_000))
+    result = once(benchmark, run_experiment, "figure5", nbuffers=(1_000, 5_000, 20_000))
     # The CM costs a little CPU, and for long transfers the difference
     # settles close to the paper's "slightly under 1%" (allow up to ~3 points
     # for the scaled-down transfers of this harness).

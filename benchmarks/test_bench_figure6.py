@@ -1,13 +1,14 @@
 """Figure 6 benchmark: per-packet cost of every CM API variant."""
 
-from repro.experiments import figure6
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure6_api_costs(benchmark, once):
     result = once(
         benchmark,
-        figure6.run,
-        packet_sizes=(168, 700, 1400),
+        run_experiment,
+        "figure6",
+        packet_size=(168, 700, 1400),
         npackets=1000,
     )
     variants = result.columns[1:]

@@ -1,10 +1,10 @@
 """Figure 7 benchmark: sharing congestion state across sequential web requests."""
 
-from repro.experiments import figure7
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure7_state_sharing(benchmark, once):
-    result = once(benchmark, figure7.run)
+    result = once(benchmark, run_experiment, "figure7")
     cm_ms = result.column("tcp_cm_ms")
     linux_ms = result.column("tcp_linux_ms")
 

@@ -1,11 +1,11 @@
 """Figure 8 benchmark: layered streaming over the ALF (request/callback) API."""
 
 from repro.analysis import series_mean
-from repro.experiments import figure8
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure8_alf_adaptation(benchmark, once):
-    result = once(benchmark, figure8.run, duration=20.0,
+    result = once(benchmark, run_experiment, "figure8", duration=20.0,
                   bandwidth_schedule=((0.0, 20e6), (8.0, 4e6), (14.0, 12e6)))
     tx = result.series["transmission_rate"]
     rows = {r[0]: r[1] for r in result.rows}

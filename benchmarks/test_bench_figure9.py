@@ -1,13 +1,13 @@
 """Figure 9 benchmark: layered streaming over the rate-callback API."""
 
 from repro.analysis import series_mean
-from repro.experiments import figure8, figure9
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_figure9_rate_callback_adaptation(benchmark, once):
     schedule = ((0.0, 20e6), (8.0, 4e6), (14.0, 12e6))
-    result = once(benchmark, figure9.run, duration=20.0, bandwidth_schedule=schedule)
-    alf = figure8.run(duration=20.0, bandwidth_schedule=schedule)
+    result = once(benchmark, run_experiment, "figure9", duration=20.0, bandwidth_schedule=schedule)
+    alf = run_experiment("figure8", duration=20.0, bandwidth_schedule=schedule)
 
     tx = result.series["transmission_rate"]
     rows = {r[0]: r[1] for r in result.rows}

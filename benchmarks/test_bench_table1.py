@@ -1,10 +1,10 @@
 """Table 1 benchmark: cumulative per-packet operation counts for each API."""
 
-from repro.experiments import table1
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_table1_operation_counts(benchmark, once):
-    result = once(benchmark, table1.run, packet_size=1000, npackets=800)
+    result = once(benchmark, run_experiment, "table1", packet_size=1000, npackets=800)
     rows = {row[0]: dict(zip(result.columns[1:], row[1:])) for row in result.rows}
 
     # The paper's cumulative structure:

@@ -1,22 +1,22 @@
 """Experiment harnesses reproducing every table and figure in the paper.
 
-Each module exposes a ``trials() -> list[TrialSpec]`` / ``reduce(outcomes)``
-split (plus the classic ``run(...) -> ExperimentResult`` convenience wrapper)
-so the ``cm-experiments`` CLI (see :mod:`repro.experiments.runner`) can shard
-the independent trials across worker processes and memoize them in the
-on-disk trial cache.  The mapping from paper artifact to module is recorded
-in DESIGN.md's per-experiment index; the trial/reduce contract is documented
-in ``docs/parallel_runner.md``.
+Each module declares one :class:`~.sweep.Sweep` — the axes and fixed params
+of its trials, the ``trial`` function that runs one, and the ``reduce`` that
+merges the outcomes — so ``python -m repro.experiments`` (see
+:mod:`repro.experiments.runner`) can shard the independent trials across
+worker processes.  One module per paper table or figure (``figure3`` …
+``figure10``, ``table1``) plus the extensions; the sweep contract is
+documented in ``docs/parallel_runner.md``.
 """
 
 from .base import ExperimentResult, format_table
-from .parallel import TrialCache, TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome, TrialSpec, run_trials
 
 __all__ = [
     "ExperimentResult",
     "format_table",
+    "Sweep",
     "TrialSpec",
     "TrialOutcome",
-    "TrialCache",
     "run_trials",
 ]

@@ -1,4 +1,4 @@
-"""Ablations of the CM design choices called out in DESIGN.md.
+"""Ablations of the CM design choices: scheduler, controller and macroflow sharing.
 
 Three questions, each answered with a small experiment:
 
@@ -14,16 +14,17 @@ Three questions, each answered with a small experiment:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..analysis import jain_fairness
 from ..scenario import AppSpec, StopSpec, build, run_built
 from ..transport.tcp import CMTCPSender, TCPListener
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 from .topology import dummynet_pair_spec, wan_pair_spec
 
 __all__ = [
+    "SWEEP",
     "run_scheduler_ablation",
     "run_controller_ablation",
     "run_sharing_ablation",
@@ -156,11 +157,6 @@ def run_trial(params: dict) -> dict:
     return sub.payload()
 
 
-def trials() -> List[TrialSpec]:
-    """One trial per independent ablation study."""
-    return [TrialSpec("ablations", {"part": part}) for part in PARTS]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Merge the three ablation payloads into one summary result."""
     merged = ExperimentResult(
@@ -176,10 +172,4 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return merged
 
 
-def run(progress: Optional[callable] = None) -> ExperimentResult:
-    """Run all three ablations and merge their summaries into one result."""
-    return reduce(run_trials(trials(), jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep("ablations", axes=[("part", PARTS)], fixed={}, trial=run_trial, reduce=reduce)

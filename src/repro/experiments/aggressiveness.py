@@ -24,16 +24,16 @@ roughly half of the link.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis import jain_fairness
 from ..analysis.stats import summarize
 from ..scenario import AppSpec, DumbbellSpec, ScenarioSpec, StopSpec
 from ..scenario import run as run_scenario_spec
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "run_scenario", "dumbbell_spec"]
+__all__ = ["SWEEP", "run_trial", "reduce", "run_scenario", "dumbbell_spec"]
 
 DEFAULT_SEEDS = (17,)
 
@@ -105,23 +105,6 @@ def run_trial(params: dict) -> dict:
     return run_scenario(params["mode"], params["n"], params["duration"], seed=params["seed"])
 
 
-def trials(
-    ensemble_sizes: Sequence[int] = (2, 4, 6),
-    duration: float = 12.0,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (ensemble size, mode, seed)."""
-    return [
-        TrialSpec(
-            "aggressiveness",
-            {"mode": mode, "n": n, "duration": duration, "seed": seed},
-        )
-        for n in ensemble_sizes
-        for mode in ("cm", "independent")
-        for seed in seeds
-    ]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Average each scenario's reference share over seeds and tabulate."""
     result = ExperimentResult(
@@ -152,16 +135,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    ensemble_sizes: Sequence[int] = (2, 4, 6),
-    duration: float = 12.0,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Compare the reference flow's share against CM and independent ensembles."""
-    specs = trials(ensemble_sizes=ensemble_sizes, duration=duration, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "aggressiveness",
+    axes=[("n", (2, 4, 6)), ("mode", ("cm", "independent")), ("seed", DEFAULT_SEEDS)],
+    fixed={"duration": 12.0},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"n": (2, 4), "duration": 8.0},
+)

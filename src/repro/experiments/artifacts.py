@@ -4,10 +4,10 @@ Each experiment run can be persisted as two files in a ``--json-dir``:
 
 * ``<name>.json`` — the deterministic payload (``ExperimentResult.to_json``):
   columns, rows, series, notes.  Byte-identical for identical inputs
-  regardless of ``--jobs`` or cache state, so it can be diffed, hashed and
-  used as a golden trace.
+  regardless of ``--jobs``, so it can be diffed, hashed and used as a
+  golden trace.
 * ``<name>.meta.json`` — the provenance sidecar: seeds, jobs, git revision,
-  wall clock, trial/cache counters, python version, timestamp.  Everything
+  wall clock, trial count, python version, timestamp.  Everything
   that varies between equivalent runs lives here, never in the payload.
 
 Since PR 6 every write can also *register* the artifact in the shared
@@ -54,7 +54,6 @@ def build_provenance(
     jobs: int,
     wall_clock_s: float,
     n_trials: int,
-    n_cached: int,
 ) -> Dict[str, Any]:
     """Assemble the provenance dict recorded alongside a result."""
     return {
@@ -64,7 +63,6 @@ def build_provenance(
         "git_revision": git_revision(),
         "wall_clock_s": wall_clock_s,
         "trials": n_trials,
-        "trials_from_cache": n_cached,
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

@@ -39,7 +39,7 @@ class ExperimentResult:
     rows: List[List] = field(default_factory=list)
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
-    #: Run metadata (seeds, jobs, git rev, wall clock, cache counters).  It is
+    #: Run metadata (seeds, jobs, git rev, wall clock, trial count).  It is
     #: deliberately *excluded* from :meth:`payload`/:meth:`to_json` so the
     #: main JSON artifact stays byte-identical across job counts and re-runs;
     #: the artifacts module writes it to a ``.meta.json`` sidecar instead.
@@ -73,7 +73,7 @@ class ExperimentResult:
         """Canonical JSON rendering: sorted keys, 2-space indent, one trailing newline.
 
         Two results with equal payloads serialize to byte-identical strings,
-        which is the property the determinism tests and the artifact cache
+        which is the property the determinism tests and the artifact pins
         rely on.
         """
         return json.dumps(self.payload(), indent=2, sort_keys=True) + "\n"

@@ -24,13 +24,13 @@ TCP/CM transfer pushing through it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.stats import summarize
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "burstloss_spec"]
+__all__ = ["SWEEP", "run_trial", "reduce", "burstloss_spec"]
 
 #: Mean fade lengths (packets); 0 encodes the Bernoulli baseline.
 DEFAULT_BURST_LENGTHS = (0, 1, 2, 4, 8)
@@ -136,21 +136,6 @@ def run_trial(params: dict) -> dict:
     }
 
 
-def trials(
-    burst_lengths: Sequence[float] = DEFAULT_BURST_LENGTHS,
-    loss_rate: float = DEFAULT_LOSS_RATE,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (mean burst length, seed); burst 0 = Bernoulli baseline."""
-    return [
-        TrialSpec("burstloss", {"burst_length": burst, "loss_rate": loss_rate,
-                                "duration": duration, "seed": seed})
-        for burst in burst_lengths
-        for seed in seeds
-    ]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Average over seeds per burst length: the goodput-vs-burstiness curve."""
     result = ExperimentResult(
@@ -184,18 +169,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    burst_lengths: Sequence[float] = DEFAULT_BURST_LENGTHS,
-    loss_rate: float = DEFAULT_LOSS_RATE,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Sweep fade lengths and reduce to the goodput curve."""
-    specs = trials(burst_lengths=burst_lengths, loss_rate=loss_rate,
-                   duration=duration, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "burstloss",
+    axes=[("burst_length", DEFAULT_BURST_LENGTHS), ("seed", DEFAULT_SEEDS)],
+    fixed={"loss_rate": DEFAULT_LOSS_RATE, "duration": DEFAULT_DURATION},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"burst_length": (0, 4), "duration": 10.0},
+)

@@ -13,42 +13,17 @@ rows:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .base import ExperimentResult
-from .layered_common import run_layered_trial
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .layered_common import layered_params, run_layered_trial
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce"]
+__all__ = ["SWEEP", "reduce"]
 
 #: Constant-bandwidth path; the burstiness comes from the feedback batching,
 #: not from path changes.
 FLAT_SCHEDULE: Tuple[Tuple[float, float], ...] = ((0.0, 16e6),)
-
-run_trial = run_layered_trial
-
-
-def trials(
-    duration: float = 70.0,
-    ack_every_packets: int = 500,
-    ack_delay: float = 2.0,
-) -> List[TrialSpec]:
-    """A single trial: one delayed-feedback rate-callback run."""
-    return [
-        TrialSpec(
-            "figure10",
-            {
-                "mode": "rate",
-                "duration": duration,
-                "bandwidth_schedule": [list(step) for step in FLAT_SCHEDULE],
-                "ack_every_packets": ack_every_packets,
-                "ack_delay": ack_delay,
-                "thresh": 1.5,
-                "seed": 11,
-                "rate_bin": 1.0,
-            },
-        )
-    ]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -86,16 +61,12 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    duration: float = 70.0,
-    ack_every_packets: int = 500,
-    ack_delay: float = 2.0,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Run the rate-callback server with batched receiver feedback."""
-    specs = trials(duration=duration, ack_every_packets=ack_every_packets, ack_delay=ack_delay)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure10",
+    axes=(),
+    fixed=layered_params(mode="rate", duration=70.0, bandwidth_schedule=FLAT_SCHEDULE,
+                         ack_every_packets=500, ack_delay=2.0, rate_bin=1.0),
+    trial=run_layered_trial,
+    reduce=reduce,
+    smoke={"duration": 30.0},
+)

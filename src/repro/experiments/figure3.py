@@ -10,15 +10,15 @@ of each other), with TCP/CM slightly below at very low loss because of its
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.stats import summarize
 from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 from .topology import dummynet_pair_spec
 
-__all__ = ["run", "trials", "run_trial", "reduce", "DEFAULT_LOSS_RATES", "DEFAULT_SEEDS"]
+__all__ = ["SWEEP", "run_trial", "reduce", "DEFAULT_LOSS_RATES", "DEFAULT_SEEDS"]
 
 DEFAULT_SEEDS = (1, 2)
 
@@ -55,23 +55,6 @@ def run_trial(params: dict) -> float:
     return transfer_bytes / elapsed
 
 
-def trials(
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    transfer_bytes: int = 2_000_000,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (loss rate, variant, seed), in deterministic sweep order."""
-    return [
-        TrialSpec(
-            "figure3",
-            {"variant": variant, "loss": loss, "transfer_bytes": transfer_bytes, "seed": seed},
-        )
-        for loss in loss_rates
-        for variant in ("cm", "linux")
-        for seed in seeds
-    ]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Average the per-seed throughputs into the Figure 3 table with error bars."""
     result = ExperimentResult(
@@ -102,21 +85,13 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    transfer_bytes: int = 2_000_000,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Sweep loss rates and measure both sender variants.
-
-    ``seeds`` controls how many independent loss patterns are averaged per
-    point; the paper's curves are single runs, a few seeds smooth the worst
-    of the variance and feed the stddev/CI columns.
-    """
-    specs = trials(loss_rates=loss_rates, transfer_bytes=transfer_bytes, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure3",
+    # Several seeds average independent loss patterns per point and feed the
+    # stddev/CI columns; the paper's curves are single runs.
+    axes=[("loss", DEFAULT_LOSS_RATES), ("variant", ("cm", "linux")), ("seed", DEFAULT_SEEDS)],
+    fixed={"transfer_bytes": 2_000_000},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"loss": (0.0, 0.01, 0.03), "transfer_bytes": 200_000},
+)

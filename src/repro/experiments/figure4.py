@@ -7,20 +7,20 @@ worst-case difference is 0.5 %, attributable to the CM's 1-MTU initial
 window rather than CPU overhead, and at gigabyte scale the two are equal.
 
 Each trial runs the registry ``bulk`` app on the LAN pair; Figure 5 reduces
-the same trials (and so the same cache entries) to CPU utilisation.
+the same trial outcomes to CPU utilisation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..apps.bulk import BulkResult
 from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 from .topology import lan_pair_spec
 
-__all__ = ["run", "trials", "run_trial", "reduce", "DEFAULT_BUFFER_COUNTS"]
+__all__ = ["SWEEP", "run_trial", "reduce", "DEFAULT_BUFFER_COUNTS"]
 
 #: Buffer counts swept by default.  The paper goes to 10^6 buffers (1.45 GB);
 #: the default here stops at 10^5 to keep the harness runnable in minutes on
@@ -42,27 +42,6 @@ def run_trial(params: dict) -> dict:
         stop=StopSpec(until=3600.0),
     )
     return run_scenario(spec, seed=params["seed"]).app("ttcp")["metrics"]
-
-
-def trials(
-    buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
-    seed: int = 7,
-) -> List[TrialSpec]:
-    """One trial per (buffer count, variant); shared with Figure 5 via the cache."""
-    return [
-        TrialSpec(
-            "figure4",
-            {
-                "variant": variant,
-                "nbuffers": nbuffers,
-                "seed": seed,
-                "buffer_size": BUFFER_SIZE,
-                "receive_window": RECEIVE_WINDOW,
-            },
-        )
-        for nbuffers in buffer_counts
-        for variant in ("linux", "cm")
-    ]
 
 
 def _group_by_buffers(outcomes: Sequence[TrialOutcome]) -> Dict[int, Dict[str, BulkResult]]:
@@ -101,13 +80,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Produce the Figure 4 throughput table."""
-    return reduce(run_trials(trials(buffer_counts), jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure4",
+    axes=[("nbuffers", DEFAULT_BUFFER_COUNTS), ("variant", ("linux", "cm"))],
+    fixed={"seed": 7, "buffer_size": BUFFER_SIZE, "receive_window": RECEIVE_WINDOW},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"nbuffers": (1_000, 5_000)},
+)

@@ -8,22 +8,14 @@ points) for long connections.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
+from . import figure4
 from .base import ExperimentResult
-from .figure4 import DEFAULT_BUFFER_COUNTS, _group_by_buffers
-from .figure4 import trials as figure4_trials
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .figure4 import _group_by_buffers
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "reduce"]
-
-
-def trials(
-    buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
-    seed: int = 7,
-) -> List[TrialSpec]:
-    """Figure 5 shares Figure 4's trials (and therefore its cache entries)."""
-    return figure4_trials(buffer_counts, seed=seed)
+__all__ = ["SWEEP", "reduce"]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -49,13 +41,5 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    buffer_counts: Sequence[int] = DEFAULT_BUFFER_COUNTS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Produce the Figure 5 CPU-utilisation table."""
-    return reduce(run_trials(trials(buffer_counts), jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+#: Figure 5 reads Figure 4's trials: one run of both reduces the same outcomes.
+SWEEP = Sweep("figure5", axes=(), fixed={}, trial=figure4.SWEEP, reduce=reduce)

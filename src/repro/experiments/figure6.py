@@ -15,15 +15,15 @@ and process its acknowledgement.  The reproducible claims:
 from __future__ import annotations
 
 from dataclasses import asdict, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..apps.alfapp import ApiOverheadResult, TCP_VARIANTS, UDP_VARIANTS
 from ..scenario import AppSpec, StopSpec, run as run_scenario
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 from .topology import lan_pair_spec
 
-__all__ = ["run", "trials", "run_trial", "reduce", "run_variant", "DEFAULT_PACKET_SIZES", "ALL_VARIANTS"]
+__all__ = ["SWEEP", "run_trial", "reduce", "run_variant", "DEFAULT_PACKET_SIZES", "ALL_VARIANTS"]
 
 DEFAULT_PACKET_SIZES = (168, 400, 700, 1000, 1400)
 ALL_VARIANTS = UDP_VARIANTS + TCP_VARIANTS
@@ -55,23 +55,6 @@ def run_trial(params: dict) -> dict:
         seed=params["seed"],
     )
     return asdict(outcome)
-
-
-def trials(
-    packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
-    variants: Sequence[str] = ALL_VARIANTS,
-    npackets: int = 2000,
-    seed: int = 0,
-) -> List[TrialSpec]:
-    """One trial per (packet size, variant) cell of the Figure 6 matrix."""
-    return [
-        TrialSpec(
-            "figure6",
-            {"variant": variant, "packet_size": size, "npackets": npackets, "seed": seed},
-        )
-        for size in packet_sizes
-        for variant in variants
-    ]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -110,16 +93,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
-    variants: Sequence[str] = ALL_VARIANTS,
-    npackets: int = 2000,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Produce the Figure 6 matrix of per-packet costs."""
-    specs = trials(packet_sizes=packet_sizes, variants=variants, npackets=npackets)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure6",
+    axes=[("packet_size", DEFAULT_PACKET_SIZES), ("variant", ALL_VARIANTS)],
+    fixed={"npackets": 2000, "seed": 0},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"packet_size": (168, 1400), "npackets": 300},
+)

@@ -13,15 +13,15 @@ Linux's 2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.stats import summarize
 from ..scenario import AppSpec, StopSpec, build, run_built
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 from .topology import wan_pair_spec
 
-__all__ = ["run", "trials", "run_trial", "reduce"]
+__all__ = ["SWEEP", "run_trial", "reduce"]
 
 FILE_SIZE = 128 * 1024
 N_REQUESTS = 9
@@ -47,29 +47,6 @@ def run_trial(params: dict) -> List[float]:
     run_built(scenario)
     # In seconds and unrounded: the web_client metrics report milliseconds.
     return [fetch.duration for fetch in scenario.apps[1].client.fetches]
-
-
-def trials(
-    file_size: int = FILE_SIZE,
-    n_requests: int = N_REQUESTS,
-    spacing: float = REQUEST_SPACING,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (variant, seed); each yields the full request train."""
-    return [
-        TrialSpec(
-            "figure7",
-            {
-                "variant": variant,
-                "file_size": file_size,
-                "n_requests": n_requests,
-                "spacing": spacing,
-                "seed": seed,
-            },
-        )
-        for variant in ("cm", "linux")
-        for seed in seeds
-    ]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -111,20 +88,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    file_size: int = FILE_SIZE,
-    n_requests: int = N_REQUESTS,
-    spacing: float = REQUEST_SPACING,
-    seed: int = 3,
-    seeds: Optional[Sequence[int]] = None,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Time every request for both server variants (averaged over ``seeds``)."""
-    if seeds is None:
-        seeds = (seed,)
-    specs = trials(file_size=file_size, n_requests=n_requests, spacing=spacing, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure7",
+    axes=[("variant", ("cm", "linux")), ("seed", DEFAULT_SEEDS)],
+    fixed={"file_size": FILE_SIZE, "n_requests": N_REQUESTS, "spacing": REQUEST_SPACING},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"file_size": 64 * 1024, "n_requests": 5},
+)

@@ -11,38 +11,14 @@ imposed bandwidth changes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..analysis import oscillation_count
 from .base import ExperimentResult
-from .layered_common import DEFAULT_BANDWIDTH_SCHEDULE, run_layered_trial
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .layered_common import layered_params, run_layered_trial
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce"]
-
-run_trial = run_layered_trial
-
-
-def trials(
-    duration: float = 20.0,
-    bandwidth_schedule: Sequence[Tuple[float, float]] = DEFAULT_BANDWIDTH_SCHEDULE,
-) -> List[TrialSpec]:
-    """A single trial: one rate-callback layered-streaming run."""
-    return [
-        TrialSpec(
-            "figure9",
-            {
-                "mode": "rate",
-                "duration": duration,
-                "bandwidth_schedule": [list(step) for step in bandwidth_schedule],
-                "ack_every_packets": 1,
-                "ack_delay": None,
-                "thresh": 1.5,
-                "seed": 11,
-                "rate_bin": 0.5,
-            },
-        )
-    ]
+__all__ = ["SWEEP", "reduce"]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -74,15 +50,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    duration: float = 20.0,
-    bandwidth_schedule: Sequence[Tuple[float, float]] = DEFAULT_BANDWIDTH_SCHEDULE,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Run the rate-callback layered server and report its rate time-series."""
-    specs = trials(duration=duration, bandwidth_schedule=bandwidth_schedule)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "figure9",
+    axes=(),
+    fixed=layered_params(mode="rate", duration=20.0),
+    trial=run_layered_trial,
+    reduce=reduce,
+    smoke={"duration": 10.0},
+)

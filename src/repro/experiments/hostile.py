@@ -21,14 +21,14 @@ separate sinks so the blast never shares a macroflow with the transfers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis import jain_fairness
 from ..analysis.stats import summarize
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "hostile_spec"]
+__all__ = ["SWEEP", "run_trial", "reduce", "hostile_spec"]
 
 #: Blast rate as a fraction of the bottleneck rate.  1.25 overdrives the
 #: hop: the hog alone can fill the queue, the worst case for the CM flows.
@@ -138,20 +138,6 @@ def run_trial(params: dict) -> dict:
     }
 
 
-def trials(
-    blast_fractions: Sequence[float] = DEFAULT_BLAST_FRACTIONS,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (blast fraction, seed)."""
-    return [
-        TrialSpec("hostile", {"blast_fraction": fraction, "duration": duration,
-                              "seed": seed})
-        for fraction in blast_fractions
-        for seed in seeds
-    ]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Average over seeds per blast fraction and tabulate the shares."""
     result = ExperimentResult(
@@ -186,16 +172,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    blast_fractions: Sequence[float] = DEFAULT_BLAST_FRACTIONS,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Sweep blast rates and reduce to the fairness/share table."""
-    specs = trials(blast_fractions=blast_fractions, duration=duration, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "hostile",
+    axes=[("blast_fraction", DEFAULT_BLAST_FRACTIONS), ("seed", DEFAULT_SEEDS)],
+    fixed={"duration": DEFAULT_DURATION},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"blast_fraction": (0.0, 0.5), "duration": 8.0},
+)

@@ -15,7 +15,7 @@ from typing import Tuple
 from ..scenario import AppSpec, StopSpec, build, run_built
 from .topology import wan_pair_spec
 
-__all__ = ["run_layered_trial", "DEFAULT_BANDWIDTH_SCHEDULE"]
+__all__ = ["run_layered_trial", "layered_params", "DEFAULT_BANDWIDTH_SCHEDULE"]
 
 #: (time, bandwidth in bits/s) steps applied to the path during the run;
 #: chosen so the best sustainable rate crosses several of the default layer
@@ -27,11 +27,18 @@ DEFAULT_BANDWIDTH_SCHEDULE: Tuple[Tuple[float, float], ...] = (
 )
 
 
+def layered_params(mode: str, duration: float, **changes) -> dict:
+    """Every knob of :func:`run_layered_trial`: Figure 8's and 9's defaults plus ``changes``."""
+    return {"mode": mode, "duration": duration, "bandwidth_schedule": DEFAULT_BANDWIDTH_SCHEDULE,
+            "ack_every_packets": 1, "ack_delay": None, "thresh": 1.5, "seed": 11, "rate_bin": 0.5,
+            **changes}
+
+
 def run_layered_trial(params: dict) -> dict:
     """One layered-streaming run over the WAN pair (Figures 8-10).
 
-    ``params`` carries every knob that affects the run, so the trial cache
-    key fully determines the result: the adaptation ``mode``, the run
+    ``params`` carries every knob that affects the run, so the params fully
+    determine the result: the adaptation ``mode``, the run
     ``duration``, the ``bandwidth_schedule`` (the link's ``rate_schedule``),
     the receiver's feedback batching (``ack_every_packets``, ``ack_delay``),
     ``thresh``, ``seed`` and ``rate_bin``.  The series come from the

@@ -1,25 +1,12 @@
-"""Registry mapping experiment names to their trials/trial/reduce triples.
+"""Every experiment the CLI runs, as its module's :class:`~.sweep.Sweep`, in ``all`` order.
 
-Each registered experiment follows the contract documented in
-``docs/parallel_runner.md``:
-
-* ``trials(**kwargs) -> list[TrialSpec]`` — pure enumeration of the
-  independent work units, in deterministic order;
-* ``trial(params) -> JSON-able`` — execute one spec (this is what pool
-  workers call, looked up by ``TrialSpec.experiment``);
-* ``reduce(outcomes) -> ExperimentResult`` — deterministic merge of the
-  outcomes in spec order.
-
-``supports_seeds`` marks experiments whose ``trials()`` accepts a ``seeds``
-keyword (the CLI's ``--seeds N`` maps to ``seeds=(1..N)`` for those);
-``smoke`` holds reduced-workload keyword arguments used by ``--smoke`` runs
-in CI.
+Trial workers resolve ``TrialSpec.experiment`` here to the sweep whose
+``trial`` runs it; the contract is documented in ``docs/parallel_runner.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict
 
 from . import (
     ablations,
@@ -38,200 +25,21 @@ from . import (
     table1,
     timeseries,
 )
-from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec
+from .sweep import Sweep
 
-__all__ = ["ExperimentSpec", "SPECS", "get_spec", "register", "unregister"]
+__all__ = ["SWEEPS", "get_sweep"]
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything the runner needs to shard, execute and merge one experiment."""
-
-    name: str
-    trials: Callable[..., List[TrialSpec]]
-    trial: Callable[[dict], Any]
-    reduce: Callable[[Sequence[TrialOutcome]], ExperimentResult]
-    run: Callable[..., ExperimentResult]
-    supports_seeds: bool = False
-    smoke: Dict[str, Any] = field(default_factory=dict)
+SWEEPS: Dict[str, Sweep] = {
+    module.SWEEP.name: module.SWEEP
+    for module in (
+        figure3, figure4, figure5, figure6, table1, figure7, figure8, figure9, figure10,
+        ablations, timeseries, scale, hostile, burstloss, aggressiveness,
+    )
+}
 
 
-SPECS: Dict[str, ExperimentSpec] = {}
-
-
-def register(spec: ExperimentSpec) -> None:
-    """Add (or replace) an experiment spec; tests use this for fakes."""
-    SPECS[spec.name] = spec
-
-
-def unregister(name: str) -> Optional[ExperimentSpec]:
-    """Remove a spec (no-op if absent); returns whatever was removed."""
-    return SPECS.pop(name, None)
-
-
-def get_spec(name: str) -> ExperimentSpec:
-    """Look up a spec by name; raises KeyError with the known names."""
-    if name not in SPECS:
-        raise KeyError(f"unknown experiment {name!r}; choose from {sorted(SPECS)}")
-    return SPECS[name]
-
-
-register(
-    ExperimentSpec(
-        name="figure3",
-        trials=figure3.trials,
-        trial=figure3.run_trial,
-        reduce=figure3.reduce,
-        run=figure3.run,
-        supports_seeds=True,
-        smoke={"loss_rates": (0.0, 0.01, 0.03), "transfer_bytes": 200_000},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure4",
-        trials=figure4.trials,
-        trial=figure4.run_trial,
-        reduce=figure4.reduce,
-        run=figure4.run,
-        smoke={"buffer_counts": (1_000, 5_000)},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure5",
-        trials=figure5.trials,
-        # Figure 5 shares Figure 4's trials; its specs carry
-        # experiment="figure4", so workers resolve to figure4.run_trial and
-        # the cache entries are shared between the two figures.
-        trial=figure4.run_trial,
-        reduce=figure5.reduce,
-        run=figure5.run,
-        smoke={"buffer_counts": (1_000, 5_000)},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure6",
-        trials=figure6.trials,
-        trial=figure6.run_trial,
-        reduce=figure6.reduce,
-        run=figure6.run,
-        smoke={"packet_sizes": (168, 1400), "npackets": 300},
-    )
-)
-register(
-    ExperimentSpec(
-        name="table1",
-        trials=table1.trials,
-        trial=table1.run_trial,
-        reduce=table1.reduce,
-        run=table1.run,
-        smoke={"packet_size": 700, "npackets": 250},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure7",
-        trials=figure7.trials,
-        trial=figure7.run_trial,
-        reduce=figure7.reduce,
-        run=figure7.run,
-        supports_seeds=True,
-        smoke={"file_size": 64 * 1024, "n_requests": 5},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure8",
-        trials=figure8.trials,
-        trial=figure8.run_trial,
-        reduce=figure8.reduce,
-        run=figure8.run,
-        smoke={"duration": 12.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure9",
-        trials=figure9.trials,
-        trial=figure9.run_trial,
-        reduce=figure9.reduce,
-        run=figure9.run,
-        smoke={"duration": 10.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="figure10",
-        trials=figure10.trials,
-        trial=figure10.run_trial,
-        reduce=figure10.reduce,
-        run=figure10.run,
-        smoke={"duration": 30.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="ablations",
-        trials=ablations.trials,
-        trial=ablations.run_trial,
-        reduce=ablations.reduce,
-        run=ablations.run,
-    )
-)
-register(
-    ExperimentSpec(
-        name="timeseries",
-        trials=timeseries.trials,
-        trial=timeseries.run_trial,
-        reduce=timeseries.reduce,
-        run=timeseries.run,
-        smoke={"duration": 6.0, "sample_interval": 0.5},
-    )
-)
-register(
-    ExperimentSpec(
-        name="scale",
-        trials=scale.trials,
-        trial=scale.run_trial,
-        reduce=scale.reduce,
-        run=scale.run,
-        supports_seeds=True,
-        smoke={"host_counts": (2, 4), "duration": 6.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="hostile",
-        trials=hostile.trials,
-        trial=hostile.run_trial,
-        reduce=hostile.reduce,
-        run=hostile.run,
-        supports_seeds=True,
-        smoke={"blast_fractions": (0.0, 0.5), "duration": 8.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="burstloss",
-        trials=burstloss.trials,
-        trial=burstloss.run_trial,
-        reduce=burstloss.reduce,
-        run=burstloss.run,
-        supports_seeds=True,
-        smoke={"burst_lengths": (0, 4), "duration": 10.0},
-    )
-)
-register(
-    ExperimentSpec(
-        name="aggressiveness",
-        trials=aggressiveness.trials,
-        trial=aggressiveness.run_trial,
-        reduce=aggressiveness.reduce,
-        run=aggressiveness.run,
-        supports_seeds=True,
-        smoke={"ensemble_sizes": (2, 4), "duration": 8.0},
-    )
-)
+def get_sweep(name: str) -> Sweep:
+    """Look up a sweep by name; raises KeyError with the known names."""
+    if name not in SWEEPS:
+        raise KeyError(f"unknown experiment {name!r}; choose from {sorted(SWEEPS)}")
+    return SWEEPS[name]

@@ -1,19 +1,19 @@
 """Command-line runner for the reproduction experiments.
 
-Usage (installed as the ``cm-experiments`` console script)::
+Usage::
 
-    cm-experiments figure3
-    cm-experiments figure3 --seeds 5 --jobs 4 --json-dir out/
-    cm-experiments figure7 figure8 --jobs 2
-    cm-experiments all
-    python -m repro.experiments table1
+    python -m repro.experiments figure3
+    python -m repro.experiments figure3 --seeds 5 --jobs 4 --json-dir out/
+    python -m repro.experiments figure7 figure8 --jobs 2
+    python -m repro.experiments all
 
 Each experiment prints the table/series it reproduces plus notes comparing
 against the paper's reported behaviour.  Trials shard across ``--jobs``
-worker processes and are memoized in a content-addressed on-disk cache
-(``--cache-dir``, disable with ``--no-cache``); ``--json-dir`` writes the
-deterministic JSON artifact plus a ``.meta.json`` provenance sidecar per
-experiment.  See ``docs/parallel_runner.md`` for the trial/reduce contract.
+worker processes; within one invocation each distinct trial list runs once
+and every experiment that reads it reduces the same outcomes (``figure5``
+reads ``figure4``'s).  ``--json-dir`` writes the deterministic JSON artifact
+plus a ``.meta.json`` provenance sidecar per experiment.  See
+``docs/parallel_runner.md`` for the sweep contract.
 """
 
 from __future__ import annotations
@@ -22,63 +22,62 @@ import argparse
 import sys
 import time
 import traceback
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import artifacts
 from .base import ExperimentResult
-from .parallel import TrialCache, run_trials
-from .registry import SPECS, get_spec
+from .registry import SWEEPS, get_sweep
+from .sweep import Sweep, TrialOutcome, canonical_json, run_trials
 
-__all__ = ["DEFAULT_CACHE_DIR", "run_experiment", "main"]
-
-#: Default location of the content-addressed trial cache (relative to CWD).
-DEFAULT_CACHE_DIR = ".cm-trial-cache"
+__all__ = ["run_experiment", "main"]
 
 
-def run_experiment(
-    name: str,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Optional[TrialCache] = None,
-    smoke: bool = False,
-    verbose: bool = True,
-) -> ExperimentResult:
-    """Run a single experiment by name through the sharded trial layer.
+def run_experiment(name: str, jobs: int = 1, smoke: bool = False, **overrides) -> ExperimentResult:
+    """Run one experiment by name: its sweep's trials on ``jobs`` workers, reduced.
 
-    ``seeds`` is honoured by seed-aware experiments (figure3, figure7,
-    aggressiveness) and ignored by the rest; ``jobs`` shards trials across
-    worker processes; ``cache`` memoizes trial results on disk.  The returned
-    result carries provenance (seeds, jobs, git rev, wall clock, cache
-    counters) that :func:`repro.experiments.artifacts.write_artifacts`
-    records in the ``.meta.json`` sidecar.
+    ``smoke`` selects the sweep's reduced workload; each override replaces
+    an axis's values or a fixed param by name (``seed=(1, 2, 3)``).  The
+    result carries provenance (seeds, jobs, git rev, wall clock) that
+    :func:`repro.experiments.artifacts.write_artifacts` records in the
+    ``.meta.json`` sidecar.
     """
-    spec = get_spec(name)
-    progress = (lambda msg: print(f"  [{name}] {msg}", file=sys.stderr)) if verbose else None
-    kwargs = dict(spec.smoke) if smoke else {}
-    if seeds is not None and spec.supports_seeds:
-        kwargs["seeds"] = tuple(seeds)
-    trial_specs = spec.trials(**kwargs)
+    return _run(get_sweep(name), jobs, smoke, overrides, {}, quiet=True)
+
+
+def _run(
+    sweep: Sweep,
+    jobs: int,
+    smoke: bool,
+    overrides: dict,
+    ran: Dict[str, List[TrialOutcome]],
+    quiet: bool,
+) -> ExperimentResult:
+    """Reduce ``sweep``'s trials; ``ran`` holds the outcomes of every trial list run so far."""
     started = time.perf_counter()
-    outcomes = run_trials(trial_specs, jobs=jobs, cache=cache, progress=progress)
-    result = spec.reduce(outcomes)
+    specs = sweep.trials(smoke=smoke, **overrides)
+    key = canonical_json([[spec.experiment, spec.params] for spec in specs])
+    if key not in ran:
+        progress = None if quiet else (lambda msg: print(f"  [{sweep.name}] {msg}", file=sys.stderr))
+        ran[key] = run_trials(specs, jobs=jobs, progress=progress)
+    result = sweep.reduce(ran[key])
+    seeds = sorted({spec.params["seed"] for spec in specs if "seed" in spec.params})
     result.provenance = artifacts.build_provenance(
-        experiment=name,
-        seeds=seeds,
+        experiment=sweep.name,
+        seeds=seeds or None,
         jobs=jobs,
         wall_clock_s=time.perf_counter() - started,
-        n_trials=len(trial_specs),
-        n_cached=sum(1 for outcome in outcomes if outcome.cached),
+        n_trials=len(specs),
     )
     return result
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``cm-experiments`` script."""
+    """Entry point for ``python -m repro.experiments``."""
     parser = argparse.ArgumentParser(description="Reproduce the Congestion Manager paper's evaluation")
     parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment names (figure3..figure10, table1, ablations, timeseries) or 'all'",
+        help=f"experiment names ({', '.join(SWEEPS)}) or 'all'",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     parser.add_argument(
@@ -86,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="average seed-aware experiments over seeds 1..N (others ignore this)",
+        help="run the experiments that sweep a seed over seeds 1..N (others ignore this)",
     )
     parser.add_argument(
         "--jobs",
@@ -101,13 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         help="write <name>.json artifacts plus <name>.meta.json provenance sidecars to DIR",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"content-addressed trial cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument("--no-cache", action="store_true", help="disable the on-disk trial cache")
     parser.add_argument(
         "--store",
         default=None,
@@ -126,26 +118,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    seeds = tuple(range(1, args.seeds + 1)) if args.seeds is not None else None
-    cache = None if args.no_cache else TrialCache(args.cache_dir)
-
-    names = list(SPECS) if "all" in args.experiments else args.experiments
+    names = list(SWEEPS) if "all" in args.experiments else args.experiments
+    ran: Dict[str, List[TrialOutcome]] = {}
     exit_code = 0
     for name in names:
-        if name not in SPECS:
+        if name not in SWEEPS:
             print(f"unknown experiment: {name}", file=sys.stderr)
             exit_code = 2
             continue
+        sweep = SWEEPS[name]
+        overrides = {}
+        if args.seeds is not None and sweep.varies("seed"):
+            overrides["seed"] = tuple(range(1, args.seeds + 1))
         started = time.time()
         try:
-            result = run_experiment(
-                name,
-                seeds=seeds,
-                jobs=args.jobs,
-                cache=cache,
-                smoke=args.smoke,
-                verbose=not args.quiet,
-            )
+            result = _run(sweep, args.jobs, args.smoke, overrides, ran, args.quiet)
         except Exception:
             # One broken experiment must not take down the rest of an
             # ``all`` run: report it, flag the exit code, keep going.
@@ -163,13 +150,4 @@ def main(argv: Optional[List[str]] = None) -> int:
             artifacts.register_artifact(result, source=f"{name}.json", store=args.store)
             print(f"(registered {name} in {args.store})", file=sys.stderr)
         print(f"({name} completed in {time.time() - started:.1f}s wall clock)\n")
-    if cache is not None and not args.quiet:
-        print(
-            f"trial cache: {cache.hits} hits, {cache.misses} misses ({args.cache_dir})",
-            file=sys.stderr,
-        )
     return exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    raise SystemExit(main())

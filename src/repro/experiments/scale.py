@@ -20,14 +20,14 @@ ROADMAP-level acceptance bar is >= 0.9 with 16 hosts of churning flows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis import jain_fairness
 from ..analysis.stats import summarize
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "scale_spec"]
+__all__ = ["SWEEP", "run_trial", "reduce", "scale_spec"]
 
 DEFAULT_HOST_COUNTS = (4, 8, 16)
 DEFAULT_SEEDS = (1,)
@@ -138,19 +138,6 @@ def run_trial(params: dict) -> dict:
     }
 
 
-def trials(
-    host_counts: Sequence[int] = DEFAULT_HOST_COUNTS,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-) -> List[TrialSpec]:
-    """One trial per (host count, seed)."""
-    return [
-        TrialSpec("scale", {"n_hosts": n, "duration": duration, "seed": seed})
-        for n in host_counts
-        for seed in seeds
-    ]
-
-
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     """Average the fairness index over seeds per host count and tabulate."""
     result = ExperimentResult(
@@ -183,16 +170,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    host_counts: Sequence[int] = DEFAULT_HOST_COUNTS,
-    duration: float = DEFAULT_DURATION,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Sweep host counts and reduce to the fairness table."""
-    specs = trials(host_counts=host_counts, duration=duration, seeds=seeds)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "scale",
+    axes=[("n_hosts", DEFAULT_HOST_COUNTS), ("seed", DEFAULT_SEEDS)],
+    fixed={"duration": DEFAULT_DURATION},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"n_hosts": (2, 4), "duration": 6.0},
+)

@@ -16,13 +16,13 @@ step from one API to the next.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from .base import ExperimentResult
 from .figure6 import run_variant
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "TRACKED_OPERATIONS"]
+__all__ = ["SWEEP", "run_trial", "reduce", "TRACKED_OPERATIONS"]
 
 #: Ledger operations that appear in the paper's Table 1.
 TRACKED_OPERATIONS = ("ioctl", "select_call", "recv_call", "gettimeofday", "send_call")
@@ -35,18 +35,6 @@ def run_trial(params: dict) -> Dict[str, float]:
     """Per-packet operation counts for one API; pure function of ``params``."""
     outcome = run_variant(params["api"], params["packet_size"], npackets=params["npackets"])
     return {op: outcome.ops_per_packet(op) for op in TRACKED_OPERATIONS}
-
-
-def trials(
-    packet_size: int = 1000,
-    npackets: int = 1000,
-    apis: Sequence[str] = API_ORDER,
-) -> List[TrialSpec]:
-    """One trial per measured API."""
-    return [
-        TrialSpec("table1", {"api": api, "packet_size": packet_size, "npackets": npackets})
-        for api in apis
-    ]
 
 
 def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
@@ -80,16 +68,11 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    packet_size: int = 1000,
-    npackets: int = 1000,
-    apis: Sequence[str] = API_ORDER,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Measure per-packet operation counts for each API."""
-    specs = trials(packet_size=packet_size, npackets=npackets, apis=apis)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "table1",
+    axes=[("api", API_ORDER)],
+    fixed={"packet_size": 1000, "npackets": 1000},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"packet_size": 700, "npackets": 250},
+)

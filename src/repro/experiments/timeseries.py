@@ -19,42 +19,18 @@ byte-stable per (preset, seed) like every other experiment artifact.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .base import ExperimentResult
-from .parallel import TrialOutcome, TrialSpec, run_trials
+from .sweep import Sweep, TrialOutcome
 
-__all__ = ["run", "trials", "run_trial", "reduce", "PRESET_NAMES"]
+__all__ = ["SWEEP", "run_trial", "reduce", "PRESET_NAMES"]
 
 #: The presets whose time series this experiment reproduces.
 PRESET_NAMES = ("dumbbell_bulk", "libcm_select_streaming")
 
 #: Event probes recorded alongside the sampled series.
 _EVENTS = ("cm.congestion", "packet.drop")
-
-
-def trials(
-    duration: Optional[float] = None,
-    sample_interval: float = 0.25,
-) -> List[TrialSpec]:
-    """One trial per preset.
-
-    ``duration`` overrides each preset's stop horizon (``None`` keeps it);
-    ``sample_interval`` is the telemetry sampling cadence.  Both appear in
-    the params explicitly — the cache contract forbids hidden defaults.
-    """
-    return [
-        TrialSpec(
-            "timeseries",
-            {
-                "preset": preset,
-                "duration": duration,
-                "sample_interval": sample_interval,
-                "events": list(_EVENTS),
-            },
-        )
-        for preset in PRESET_NAMES
-    ]
 
 
 def run_trial(params: dict) -> dict:
@@ -106,15 +82,13 @@ def reduce(outcomes: Sequence[TrialOutcome]) -> ExperimentResult:
     return result
 
 
-def run(
-    duration: Optional[float] = None,
-    sample_interval: float = 0.25,
-    progress: Optional[callable] = None,
-) -> ExperimentResult:
-    """Run both presets and bundle their telemetry time series."""
-    specs = trials(duration=duration, sample_interval=sample_interval)
-    return reduce(run_trials(specs, jobs=1, progress=progress))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    print(run().to_text())
+SWEEP = Sweep(
+    "timeseries",
+    axes=[("preset", PRESET_NAMES)],
+    # ``duration`` overrides each preset's stop horizon (None keeps it);
+    # ``sample_interval`` is the telemetry sampling cadence.
+    fixed={"duration": None, "sample_interval": 0.25, "events": _EVENTS},
+    trial=run_trial,
+    reduce=reduce,
+    smoke={"duration": 6.0, "sample_interval": 0.5},
+)

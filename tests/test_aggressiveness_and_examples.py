@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import aggressiveness
+from repro.experiments.runner import run_experiment
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -28,7 +29,7 @@ class TestAggressiveness:
         assert independent["ensemble_bytes"] > 0
 
     def test_result_table_shape(self):
-        result = aggressiveness.run(ensemble_sizes=(2,), duration=4.0)
+        result = run_experiment("aggressiveness", n=(2,), duration=4.0)
         assert result.columns[0] == "ensemble_size"
         assert len(result.rows) == 1
         assert 0.0 < result.rows[0][1] <= 1.0

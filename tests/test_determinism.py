@@ -8,20 +8,20 @@ no matter how the OS schedules the workers).
 """
 
 from repro.experiments import figure3, table1
-from repro.experiments.parallel import TrialCache, run_trials
 from repro.experiments.runner import run_experiment
+from repro.experiments.sweep import run_trials
 
-FIGURE3_SMALL = dict(loss_rates=(0.0, 0.02), transfer_bytes=120_000, seeds=(1, 2))
+FIGURE3_SMALL = dict(loss=(0.0, 0.02), transfer_bytes=120_000, seed=(1, 2))
 TABLE1_SMALL = dict(packet_size=400, npackets=120)
 
 
-def _figure3_json(jobs, cache=None):
-    outcomes = run_trials(figure3.trials(**FIGURE3_SMALL), jobs=jobs, cache=cache)
+def _figure3_json(jobs):
+    outcomes = run_trials(figure3.SWEEP.trials(**FIGURE3_SMALL), jobs=jobs)
     return figure3.reduce(outcomes).to_json()
 
 
-def _table1_json(jobs, cache=None):
-    outcomes = run_trials(table1.trials(**TABLE1_SMALL), jobs=jobs, cache=cache)
+def _table1_json(jobs):
+    outcomes = run_trials(table1.SWEEP.trials(**TABLE1_SMALL), jobs=jobs)
     return table1.reduce(outcomes).to_json()
 
 
@@ -59,67 +59,12 @@ class TestScenarioRerunDeterminism:
         assert traces[0], "trace file must not be empty"
 
 
-class TestCacheTransparency:
-    def test_warm_cache_reproduces_cold_json(self, tmp_path):
-        cache = TrialCache(str(tmp_path / "trials"))
-        specs = figure3.trials(loss_rates=(0.02,), transfer_bytes=100_000, seeds=(1, 2))
-
-        cold = figure3.reduce(run_trials(specs, jobs=2, cache=cache)).to_json()
-        assert cache.hits == 0 and cache.misses == len(specs)
-
-        warm = figure3.reduce(run_trials(specs, jobs=1, cache=cache)).to_json()
-        assert cache.hits == len(specs)
-        assert warm == cold
-
-        # Without the cache the result is still the same bytes: the cache is
-        # an invisible optimization, never a source of truth.
-        uncached = figure3.reduce(run_trials(specs, jobs=1)).to_json()
-        assert uncached == cold
-
-    def test_cache_outcomes_flagged(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        specs = table1.trials(packet_size=400, npackets=80, apis=("tcp_cm",))
-        first = run_trials(specs, jobs=1, cache=cache)
-        second = run_trials(specs, jobs=1, cache=cache)
-        assert [outcome.cached for outcome in first] == [False]
-        assert [outcome.cached for outcome in second] == [True]
-
-    def test_code_change_invalidates_cache(self, tmp_path, monkeypatch):
-        from repro.experiments import parallel
-
-        cache = TrialCache(str(tmp_path))
-        specs = table1.trials(packet_size=400, npackets=80, apis=("tcp_cm",))
-        run_trials(specs, jobs=1, cache=cache)
-        assert run_trials(specs, jobs=1, cache=cache)[0].cached is True
-        # Simulate an edit to the repro sources: the fingerprint changes, so
-        # entries computed under the old code must stop matching.
-        monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", "0" * 64)
-        assert run_trials(specs, jobs=1, cache=cache)[0].cached is False
-
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        specs = table1.trials(packet_size=400, npackets=80, apis=("tcp_cm",))
-        baseline = run_trials(specs, jobs=1, cache=cache)[0].value
-        path = cache._path(specs[0])
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{truncated")
-        again = run_trials(specs, jobs=1, cache=cache)[0]
-        assert again.cached is False
-        assert again.value == baseline
-
-
 class TestRunnerDeterminism:
-    def test_run_experiment_provenance_and_determinism(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        first = run_experiment(
-            "figure3", seeds=(1, 2), jobs=2, cache=cache, smoke=True, verbose=False
-        )
-        second = run_experiment(
-            "figure3", seeds=(1, 2), jobs=1, cache=cache, smoke=True, verbose=False
-        )
+    def test_run_experiment_provenance_and_determinism(self):
+        first = run_experiment("figure3", jobs=2, smoke=True, seed=(1, 2))
+        second = run_experiment("figure3", jobs=1, smoke=True, seed=(1, 2))
         assert first.to_json() == second.to_json()
-        assert first.provenance["trials_from_cache"] == 0
-        assert second.provenance["trials_from_cache"] == second.provenance["trials"]
+        assert second.provenance["trials"] == 12
         assert second.provenance["jobs"] == 1
         assert second.provenance["seeds"] == [1, 2]
         assert first.provenance["experiment"] == "figure3"

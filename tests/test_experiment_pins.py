@@ -2,7 +2,7 @@
 
 ``tests/golden/PINS.json`` maps each ``<name>.json`` written by::
 
-    python -m repro.experiments all --smoke --seeds 3 --no-cache --json-dir DIR
+    python -m repro.experiments all --smoke --seeds 3 --json-dir DIR
 
 to its sha256 and length.  A change that moves any experiment's numbers,
 rows, notes or serialisation moves a pin here; a refactor that claims to be
@@ -13,10 +13,11 @@ canonical JSON of ``[[experiment, params], ...]``, both at the defaults and
 under ``--smoke``.  The default sweeps are too long to run here, so this is
 what holds their parameters and their order.
 
-The other tests are the in-process twins of the CLI smoke runs: the trial
-cache is transparent and a warm re-run is served from it, ``--jobs 2`` and
-``--jobs 1`` write the same bytes, ``--store`` registers what was written,
-and the scale sweep reports a fairness index for every host count.
+The other tests are the in-process twins of the CLI smoke runs: one ``all``
+run executes each distinct trial list once (``figure5`` reads ``figure4``'s),
+``--jobs 2`` and ``--jobs 1`` write the same bytes, ``--store`` registers
+what was written, and the scale sweep reports a fairness index for every
+host count.
 """
 
 import hashlib
@@ -25,9 +26,9 @@ import os
 
 import pytest
 
-from repro.experiments.parallel import canonical_json
-from repro.experiments.registry import SPECS
-from repro.experiments.runner import main as experiments_main
+from repro.experiments import runner
+from repro.experiments.registry import SWEEPS
+from repro.experiments.sweep import canonical_json
 from repro.results.store import ResultStore
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "golden", "PINS.json")
@@ -46,14 +47,16 @@ def _pin_of(path):
 
 
 def _run_cli(*argv):
-    assert experiments_main([*argv, *SMOKE_ARGS]) == 0
+    assert runner.main([*argv, *SMOKE_ARGS]) == 0
+
+
+def _identity(trials):
+    return canonical_json([[trial.experiment, trial.params] for trial in trials])
 
 
 def _trial_list_pin(name, smoke):
-    spec = SPECS[name]
-    trials = spec.trials(**(spec.smoke if smoke else {}))
-    text = canonical_json([[trial.experiment, trial.params] for trial in trials])
-    return {"trials": len(trials), "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    trials = SWEEPS[name].trials(smoke=smoke)
+    return {"trials": len(trials), "sha256": hashlib.sha256(_identity(trials).encode("utf-8")).hexdigest()}
 
 
 @pytest.mark.parametrize("mode", ["default", "smoke"])
@@ -64,16 +67,25 @@ def test_trial_list_matches_its_pin(name, mode):
 
 @pytest.fixture(scope="module")
 def smoke_dirs(tmp_path_factory):
-    """One cold ``all`` run at ``--jobs 2`` through a fresh trial cache."""
+    """One ``all`` run at ``--jobs 2`` into a result store, recording each trial list it runs."""
     root = tmp_path_factory.mktemp("smoke")
-    out, cache = str(root / "out-jobs2"), str(root / "trial-cache")
-    _run_cli("all", "--jobs", "2", "--json-dir", out, "--cache-dir", cache)
-    return {"root": root, "out": out, "cache": cache}
+    out, db = str(root / "out-jobs2"), str(root / "results.sqlite")
+    ran = []
+    real = runner.run_trials
+
+    def recording(specs, **kwargs):
+        ran.append(_identity(specs))
+        return real(specs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "run_trials", recording)
+        _run_cli("all", "--jobs", "2", "--json-dir", out, "--store", db)
+    return {"root": root, "out": out, "db": db, "ran": ran}
 
 
 def test_the_pins_cover_every_registered_experiment():
-    assert sorted(PINS) == sorted(f"{name}.json" for name in SPECS)
-    assert sorted(TRIAL_PINS) == sorted(SPECS)
+    assert sorted(PINS) == sorted(f"{name}.json" for name in SWEEPS)
+    assert sorted(TRIAL_PINS) == sorted(SWEEPS)
 
 
 @pytest.mark.parametrize("artifact", sorted(PINS))
@@ -84,28 +96,22 @@ def test_smoke_artifact_matches_its_pin(smoke_dirs, artifact):
 @pytest.mark.parametrize("name", ["figure3", "scale"])
 def test_a_serial_uncached_run_writes_the_pinned_bytes(smoke_dirs, name):
     out = str(smoke_dirs["root"] / f"{name}-jobs1")
-    _run_cli(name, "--jobs", "1", "--json-dir", out, "--no-cache")
+    _run_cli(name, "--jobs", "1", "--json-dir", out)
     assert _pin_of(os.path.join(out, f"{name}.json")) == PINS[f"{name}.json"]
 
 
-def test_a_warm_rerun_is_served_from_the_cache(smoke_dirs):
-    out = str(smoke_dirs["root"] / "out-warm")
-    _run_cli("figure3", "--jobs", "2", "--json-dir", out, "--cache-dir", smoke_dirs["cache"])
-    with open(os.path.join(out, "figure3.meta.json"), "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    assert meta["trials"] > 0
-    assert meta["trials_from_cache"] == meta["trials"], meta
-    assert _pin_of(os.path.join(out, "figure3.json")) == PINS["figure3.json"]
+def test_one_all_run_executes_each_trial_list_once(smoke_dirs):
+    ran = smoke_dirs["ran"]
+    figure4 = _identity(SWEEPS["figure4"].trials(smoke=True))
+    assert ran.count(figure4) == 1
+    assert _identity(SWEEPS["figure5"].trials(smoke=True)) == figure4
+    assert len(ran) == len(set(ran)) == len(SWEEPS) - 1
 
 
 def test_store_registers_the_written_artifact(smoke_dirs):
-    out = str(smoke_dirs["root"] / "out-store")
-    db = str(smoke_dirs["root"] / "results.sqlite")
-    _run_cli("figure3", "--jobs", "2", "--json-dir", out, "--cache-dir", smoke_dirs["cache"],
-             "--store", db)
-    with open(os.path.join(out, "figure3.json"), "r", encoding="utf-8") as handle:
+    with open(os.path.join(smoke_dirs["out"], "figure3.json"), "r", encoding="utf-8") as handle:
         written = json.load(handle)
-    with ResultStore(db) as store:
+    with ResultStore(smoke_dirs["db"]) as store:
         (row,) = store.experiment_results("figure3")
     assert row["seeds"] == [1, 2, 3]
     for key in ("title", "columns", "rows", "series", "notes"):

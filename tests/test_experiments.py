@@ -9,12 +9,11 @@ import math
 
 import pytest
 
-from repro.experiments import figure3, figure4, figure5, figure6, figure7, figure8, figure9, figure10, table1
-from repro.experiments import ablations
+from repro.experiments import ablations, figure4, figure5
 from repro.experiments.base import ExperimentResult, format_table
-from repro.experiments.parallel import run_trials
-from repro.experiments.registry import SPECS
+from repro.experiments.registry import SWEEPS
 from repro.experiments.runner import run_experiment
+from repro.experiments.sweep import run_trials
 
 
 class TestResultContainer:
@@ -44,7 +43,7 @@ class TestResultContainer:
 
 class TestFigure3:
     def test_throughput_decreases_with_loss_and_variants_comparable(self):
-        result = figure3.run(loss_rates=(0.0, 0.02), transfer_bytes=600_000, seeds=(1,))
+        result = run_experiment("figure3", loss=(0.0, 0.02), transfer_bytes=600_000, seed=(1,))
         cm = result.column("tcp_cm_kBps")
         linux = result.column("tcp_linux_kBps")
         assert cm[0] > cm[-1]
@@ -58,7 +57,7 @@ class TestFigure3:
 class TestFigures4And5:
     def test_throughput_and_cpu_comparison(self):
         # One set of trials, reduced by both figures.
-        outcomes = run_trials(figure4.trials(buffer_counts=(2000, 8000)), jobs=1)
+        outcomes = run_trials(figure4.SWEEP.trials(nbuffers=(2000, 8000)), jobs=1)
         fig4 = figure4.reduce(outcomes)
         fig5 = figure5.reduce(outcomes)
         # Long transfers: CM throughput within a few percent of native TCP.
@@ -70,7 +69,7 @@ class TestFigures4And5:
 
 class TestFigure6AndTable1:
     def test_api_cost_ordering(self):
-        result = figure6.run(packet_sizes=(168, 1400), npackets=300)
+        result = run_experiment("figure6", packet_size=(168, 1400), npackets=300)
         variants = result.columns[1:]
         first_row = dict(zip(variants, result.rows[0][1:]))
         assert first_row["alf_noconnect"] > first_row["alf"] > first_row["tcp_cm"]
@@ -81,7 +80,7 @@ class TestFigure6AndTable1:
             assert last_row[variant] > first_row[variant]
 
     def test_table1_incremental_operations(self):
-        result = table1.run(packet_size=700, npackets=250)
+        result = run_experiment("table1", packet_size=700, npackets=250)
         rows = {row[0]: dict(zip(result.columns[1:], row[1:])) for row in result.rows}
         assert rows["alf_noconnect"]["ioctl"] > rows["alf"]["ioctl"]
         assert rows["alf"]["ioctl"] > rows["buffered"]["ioctl"]
@@ -91,7 +90,7 @@ class TestFigure6AndTable1:
 
 class TestFigure7:
     def test_sharing_speeds_up_later_requests(self):
-        result = figure7.run(file_size=96 * 1024, n_requests=5)
+        result = run_experiment("figure7", file_size=96 * 1024, n_requests=5)
         cm = result.column("tcp_cm_ms")
         linux = result.column("tcp_linux_ms")
         # Later CM requests are much faster than the first; native TCP's are not.
@@ -102,7 +101,7 @@ class TestFigure7:
 
 class TestFigures8To10:
     def test_alf_adaptation_tracks_bandwidth(self):
-        result = figure8.run(duration=12.0, bandwidth_schedule=((0.0, 16e6), (6.0, 4e6)))
+        result = run_experiment("figure8", duration=12.0, bandwidth_schedule=((0.0, 16e6), (6.0, 4e6)))
         tx = result.series["transmission_rate"]
         early = [v for t, v in tx if 3.0 <= t < 6.0]
         late = [v for t, v in tx if 8.0 <= t < 12.0]
@@ -110,8 +109,8 @@ class TestFigures8To10:
         assert result.series["cm_reported_rate"]
 
     def test_rate_callback_mode_switches_less_often(self):
-        fig8 = figure8.run(duration=10.0)
-        fig9 = figure9.run(duration=10.0)
+        fig8 = run_experiment("figure8", duration=10.0)
+        fig9 = run_experiment("figure9", duration=10.0)
         switches8 = dict((r[0], r[1]) for r in fig8.rows)["layer_switches"]
         switches9 = dict((r[0], r[1]) for r in fig9.rows)["layer_switches"]
         callbacks9 = dict((r[0], r[1]) for r in fig9.rows)["rate_callbacks"]
@@ -119,7 +118,7 @@ class TestFigures8To10:
         assert callbacks9 < 200  # threshold-driven, not per-packet
 
     def test_delayed_feedback_is_bursty_and_slow_to_start(self):
-        result = figure10.run(duration=30.0)
+        result = run_experiment("figure10", duration=30.0)
         rows = dict((r[0], r[1]) for r in result.rows)
         assert not math.isnan(rows["time_of_first_rate_increase_s"])
         assert rows["time_of_first_rate_increase_s"] > 1.0
@@ -141,7 +140,7 @@ class TestAblationsAndRunner:
         assert shared_second < split_second
 
     def test_runner_knows_every_experiment(self):
-        assert set(SPECS) == {
+        assert set(SWEEPS) == {
             "figure3", "figure4", "figure5", "figure6", "table1",
             "figure7", "figure8", "figure9", "figure10", "ablations",
             "aggressiveness", "timeseries", "scale", "hostile", "burstloss",
@@ -149,4 +148,8 @@ class TestAblationsAndRunner:
 
     def test_runner_rejects_unknown_name(self):
         with pytest.raises(KeyError):
-            run_experiment("figure99", verbose=False)
+            run_experiment("figure99")
+
+    def test_an_unknown_override_names_the_params(self):
+        with pytest.raises(TypeError, match="'transfer_bytes'"):
+            run_experiment("figure3", buffers=3)

@@ -159,9 +159,9 @@ class TestCliRoundTrips:
 class TestScaleExperimentSharding:
     def test_scale_smoke_jobs2_matches_jobs1_byte_for_byte(self):
         from repro.experiments import scale
-        from repro.experiments.parallel import run_trials
+        from repro.experiments.sweep import run_trials
 
-        specs = scale.trials(host_counts=(2, 3), duration=4.0, seeds=(1, 2))
+        specs = scale.SWEEP.trials(n_hosts=(2, 3), duration=4.0, seed=(1, 2))
         serial = scale.reduce(run_trials(specs, jobs=1)).to_json()
         pooled = scale.reduce(run_trials(specs, jobs=2)).to_json()
         assert serial == pooled

@@ -3,7 +3,7 @@
 Both ride the realism features added to the link/workload layers: `hostile`
 drives the unresponsive ``udp_blast`` workload against managed CM flows,
 `burstloss` sweeps the Gilbert-Elliott fade length at a fixed long-run loss
-rate.  The tests pin the registry contract (smoke kwargs, seeds support,
+rate.  The tests pin the registry contract (smoke overrides, a seed axis,
 jobs-invariant reduction) and the acceptance metrics the ISSUE names:
 intra-CM Jain fairness >= 0.9 under the blast, and a well-formed
 goodput-vs-burstiness curve with a Bernoulli baseline row.
@@ -14,25 +14,23 @@ import math
 import pytest
 
 from repro.experiments import burstloss, hostile
-from repro.experiments.parallel import run_trials
-from repro.experiments.registry import get_spec
+from repro.experiments.registry import SWEEPS, get_sweep
+from repro.experiments.sweep import run_trials
 
 
 class TestRegistryContract:
     @pytest.mark.parametrize("name", ["hostile", "burstloss"])
     def test_registered_with_smoke_and_seeds(self, name):
-        spec = get_spec(name)
-        assert spec.supports_seeds
-        assert spec.smoke  # CI --smoke runs need reduced kwargs
-        # The smoke kwargs must be valid trial-enumeration arguments.
-        specs = spec.trials(**spec.smoke)
+        sweep = get_sweep(name)
+        assert sweep.varies("seed")
+        assert sweep.smoke  # CI --smoke runs need reduced kwargs
+        # The smoke overrides must name params of the sweep.
+        specs = sweep.trials(smoke=True)
         assert specs and all(t.experiment == name for t in specs)
 
     def test_cli_knows_the_new_names(self):
-        from repro.experiments.registry import SPECS
-
-        assert "hostile" in SPECS
-        assert "burstloss" in SPECS
+        assert "hostile" in SWEEPS
+        assert "burstloss" in SWEEPS
 
 
 class TestHostile:
@@ -55,8 +53,8 @@ class TestHostile:
         assert value["cm_goodput_Bps"] > 0.0
 
     def test_reduce_is_jobs_invariant_and_notes_acceptance(self):
-        specs = hostile.trials(blast_fractions=(0.0, 0.5), duration=6.0,
-                               seeds=(1,))
+        specs = hostile.SWEEP.trials(blast_fraction=(0.0, 0.5), duration=6.0,
+                                     seed=(1,))
         serial = hostile.reduce(run_trials(specs, jobs=1)).to_json()
         pooled = hostile.reduce(run_trials(specs, jobs=2)).to_json()
         assert serial == pooled
@@ -100,7 +98,7 @@ class TestBurstloss:
             assert value["goodput_Bps"] > 0.0
 
     def test_reduce_labels_the_baseline_row(self):
-        specs = burstloss.trials(burst_lengths=(0, 2), duration=6.0, seeds=(1,))
+        specs = burstloss.SWEEP.trials(burst_length=(0, 2), duration=6.0, seed=(1,))
         result = burstloss.reduce(run_trials(specs, jobs=1))
         labels = [row[0] for row in result.rows]
         assert "bernoulli" in labels and 2 in labels

@@ -159,16 +159,15 @@ class TestCliTrace:
 
 class TestTimeseriesExperiment:
     def test_registered_with_smoke_config(self):
-        from repro.experiments.registry import get_spec
+        from repro.experiments.registry import get_sweep
 
-        spec = get_spec("timeseries")
-        assert spec.smoke["duration"] == 6.0
+        assert get_sweep("timeseries").smoke["duration"] == 6.0
 
     def test_smoke_run_produces_series_and_is_byte_stable(self):
-        from repro.experiments import timeseries
+        from repro.experiments.runner import run_experiment
 
-        a = timeseries.run(duration=4.0, sample_interval=0.5)
-        b = timeseries.run(duration=4.0, sample_interval=0.5)
+        a = run_experiment("timeseries", duration=4.0, sample_interval=0.5)
+        b = run_experiment("timeseries", duration=4.0, sample_interval=0.5)
         assert a.to_json() == b.to_json()
         assert any(name.startswith("dumbbell_bulk.cm.") and name.endswith(".cwnd")
                    for name in a.series)

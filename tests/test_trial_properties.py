@@ -5,7 +5,8 @@ Three families of invariants:
 * the sharded executor: random seed sets and job counts never change what
   ``reduce()`` sees — outcomes always arrive in spec order, with the same
   JSON-normalized values a serial run would produce (and a failing trial or
-  a dead worker is an error, not a hang);
+  a dead worker is an error, not a hang, and a dead coordinator leaves no
+  worker behind);
 * the statistics: the NumPy-free mean/stddev/CI agree with the stdlib
   ``statistics`` module on random samples;
 * ``format_table``: arbitrary cell widths round-trip through the renderer
@@ -15,9 +16,12 @@ Three families of invariants:
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,8 +30,8 @@ from hypothesis import strategies as st
 from repro.analysis import stats
 from repro.experiments import figure3
 from repro.experiments.base import format_table
-from repro.experiments.parallel import TrialOutcome, TrialSpec, run_trials
-from repro.experiments.registry import ExperimentSpec, register, unregister
+from repro.experiments.registry import SWEEPS
+from repro.experiments.sweep import Sweep, TrialOutcome, TrialSpec, run_trials
 
 # --------------------------------------------------------------------- #
 # A deterministic, instant fake experiment for executor properties.      #
@@ -44,18 +48,9 @@ def _echo_trial(params: dict) -> dict:
 
 @pytest.fixture(scope="module", autouse=True)
 def _register_echo_experiment():
-    register(
-        ExperimentSpec(
-            name=_ECHO_NAME,
-            trials=lambda seeds=(): [TrialSpec(_ECHO_NAME, {"seed": s}) for s in seeds],
-            trial=_echo_trial,
-            reduce=lambda outcomes: None,
-            run=lambda **kwargs: None,
-            supports_seeds=True,
-        )
-    )
-    yield
-    unregister(_ECHO_NAME)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SWEEPS, _ECHO_NAME, Sweep(_ECHO_NAME, [("seed", ())], {}, _echo_trial, None))
+        yield
 
 
 class TestExecutorProperties:
@@ -71,14 +66,6 @@ class TestExecutorProperties:
         assert [outcome.value for outcome in outcomes] == expected
         assert [outcome.spec.params["seed"] for outcome in outcomes] == list(seeds)
 
-    @given(seeds=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=8, unique=True))
-    @settings(max_examples=20, deadline=None)
-    def test_cache_key_is_stable_and_collision_free_across_params(self, seeds):
-        specs = [TrialSpec(_ECHO_NAME, {"seed": seed}) for seed in seeds]
-        keys = {spec.cache_key() for spec in specs}
-        assert len(keys) == len(seeds)
-        assert all(spec.cache_key() == spec.cache_key() for spec in specs)
-
     @given(
         throughputs=st.lists(
             st.floats(min_value=1.0, max_value=1e6, allow_nan=False), min_size=2, max_size=8
@@ -88,8 +75,8 @@ class TestExecutorProperties:
     def test_figure3_reduce_is_pure(self, throughputs):
         # reduce() must be a pure function of the outcome list: synthetic
         # trial values, two calls, byte-identical JSON.
-        specs = figure3.trials(
-            loss_rates=(0.01,), transfer_bytes=1000, seeds=tuple(range(len(throughputs)))
+        specs = figure3.SWEEP.trials(
+            loss=(0.01,), transfer_bytes=1000, seed=tuple(range(len(throughputs)))
         )
         outcomes = [
             TrialOutcome(spec=spec, value=throughputs[index % len(throughputs)])
@@ -105,18 +92,25 @@ class TestExecutorFailures:
         with pytest.raises(TypeError):
             run_trials(specs, jobs=2)
 
+    def test_an_error_that_does_not_pickle_still_reaches_the_parent(self, monkeypatch):
+        def trial(params):
+            raise ValueError(threading.Lock())
+
+        monkeypatch.setitem(SWEEPS, "_lock", Sweep("_lock", [], {}, trial, None))
+        with pytest.raises(RuntimeError, match="ValueError: <unlocked _thread.lock"):
+            run_trials([TrialSpec("_lock", {"index": index}) for index in range(2)], jobs=2)
+
     def test_a_dead_trial_worker_fails_the_run_instead_of_hanging(self):
         # In a process of its own, so that a hang is a timeout here.
         script = (
             "import multiprocessing, os, signal, sys, time\n"
-            "from repro.experiments.parallel import TrialSpec, run_trials\n"
-            "from repro.experiments.registry import ExperimentSpec, register\n"
+            "from repro.experiments.registry import SWEEPS\n"
+            "from repro.experiments.sweep import Sweep, TrialSpec, run_trials\n"
             "def trial(params):\n"
             "    if params['kill']:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return params['index']\n"
-            "register(ExperimentSpec(name='selfkill', trials=None, trial=trial,\n"
-            "                        reduce=None, run=None))\n"
+            "SWEEPS['selfkill'] = Sweep('selfkill', [], {}, trial, None)\n"
             "specs = [TrialSpec('selfkill', {'index': i, 'kill': i == 1}) for i in range(4)]\n"
             "asked = time.monotonic()\n"
             "try:\n"
@@ -132,10 +126,49 @@ class TestExecutorFailures:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         kind, waited, children, message = done.stdout.split(" ", 3)
-        assert kind == "BrokenProcessPool"
+        assert kind == "WorkerDied"
         assert float(waited) < 5.0
         assert children == "0"
         assert message.startswith("trial selfkill(index=")
+
+    def test_a_killed_coordinator_takes_its_trial_workers_along(self):
+        # The coordinator runs in a process of its own.  Each trial prints
+        # its worker's pid and then blocks, so both workers are in the
+        # middle of a trial when the coordinator is SIGKILLed.
+        script = (
+            "import os, time\n"
+            "from repro.experiments.registry import SWEEPS\n"
+            "from repro.experiments.sweep import Sweep, TrialSpec, run_trials\n"
+            "def trial(params):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "SWEEPS['stuck'] = Sweep('stuck', [], {}, trial, None)\n"
+            "run_trials([TrialSpec('stuck', {'index': i}) for i in range(3)], jobs=2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        coordinator = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                       env=env, text=True)
+        try:
+            pids = [int(coordinator.stdout.readline()) for _ in range(2)]
+            coordinator.send_signal(signal.SIGKILL)
+            assert coordinator.wait(timeout=10) == -signal.SIGKILL
+            deadline = time.monotonic() + 2.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, "trial workers outlived their coordinator"
+                time.sleep(0.01)
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
+
+
+def _exited(pid):
+    """Gone, or a zombie: an orphan's zombie is for init to collect, in its own time."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(") ", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
 
 
 class TestStatsMatchReference:
